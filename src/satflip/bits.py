@@ -28,11 +28,3 @@ def zeros(value: int, width: int) -> int:
 
 def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
-
-
-def project(value: int, width: int, positions) -> int:
-    """Pack the bits of the given variables (in order) into a new int."""
-    out = 0
-    for v in positions:
-        out = (out << 1) | var_bit(value, v, width)
-    return out

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .bits import flip_bit, project, var_bit
+from .bits import flip_bit, var_bit
 from .errors import FlipSequenceError, PreconditionError, TheoryError
-from .formula import Formula, effective_clause, evaluate
+from .formula import Formula, flip_state
 from .relation import Relation, is_dual_horn_free, is_nand_free
 
 
@@ -44,6 +44,14 @@ def format_sequence(flips: Iterable[Flip]) -> str:
     return " ".join(f.token() for f in flips)
 
 
+def path_line(flips) -> str:
+    """The protocol line of a search result: `PATH <length> <flips>`, or
+    `NOTCONNECTED` when `flips` is None."""
+    if flips is None:
+        return "NOTCONNECTED"
+    return f"PATH {len(flips)} {format_sequence(flips)}".rstrip()
+
+
 def invert_sequence(flips) -> tuple[Flip, ...]:
     """Reverse the order and the sign of every flip."""
     return tuple(f.inverse() for f in reversed(flips))
@@ -51,21 +59,33 @@ def invert_sequence(flips) -> tuple[Flip, ...]:
 
 def apply_sequence(phi: Formula, assignment: int, flips, *, check: bool = True) -> int:
     """Apply flips in order; with check, every flip must move in the right
-    direction and every prefix must keep the formula satisfied."""
+    direction and every prefix must keep the formula satisfied. A flip of
+    a variable outside 1..n is rejected with or without check.
+
+    The start assignment is checked in full once; each flip then costs
+    only the clauses of its variable.
+    """
     a = assignment
     n = phi.num_vars
-    if check and not evaluate(phi, a):
-        raise PreconditionError("start assignment does not satisfy the formula")
+    if check:
+        state = flip_state(phi, a)
+        if state.violated() is not None:
+            raise PreconditionError("start assignment does not satisfy the formula")
     for i, f in enumerate(flips):
+        if not 1 <= f.var <= n:
+            raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")
         if check:
             bit = var_bit(a, f.var, n)
             if f.up and bit == 1:
                 raise FlipSequenceError(i, f"{f.token()} raises a variable already 1")
             if not f.up and bit == 0:
                 raise FlipSequenceError(i, f"{f.token()} lowers a variable already 0")
+            if not state.can_flip(f.var):
+                raise FlipSequenceError(
+                    i, f"prefix ending at {f.token()} falsifies the formula"
+                )
+            state.flip(f.var)
         a = flip_bit(a, f.var, n)
-        if check and not evaluate(phi, a):
-            raise FlipSequenceError(i, f"prefix ending at {f.token()} falsifies the formula")
     return a
 
 
@@ -229,18 +249,18 @@ def formula_flip_dag(phi: Formula, assignment: int) -> FlipOrderDag:
             raise PreconditionError(
                 f"relation {name!r} is not NAND-free and dual-Horn-free"
             )
-    if not evaluate(phi, assignment):
+    state = flip_state(phi, assignment)
+    if state.violated() is not None:
         raise PreconditionError("assignment does not satisfy the formula")
 
     n = phi.num_vars
     candidates = {v for v in range(1, n + 1) if var_bit(assignment, v, n) == 0}
     blocked = set()
     edges = set()
-    for clause in phi.clauses:
-        variables, eff = effective_clause(phi, clause)
+    compiled = phi.compiled
+    for variables, eff, sub in zip(compiled.variables, compiled.relations, state.local):
         if eff is None:
             continue  # constant clause, already known satisfied
-        sub = project(assignment, n, variables)
         members, prec = relation_partial_order(eff, sub)
         flippable = {variables[p - 1] for p in members}
         for v in variables:

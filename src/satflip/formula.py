@@ -2,13 +2,17 @@
 
 A clause is a relation name plus a map from relation positions to
 variables or constants; an assignment satisfies the formula when every
-clause's induced tuple is accepted by its relation.
+clause's induced tuple is accepted by its relation. Each formula is
+compiled once, on first use, into per-clause accept masks and
+per-variable occurrence lists (:class:`CompiledFormula`), so a flip is
+checked against the clauses of its variable only (:class:`FlipState`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .bits import to_bitstring, var_bit
 from .errors import ParseError, PreconditionError
@@ -65,6 +69,110 @@ class Formula:
     def relation(self, name: str) -> Relation:
         return self._by_name[name]
 
+    @cached_property
+    def compiled(self) -> "CompiledFormula":
+        """The formula's clause tables, built on first use."""
+        return _compile(self)
+
+
+class CompiledFormula(NamedTuple):
+    """Clause tables of a formula, in clause order.
+
+    Clause j (0-based) constrains the distinct variables `variables[j]`
+    (ascending) through its effective relation `relations[j]`. Its local
+    tuple packs their values, the first variable in the highest bit, and
+    bit `local` of `accept[j]` is set iff that tuple satisfies the
+    clause. A clause without variables has k = 0, relation None, and bit
+    0 set iff it holds. `occurrences[v]` lists the (clause, bit) pairs of
+    variable v: flipping v xors `bit` into that clause's local tuple.
+    """
+
+    num_vars: int
+    variables: tuple[tuple[int, ...], ...]
+    relations: tuple[Relation | None, ...]
+    accept: tuple[int, ...]
+    occurrences: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _compile(phi: Formula) -> CompiledFormula:
+    variables, relations, accept = [], [], []
+    occurrences = [[] for _ in range(phi.num_vars + 1)]
+    masks = {}  # one accept mask per distinct effective relation
+    for j, clause in enumerate(phi.clauses):
+        clause_vars, eff = effective_clause(phi, clause)
+        if eff is None:
+            mask = int(induced(phi, clause, 0) in phi.relation(clause.relation_name))
+        else:
+            mask = masks.get(eff)
+            if mask is None:
+                mask = masks[eff] = sum(1 << x for x in eff.tuples)
+        k = len(clause_vars)
+        for p, v in enumerate(clause_vars):
+            occurrences[v].append((j, 1 << (k - 1 - p)))
+        variables.append(clause_vars)
+        relations.append(eff)
+        accept.append(mask)
+    return CompiledFormula(
+        phi.num_vars,
+        tuple(variables),
+        tuple(relations),
+        tuple(accept),
+        tuple(map(tuple, occurrences)),
+    )
+
+
+class FlipState:
+    """An assignment of a compiled formula plus each clause's local tuple.
+
+    `can_flip` and `flip` touch only the clauses of the flipped variable.
+    `can_flip` assumes those clauses hold now, as they do while the
+    state walks through satisfying assignments.
+    """
+
+    __slots__ = ("compiled", "assignment", "local")
+
+    def __init__(self, compiled: CompiledFormula, assignment: int):
+        n = compiled.num_vars
+        local = []
+        for clause_vars in compiled.variables:
+            x = 0
+            for v in clause_vars:
+                x = (x << 1) | ((assignment >> (n - v)) & 1)
+            local.append(x)
+        self.compiled = compiled
+        self.assignment = assignment
+        self.local = local
+
+    def violated(self) -> int | None:
+        """1-based index of the first falsified clause, or None."""
+        for j, (mask, x) in enumerate(zip(self.compiled.accept, self.local), 1):
+            if not (mask >> x) & 1:
+                return j
+        return None
+
+    def value(self, v: int) -> int:
+        return (self.assignment >> (self.compiled.num_vars - v)) & 1
+
+    def can_flip(self, v: int) -> bool:
+        """True iff flipping v keeps every clause containing v satisfied."""
+        accept, local = self.compiled.accept, self.local
+        for j, bit in self.compiled.occurrences[v]:
+            if not (accept[j] >> (local[j] ^ bit)) & 1:
+                return False
+        return True
+
+    def flip(self, v: int) -> None:
+        local = self.local
+        for j, bit in self.compiled.occurrences[v]:
+            local[j] ^= bit
+        self.assignment ^= 1 << (self.compiled.num_vars - v)
+
+
+def flip_state(phi: Formula, assignment: int) -> FlipState:
+    """A :class:`FlipState` of the formula at a range-checked assignment."""
+    _check_assignment(phi, assignment)
+    return FlipState(phi.compiled, assignment)
+
 
 def _check_assignment(phi: Formula, assignment: int):
     if not isinstance(assignment, int) or not 0 <= assignment < (1 << phi.num_vars):
@@ -95,22 +203,14 @@ def evaluate(phi: Formula, assignment: int) -> bool:
 
 def first_violated_clause(phi: Formula, assignment: int) -> int | None:
     """1-based index of the first falsified clause, or None if satisfying."""
-    _check_assignment(phi, assignment)
-    for i, clause in enumerate(phi.clauses, 1):
-        if induced(phi, clause, assignment) not in phi.relation(clause.relation_name):
-            return i
-    return None
+    return flip_state(phi, assignment).violated()
 
 
 @lru_cache(maxsize=None)
-def _effective(rel: Relation, args: tuple):
-    variables = tuple(sorted({a for a in args if isinstance(a, int)}))
-    if not variables:
-        return variables, None
-    index = {v: i + 1 for i, v in enumerate(variables)}
-    entries = tuple(a if a in (CONST0, CONST1) else index[a] for a in args)
-    rmap = RestrictionMap(rel.arity, len(variables), entries)
-    return variables, restrict(rel, rmap)
+def _effective(rel: Relation, entries: tuple, k: int) -> Relation:
+    """The restriction of `rel` for one clause shape: `entries` are the
+    clause's arguments with its variables renumbered 1..k."""
+    return restrict(rel, RestrictionMap(rel.arity, k, entries))
 
 
 def effective_clause(phi: Formula, clause: Clause):
@@ -119,9 +219,15 @@ def effective_clause(phi: Formula, clause: Clause):
     Returns (variables, relation): the clause's distinct variables in
     ascending order and the relation they must jointly satisfy. A clause
     with no variable arguments returns ((), None); evaluate it through
-    :func:`induced` instead.
+    :func:`induced` instead. Clauses of one shape (same relation, same
+    pattern of constants and repeats) share one cached relation.
     """
-    return _effective(phi.relation(clause.relation_name), clause.args)
+    variables = clause.variables()
+    if not variables:
+        return variables, None
+    index = {v: i for i, v in enumerate(variables, 1)}
+    entries = tuple(index.get(a, a) for a in clause.args)
+    return variables, _effective(phi.relation(clause.relation_name), entries, len(variables))
 
 
 def parse_assignment(text: str, num_vars: int) -> int:
@@ -303,7 +409,14 @@ def parse_dimacs_2cnf(text: str) -> Formula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
-            num_vars = int(parts[2])
+            try:
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"bad header counts in {line!r}", lineno) from None
+            if num_vars < 1:
+                raise ParseError("variable count must be >= 1", lineno)
+            if num_clauses < 0:
+                raise ParseError("clause count must be >= 0", lineno)
             continue
         if num_vars is None:
             raise ParseError("missing 'p cnf' header", lineno)

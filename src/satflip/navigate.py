@@ -10,6 +10,7 @@ optionally falling back to the capped exact search.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,9 +22,10 @@ from .flip_order import (
     formula_flip_dag,
     invert_sequence,
     order_respecting_sequence,
+    path_line,
     smallest_lower_set,
 )
-from .formula import Clause, Formula, evaluate, first_violated_clause
+from .formula import Clause, Formula, first_violated_clause, flip_state
 from .recon import DEFAULT_STATE_CAP, PathResult, bfs_shortest
 from .relation import (
     CONST0,
@@ -63,12 +65,9 @@ class SolveResult:
         return None if self.flips is None else len(self.flips)
 
     def protocol_line(self) -> str:
-        if self.outcome is Outcome.PATH:
-            toks = " ".join(f.token() for f in self.flips)
-            return f"PATH {len(self.flips)} {toks}".rstrip()
-        if self.outcome is Outcome.NOT_CONNECTED:
-            return "NOTCONNECTED"
-        return f"HARD {self.classification.verdict.name}"
+        if self.outcome is Outcome.HARD:
+            return f"HARD {self.classification.verdict.name}"
+        return path_line(self.flips)
 
 
 def classify_formula(phi: Formula) -> Classification:
@@ -166,7 +165,13 @@ def shortest_path_cwb(phi: Formula, s: int, t: int) -> SolveResult:
     the lowest-index differing variable that keeps the formula satisfied.
     Within a component the distance equals the Hamming distance, so any
     such flip is optimal progress; if none exists the endpoints are in
-    different components."""
+    different components.
+
+    The flippable differing variables wait in a min-heap. A flip changes
+    only the clauses of its variable, so only the variables sharing a
+    clause with it are re-checked; an entry that went stale is dropped
+    when popped, and pushed again if a later flip frees it.
+    """
     for name, rel in phi.relations:
         if not is_componentwise_bijunctive(rel):
             raise PreconditionError(
@@ -176,19 +181,29 @@ def shortest_path_cwb(phi: Formula, s: int, t: int) -> SolveResult:
     _require_satisfying(phi, t, "target")
     n = phi.num_vars
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
-    cur = s
+    state = flip_state(phi, s)
+    compiled = phi.compiled
+
+    def ready(v):
+        return var_bit(state.assignment ^ t, v, n) and state.can_flip(v)
+
+    queued = {v for v in range(1, n + 1) if ready(v)}
+    heap = sorted(queued)
     flips: list[Flip] = []
-    while cur != t:
-        for v in range(1, n + 1):
-            if var_bit(cur, v, n) == var_bit(t, v, n):
-                continue
-            candidate = cur ^ (1 << (n - v))
-            if evaluate(phi, candidate):
-                flips.append(Flip(v, var_bit(cur, v, n) == 0))
-                cur = candidate
-                break
-        else:
-            return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
+    while heap:
+        v = heapq.heappop(heap)
+        queued.remove(v)
+        if not state.can_flip(v):
+            continue
+        flips.append(Flip(v, state.value(v) == 0))
+        state.flip(v)
+        for j, _ in compiled.occurrences[v]:
+            for w in compiled.variables[j]:
+                if w not in queued and ready(w):
+                    queued.add(w)
+                    heapq.heappush(heap, w)
+    if state.assignment != t:
+        return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
     stats.flips_applied = len(flips)
     if len(flips) != hamming(s, t):
         raise TheoryError("greedy walk left the symmetric difference")

@@ -13,8 +13,8 @@ import numpy as np
 
 from .bits import to_bitstring, var_bit
 from .errors import PreconditionError, TheoryError
-from .flip_order import Flip
-from .formula import Formula, effective_clause, first_violated_clause, induced
+from .flip_order import Flip, path_line
+from .formula import Formula, first_violated_clause
 
 DEFAULT_STATE_CAP = 20
 
@@ -22,24 +22,19 @@ DEFAULT_STATE_CAP = 20
 def sat_mask(phi: Formula) -> np.ndarray:
     """Boolean array over all 2^n assignments, True where phi holds.
 
-    Built clause by clause: each falsifying local pattern of a clause's
-    effective relation wipes one subcube of the mask, so the cost is
+    Built clause by clause from the compiled accept masks: each
+    falsifying local tuple of a clause wipes one subcube of the mask (all
+    of it for a false clause without variables), so the cost is
     O(m * 2^n) writes rather than a per-assignment evaluation loop.
     """
     n = phi.num_vars
     mask = np.ones(1 << n, dtype=bool)
-    if not phi.clauses:
-        return mask
     view = mask.reshape((2,) * n)
-    for clause in phi.clauses:
-        variables, eff = effective_clause(phi, clause)
-        if eff is None:
-            if induced(phi, clause, 0) not in phi.relation(clause.relation_name):
-                mask[:] = False
-            continue
+    compiled = phi.compiled
+    for variables, accept in zip(compiled.variables, compiled.accept):
         k = len(variables)
         for local in range(1 << k):
-            if local not in eff.tuples:
+            if not (accept >> local) & 1:
                 idx: list = [slice(None)] * n
                 for pos, v in enumerate(variables):
                     idx[v - 1] = (local >> (k - 1 - pos)) & 1
@@ -90,10 +85,7 @@ class PathResult:
         return None if self.flips is None else len(self.flips)
 
     def protocol_line(self) -> str:
-        if self.flips is None:
-            return "NOTCONNECTED"
-        toks = " ".join(f.token() for f in self.flips)
-        return f"PATH {len(self.flips)} {toks}".rstrip()
+        return path_line(self.flips)
 
 
 def bfs_shortest(phi: Formula, s: int, t: int, cap: int = DEFAULT_STATE_CAP) -> PathResult:

@@ -13,9 +13,12 @@ import hypothesis.strategies as st
 from satflip import (
     CONST0,
     CONST1,
+    Clause,
+    Flip,
+    Formula,
     GenerationError,
     Relation,
-    evaluate,
+    induced,
     random_formula,
     random_navigable_relation,
 )
@@ -137,6 +140,71 @@ def synth_affine(rel):
     return frozenset(sols) == rel.tuples
 
 
+# ------------------------------------------- clause-by-clause evaluation
+# These read every clause through `induced` and the clause's declared
+# relation, so they share nothing with the compiled clause tables.
+
+def naive_first_violated_clause(phi, assignment):
+    for i, clause in enumerate(phi.clauses, 1):
+        if induced(phi, clause, assignment) not in phi.relation(clause.relation_name):
+            return i
+    return None
+
+
+def naive_evaluate(phi, assignment):
+    return naive_first_violated_clause(phi, assignment) is None
+
+
+def rescan_cwb_walk(phi, s, t):
+    """The greedy walk by full rescans: flip the lowest-index differing
+    variable whose flip keeps the formula satisfied, until t is reached;
+    None when no differing variable can be flipped."""
+    n = phi.num_vars
+    cur = s
+    flips = []
+    while cur != t:
+        for v in range(1, n + 1):
+            if var_bit(cur, v, n) == var_bit(t, v, n):
+                continue
+            candidate = flip_bit(cur, v, n)
+            if naive_evaluate(phi, candidate):
+                flips.append(Flip(v, var_bit(cur, v, n) == 0))
+                cur = candidate
+                break
+        else:
+            return None
+    return tuple(flips)
+
+
+def replay_first_bad_flip(phi, start, flips):
+    """Index of the first flip that names no variable, moves its variable
+    the wrong way or falsifies the formula; None if every prefix holds."""
+    n = phi.num_vars
+    cur = start
+    for i, f in enumerate(flips):
+        if not 1 <= f.var <= n or var_bit(cur, f.var, n) == f.up:
+            return i
+        cur = flip_bit(cur, f.var, n)
+        if not naive_evaluate(phi, cur):
+            return i
+    return None
+
+
+@st.composite
+def formula_strategy(draw, max_vars=6, max_clauses=5):
+    """Small formulas whose clauses mix variables, repeats and constants,
+    including clauses made of constants only."""
+    n = draw(st.integers(1, max_vars))
+    rels = draw(st.lists(relation_strategy(1, 3), min_size=1, max_size=3))
+    named = tuple((f"r{i}", rel) for i, rel in enumerate(rels, 1))
+    arg = st.one_of(st.integers(1, n), st.sampled_from([CONST0, CONST1]))
+    clauses = []
+    for _ in range(draw(st.integers(0, max_clauses))):
+        name, rel = draw(st.sampled_from(named))
+        clauses.append(Clause(name, draw(st.tuples(*[arg] * rel.arity))))
+    return Formula(n, named, tuple(clauses))
+
+
 # ------------------------------------------ assignment-space flip oracles
 
 def enum_positive_sequences(phi, start):
@@ -149,7 +217,7 @@ def enum_positive_sequences(phi, start):
         for v in range(1, n + 1):
             if var_bit(cur, v, n) == 0:
                 nxt = flip_bit(cur, v, n)
-                if evaluate(phi, nxt):
+                if naive_evaluate(phi, nxt):
                     prefix.append(v)
                     walk(nxt, prefix)
                     prefix.pop()
@@ -170,7 +238,7 @@ def positive_flip_variables(phi, start):
         for v in range(1, n + 1):
             if var_bit(u, v, n) == 0:
                 w = flip_bit(u, v, n)
-                if evaluate(phi, w):
+                if naive_evaluate(phi, w):
                     flippable.add(v)
                     if w not in seen:
                         seen.add(w)
@@ -228,8 +296,6 @@ def navigable_corpus(count, seed, max_arity=4, max_vars=12, max_clauses=8,
 
 def random_walk(phi, start, steps, rng):
     """A random flip walk in the solution graph; returns the Flip list."""
-    from satflip import Flip
-
     n = phi.num_vars
     cur = start
     flips = []
@@ -237,7 +303,7 @@ def random_walk(phi, start, steps, rng):
         options = []
         for v in range(1, n + 1):
             nxt = flip_bit(cur, v, n)
-            if evaluate(phi, nxt):
+            if naive_evaluate(phi, nxt):
                 options.append(v)
         if not options:
             break

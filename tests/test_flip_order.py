@@ -28,6 +28,7 @@ from helpers import (
     order_obeying_sequences,
     positive_flip_variables,
     random_walk,
+    replay_first_bad_flip,
 )
 from satflip import random_navigable_relation
 
@@ -211,6 +212,51 @@ class TestOrderRespectingSequence:
         dag = formula_flip_dag(PATH_PHI, 0b000)
         with pytest.raises(PreconditionError, match="downward"):
             order_respecting_sequence(dag, {2})
+
+
+class TestApplySequence:
+    IMP_PHI = Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)),))
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("bad", [Flip(3, True), Flip(0, True), Flip(-1, False)])
+    def test_out_of_range_flip(self, check, bad):
+        with pytest.raises(FlipSequenceError, match="flip 2: .*no variable in 1..2") as err:
+            apply_sequence(self.IMP_PHI, 0b00, (Flip(1, True), bad), check=check)
+        assert err.value.index == 1
+
+    def test_messages(self):
+        cases = [
+            ((Flip(1, False),), 0, "lowers a variable already 0"),
+            ((Flip(1, True), Flip(1, True)), 1, "raises a variable already 1"),
+            ((Flip(2, True),), 0, "prefix ending at x2\\+ falsifies"),
+        ]
+        for flips, index, message in cases:
+            with pytest.raises(FlipSequenceError, match=f"flip {index + 1}: .*{message}") as err:
+                apply_sequence(self.IMP_PHI, 0b00, flips)
+            assert err.value.index == index
+
+    def test_rejects_unsatisfying_start(self):
+        with pytest.raises(PreconditionError, match="start assignment"):
+            apply_sequence(self.IMP_PHI, 0b01, ())
+
+    def test_first_bad_index_matches_replay(self):
+        rng = random.Random(83)
+        bad = 0
+        for phi, s, _ in navigable_corpus(60, seed=89, max_vars=10, max_clauses=8):
+            n = phi.num_vars
+            for _ in range(4):
+                flips, end = random_walk(phi, s, rng.randint(0, 15), rng)
+                flips.insert(rng.randint(0, len(flips)),
+                             Flip(rng.randint(0, n + 1), rng.random() < 0.5))
+                want = replay_first_bad_flip(phi, s, flips)
+                try:
+                    apply_sequence(phi, s, flips)
+                    got = None
+                except FlipSequenceError as exc:
+                    got = exc.index
+                assert got == want
+                bad += want is not None
+        assert bad >= 100
 
 
 class TestCanonicalize:

@@ -19,9 +19,9 @@ from satflip import (
     parse_instance,
     serialize_formula,
 )
-from satflip.formula import first_violated_clause
+from satflip.formula import _effective, first_violated_clause
 
-from helpers import navigable_corpus
+from helpers import formula_strategy, navigable_corpus, naive_first_violated_clause
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
 PATH_PHI = Formula(3, (("path5", PATH5),), (Clause("path5", (1, 2, 3)),))
@@ -84,6 +84,19 @@ class TestEvaluate:
         with pytest.raises(PreconditionError):
             evaluate(PATH_PHI, 8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(formula_strategy())
+    def test_first_violated_clause_matches_clause_by_clause(self, phi):
+        for a in range(1 << phi.num_vars):
+            assert first_violated_clause(phi, a) == naive_first_violated_clause(phi, a)
+
+    def test_constant_only_clauses(self):
+        one = Relation(1, frozenset({1}))
+        phi = Formula(2, (("one", one),), (Clause("one", (CONST1,)), Clause("one", (CONST0,))))
+        assert phi.compiled.variables[:2] == ((), ())
+        assert phi.compiled.accept[:2] == (0b1, 0b0)
+        assert [first_violated_clause(phi, a) for a in range(4)] == [2, 2, 2, 2]
+
 
 class TestEffectiveClause:
     def test_repeated_variable_collapses(self):
@@ -116,6 +129,18 @@ class TestEffectiveClause:
             1, (("path5", PATH5),), (Clause("path5", (CONST0, CONST0, CONST0)),)
         )
         assert effective_clause(phi, phi.clauses[0]) == ((), None)
+
+    def test_cache_holds_one_entry_per_shape(self):
+        # a relation no other test uses, so its shape is not cached yet
+        rel = Relation(4, frozenset({0b0000, 0b0110, 0b1011, 0b1111}))
+        clauses = tuple(Clause("q", (v, CONST1, v + 1, v)) for v in range(1, 501))
+        phi = Formula(501, (("q", rel),), clauses)
+        before = _effective.cache_info().currsize
+        compiled = phi.compiled
+        assert _effective.cache_info().currsize == before + 1
+        assert len({id(r) for r in compiled.relations}) == 1
+        # (r1, 1, r2, r1) hits 0110 and 1111 -> {01, 11}
+        assert compiled.relations[0].tuples == frozenset({0b01, 0b11})
 
 
 class TestFormulaValidation:
@@ -222,3 +247,15 @@ class TestDimacs2Cnf:
     def test_rejects_wide_clause(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_dimacs_2cnf("p cnf 3 1\n1 2 3 0\n")
+
+    def test_non_integer_variable_count(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_dimacs_2cnf("c header next\np cnf x 1\n1 0\n")
+
+    def test_zero_variables(self):
+        with pytest.raises(ParseError, match="line 2.*variable count"):
+            parse_dimacs_2cnf("c header next\np cnf 0 0\n")
+
+    def test_non_integer_clause_count(self):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_dimacs_2cnf("p cnf 2 y\n1 0\n")

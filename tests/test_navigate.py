@@ -22,10 +22,16 @@ from satflip import (
     shortest_path_navigable,
     solve,
 )
-from satflip import gen_vertex_cover_instance, SimpleGraph
+from satflip import (
+    GenerationError,
+    SimpleGraph,
+    gen_vertex_cover_instance,
+    is_componentwise_bijunctive,
+    random_formula,
+)
 from satflip.bits import hamming, zeros
 
-from helpers import navigable_corpus
+from helpers import navigable_corpus, rescan_cwb_walk
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
 PATH_PHI = Formula(3, (("path5", PATH5),), (Clause("path5", (1, 2, 3)),))
@@ -125,6 +131,43 @@ class TestCwbSolver:
             if ref.connected:
                 assert res.length == ref.length == hamming(s, t)
             checked += 1
+
+    def test_matches_rescan_walk(self):
+        binary = [Relation(2, frozenset(ts)) for ts in
+                  ({1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}, {1, 2}, {0, 3}, {0, 1}, {3})]
+        # products of two binary relations: (a, b, c, d) with (a, b) in R, (c, d) in S
+        pool = binary + [
+            Relation(4, frozenset((x << 2) | y for x in r.tuples for y in q.tuples))
+            for r, q in zip(binary, binary[3:] + binary[:3])
+        ]
+        assert all(is_componentwise_bijunctive(rel) for rel in pool)
+        rng = random.Random(505)
+        outcomes = []
+        while len(outcomes) < 150:
+            rels = rng.sample(pool, rng.randint(1, 3))
+            try:
+                phi, s, t = random_formula(
+                    rels, rng.randint(2, 16), rng.randint(1, 14), rng.randrange(2**32)
+                )
+            except GenerationError:
+                continue
+            res = shortest_path_cwb(phi, s, t)
+            want = rescan_cwb_walk(phi, s, t)
+            assert res.flips == want
+            assert (res.outcome is Outcome.PATH) == (want is not None)
+            outcomes.append(res.outcome)
+        assert outcomes.count(Outcome.NOT_CONNECTED) >= 15
+        assert outcomes.count(Outcome.PATH) >= 15
+
+    def test_reversed_chain_matches_rescan_walk(self):
+        n = 40
+        chain = tuple(Clause("imp", (v + 1, v)) for v in range(1, n))  # x_v -> x_(v+1)
+        phi = Formula(n, (("imp", IMP),), chain)
+        for j in (0, 7, 39):
+            t = (1 << (n - j)) - 1
+            res = shortest_path_cwb(phi, 0, t)
+            assert res.flips == rescan_cwb_walk(phi, 0, t)
+            assert [f.var for f in res.flips] == list(range(n, j, -1))
 
 
 class TestDualize:
