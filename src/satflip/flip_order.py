@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .bits import flip_bit, var_bit
-from .errors import FlipSequenceError, PreconditionError, TheoryError
-from .formula import Formula, flip_state
+from .errors import FlipSequenceError, ParseError, PreconditionError, TheoryError
+from .formula import Formula, _check_assignment, flip_state
 from .relation import Relation, is_dual_horn_free, is_nand_free
 
 
@@ -35,9 +35,13 @@ class Flip(NamedTuple):
 
 
 def parse_flip(token: str) -> Flip:
+    """Read a flip token `x<var>+` or `x<var>-`; raises ParseError."""
     if len(token) < 3 or token[0] != "x" or token[-1] not in "+-":
-        raise ValueError(f"bad flip token {token!r}")
-    return Flip(int(token[1:-1]), token[-1] == "+")
+        raise ParseError(f"bad flip token {token!r}")
+    digits = token[1:-1]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad variable in flip token {token!r}")
+    return Flip(int(digits), token[-1] == "+")
 
 
 def format_sequence(flips: Iterable[Flip]) -> str:
@@ -59,8 +63,9 @@ def invert_sequence(flips) -> tuple[Flip, ...]:
 
 def apply_sequence(phi: Formula, assignment: int, flips, *, check: bool = True) -> int:
     """Apply flips in order; with check, every flip must move in the right
-    direction and every prefix must keep the formula satisfied. A flip of
-    a variable outside 1..n is rejected with or without check.
+    direction and every prefix must keep the formula satisfied. A start
+    outside 0 <= a < 2^n, or a flip of a variable outside 1..n, is
+    rejected with or without check.
 
     The start assignment is checked in full once; each flip then costs
     only the clauses of its variable.
@@ -71,6 +76,8 @@ def apply_sequence(phi: Formula, assignment: int, flips, *, check: bool = True) 
         state = flip_state(phi, a)
         if state.violated() is not None:
             raise PreconditionError("start assignment does not satisfy the formula")
+    else:
+        _check_assignment(phi, a)
     for i, f in enumerate(flips):
         if not 1 <= f.var <= n:
             raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")

@@ -39,7 +39,8 @@ class Formula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        if not isinstance(self.num_vars, int) or self.num_vars < 1:
+        if (isinstance(self.num_vars, bool) or not isinstance(self.num_vars, int)
+                or self.num_vars < 1):
             raise PreconditionError(f"num_vars must be >= 1, got {self.num_vars!r}")
         by_name = {}
         for name, rel in self.relations:
@@ -60,7 +61,8 @@ class Formula:
             for a in clause.args:
                 if a in (CONST0, CONST1):
                     continue
-                if not isinstance(a, int) or not 1 <= a <= self.num_vars:
+                if (isinstance(a, bool) or not isinstance(a, int)
+                        or not 1 <= a <= self.num_vars):
                     raise PreconditionError(
                         f"clause {i} argument {a!r} out of range 1..{self.num_vars}"
                     )

@@ -5,11 +5,19 @@ constants into positions and identify positions with each other; the
 "-free" predicates ask whether any restriction equals a fixed forbidden
 relation, and the whole set of predicates feeds the solvability verdict
 computed by :func:`classify_set`.
+
+The five restriction-based predicates (componentwise bijunctive and the
+four "-free" ones) read one memoized closure of the relation under
+elementary steps: fix one position, or identify two. The closure holds
+every covering restriction up to a permutation of its positions, so the
+predicates never walk the (k'+2)^k restriction maps one by one;
+:func:`all_restrictions` still does, as the tests' reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -17,19 +25,28 @@ from functools import lru_cache
 from .bits import to_bitstring
 from .errors import ParseError, PreconditionError
 
-# Restriction enumeration costs (k'+2)^k maps per target arity, so larger
-# arities are rejected outright rather than silently taking hours.
+# The restriction closure grows quickly with arity. Measured cold on
+# CPython 3.11: all nine flags of a random relation take about 8 ms at
+# arity 6, 70 ms at arity 7 and 0.55 s (up to 0.9 s) at arity 8, where
+# one closure holds up to about 13 MiB; the componentwise-bijunctive check
+# of the full arity-8 relation takes 0.6 s.
 MAX_ARITY = 8
 
 CONST0 = "c0"
 CONST1 = "c1"
 
 # Forbidden binary restrictions: the satisfying sets of (x | y) and !(x & y).
+# Both are symmetric, so one order of their positions matches every order.
 OR_TUPLES = frozenset({0b01, 0b10, 0b11})
 NAND_TUPLES = frozenset({0b00, 0b01, 0b10})
-# Forbidden ternary restrictions: satisfying sets of (x | !y | !z) and (!x | y | z).
-HORN_WITNESS_TUPLES = frozenset(range(8)) - {0b011}
-DUAL_HORN_WITNESS_TUPLES = frozenset(range(8)) - {0b100}
+# Forbidden ternary restrictions: satisfying sets of (x | !y | !z) and
+# (!x | y | z), each in all three placements of its odd literal.
+HORN_PLACEMENTS = frozenset(
+    frozenset(range(8)) - {t} for t in (0b011, 0b101, 0b110)
+)
+DUAL_HORN_PLACEMENTS = frozenset(
+    frozenset(range(8)) - {t} for t in (0b100, 0b010, 0b001)
+)
 
 
 @dataclass(frozen=True)
@@ -41,7 +58,8 @@ class Relation:
     tuples: frozenset[int]
 
     def __post_init__(self):
-        if not isinstance(self.arity, int) or not 1 <= self.arity <= MAX_ARITY:
+        if (isinstance(self.arity, bool) or not isinstance(self.arity, int)
+                or not 1 <= self.arity <= MAX_ARITY):
             raise PreconditionError(
                 f"relation arity must be an integer in 1..{MAX_ARITY}, got {self.arity!r}"
             )
@@ -110,7 +128,8 @@ class RestrictionMap:
         for e in self.entries:
             if e in (CONST0, CONST1):
                 continue
-            if not isinstance(e, int) or not 1 <= e <= self.target_arity:
+            if (isinstance(e, bool) or not isinstance(e, int)
+                    or not 1 <= e <= self.target_arity):
                 raise PreconditionError(f"bad restriction entry {e!r}")
 
     @classmethod
@@ -175,37 +194,52 @@ def all_restrictions(relation: Relation, target_arity: int):
         yield restrict(relation, RestrictionMap(relation.arity, target_arity, entries))
 
 
-def _covering_maps(source: int, target: int):
-    """Maps whose image includes every target position.
+@lru_cache(maxsize=None)
+def _elementary_steps(arity: int) -> tuple:
+    """The elementary steps on ``arity`` positions, each as the set of
+    tuples it keeps and a lookup that drops one bit from a kept tuple:
+    fix a position to 0 or 1, or identify two positions (keep the tuples
+    whose two bits agree, then drop the later position)."""
+    everything = range(1 << arity)
+    steps = []
+    for b in range(arity):
+        low = (1 << b) - 1
+        drop = tuple((t >> 1) & ~low | t & low for t in everything).__getitem__
+        for bit in (0, 1):
+            steps.append((frozenset(t for t in everything if t >> b & 1 == bit), drop))
+        for hi in range(b + 1, arity):
+            agree = frozenset(t for t in everything if (t >> b ^ t >> hi) & 1 == 0)
+            steps.append((agree, drop))
+    return tuple(steps)
 
-    A skipped map leaves some target coordinate entirely free, so its
-    restriction is a free-coordinate product of a smaller restriction;
-    such products can never equal the forbidden patterns and their
-    components are bijunctive exactly when the smaller ones are.
+
+@lru_cache(maxsize=4)
+def _restriction_closure(relation: Relation) -> tuple[frozenset[frozenset[int]], ...]:
+    """Every covering restriction of the relation, up to a permutation of
+    positions: entry ``a - 1`` holds the distinct tuple sets of arity a.
+
+    A covering map names every target position. It factors into
+    elementary steps (see :func:`_elementary_steps`) followed by a
+    permutation of the target positions, so closing the relation under
+    those steps reaches each covering restriction in some order of its
+    positions. A map that is not covering leaves a target coordinate free, so its
+    restriction is a product of a smaller restriction with {0, 1}: it can
+    never equal one of the forbidden patterns, and its components are
+    bijunctive exactly when the smaller one's are.
+
+    One closure holds up to about 300 KiB at arity 6 and 13 MiB at arity
+    8, so only the last few are kept: enough for the five predicates of
+    one relation, which :func:`relation_flags` asks in a row.
     """
-    choices = tuple(range(1, target + 1)) + (CONST0, CONST1)
-    entries = [None] * source
-
-    def walk(i, missing):
-        if len(missing) > source - i:
-            return
-        if i == source:
-            yield tuple(entries)
-            return
-        for e in choices:
-            entries[i] = e
-            yield from walk(i + 1, missing - {e} if e in missing else missing)
-
-    yield from walk(0, frozenset(range(1, target + 1)))
-
-
-def _distinct_restrictions(relation: Relation, target_arity: int):
-    seen = set()
-    for entries in _covering_maps(relation.arity, target_arity):
-        r = restrict(relation, RestrictionMap(relation.arity, target_arity, entries))
-        if r.tuples not in seen:
-            seen.add(r.tuples)
-            yield r
+    levels = [frozenset({relation.tuples})]
+    for arity in range(relation.arity, 1, -1):
+        steps = _elementary_steps(arity)
+        levels.append(frozenset(
+            frozenset(map(drop, tuples & keep))
+            for tuples in levels[-1]
+            for keep, drop in steps
+        ))
+    return tuple(reversed(levels))
 
 
 def _hamming_components(arity: int, tuples: frozenset[int]) -> list[frozenset[int]]:
@@ -230,91 +264,84 @@ def _hamming_components(arity: int, tuples: frozenset[int]) -> list[frozenset[in
     return comps
 
 
+def _closed_under(relation: Relation, op, n: int) -> bool:
+    """True iff ``op`` maps every n distinct tuples of the relation into
+    the relation. Repeated arguments need no check: when two arguments
+    coincide, each op used here returns one of its arguments."""
+    ts = relation.tuples
+    return all(t in ts for t in itertools.starmap(op, itertools.combinations(ts, n)))
+
+
+def _majority(a: int, b: int, c: int) -> int:
+    return (a & b) | (a & c) | (b & c)
+
+
+def _xor3(a: int, b: int, c: int) -> int:
+    return a ^ b ^ c
+
+
 @lru_cache(maxsize=None)
 def is_bijunctive(relation: Relation) -> bool:
     """Closed under coordinatewise majority, i.e. expressible in 2CNF."""
-    ts = sorted(relation.tuples)
-    for a, b, c in itertools.combinations(ts, 3):
-        if (a & b) | (a & c) | (b & c) not in relation.tuples:
-            return False
-    return True
+    return _closed_under(relation, _majority, 3)
 
 
 @lru_cache(maxsize=None)
 def is_horn(relation: Relation) -> bool:
     """Closed under coordinatewise AND."""
-    ts = sorted(relation.tuples)
-    for a, b in itertools.combinations(ts, 2):
-        if a & b not in relation.tuples:
-            return False
-    return True
+    return _closed_under(relation, operator.and_, 2)
 
 
 @lru_cache(maxsize=None)
 def is_dual_horn(relation: Relation) -> bool:
     """Closed under coordinatewise OR."""
-    ts = sorted(relation.tuples)
-    for a, b in itertools.combinations(ts, 2):
-        if a | b not in relation.tuples:
-            return False
-    return True
+    return _closed_under(relation, operator.or_, 2)
 
 
 @lru_cache(maxsize=None)
 def is_affine(relation: Relation) -> bool:
     """Closed under coordinatewise XOR of three tuples."""
-    ts = sorted(relation.tuples)
-    for a, b, c in itertools.combinations(ts, 3):
-        if a ^ b ^ c not in relation.tuples:
-            return False
-    return True
+    return _closed_under(relation, _xor3, 3)
 
 
 @lru_cache(maxsize=None)
 def is_or_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of (x | y)."""
-    if relation.arity < 2:
-        return True
-    return all(r.tuples != OR_TUPLES for r in _distinct_restrictions(relation, 2))
+    return relation.arity < 2 or OR_TUPLES not in _restriction_closure(relation)[1]
 
 
 @lru_cache(maxsize=None)
 def is_nand_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of !(x & y)."""
-    if relation.arity < 2:
-        return True
-    return all(r.tuples != NAND_TUPLES for r in _distinct_restrictions(relation, 2))
+    return relation.arity < 2 or NAND_TUPLES not in _restriction_closure(relation)[1]
 
 
 @lru_cache(maxsize=None)
 def is_horn_free(relation: Relation) -> bool:
     """No ternary restriction equals the satisfying set of (x | !y | !z)."""
-    if relation.arity < 3:
-        return True
-    return all(
-        r.tuples != HORN_WITNESS_TUPLES for r in _distinct_restrictions(relation, 3)
+    return relation.arity < 3 or _restriction_closure(relation)[2].isdisjoint(
+        HORN_PLACEMENTS
     )
 
 
 @lru_cache(maxsize=None)
 def is_dual_horn_free(relation: Relation) -> bool:
     """No ternary restriction equals the satisfying set of (!x | y | z)."""
-    if relation.arity < 3:
-        return True
-    return all(
-        r.tuples != DUAL_HORN_WITNESS_TUPLES
-        for r in _distinct_restrictions(relation, 3)
+    return relation.arity < 3 or _restriction_closure(relation)[2].isdisjoint(
+        DUAL_HORN_PLACEMENTS
     )
 
 
 @lru_cache(maxsize=None)
 def is_componentwise_bijunctive(relation: Relation) -> bool:
     """Every connected component of every restriction induces a bijunctive
-    relation (the identity restriction included)."""
-    for target in range(1, relation.arity + 1):
-        for r in _distinct_restrictions(relation, target):
-            for comp in _hamming_components(r.arity, r.tuples):
-                if not is_bijunctive(Relation(r.arity, comp)):
+    relation (the identity restriction included). Components and
+    bijunctivity do not depend on the order of positions, so the closure
+    covers every restriction."""
+    for arity, members in enumerate(_restriction_closure(relation), 1):
+        for tuples in members:
+            for comp in _hamming_components(arity, tuples):
+                if not is_bijunctive(Relation(arity, comp)):
                     return False
     return True
 

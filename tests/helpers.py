@@ -5,6 +5,7 @@ library (string manipulation, clause synthesis, plain DFS over
 assignments) so agreement is meaningful.
 """
 
+import functools
 import itertools
 import random
 
@@ -18,11 +19,13 @@ from satflip import (
     Formula,
     GenerationError,
     Relation,
+    RelationFlags,
     induced,
     random_formula,
     random_navigable_relation,
 )
 from satflip.bits import flip_bit, var_bit
+from satflip.relation import _hamming_components
 
 
 # ---------------------------------------------------------------- relations
@@ -62,12 +65,13 @@ def naive_restrict_tuples(rel, target_arity, entries):
     return frozenset(out)
 
 
+@functools.lru_cache(maxsize=64)
 def naive_all_restriction_values(rel, target_arity):
     choices = list(range(1, target_arity + 1)) + [CONST0, CONST1]
-    seen = set()
-    for entries in itertools.product(choices, repeat=rel.arity):
-        seen.add(naive_restrict_tuples(rel, target_arity, entries))
-    return seen
+    return frozenset(
+        naive_restrict_tuples(rel, target_arity, entries)
+        for entries in itertools.product(choices, repeat=rel.arity)
+    )
 
 
 def naive_is_free(rel, forbidden_tuples, target_arity):
@@ -138,6 +142,40 @@ def synth_affine(rel):
                 if all((t & mask).bit_count() % 2 == c for t in rel.tuples):
                     sols = {v for v in sols if (v & mask).bit_count() % 2 == c}
     return frozenset(sols) == rel.tuples
+
+
+def naive_is_componentwise_bijunctive(rel):
+    """Every Hamming component of every restriction value, over all
+    (target+2)^arity maps, is synthesized by 1- and 2-clauses."""
+    comps = {
+        (target, comp)
+        for target in range(1, rel.arity + 1)
+        for tuples in naive_all_restriction_values(rel, target)
+        for comp in _hamming_components(target, tuples)
+    }
+    return all(synth_bijunctive(Relation(target, comp)) for target, comp in comps)
+
+
+OR_PATTERN = frozenset({0b01, 0b10, 0b11})
+NAND_PATTERN = frozenset({0b00, 0b01, 0b10})
+HORN_PATTERN = frozenset(range(8)) - {0b011}
+DUAL_HORN_PATTERN = frozenset(range(8)) - {0b100}
+
+
+def naive_relation_flags(rel):
+    """All nine flags from the synthesis oracles and from enumerating
+    every restriction map over bitstrings."""
+    return RelationFlags(
+        bijunctive=synth_bijunctive(rel),
+        horn=synth_horn(rel),
+        dual_horn=synth_dual_horn(rel),
+        affine=synth_affine(rel),
+        componentwise_bijunctive=naive_is_componentwise_bijunctive(rel),
+        or_free=naive_is_free(rel, OR_PATTERN, 2),
+        nand_free=naive_is_free(rel, NAND_PATTERN, 2),
+        horn_free=naive_is_free(rel, HORN_PATTERN, 3),
+        dual_horn_free=naive_is_free(rel, DUAL_HORN_PATTERN, 3),
+    )
 
 
 # ------------------------------------------- clause-by-clause evaluation

@@ -8,6 +8,7 @@ from satflip import (
     FlipOrderDag,
     FlipSequenceError,
     Formula,
+    ParseError,
     PreconditionError,
     Relation,
     TheoryError,
@@ -42,6 +43,16 @@ class TestFlipTokens:
         assert Flip(3, True).token() == "x3+"
         assert Flip(12, False).token() == "x12-"
         assert parse_flip("x12-") == Flip(12, False)
+
+    @pytest.mark.parametrize("token", ["x1", "y1+", "x+", "", "x1*"])
+    def test_bad_shape_is_parse_error(self, token):
+        with pytest.raises(ParseError, match="bad flip token"):
+            parse_flip(token)
+
+    @pytest.mark.parametrize("token", ["xab+", "x1.5-", "x 2+", "x-1-", "x1_0+"])
+    def test_bad_variable_is_parse_error(self, token):
+        with pytest.raises(ParseError, match="bad variable"):
+            parse_flip(token)
 
     def test_inverse_sequence(self):
         seq = (Flip(1, True), Flip(2, False))
@@ -238,6 +249,12 @@ class TestApplySequence:
     def test_rejects_unsatisfying_start(self):
         with pytest.raises(PreconditionError, match="start assignment"):
             apply_sequence(self.IMP_PHI, 0b01, ())
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("start", [1 << 10, 0b100, -1])
+    def test_out_of_range_start(self, check, start):
+        with pytest.raises(PreconditionError, match="out of range for 2 variables"):
+            apply_sequence(self.IMP_PHI, start, (Flip(1, True),), check=check)
 
     def test_first_bad_index_matches_replay(self):
         rng = random.Random(83)

@@ -156,6 +156,16 @@ class TestFormulaValidation:
         with pytest.raises(PreconditionError, match="arity"):
             Formula(2, (("path5", PATH5),), (Clause("path5", (1, 2)),))
 
+    def test_bool_num_vars_rejected(self):
+        with pytest.raises(PreconditionError, match="num_vars"):
+            Formula(True, (), ())
+
+    @pytest.mark.parametrize("arg", [True, False])
+    def test_bool_argument_rejected(self, arg):
+        # bool is an int subclass; True would otherwise pass as variable 1
+        with pytest.raises(PreconditionError, match="out of range"):
+            Formula(2, (("path5", PATH5),), (Clause("path5", (arg, 2, 1)),))
+
     def test_duplicate_relation_names(self):
         with pytest.raises(PreconditionError, match="duplicate"):
             Formula(1, (("r", PATH5), ("r", PATH5)), ())

@@ -12,6 +12,7 @@ from satflip import (
     NavigableKind,
     PreconditionError,
     Relation,
+    RelationFlags,
     RestrictionMap,
     Verdict,
     all_restrictions,
@@ -26,15 +27,17 @@ from satflip import (
     is_nand_free,
     is_or_free,
     parse_relation,
+    relation_flags,
     restrict,
     serialize_relation,
 )
 from satflip.errors import ParseError
-from satflip.relation import _hamming_components
+from satflip.relation import _hamming_components, _restriction_closure
 
 from helpers import (
     naive_all_restriction_values,
     naive_is_free,
+    naive_relation_flags,
     naive_restrict_tuples,
     relation_strategy,
     restriction_entries,
@@ -53,6 +56,13 @@ CUBE3_NO_100 = Relation(3, frozenset(range(8)) - {0b100})
 def all_relations(arity):
     for bits in range(1 << (1 << arity)):
         yield Relation(arity, frozenset(i for i in range(1 << arity) if bits >> i & 1))
+
+
+def product(left, right):
+    """The relation on left's positions followed by right's."""
+    return Relation(left.arity + right.arity, frozenset(
+        a << right.arity | b for a in left.tuples for b in right.tuples
+    ))
 
 
 class TestRestrict:
@@ -235,6 +245,86 @@ class TestComponentwiseBijunctive:
                     assert is_componentwise_bijunctive(rel)
 
 
+class TestRestrictionClosure:
+    """The five restriction-based predicates read one closure of the
+    relation under fixing and identifying positions."""
+
+    @staticmethod
+    def permuted(arity, tuples):
+        out = set()
+        for perm in itertools.permutations(range(arity)):
+            out.add(frozenset(
+                sum((t >> (arity - 1 - perm[p]) & 1) << (arity - 1 - p) for p in range(arity))
+                for t in tuples
+            ))
+        return out
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_closure_is_covering_restrictions_up_to_permutation(self, arity):
+        for rel in all_relations(arity):
+            closure = _restriction_closure(rel)
+            assert len(closure) == arity
+            for target in range(1, arity + 1):
+                choices = list(range(1, target + 1)) + [CONST0, CONST1]
+                covering = {
+                    naive_restrict_tuples(rel, target, entries)
+                    for entries in itertools.product(choices, repeat=arity)
+                    if set(range(1, target + 1)) <= set(entries)
+                }
+                reached = set()
+                for tuples in closure[target - 1]:
+                    reached |= self.permuted(target, tuples)
+                assert reached == covering
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_relation_matches_oracles(self, arity):
+        for rel in all_relations(arity):
+            assert relation_flags(rel) == naive_relation_flags(rel), rel
+
+    def test_seeded_sample_arity4_and_5(self):
+        rng = random.Random(29)
+        rels = [
+            Relation(4, frozenset(rng.sample(range(16), rng.randint(0, 16))))
+            for _ in range(16)
+        ]
+        # arity 5 costs the oracles about 1.5 s a relation: two navigable ones
+        gadget = product(PATH5, Relation.from_bitstrings(["00", "01", "11"]))
+        rels += [gadget, gadget.complemented()]
+        seen = set()
+        for rel in rels:
+            flags = relation_flags(rel)
+            assert flags == naive_relation_flags(rel), rel
+            seen.add(flags)
+        # the sample exercises both values of every flag
+        for field in RelationFlags.__dataclass_fields__:
+            assert {getattr(f, field) for f in seen} == {True, False}, field
+
+    def test_componentwise_bijunctive_looks_past_the_relation_itself(self):
+        # Both components of the relation are bijunctive, but identifying
+        # positions 2 and 3 joins them into {000, 010, 011, 100, 101},
+        # which lacks majority(011, 101, 000) = 001.
+        rel = Relation.from_bitstrings(["0000", "0110", "0111", "1000", "1001"])
+        comps = _hamming_components(4, rel.tuples)
+        assert len(comps) == 2
+        assert all(is_bijunctive(Relation(4, c)) for c in comps)
+        assert not is_componentwise_bijunctive(rel)
+        assert not naive_relation_flags(rel).componentwise_bijunctive
+        joined = restrict(rel, RestrictionMap(4, 3, (1, 2, 2, 3)))
+        assert joined.tuples == {0b000, 0b010, 0b011, 0b100, 0b101}
+
+    @pytest.mark.parametrize("missing", [0b011, 0b101, 0b110])
+    def test_every_horn_placement_is_caught(self, missing):
+        rel = Relation(3, frozenset(range(8)) - {missing})
+        assert not is_horn_free(rel)
+        assert is_dual_horn_free(rel)
+
+    @pytest.mark.parametrize("missing", [0b100, 0b010, 0b001])
+    def test_every_dual_horn_placement_is_caught(self, missing):
+        rel = Relation(3, frozenset(range(8)) - {missing})
+        assert not is_dual_horn_free(rel)
+        assert is_horn_free(rel)
+
+
 class TestClassify:
     def test_path_relation_set(self):
         cls = classify_set([PATH5])
@@ -280,6 +370,10 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             Relation(9, frozenset())
 
+    def test_bool_arity(self):
+        with pytest.raises(PreconditionError, match="arity"):
+            Relation(True, frozenset({0}))
+
     def test_tuple_range(self):
         with pytest.raises(PreconditionError):
             Relation(2, frozenset({4}))
@@ -291,6 +385,12 @@ class TestValidation:
     def test_map_bad_entry(self):
         with pytest.raises(PreconditionError):
             RestrictionMap(2, 2, (1, 3))
+
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_map_bool_entry(self, entry):
+        # bool is an int subclass; True would otherwise pass as position 1
+        with pytest.raises(PreconditionError, match="bad restriction entry"):
+            RestrictionMap(2, 1, (entry, 1))
 
 
 class TestRelFormat:
