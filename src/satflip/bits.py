@@ -28,3 +28,12 @@ def zeros(value: int, width: int) -> int:
 
 def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
+
+
+def set_vars(value: int, width: int):
+    """Yield the variables whose bit is 1 in `value`, highest index first;
+    costs one step per set bit, not per variable."""
+    while value:
+        low = value & -value
+        yield width + 1 - low.bit_length()
+        value ^= low

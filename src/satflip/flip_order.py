@@ -4,8 +4,11 @@ A positive flip raises a variable from 0 to 1 while keeping every clause
 satisfied. For a single NAND-free and dual-Horn-free relation, the valid
 positive flip sequences from a state are exactly the orderings of
 downward-closed flip sets under an explicit partial order; this module
-computes that order, merges the per-clause orders of a formula into one
-precedence DAG (pruning flips that can never happen), and provides the
+computes that order and merges the per-clause orders of a formula into
+one precedence DAG. The flips that can never happen (blocked by a clause,
+on a precedence cycle, or forced after such a flip) are pruned by one
+Kahn peel, which keeps exactly the candidates whose predecessors can all
+be raised first (Kahn, CACM 1962). The module also provides the
 lower-set and topological-ordering primitives the solver runs on.
 """
 
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .bits import flip_bit, var_bit
+from .bits import flip_bit, set_vars, var_bit
 from .errors import FlipSequenceError, ParseError, PreconditionError, TheoryError
-from .formula import Formula, _check_assignment, flip_state
+from .formula import FlipState, Formula, _check_assignment, flip_state
 from .relation import Relation, is_dual_horn_free, is_nand_free
 
 
@@ -68,32 +71,43 @@ def apply_sequence(phi: Formula, assignment: int, flips, *, check: bool = True) 
     rejected with or without check.
 
     The start assignment is checked in full once; each flip then costs
-    only the clauses of its variable.
+    only the clauses of its variable (see :func:`advance`).
     """
-    a = assignment
     n = phi.num_vars
     if check:
-        state = flip_state(phi, a)
+        state = flip_state(phi, assignment)
         if state.violated() is not None:
             raise PreconditionError("start assignment does not satisfy the formula")
-    else:
-        _check_assignment(phi, a)
+        advance(state, flips)
+        return state.assignment
+    _check_assignment(phi, assignment)
+    a = assignment
     for i, f in enumerate(flips):
         if not 1 <= f.var <= n:
             raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")
-        if check:
-            bit = var_bit(a, f.var, n)
-            if f.up and bit == 1:
-                raise FlipSequenceError(i, f"{f.token()} raises a variable already 1")
-            if not f.up and bit == 0:
-                raise FlipSequenceError(i, f"{f.token()} lowers a variable already 0")
-            if not state.can_flip(f.var):
-                raise FlipSequenceError(
-                    i, f"prefix ending at {f.token()} falsifies the formula"
-                )
-            state.flip(f.var)
         a = flip_bit(a, f.var, n)
     return a
+
+
+def advance(state: FlipState, flips) -> None:
+    """Make the flips on a satisfying state, in order. Each must name a
+    variable in 1..n, move it in the right direction and keep the formula
+    satisfied; the first that does not raises FlipSequenceError at its
+    index, and the state keeps the flips before it."""
+    n = state.compiled.num_vars
+    for i, f in enumerate(flips):
+        if not 1 <= f.var <= n:
+            raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")
+        bit = state.value(f.var)
+        if f.up and bit == 1:
+            raise FlipSequenceError(i, f"{f.token()} raises a variable already 1")
+        if not f.up and bit == 0:
+            raise FlipSequenceError(i, f"{f.token()} lowers a variable already 0")
+        if not state.can_flip(f.var):
+            raise FlipSequenceError(
+                i, f"prefix ending at {f.token()} falsifies the formula"
+            )
+        state.flip(f.var)
 
 
 def valid_positive_sequences(relation: Relation, state: int) -> frozenset[tuple[int, ...]]:
@@ -118,7 +132,6 @@ def valid_positive_sequences(relation: Relation, state: int) -> frozenset[tuple[
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def relation_partial_order(relation: Relation, state: int):
     """The flips reachable from `state` and the order they must respect.
 
@@ -144,6 +157,20 @@ def relation_partial_order(relation: Relation, state: int):
             ):
                 prec.add((p, q))
     return members, frozenset(prec)
+
+
+@lru_cache(maxsize=4096)
+def _local_order(relation: Relation, state: int):
+    """`relation_partial_order` at `state` in 0-based positions: the
+    positions at 0 that no valid positive sequence raises, and the
+    precedence pairs. The flip DAG asks this once per clause and level;
+    a formula has few distinct (effective relation, local tuple) pairs."""
+    members, prec = relation_partial_order(relation, state)
+    k = relation.arity
+    stuck = tuple(
+        p - 1 for p in range(1, k + 1) if not var_bit(state, p, k) and p not in members
+    )
+    return stuck, tuple((p - 1, q - 1) for p, q in prec)
 
 
 @dataclass(frozen=True)
@@ -186,111 +213,70 @@ class FlipOrderDag:
         return frozenset(pairs)
 
 
-def _cycle_vertices(nodes, edges) -> set[int]:
-    """Vertices lying on a directed cycle (Tarjan; SCCs of size >= 2)."""
-    succs = defaultdict(list)
-    for u, v in sorted(edges):
-        succs[u].append(v)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    cyclic = set()
+def formula_flip_dag(phi: Formula, at) -> FlipOrderDag:
+    """Merge per-clause flip orders at `at` into one pruned DAG.
 
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, iter(succs[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succs[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1:
-                    cyclic.update(comp)
-    return cyclic
-
-
-def formula_flip_dag(phi: Formula, assignment: int) -> FlipOrderDag:
-    """Merge per-clause flip orders at `assignment` into one pruned DAG.
+    `at` is an assignment, range- and satisfaction-checked here, or a
+    :class:`FlipState` of ``phi.compiled``, taken as the satisfying state
+    its caller has kept by checked flips; a state of any other compiled
+    form is rejected.
 
     Every variable currently 0 starts as a candidate node (variables in
     no clause stay as isolated, always-flippable nodes). Each clause
-    contributes the partial order of its effective relation at the
-    induced state, translated to variable level. A candidate is dropped
-    when some clause it appears in can never raise it, or when it lies on
-    a directed cycle of the merged precedence edges; removals propagate
-    forward along edges, since a flip forced after an impossible flip is
-    itself impossible.
+    contributes the partial order of its effective relation at its local
+    tuple, translated to variable level, and blocks the candidates of
+    that clause the order cannot raise. One Kahn peel then keeps the
+    candidates that can happen: a candidate survives iff it is not
+    blocked and all its predecessors survive. A candidate the peel never
+    reaches lies on a directed cycle or downstream of a cycle or of a
+    blocked flip, and a flip forced after an impossible flip is itself
+    impossible.
     """
     for name, rel in phi.relations:
         if not (is_nand_free(rel) and is_dual_horn_free(rel)):
             raise PreconditionError(
                 f"relation {name!r} is not NAND-free and dual-Horn-free"
             )
-    state = flip_state(phi, assignment)
-    if state.violated() is not None:
-        raise PreconditionError("assignment does not satisfy the formula")
+    compiled = phi.compiled
+    if isinstance(at, FlipState):
+        if at.compiled is not compiled:
+            raise PreconditionError("flip state belongs to another formula")
+        state = at
+    else:
+        state = flip_state(phi, at)
+        if state.violated() is not None:
+            raise PreconditionError("assignment does not satisfy the formula")
 
     n = phi.num_vars
-    candidates = {v for v in range(1, n + 1) if var_bit(assignment, v, n) == 0}
+    candidates = set(set_vars(state.assignment ^ ((1 << n) - 1), n))
     blocked = set()
     edges = set()
-    compiled = phi.compiled
     for variables, eff, sub in zip(compiled.variables, compiled.relations, state.local):
         if eff is None:
             continue  # constant clause, already known satisfied
-        members, prec = relation_partial_order(eff, sub)
-        flippable = {variables[p - 1] for p in members}
-        for v in variables:
-            if v in candidates and v not in flippable:
-                blocked.add(v)
+        stuck, prec = _local_order(eff, sub)
+        for p in stuck:
+            blocked.add(variables[p])
         for p, q in prec:
-            edges.add((variables[p - 1], variables[q - 1]))
+            edges.add((variables[p], variables[q]))
 
-    marked = blocked | _cycle_vertices(candidates, edges)
-    succs = defaultdict(set)
+    indeg = dict.fromkeys(candidates, 0)
+    succs = defaultdict(list)
     for u, v in edges:
-        succs[u].add(v)
-    queue = list(marked)
-    while queue:
-        u = queue.pop()
+        succs[u].append(v)
+        indeg[v] += 1
+    ready = [v for v in candidates if not indeg[v] and v not in blocked]
+    nodes = set()
+    while ready:
+        u = ready.pop()
+        nodes.add(u)
         for v in succs[u]:
-            if v not in marked:
-                marked.add(v)
-                queue.append(v)
+            indeg[v] -= 1
+            if not indeg[v] and v not in blocked:
+                ready.append(v)
 
-    nodes = frozenset(candidates - marked)
     kept = frozenset((u, v) for u, v in edges if u in nodes and v in nodes)
-    return FlipOrderDag(nodes, kept)
+    return FlipOrderDag(frozenset(nodes), kept)
 
 
 def smallest_lower_set(dag: FlipOrderDag, flips: Iterable[int]) -> frozenset[int]:

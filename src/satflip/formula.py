@@ -95,6 +95,30 @@ class CompiledFormula(NamedTuple):
     accept: tuple[int, ...]
     occurrences: tuple[tuple[tuple[int, int], ...], ...]
 
+    def complemented(self) -> "CompiledFormula":
+        """The compiled form of the formula's complement image: every
+        relation complemented, clause constants swapped.
+
+        Restricting a complemented relation with swapped constants gives
+        the complement of the restriction, so the image keeps the
+        variables and occurrences, complements each distinct effective
+        relation once, and so mirrors each accept mask (bit x moves to
+        bit x ^ (2^k - 1)). A constant-only clause keeps its mask: it
+        holds in the image iff it holds here.
+        """
+        images = {}
+        relations, accept = [], []
+        for eff, mask in zip(self.relations, self.accept):
+            if eff is not None:
+                image = images.get(eff)
+                if image is None:
+                    comp = eff.complemented()
+                    image = images[eff] = (comp, sum(1 << x for x in comp.tuples))
+                eff, mask = image
+            relations.append(eff)
+            accept.append(mask)
+        return self._replace(relations=tuple(relations), accept=tuple(accept))
+
 
 def _compile(phi: Formula) -> CompiledFormula:
     variables, relations, accept = [], [], []

@@ -14,10 +14,11 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bits import hamming, var_bit, zeros
+from .bits import hamming, set_vars, var_bit, zeros
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .flip_order import (
     Flip,
+    advance,
     apply_sequence,
     formula_flip_dag,
     invert_sequence,
@@ -25,7 +26,7 @@ from .flip_order import (
     path_line,
     smallest_lower_set,
 )
-from .formula import Clause, Formula, first_violated_clause, flip_state
+from .formula import Clause, FlipState, Formula, _check_assignment, flip_state
 from .recon import DEFAULT_STATE_CAP, PathResult, bfs_shortest
 from .relation import (
     CONST0,
@@ -79,10 +80,13 @@ def classify_formula(phi: Formula) -> Classification:
     return Classification(Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE, ())
 
 
-def _require_satisfying(phi: Formula, assignment: int, label: str):
-    bad = first_violated_clause(phi, assignment)
+def _satisfying_state(phi: Formula, assignment: int, label: str) -> FlipState:
+    """A FlipState of the endpoint, which must satisfy the formula."""
+    state = flip_state(phi, assignment)
+    bad = state.violated()
     if bad is not None:
         raise PreconditionError(f"{label} assignment does not satisfy clause {bad}")
+    return state
 
 
 def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveResult:
@@ -92,39 +96,35 @@ def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveRe
     positive flips forced by the other endpoint, in an order respecting
     the precedence DAG; the pair strictly gains ones until it meets.
     Implemented as a loop with an accumulated prefix and suffix stack, so
-    deep instances cannot exhaust the call stack.
+    deep instances cannot exhaust the call stack. Each side keeps one
+    FlipState for the whole solve: its endpoint is checked in full once,
+    and every later flip only against the clauses of its variable.
     """
-    _require_satisfying(phi, s, "source")
-    _require_satisfying(phi, t, "target")
+    side_s = _satisfying_state(phi, s, "source")
+    side_t = _satisfying_state(phi, t, "target")
     n = phi.num_vars
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
     prefix: list[Flip] = []
     tails: list[tuple[Flip, ...]] = []
-    cur_s, cur_t = s, t
 
-    while cur_s != cur_t:
+    while side_s.assignment != side_t.assignment:
+        cur_s, cur_t = side_s.assignment, side_t.assignment
         stats.levels += 1
         if stats.levels > stats.eta_entry + 1:
             raise TheoryError("level count exceeded the zero-count measure")
-        dag_s = formula_flip_dag(phi, cur_s)
-        dag_t = formula_flip_dag(phi, cur_t)
+        dag_s = formula_flip_dag(phi, side_s)
+        dag_t = formula_flip_dag(phi, side_t)
         stats.dag_builds += 2
-        want_s = frozenset(
-            v
-            for v in range(1, n + 1)
-            if var_bit(cur_s, v, n) == 0 and var_bit(cur_t, v, n) == 1
-        )
-        want_t = frozenset(
-            v
-            for v in range(1, n + 1)
-            if var_bit(cur_t, v, n) == 0 and var_bit(cur_s, v, n) == 1
-        )
+        diff = cur_s ^ cur_t
+        want_s = frozenset(set_vars(diff & cur_t, n))
+        want_t = frozenset(set_vars(diff & cur_s, n))
         if not (want_s <= dag_s.nodes and want_t <= dag_t.nodes):
             return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
         lower_s = smallest_lower_set(dag_s, want_s)
         lower_t = smallest_lower_set(dag_t, want_t)
         seq_s = order_respecting_sequence(dag_s, lower_s)
         seq_t = order_respecting_sequence(dag_t, lower_t)
+        eta_old = zeros(cur_s, n) + zeros(cur_t, n)
         if trace is not None:
             trace(
                 level=stats.levels,
@@ -132,25 +132,23 @@ def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveRe
                 t=cur_t,
                 lower_s=lower_s,
                 lower_t=lower_t,
-                eta=zeros(cur_s, n) + zeros(cur_t, n),
+                eta=eta_old,
             )
         try:
-            new_s = apply_sequence(phi, cur_s, seq_s)
-            new_t = apply_sequence(phi, cur_t, seq_t)
+            advance(side_s, seq_s)
+            advance(side_t, seq_t)
         except FlipSequenceError as exc:
             raise TheoryError(
                 f"order-respecting sequence falsified the formula: {exc}"
             ) from exc
         stats.flips_applied += len(seq_s) + len(seq_t)
-        eta_old = zeros(cur_s, n) + zeros(cur_t, n)
-        eta_new = zeros(new_s, n) + zeros(new_t, n)
+        eta_new = zeros(side_s.assignment, n) + zeros(side_t.assignment, n)
         if eta_new >= eta_old:
             raise TheoryError("level made no progress on the zero count")
         if want_s and want_t and eta_new > eta_old - 2:
             raise TheoryError("level with both sides active dropped fewer than 2 zeros")
         prefix.extend(seq_s)
         tails.append(seq_t)
-        cur_s, cur_t = new_s, new_t
 
     flips = tuple(prefix)
     for tail in reversed(tails):
@@ -177,11 +175,10 @@ def shortest_path_cwb(phi: Formula, s: int, t: int) -> SolveResult:
             raise PreconditionError(
                 f"relation {name!r} is not componentwise bijunctive"
             )
-    _require_satisfying(phi, s, "source")
-    _require_satisfying(phi, t, "target")
+    state = _satisfying_state(phi, s, "source")
+    _satisfying_state(phi, t, "target")
     n = phi.num_vars
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
-    state = flip_state(phi, s)
     compiled = phi.compiled
 
     def ready(v):
@@ -217,16 +214,23 @@ def dualize(phi: Formula, s: int, t: int):
     are swapped, and the endpoints are complemented; assignments satisfy
     the image exactly when their complements satisfy the original, so the
     transform is an involution swapping OR-free + Horn-free with
-    NAND-free + dual-Horn-free.
+    NAND-free + dual-Horn-free. The endpoints are range-checked first.
+    The image's compiled form is derived from the original's, not
+    compiled again (:meth:`CompiledFormula.complemented`).
     """
+    _check_assignment(phi, s)
+    _check_assignment(phi, t)
     relations = tuple((name, rel.complemented()) for name, rel in phi.relations)
     swap = {CONST0: CONST1, CONST1: CONST0}
     clauses = tuple(
         Clause(c.relation_name, tuple(swap.get(a, a) for a in c.args))
         for c in phi.clauses
     )
+    dual = Formula(phi.num_vars, relations, clauses)
+    # fill the Formula.compiled cache, so the image is never compiled itself
+    vars(dual)["compiled"] = phi.compiled.complemented()
     mask = (1 << phi.num_vars) - 1
-    return Formula(phi.num_vars, relations, clauses), s ^ mask, t ^ mask
+    return dual, s ^ mask, t ^ mask
 
 
 def dualize_flips(flips) -> tuple[Flip, ...]:
@@ -249,10 +253,10 @@ def solve(
     dual-Horn-free sets the order-based solver; OR-free + Horn-free sets
     are complemented, solved, and the flips' signs swapped back.
     Non-navigable sets return HARD, with the exact search attached when
-    `allow_oracle` holds and the variable count is within `cap`.
+    `allow_oracle` holds and the variable count is within `cap`. The
+    solvers check the endpoints themselves; only the HARD route checks
+    them here.
     """
-    _require_satisfying(phi, s, "source")
-    _require_satisfying(phi, t, "target")
     cls = classify_formula(phi)
     if cls.verdict is Verdict.NAVIGABLE:
         if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:
@@ -269,6 +273,8 @@ def solve(
         result.classification = cls
         return result
 
+    _satisfying_state(phi, s, "source")
+    _satisfying_state(phi, t, "target")
     oracle = None
     if allow_oracle and phi.num_vars <= cap:
         oracle = bfs_shortest(phi, s, t, cap=cap)

@@ -116,6 +116,9 @@ class RestrictionMap:
     entries: tuple
 
     def __post_init__(self):
+        for label, arity in (("source", self.source_arity), ("target", self.target_arity)):
+            if isinstance(arity, bool) or not isinstance(arity, int):
+                raise PreconditionError(f"{label} arity must be an integer, got {arity!r}")
         if not 1 <= self.target_arity <= self.source_arity <= MAX_ARITY:
             raise PreconditionError(
                 f"need 1 <= target ({self.target_arity}) <= source "
@@ -280,7 +283,9 @@ def _xor3(a: int, b: int, c: int) -> int:
     return a ^ b ^ c
 
 
-@lru_cache(maxsize=None)
+# Bounded: is_componentwise_bijunctive asks it for every Hamming component
+# of every closure member, about 1,700 distinct ones in one classify stream.
+@lru_cache(maxsize=4096)
 def is_bijunctive(relation: Relation) -> bool:
     """Closed under coordinatewise majority, i.e. expressible in 2CNF."""
     return _closed_under(relation, _majority, 3)

@@ -21,7 +21,8 @@ from satflip import (
     smallest_lower_set,
     valid_positive_sequences,
 )
-from satflip.flip_order import dag_to_dot, parse_flip
+from satflip.flip_order import advance, dag_to_dot, parse_flip
+from satflip.formula import flip_state
 
 from helpers import (
     enum_positive_sequences,
@@ -145,6 +146,46 @@ class TestFormulaFlipDag:
         with pytest.raises(PreconditionError):
             formula_flip_dag(PATH_PHI, 0b010)
 
+    def test_cycle_drops_what_it_feeds(self):
+        # x1 <-> x2 (each must rise first) feeds x2 -> x3; x4 is free
+        clauses = (Clause("imp", (1, 2)), Clause("imp", (2, 1)), Clause("imp", (2, 3)))
+        phi = Formula(4, (("imp", IMP),), clauses)
+        dag = formula_flip_dag(phi, 0b0000)
+        assert dag.nodes == frozenset({4}) == frozenset(positive_flip_variables(phi, 0))
+        assert dag.edges == frozenset()
+
+    @pytest.mark.parametrize("pinned, survivors", [(1, {4}), (2, {1, 4})])
+    def test_blocked_successors_dropped(self, pinned, survivors):
+        # a unit clause pins one variable at 0 in the chain x1 -> x2 -> x3
+        # (each must rise before the next); x4 is free
+        zero = Relation(1, frozenset({0}))
+        phi = Formula(
+            4,
+            (("imp", IMP), ("zero", zero)),
+            (Clause("zero", (pinned,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
+        )
+        dag = formula_flip_dag(phi, 0b0000)
+        assert dag.nodes == frozenset(survivors) == frozenset(positive_flip_variables(phi, 0))
+        assert dag.edges == frozenset()
+
+    def test_state_equals_assignment(self):
+        # a FlipState advanced by checked flips gives the DAG of its assignment
+        rng = random.Random(71)
+        for phi, s, _ in navigable_corpus(60, seed=67, max_vars=10, max_clauses=6):
+            state = flip_state(phi, s)
+            for _ in range(3):
+                assert formula_flip_dag(phi, state) == formula_flip_dag(phi, state.assignment)
+                for _ in range(phi.num_vars):
+                    v = rng.randint(1, phi.num_vars)
+                    if state.can_flip(v):
+                        state.flip(v)
+
+    def test_rejects_state_of_another_formula(self):
+        twin = Formula(3, PATH_PHI.relations, PATH_PHI.clauses)
+        with pytest.raises(PreconditionError, match="another formula"):
+            formula_flip_dag(PATH_PHI, flip_state(twin, 0b000))
+        assert formula_flip_dag(twin, flip_state(twin, 0b000)).nodes == {1, 2, 3}
+
     def test_requires_right_relation_class(self):
         nand = Relation.from_bitstrings(["00", "01", "10"])
         phi = Formula(2, (("nand", nand),), (Clause("nand", (1, 2)),))
@@ -234,6 +275,13 @@ class TestApplySequence:
         with pytest.raises(FlipSequenceError, match="flip 2: .*no variable in 1..2") as err:
             apply_sequence(self.IMP_PHI, 0b00, (Flip(1, True), bad), check=check)
         assert err.value.index == 1
+
+    def test_advance_keeps_flips_before_the_bad_one(self):
+        state = flip_state(PATH_PHI, 0b000)
+        with pytest.raises(FlipSequenceError, match="flip 2: prefix ending at x2") as err:
+            advance(state, (Flip(3, True), Flip(2, True)))  # 011 is not in PATH5
+        assert err.value.index == 1 and state.assignment == 0b001
+        assert state.local == flip_state(PATH_PHI, 0b001).local
 
     def test_messages(self):
         cases = [

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from satflip import (
     Clause,
@@ -10,6 +11,7 @@ from satflip import (
     Outcome,
     PreconditionError,
     Relation,
+    TheoryError,
     Verdict,
     apply_sequence,
     bfs_shortest,
@@ -31,7 +33,11 @@ from satflip import (
 )
 from satflip.bits import hamming, zeros
 
-from helpers import navigable_corpus, rescan_cwb_walk
+from satflip import navigate
+from satflip.flip_order import order_respecting_sequence
+from satflip.formula import _compile
+
+from helpers import formula_strategy, navigable_corpus, rescan_cwb_walk
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
 PATH_PHI = Formula(3, (("path5", PATH5),), (Clause("path5", (1, 2, 3)),))
@@ -59,6 +65,24 @@ class TestNavigableSolver:
     def test_rejects_unsatisfying_endpoint(self):
         with pytest.raises(PreconditionError, match="clause 1"):
             shortest_path_navigable(PATH_PHI, 0b010, 0b110)
+
+    @pytest.mark.parametrize("side, bad, message", [
+        (0, Flip(2, True), "flip 1: prefix ending at x2\\+ falsifies"),  # 000 -> 010
+        (1, Flip(1, True), "flip 1: x1\\+ raises a variable already 1"),  # t = 110
+    ], ids=["source", "target"])
+    def test_level_flips_are_checked(self, monkeypatch, side, bad, message):
+        # a level whose order-respecting sequence is wrong is a bug, not an answer
+        calls = []
+
+        def wrong_on_one_side(dag, lower):  # called for side 0 (s), then 1 (t)
+            calls.append(dag)
+            if (len(calls) - 1) % 2 == side:
+                return (bad,)
+            return order_respecting_sequence(dag, lower)
+
+        monkeypatch.setattr(navigate, "order_respecting_sequence", wrong_on_one_side)
+        with pytest.raises(TheoryError, match="falsified the formula: " + message):
+            shortest_path_navigable(PATH_PHI, 0b000, 0b110)
 
     def test_rejects_wrong_class(self):
         nand = Relation.from_bitstrings(["00", "01", "10"])
@@ -216,6 +240,17 @@ class TestDualize:
                 assert res.length == ref.length
                 assert apply_sequence(dphi, ds, res.flips) == dt
 
+    @given(formula_strategy())
+    @settings(max_examples=200, deadline=None)
+    def test_seeded_compiled_form_equals_compiling(self, phi):
+        dual, _, _ = dualize(phi, 0, 0)
+        assert dual.compiled == _compile(dual)
+        assert dual.compiled.occurrences is phi.compiled.occurrences
+
+    def test_dualize_range_checks_endpoints(self):
+        with pytest.raises(PreconditionError, match="out of range for 3 variables"):
+            dualize(PATH_PHI, 0, 1 << 3)
+
     def test_dualize_flips(self):
         seq = (Flip(1, True), Flip(2, False))
         assert dualize_flips(seq) == (Flip(1, False), Flip(2, True))
@@ -263,6 +298,47 @@ class TestSolveDispatch:
         cls = classify_formula(PATH_PHI)
         assert cls.verdict is Verdict.NAVIGABLE
         assert len(cls.per_relation) == 1
+
+
+# One instance per route of `solve`, each with clause 1 false at 0b010.
+BAD_SOURCE_ROUTES = {
+    "cwb": (
+        Formula(3, (("or2", OR2),), (Clause("or2", (1, 3)),)),
+        NavigableKind.COMPONENTWISE_BIJUNCTIVE,
+    ),
+    "navigable": (PATH_PHI, NavigableKind.NAND_AND_DUAL_HORN_FREE),
+    "dualized": (
+        Formula(3, (("p", PATH5.complemented()),), (Clause("p", (2, 1, 3)),)),
+        NavigableKind.OR_AND_HORN_FREE,
+    ),
+    "hard": (
+        Formula(
+            3,
+            tuple((f"r{i}", Relation(3, frozenset(range(8)) - {bad}))
+                  for i, bad in enumerate((0b010, 0b100, 0b110, 0b111))),
+            (Clause("r0", (1, 2, 3)),),
+        ),
+        None,
+    ),
+}
+
+
+class TestEndpointErrors:
+    @pytest.mark.parametrize("route", sorted(BAD_SOURCE_ROUTES))
+    def test_same_message_on_every_route(self, route):
+        phi, kind = BAD_SOURCE_ROUTES[route]
+        assert classify_formula(phi).kind is kind
+        t = 0b111 if route != "dualized" else 0b000
+        assert evaluate(phi, t)
+        with pytest.raises(PreconditionError) as err:
+            solve(phi, 0b010, t)
+        assert str(err.value) == "source assignment does not satisfy clause 1"
+        with pytest.raises(PreconditionError) as err:
+            solve(phi, t, 0b010)
+        assert str(err.value) == "target assignment does not satisfy clause 1"
+        with pytest.raises(PreconditionError) as err:
+            solve(phi, 1 << 3, t)
+        assert str(err.value) == "assignment 8 out of range for 3 variables"
 
 
 class TestProtocolLines:

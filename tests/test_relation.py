@@ -165,6 +165,12 @@ class TestSyntacticClasses:
         assert is_dual_horn(rel) == synth_dual_horn(rel)
         assert is_affine(rel) == synth_affine(rel)
 
+    def test_bijunctive_cache_is_bounded(self):
+        # one classify stream asks it for ~1,700 components; a long-lived
+        # process must not keep every one of them
+        maxsize = is_bijunctive.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 4096
+
     def test_synthesis_oracles_agree_arity4_sample(self):
         rng = random.Random(41)
         for _ in range(40):
@@ -385,6 +391,15 @@ class TestValidation:
     def test_map_bad_entry(self):
         with pytest.raises(PreconditionError):
             RestrictionMap(2, 2, (1, 3))
+
+    @pytest.mark.parametrize(
+        "source, target", [(True, True), (2, True), (True, 1), (2.0, 1), (2, "1")]
+    )
+    def test_map_arity_type(self, source, target):
+        # bool is an int subclass: without the check, every map here but
+        # the last is accepted, and the last fails comparing str with int
+        with pytest.raises(PreconditionError, match="arity must be an integer"):
+            RestrictionMap(source, target, (1,) * int(source))
 
     @pytest.mark.parametrize("entry", [True, False])
     def test_map_bool_entry(self, entry):
