@@ -22,6 +22,7 @@ from .flip_order import (
     canonicalize,
     formula_flip_dag,
     invert_sequence,
+    lower_set_sequence,
     order_respecting_sequence,
     relation_partial_order,
     smallest_lower_set,
@@ -62,6 +63,7 @@ from .navigate import (
 )
 from .recon import (
     DEFAULT_STATE_CAP,
+    MAX_STATE_CAP,
     PathResult,
     ReconGraph,
     bfs_shortest,

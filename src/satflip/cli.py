@@ -26,7 +26,7 @@ from .gen import (
     random_navigable_relation,
 )
 from .navigate import Outcome, classify_formula, solve
-from .recon import DEFAULT_STATE_CAP, bfs_shortest, build_graph, graph_to_dot
+from .recon import DEFAULT_STATE_CAP, bfs_shortest, build_graph, check_cap, graph_to_dot
 from .relation import Verdict, classify_set, parse_relation
 
 _VERDICT_LINES = {
@@ -182,6 +182,7 @@ def cmd_gen_random(args) -> int:
 
 def cmd_dot(args) -> int:
     phi, s, _ = _load_instance(args)
+    check_cap(args.cap)
     if args.what == "recon":
         graph = build_graph(phi, cap=args.cap)
         if args.format == "text":

@@ -4,12 +4,22 @@ A positive flip raises a variable from 0 to 1 while keeping every clause
 satisfied. For a single NAND-free and dual-Horn-free relation, the valid
 positive flip sequences from a state are exactly the orderings of
 downward-closed flip sets under an explicit partial order; this module
-computes that order and merges the per-clause orders of a formula into
-one precedence DAG. The flips that can never happen (blocked by a clause,
-on a precedence cycle, or forced after such a flip) are pruned by one
-Kahn peel, which keeps exactly the candidates whose predecessors can all
-be raised first (Kahn, CACM 1962). The module also provides the
-lower-set and topological-ordering primitives the solver runs on.
+computes that order per clause and combines the clauses of a formula in
+two ways.
+
+:func:`lower_set_sequence` is the solver's route. It walks precedence
+backwards from a set of wanted flips, reading only the clauses of the
+variables it reaches, and orders the smallest lower set it finds by
+Kahn's algorithm (Kahn, CACM 1962), or reports that some wanted flip can
+never happen: an ancestor is blocked by a clause, or the ancestors hold
+a precedence cycle. Its cost follows the lower set, not the formula.
+
+:func:`formula_flip_dag` merges every clause into one precedence DAG over
+all flips. The flips that can never happen (blocked, on a cycle, or
+forced after such a flip) are pruned by one Kahn peel. It serves the DOT
+export, and with :func:`smallest_lower_set` and
+:func:`order_respecting_sequence` it is the reference the walk is tested
+against.
 """
 
 from __future__ import annotations
@@ -160,17 +170,89 @@ def relation_partial_order(relation: Relation, state: int):
 
 
 @lru_cache(maxsize=4096)
-def _local_order(relation: Relation, state: int):
-    """`relation_partial_order` at `state` in 0-based positions: the
-    positions at 0 that no valid positive sequence raises, and the
-    precedence pairs. The flip DAG asks this once per clause and level;
-    a formula has few distinct (effective relation, local tuple) pairs."""
+def _local_order(relation: Relation, state: int) -> tuple[tuple[int, ...] | None, ...]:
+    """`relation_partial_order` at `state`, per 0-based position: the
+    ascending positions that must be raised before it, or None where no
+    valid positive sequence raises it (it is 1 already, or stuck at 0).
+    The flip DAG and the backward walk both read their clauses through
+    this; a formula has few distinct (effective relation, local tuple)
+    pairs."""
     members, prec = relation_partial_order(relation, state)
-    k = relation.arity
-    stuck = tuple(
-        p - 1 for p in range(1, k + 1) if not var_bit(state, p, k) and p not in members
+    return tuple(
+        tuple(sorted(p - 1 for p, r in prec if r == q)) if q in members else None
+        for q in range(1, relation.arity + 1)
     )
-    return stuck, tuple((p - 1, q - 1) for p, q in prec)
+
+
+def _require_order_class(phi: Formula) -> None:
+    for name, rel in phi.relations:
+        if not (is_nand_free(rel) and is_dual_horn_free(rel)):
+            raise PreconditionError(
+                f"relation {name!r} is not NAND-free and dual-Horn-free"
+            )
+
+
+def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, ...] | None:
+    """Raise the smallest lower set of the wanted flips, in order.
+
+    `state` is taken as the satisfying state its caller has kept by
+    checked flips. Walks precedence backwards from the wanted variables:
+    each variable reached reads the local order of its own clauses only,
+    and the predecessors found there are walked in turn. The variables
+    reached are then ordered by Kahn's algorithm, lowest index first.
+    Returns None when some wanted flip can never happen: a wanted
+    variable is 1 already, a variable reached is stuck in one of its
+    clauses, or the variables reached contain a precedence cycle. The
+    result equals ``order_respecting_sequence(dag, smallest_lower_set(dag,
+    wanted))`` on the state's flip DAG when the wanted flips are its
+    nodes, and None exactly when they are not.
+    """
+    compiled = state.compiled
+    n = compiled.num_vars
+    variables, relations, local = compiled.variables, compiled.relations, state.local
+    preds: dict[int, set[int]] = {}
+    stack = []
+    for v in wanted:
+        if not 1 <= v <= n:
+            raise PreconditionError(f"x{v} names no variable in 1..{n}")
+        if v not in preds:
+            if state.value(v):
+                return None
+            preds[v] = set()
+            stack.append(v)
+    while stack:
+        v = stack.pop()
+        before = preds[v]
+        for j, bit in compiled.occurrences[v]:
+            clause_vars = variables[j]
+            order = _local_order(relations[j], local[j])[len(clause_vars) - bit.bit_length()]
+            if order is None:
+                return None
+            for p in order:
+                u = clause_vars[p]
+                before.add(u)
+                if u not in preds:
+                    preds[u] = set()
+                    stack.append(u)
+
+    indeg = {v: len(before) for v, before in preds.items()}
+    succs = defaultdict(list)
+    for v, before in preds.items():
+        for u in before:
+            succs[u].append(v)
+    ready = [v for v, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        u = heapq.heappop(ready)
+        out.append(Flip(u, True))
+        for v in succs[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                heapq.heappush(ready, v)
+    if len(out) != len(preds):
+        return None  # the leftover variables hold a precedence cycle
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -224,19 +306,16 @@ def formula_flip_dag(phi: Formula, at) -> FlipOrderDag:
     Every variable currently 0 starts as a candidate node (variables in
     no clause stay as isolated, always-flippable nodes). Each clause
     contributes the partial order of its effective relation at its local
-    tuple, translated to variable level, and blocks the candidates of
+    tuple, translated to variable level, and blocks the variables of
     that clause the order cannot raise. One Kahn peel then keeps the
     candidates that can happen: a candidate survives iff it is not
     blocked and all its predecessors survive. A candidate the peel never
     reaches lies on a directed cycle or downstream of a cycle or of a
     blocked flip, and a flip forced after an impossible flip is itself
-    impossible.
+    impossible. This reads every clause; :func:`lower_set_sequence`
+    reads only the ancestors of the flips it is asked for.
     """
-    for name, rel in phi.relations:
-        if not (is_nand_free(rel) and is_dual_horn_free(rel)):
-            raise PreconditionError(
-                f"relation {name!r} is not NAND-free and dual-Horn-free"
-            )
+    _require_order_class(phi)
     compiled = phi.compiled
     if isinstance(at, FlipState):
         if at.compiled is not compiled:
@@ -254,11 +333,11 @@ def formula_flip_dag(phi: Formula, at) -> FlipOrderDag:
     for variables, eff, sub in zip(compiled.variables, compiled.relations, state.local):
         if eff is None:
             continue  # constant clause, already known satisfied
-        stuck, prec = _local_order(eff, sub)
-        for p in stuck:
-            blocked.add(variables[p])
-        for p, q in prec:
-            edges.add((variables[p], variables[q]))
+        for v, before in zip(variables, _local_order(eff, sub)):
+            if before is None:
+                blocked.add(v)
+            else:
+                edges.update((variables[p], v) for p in before)
 
     indeg = dict.fromkeys(candidates, 0)
     succs = defaultdict(list)

@@ -2,10 +2,13 @@
 
 For NAND-free + dual-Horn-free formulas the solver repeatedly raises the
 smallest lower sets of the endpoint difference on both sides and recurses
-on the resulting pair; OR-free + Horn-free instances are handled through
-the complementing transform; componentwise bijunctive ones by a greedy
-walk over the symmetric difference. Everything else is reported hard,
-optionally falling back to the capped exact search.
+on the resulting pair; each lower set is found by walking precedence
+backwards from the flips the other side wants, so a level costs the
+clauses of the flips it makes rather than the whole formula. OR-free +
+Horn-free instances are handled through the complementing transform;
+componentwise bijunctive ones by a greedy walk over the symmetric
+difference. Everything else is reported hard, optionally falling back to
+the capped exact search.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from .bits import hamming, set_vars, var_bit, zeros
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .flip_order import (
     Flip,
+    _require_order_class,
     advance,
     apply_sequence,
-    formula_flip_dag,
     invert_sequence,
-    order_respecting_sequence,
+    lower_set_sequence,
     path_line,
-    smallest_lower_set,
 )
 from .formula import Clause, FlipState, Formula, _check_assignment, flip_state
-from .recon import DEFAULT_STATE_CAP, PathResult, bfs_shortest
+from .recon import DEFAULT_STATE_CAP, PathResult, bfs_shortest, check_cap
 from .relation import (
     CONST0,
     CONST1,
@@ -94,14 +96,20 @@ def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveRe
 
     Each level raises, on both endpoints, the smallest lower set of the
     positive flips forced by the other endpoint, in an order respecting
-    the precedence DAG; the pair strictly gains ones until it meets.
-    Implemented as a loop with an accumulated prefix and suffix stack, so
-    deep instances cannot exhaust the call stack. Each side keeps one
-    FlipState for the whole solve: its endpoint is checked in full once,
-    and every later flip only against the clauses of its variable.
+    flip precedence; the pair strictly gains ones until it meets. The
+    lower set and its order come from one backward walk per side
+    (:func:`lower_set_sequence`), which reads only the clauses of the
+    flips it reaches; a wanted flip that can never happen makes the
+    endpoints NOTCONNECTED. Implemented as a loop with an accumulated
+    prefix and suffix stack, so deep instances cannot exhaust the call
+    stack. Each side keeps one FlipState for the whole solve: its
+    endpoint is checked in full once, and every later flip only against
+    the clauses of its variable. `stats.dag_builds` counts the walks.
     """
     side_s = _satisfying_state(phi, s, "source")
     side_t = _satisfying_state(phi, t, "target")
+    if s != t:
+        _require_order_class(phi)
     n = phi.num_vars
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
     prefix: list[Flip] = []
@@ -112,26 +120,22 @@ def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveRe
         stats.levels += 1
         if stats.levels > stats.eta_entry + 1:
             raise TheoryError("level count exceeded the zero-count measure")
-        dag_s = formula_flip_dag(phi, side_s)
-        dag_t = formula_flip_dag(phi, side_t)
-        stats.dag_builds += 2
         diff = cur_s ^ cur_t
-        want_s = frozenset(set_vars(diff & cur_t, n))
-        want_t = frozenset(set_vars(diff & cur_s, n))
-        if not (want_s <= dag_s.nodes and want_t <= dag_t.nodes):
+        want_s = tuple(set_vars(diff & cur_t, n))
+        want_t = tuple(set_vars(diff & cur_s, n))
+        seq_s = lower_set_sequence(side_s, want_s)
+        seq_t = lower_set_sequence(side_t, want_t)
+        stats.dag_builds += 2
+        if seq_s is None or seq_t is None:
             return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
-        lower_s = smallest_lower_set(dag_s, want_s)
-        lower_t = smallest_lower_set(dag_t, want_t)
-        seq_s = order_respecting_sequence(dag_s, lower_s)
-        seq_t = order_respecting_sequence(dag_t, lower_t)
         eta_old = zeros(cur_s, n) + zeros(cur_t, n)
         if trace is not None:
             trace(
                 level=stats.levels,
                 s=cur_s,
                 t=cur_t,
-                lower_s=lower_s,
-                lower_t=lower_t,
+                lower_s=frozenset(f.var for f in seq_s),
+                lower_t=frozenset(f.var for f in seq_t),
                 eta=eta_old,
             )
         try:
@@ -253,10 +257,12 @@ def solve(
     dual-Horn-free sets the order-based solver; OR-free + Horn-free sets
     are complemented, solved, and the flips' signs swapped back.
     Non-navigable sets return HARD, with the exact search attached when
-    `allow_oracle` holds and the variable count is within `cap`. The
+    `allow_oracle` holds and the variable count is within `cap`. A cap
+    above `MAX_STATE_CAP` is rejected up front, whichever route runs. The
     solvers check the endpoints themselves; only the HARD route checks
     them here.
     """
+    check_cap(cap)
     cls = classify_formula(phi)
     if cls.verdict is Verdict.NAVIGABLE:
         if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:

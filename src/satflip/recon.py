@@ -17,6 +17,21 @@ from .flip_order import Flip, path_line
 from .formula import Formula, first_violated_clause
 
 DEFAULT_STATE_CAP = 20
+# sat_mask holds one byte per assignment and bfs_shortest's distances four
+# more; a cap is accepted while 2^cap states fit in the byte budget.
+BYTES_PER_STATE = 5
+STATE_BYTE_BUDGET = 1 << 29  # 512 MiB
+MAX_STATE_CAP = (STATE_BYTE_BUDGET // BYTES_PER_STATE).bit_length() - 1  # 26
+
+
+def check_cap(cap: int) -> None:
+    """Reject a state cap whose full search would not fit the byte budget,
+    before anything is allocated."""
+    if cap > MAX_STATE_CAP:
+        raise PreconditionError(
+            f"state cap {cap} is above the largest supported cap {MAX_STATE_CAP}"
+            f" ({BYTES_PER_STATE} bytes for each of 2^cap states)"
+        )
 
 
 def sat_mask(phi: Formula) -> np.ndarray:
@@ -53,6 +68,7 @@ class ReconGraph:
 
 
 def build_graph(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> ReconGraph:
+    check_cap(cap)
     n = phi.num_vars
     if n > cap:
         raise PreconditionError(
@@ -96,6 +112,7 @@ def bfs_shortest(phi: Formula, s: int, t: int, cap: int = DEFAULT_STATE_CAP) -> 
     decreases the distance, so ties break deterministically toward the
     lexicographically first shortest sequence.
     """
+    check_cap(cap)
     n = phi.num_vars
     if n > cap:
         raise PreconditionError(f"formula has {n} variables, above the oracle cap {cap}")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from satflip import MAX_STATE_CAP
 from satflip.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -132,6 +133,19 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", PATH_CNFS, "--cap", "2")
         assert code == 2
         assert "cap 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle",),
+        ("solve",),
+        ("solve", "--verify"),
+        ("dot", "--what", "recon"),
+        ("dot", "--what", "fliporder"),
+    ], ids=["oracle", "solve", "solve-verify", "dot-recon", "dot-fliporder"])
+    def test_cap_above_ceiling_exit_2(self, capsys, argv):
+        # the 3-variable instance fits any cap; a 2^40-state cap is refused
+        code, out, err = run(capsys, argv[0], PATH_CNFS, *argv[1:], "--cap", "40")
+        assert (code, out) == (2, "")
+        assert f"cap 40 is above the largest supported cap {MAX_STATE_CAP}" in err
 
 
 class TestGen:

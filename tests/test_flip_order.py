@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from satflip import (
     Clause,
@@ -14,18 +16,23 @@ from satflip import (
     TheoryError,
     apply_sequence,
     canonicalize,
+    evaluate,
     formula_flip_dag,
     invert_sequence,
+    lower_set_sequence,
     order_respecting_sequence,
     relation_partial_order,
     smallest_lower_set,
     valid_positive_sequences,
 )
+from satflip import flip_order
 from satflip.flip_order import advance, dag_to_dot, parse_flip
 from satflip.formula import flip_state
+from satflip.relation import is_dual_horn_free, is_nand_free
 
 from helpers import (
     enum_positive_sequences,
+    formula_strategy,
     navigable_corpus,
     order_obeying_sequences,
     positive_flip_variables,
@@ -264,6 +271,146 @@ class TestOrderRespectingSequence:
         dag = formula_flip_dag(PATH_PHI, 0b000)
         with pytest.raises(PreconditionError, match="downward"):
             order_respecting_sequence(dag, {2})
+
+
+def dag_route(phi, state, want):
+    """The lower set's sequence through the whole flip DAG, or None when
+    some wanted flip is not one of its nodes."""
+    dag = formula_flip_dag(phi, state)
+    if not set(want) <= dag.nodes:
+        return None
+    return order_respecting_sequence(dag, smallest_lower_set(dag, want))
+
+
+def in_order_class(phi):
+    return all(is_nand_free(rel) and is_dual_horn_free(rel) for _, rel in phi.relations)
+
+
+def zero_vars(state):
+    return [v for v in range(1, state.compiled.num_vars + 1) if not state.value(v)]
+
+
+def stride2_window(n):
+    """PATH5 on every window (x_i, x_i+1, x_i+2) with odd i."""
+    clauses = tuple(Clause("path5", (i, i + 1, i + 2)) for i in range(1, n - 1, 2))
+    return Formula(n, (("path5", PATH5),), clauses)
+
+
+class TestLowerSetSequence:
+    def test_chain(self):
+        state = flip_state(PATH_PHI, 0b000)
+        assert lower_set_sequence(state, {2}) == (Flip(3, True), Flip(1, True), Flip(2, True))
+        assert lower_set_sequence(state, {1}) == (Flip(3, True), Flip(1, True))
+
+    def test_empty_wanted_set(self):
+        assert lower_set_sequence(flip_state(PATH_PHI, 0b000), ()) == ()
+
+    def test_variable_in_no_clause(self):
+        # x4 is free: it needs nothing, and ties break by lowest index
+        phi = Formula(4, PATH_PHI.relations, PATH_PHI.clauses)
+        state = flip_state(phi, 0b0000)
+        assert lower_set_sequence(state, {4}) == (Flip(4, True),)
+        assert lower_set_sequence(state, {4, 2}) == (
+            Flip(3, True), Flip(1, True), Flip(2, True), Flip(4, True)
+        )
+        assert lower_set_sequence(flip_state(Formula(2, (), ()), 0b00), {2}) == (Flip(2, True),)
+
+    @pytest.mark.parametrize("pinned, want, expected", [
+        (1, {3}, None),  # x1 is blocked, and x3 needs x2 needs x1
+        (1, {2}, None),
+        (2, {3}, None),
+        (2, {1}, (Flip(1, True),)),  # x1 needs nothing of the blocked x2
+        (1, {4}, (Flip(4, True),)),
+    ])
+    def test_blocked_ancestor(self, pinned, want, expected):
+        zero = Relation(1, frozenset({0}))
+        phi = Formula(
+            4,
+            (("imp", IMP), ("zero", zero)),
+            (Clause("zero", (pinned,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
+        )
+        state = flip_state(phi, 0b0000)
+        assert lower_set_sequence(state, want) == expected == dag_route(phi, state, want)
+
+    @pytest.mark.parametrize("want, expected", [
+        ({3}, None),  # x3 needs x2, which sits on the cycle x1 <-> x2
+        ({1}, None),
+        ({4}, (Flip(4, True),)),
+        ({3, 4}, None),
+    ])
+    def test_cycle_among_ancestors(self, want, expected):
+        clauses = (Clause("imp", (1, 2)), Clause("imp", (2, 1)), Clause("imp", (2, 3)))
+        phi = Formula(4, (("imp", IMP),), clauses)
+        state = flip_state(phi, 0b0000)
+        assert lower_set_sequence(state, want) == expected == dag_route(phi, state, want)
+
+    def test_wanted_variable_already_raised(self):
+        state = flip_state(PATH_PHI, 0b001)
+        assert lower_set_sequence(state, {3}) is None
+        assert lower_set_sequence(state, {1, 3}) is None
+        # a variable in no clause has no local order to say so
+        assert lower_set_sequence(flip_state(Formula(2, (), ()), 0b01), {2}) is None
+
+    def test_rejects_variable_out_of_range(self):
+        with pytest.raises(PreconditionError, match="x4 names no variable"):
+            lower_set_sequence(flip_state(PATH_PHI, 0b000), {4})
+
+    def test_matches_dag_route_on_corpus(self):
+        rng = random.Random(97)
+        outcomes = {True: 0, False: 0}
+        for phi, s, _ in navigable_corpus(80, seed=89, max_vars=10, max_clauses=7):
+            state = flip_state(phi, s)
+            for _ in range(3):
+                for _ in range(rng.randint(0, phi.num_vars)):
+                    v = rng.randint(1, phi.num_vars)
+                    if state.can_flip(v):
+                        state.flip(v)
+                zeros = zero_vars(state)
+                for _ in range(3):
+                    want = set(rng.sample(zeros, rng.randint(0, len(zeros))))
+                    before = state.assignment
+                    got = lower_set_sequence(state, want)
+                    assert state.assignment == before
+                    assert got == dag_route(phi, state, want)
+                    outcomes[got is None] += 1
+        assert min(outcomes.values()) >= 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(formula_strategy().filter(in_order_class), st.data())
+    def test_matches_dag_route_on_drawn_formulas(self, phi, data):
+        n = phi.num_vars
+        sat = [a for a in range(1 << n) if evaluate(phi, a)]
+        assume(sat)
+        state = flip_state(phi, data.draw(st.sampled_from(sat)))
+        for v in data.draw(st.lists(st.integers(1, n), max_size=2 * n)):
+            if state.can_flip(v):
+                state.flip(v)
+        zeros = zero_vars(state)
+        want = data.draw(st.sets(st.sampled_from(zeros))) if zeros else set()
+        assert lower_set_sequence(state, want) == dag_route(phi, state, want)
+
+    def test_reads_only_the_ancestors_clauses(self, monkeypatch):
+        # n = 4801: x1..x2403 odd and even at 0, every odd x >= 2405 at 1;
+        # x2400 needs x2399 and x2401, x2401 needs x2403, and x2403 is free
+        n = 4801
+        phi = stride2_window(n)
+        a = sum(1 << (n - v) for v in range(2405, n + 1, 2))
+        state = flip_state(phi, a)
+        assert state.violated() is None
+        lookups = []
+        counted = flip_order._local_order
+
+        def counting(relation, local):
+            lookups.append(local)
+            return counted(relation, local)
+
+        monkeypatch.setattr(flip_order, "_local_order", counting)
+        got = lower_set_sequence(state, {2400})
+        assert got == (Flip(2403, True), Flip(2401, True), Flip(2399, True), Flip(2400, True))
+        assert len(lookups) <= 8  # one per clause of each variable reached
+        assert got == dag_route(phi, state, {2400})
+        assert len(lookups) > n // 2  # the DAG route reads every clause
+        advance(state, got)
 
 
 class TestApplySequence:

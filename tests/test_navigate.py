@@ -34,7 +34,7 @@ from satflip import (
 from satflip.bits import hamming, zeros
 
 from satflip import navigate
-from satflip.flip_order import order_respecting_sequence
+from satflip.flip_order import lower_set_sequence
 from satflip.formula import _compile
 
 from helpers import formula_strategy, navigable_corpus, rescan_cwb_walk
@@ -74,13 +74,13 @@ class TestNavigableSolver:
         # a level whose order-respecting sequence is wrong is a bug, not an answer
         calls = []
 
-        def wrong_on_one_side(dag, lower):  # called for side 0 (s), then 1 (t)
-            calls.append(dag)
+        def wrong_on_one_side(state, wanted):  # called for side 0 (s), then 1 (t)
+            calls.append(state)
             if (len(calls) - 1) % 2 == side:
                 return (bad,)
-            return order_respecting_sequence(dag, lower)
+            return lower_set_sequence(state, wanted)
 
-        monkeypatch.setattr(navigate, "order_respecting_sequence", wrong_on_one_side)
+        monkeypatch.setattr(navigate, "lower_set_sequence", wrong_on_one_side)
         with pytest.raises(TheoryError, match="falsified the formula: " + message):
             shortest_path_navigable(PATH_PHI, 0b000, 0b110)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from satflip import (
+    MAX_STATE_CAP,
     Clause,
     Formula,
     PreconditionError,
@@ -16,6 +17,7 @@ from satflip import (
     sat_mask,
 )
 from satflip.bits import hamming
+from satflip import recon
 from satflip.recon import graph_to_dot
 
 from helpers import navigable_corpus
@@ -109,6 +111,32 @@ class TestBfsShortest:
             assert res.length % 2 == hamming(s, t) % 2
             # every prefix satisfies; endpoint is t
             assert apply_sequence(phi, s, res.flips) == t
+
+
+class TestStateCapCeiling:
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def refuse(phi):
+            raise AssertionError("sat_mask ran for a rejected cap")
+
+        monkeypatch.setattr(recon, "sat_mask", refuse)
+
+    def test_ceiling_fits_the_byte_budget(self):
+        assert (1 << MAX_STATE_CAP) * recon.BYTES_PER_STATE <= recon.STATE_BYTE_BUDGET
+        assert (2 << MAX_STATE_CAP) * recon.BYTES_PER_STATE > recon.STATE_BYTE_BUDGET
+
+    @pytest.mark.parametrize("search", [
+        lambda cap: build_graph(PATH_PHI, cap=cap),
+        lambda cap: bfs_shortest(PATH_PHI, 0b000, 0b110, cap=cap),
+    ], ids=["build_graph", "bfs_shortest"])
+    def test_rejected_before_allocation(self, no_allocation, search):
+        # a 3-variable formula would fit any cap; the cap itself is refused
+        with pytest.raises(PreconditionError, match=f"cap {MAX_STATE_CAP + 1} is above"):
+            search(MAX_STATE_CAP + 1)
+
+    def test_ceiling_itself_is_accepted(self):
+        assert bfs_shortest(PATH_PHI, 0b000, 0b110, cap=MAX_STATE_CAP).length == 4
+        assert len(build_graph(PATH_PHI, cap=MAX_STATE_CAP).states) == 5
 
 
 class TestComponents:
