@@ -83,10 +83,11 @@ class CompiledFormula(NamedTuple):
     Clause j (0-based) constrains the distinct variables `variables[j]`
     (ascending) through its effective relation `relations[j]`. Its local
     tuple packs their values, the first variable in the highest bit, and
-    bit `local` of `accept[j]` is set iff that tuple satisfies the
-    clause. A clause without variables has k = 0, relation None, and bit
-    0 set iff it holds. `occurrences[v]` lists the (clause, bit) pairs of
-    variable v: flipping v xors `bit` into that clause's local tuple.
+    `accept[j]` is that relation's truth table (`Relation.table`): bit
+    `local` is set iff the tuple satisfies the clause. A clause without
+    variables has k = 0, relation None, and bit 0 set iff it holds.
+    `occurrences[v]` lists the (clause, bit) pairs of variable v: flipping
+    v xors `bit` into that clause's local tuple.
     """
 
     num_vars: int
@@ -110,11 +111,10 @@ class CompiledFormula(NamedTuple):
         relations, accept = [], []
         for eff, mask in zip(self.relations, self.accept):
             if eff is not None:
-                image = images.get(eff)
-                if image is None:
-                    comp = eff.complemented()
-                    image = images[eff] = (comp, sum(1 << x for x in comp.tuples))
-                eff, mask = image
+                if eff not in images:
+                    images[eff] = eff.complemented()
+                eff = images[eff]
+                mask = eff.table
             relations.append(eff)
             accept.append(mask)
         return self._replace(relations=tuple(relations), accept=tuple(accept))
@@ -123,15 +123,12 @@ class CompiledFormula(NamedTuple):
 def _compile(phi: Formula) -> CompiledFormula:
     variables, relations, accept = [], [], []
     occurrences = [[] for _ in range(phi.num_vars + 1)]
-    masks = {}  # one accept mask per distinct effective relation
     for j, clause in enumerate(phi.clauses):
         clause_vars, eff = effective_clause(phi, clause)
         if eff is None:
             mask = int(induced(phi, clause, 0) in phi.relation(clause.relation_name))
         else:
-            mask = masks.get(eff)
-            if mask is None:
-                mask = masks[eff] = sum(1 << x for x in eff.tuples)
+            mask = eff.table
         k = len(clause_vars)
         for p, v in enumerate(clause_vars):
             occurrences[v].append((j, 1 << (k - 1 - p)))

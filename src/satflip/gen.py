@@ -13,8 +13,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GenerationError, ParseError, PreconditionError, TheoryError
 from .formula import Clause, Formula
 from .recon import sat_mask
@@ -166,6 +164,8 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
     named = tuple((f"r{i}", rel) for i, rel in enumerate(relations, 1))
     if not named:
         raise PreconditionError("need at least one relation")
+    import numpy as np  # here, not at the top: see the note in recon
+
     rng = random.Random(seed)
     for _ in range(max_tries):
         clauses = []

@@ -8,13 +8,17 @@ runs plain BFS, sharing no machinery with the order-based solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bits import to_bitstring, var_bit
 from .errors import PreconditionError, TheoryError
 from .flip_order import Flip, path_line
 from .formula import Formula, first_violated_clause
+
+# numpy is imported inside the functions that use it, so that importing
+# satflip, and the commands that never search, do not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_STATE_CAP = 20
 # sat_mask holds one byte per assignment and bfs_shortest's distances four
@@ -42,6 +46,8 @@ def sat_mask(phi: Formula) -> np.ndarray:
     of it for a false clause without variables), so the cost is
     O(m * 2^n) writes rather than a per-assignment evaluation loop.
     """
+    import numpy as np
+
     n = phi.num_vars
     mask = np.ones(1 << n, dtype=bool)
     view = mask.reshape((2,) * n)
@@ -74,6 +80,8 @@ def build_graph(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> ReconGraph:
         raise PreconditionError(
             f"formula has {n} variables, above the explicit-graph cap {cap}"
         )
+    import numpy as np
+
     mask = sat_mask(phi)
     states = np.flatnonzero(mask)
     edges: list[tuple[int, int]] = []
@@ -124,6 +132,8 @@ def bfs_shortest(phi: Formula, s: int, t: int, cap: int = DEFAULT_STATE_CAP) -> 
             )
     if s == t:
         return PathResult(())
+
+    import numpy as np
 
     mask = sat_mask(phi)
     dist = np.full(1 << n, -1, dtype=np.int32)

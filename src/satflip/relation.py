@@ -6,9 +6,14 @@ constants into positions and identify positions with each other; the
 relation, and the whole set of predicates feeds the solvability verdict
 computed by :func:`classify_set`.
 
-The five restriction-based predicates (componentwise bijunctive and the
-four "-free" ones) read one memoized closure of the relation under
-elementary steps: fix one position, or identify two. The closure holds
+Every tuple set in this layer is also one truth-table int, bit t set
+iff tuple t is accepted (:attr:`Relation.table`). The five
+restriction-based predicates (componentwise bijunctive and the four
+"-free" ones) read one memoized closure of the relation's table under
+elementary steps: fix one position, or identify two. Each step is a few
+mask-and-shift operations, run once for a whole level of the closure
+with its tables packed side by side into one int; components and
+bijunctivity are read off the tables the same way. The closure holds
 every covering restriction up to a permutation of its positions, so the
 predicates never walk the (k'+2)^k restriction maps one by one;
 :func:`all_restrictions` still does, as the tests' reference.
@@ -18,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+import sys
+from array import array
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -26,36 +33,40 @@ from .bits import to_bitstring
 from .errors import ParseError, PreconditionError
 
 # The restriction closure grows quickly with arity. Measured cold on
-# CPython 3.11: all nine flags of a random relation take about 8 ms at
-# arity 6, 70 ms at arity 7 and 0.55 s (up to 0.9 s) at arity 8, where
-# one closure holds up to about 13 MiB; the componentwise-bijunctive check
-# of the full arity-8 relation takes 0.6 s.
+# CPython 3.11, best of 3: all nine flags of a random relation take about
+# 1 ms at arity 6, 3.5 ms at arity 7 and 17-23 ms at arity 8, where one
+# closure holds about 1.7 MiB (15,000 arity-4 members); the
+# componentwise-bijunctive check of the full arity-8 relation takes 1 ms.
 MAX_ARITY = 8
 
 CONST0 = "c0"
 CONST1 = "c1"
 
-# Forbidden binary restrictions: the satisfying sets of (x | y) and !(x & y).
-# Both are symmetric, so one order of their positions matches every order.
-OR_TUPLES = frozenset({0b01, 0b10, 0b11})
-NAND_TUPLES = frozenset({0b00, 0b01, 0b10})
+# Forbidden binary restrictions as truth tables: the satisfying sets of
+# (x | y), tuples {01, 10, 11}, and !(x & y), tuples {00, 01, 10}. Both are
+# symmetric, so one order of their positions matches every order.
+OR_TABLE = 0b1110
+NAND_TABLE = 0b0111
 # Forbidden ternary restrictions: satisfying sets of (x | !y | !z) and
 # (!x | y | z), each in all three placements of its odd literal.
-HORN_PLACEMENTS = frozenset(
-    frozenset(range(8)) - {t} for t in (0b011, 0b101, 0b110)
-)
-DUAL_HORN_PLACEMENTS = frozenset(
-    frozenset(range(8)) - {t} for t in (0b100, 0b010, 0b001)
-)
+HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b011, 0b101, 0b110))
+DUAL_HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b100, 0b010, 0b001))
 
 
 @dataclass(frozen=True)
 class Relation:
     """A k-ary Boolean relation stored as the explicit set of accepted
-    tuples, each an int whose bit ``k - p`` holds position ``p``."""
+    tuples, each an int whose bit ``k - p`` holds position ``p``.
+
+    ``table`` is the same set as one truth-table int: bit t is set iff
+    tuple t is accepted. It is derived from ``tuples``, so it takes no
+    part in construction, equality or ``repr``; the hash is computed once
+    from ``(arity, table)``.
+    """
 
     arity: int
     tuples: frozenset[int]
+    table: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (isinstance(self.arity, bool) or not isinstance(self.arity, int)
@@ -66,11 +77,18 @@ class Relation:
         if not isinstance(self.tuples, frozenset):
             object.__setattr__(self, "tuples", frozenset(self.tuples))
         top = 1 << self.arity
+        table = 0
         for t in self.tuples:
             if not isinstance(t, int) or not 0 <= t < top:
                 raise PreconditionError(
                     f"tuple {t!r} out of range for arity {self.arity}"
                 )
+            table |= 1 << t
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_hash", hash((self.arity, table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_bitstrings(cls, rows) -> "Relation":
@@ -198,50 +216,101 @@ def all_restrictions(relation: Relation, target_arity: int):
 
 
 @lru_cache(maxsize=None)
-def _elementary_steps(arity: int) -> tuple:
-    """The elementary steps on ``arity`` positions, each as the set of
-    tuples it keeps and a lookup that drops one bit from a kept tuple:
-    fix a position to 0 or 1, or identify two positions (keep the tuples
-    whose two bits agree, then drop the later position)."""
-    everything = range(1 << arity)
-    steps = []
-    for b in range(arity):
-        low = (1 << b) - 1
-        drop = tuple((t >> 1) & ~low | t & low for t in everything).__getitem__
-        for bit in (0, 1):
-            steps.append((frozenset(t for t in everything if t >> b & 1 == bit), drop))
-        for hi in range(b + 1, arity):
-            agree = frozenset(t for t in everything if (t >> b ^ t >> hi) & 1 == 0)
-            steps.append((agree, drop))
-    return tuple(steps)
+def _index_masks(arity: int) -> tuple[int, ...]:
+    """Entry i is the truth table of the tuples whose bit i is 1."""
+    return tuple(
+        sum(1 << t for t in range(1 << arity) if t >> i & 1) for i in range(arity)
+    )
+
+
+def _steps(masks, table: int) -> list[int]:
+    """The truth table of every elementary step on the positions that
+    ``masks`` (see :func:`_index_masks`) index: fix tuple bit b to 0 or 1,
+    or identify it with a higher bit (keep the tuples whose two bits
+    agree), and then drop bit b. Every operation moves a bit only within
+    the table's own 2^arity-bit span, so ``table`` and ``masks`` may hold
+    many tables side by side."""
+    out = []
+    for b, mb in enumerate(masks):
+        # entry t (bit b clear) of zero / one is the table's entry t / t | 2^b
+        zero, one = table & ~mb, (table & mb) >> (1 << b)
+        for i in range(b + 1, len(masks)):
+            # drop bit b: move index bit i down into the cleared bit i - 1
+            mi, shift = masks[i], 1 << (i - 1)
+            zero = (zero & ~mi) | ((zero & mi) >> shift)
+            one = (one & ~mi) | ((one & mi) >> shift)
+        out += (zero, one)
+        # bit b agrees with bit h > b, which now sits at bit h - 1
+        out.extend((zero & ~mh) | (one & mh) for mh in masks[b:-1])
+    return out
+
+
+# Many tables of one arity are packed side by side into one int, a slot
+# of 2^arity bits (at least a byte) each. An operation that moves a bit
+# only within its table's own span then runs once for all of them.
+_CODES = {array(code).itemsize: code for code in "QLIHB"}  # by item bytes
+# Per arity: the bytes of a slot, and its array / memoryview code if any.
+_SLOTS = tuple(
+    (width, _CODES.get(width))
+    for width in (max(2 ** arity // 8, 1) for arity in range(MAX_ARITY + 1))
+)
+
+
+def _pack(arity: int, tables) -> int:
+    width, fmt = _SLOTS[arity]
+    if fmt:
+        data = array(fmt, tables).tobytes()
+    else:
+        data = b"".join(t.to_bytes(width, sys.byteorder) for t in tables)
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _unpack(arity: int, packed, count: int):
+    """The tables in the packed ints ``packed``, ``count`` in each."""
+    width, fmt = _SLOTS[arity]
+    size = width * count
+    data = b"".join(p.to_bytes(size, sys.byteorder) for p in packed)
+    if fmt:
+        return memoryview(data).cast(fmt)
+    return (int.from_bytes(data[i:i + width], sys.byteorder)
+            for i in range(0, len(data), width))
+
+
+def _packed_masks(arity: int, count: int) -> list[int]:
+    """:func:`_index_masks` repeated in each of ``count`` slots."""
+    ones = _pack(arity, [1] * count)
+    return [m * ones for m in _index_masks(arity)]
+
+
+def _level_steps(arity: int, tables) -> frozenset[int]:
+    """The distinct steps of every table of one closure level, each step
+    taken once for the whole packed level."""
+    count = len(tables)
+    steps = _steps(_packed_masks(arity, count), _pack(arity, tables))
+    return frozenset(_unpack(arity, steps, count))
 
 
 @lru_cache(maxsize=4)
-def _restriction_closure(relation: Relation) -> tuple[frozenset[frozenset[int]], ...]:
+def _restriction_closure(relation: Relation) -> tuple[frozenset[int], ...]:
     """Every covering restriction of the relation, up to a permutation of
-    positions: entry ``a - 1`` holds the distinct tuple sets of arity a.
+    positions: entry ``a - 1`` holds the distinct truth tables of arity a.
 
     A covering map names every target position. It factors into
-    elementary steps (see :func:`_elementary_steps`) followed by a
-    permutation of the target positions, so closing the relation under
-    those steps reaches each covering restriction in some order of its
-    positions. A map that is not covering leaves a target coordinate free, so its
+    elementary steps (see :func:`_steps`) followed by a permutation of
+    the target positions, so closing the relation under those steps
+    reaches each covering restriction in some order of its positions. A
+    map that is not covering leaves a target coordinate free, so its
     restriction is a product of a smaller restriction with {0, 1}: it can
     never equal one of the forbidden patterns, and its components are
     bijunctive exactly when the smaller one's are.
 
-    One closure holds up to about 300 KiB at arity 6 and 13 MiB at arity
-    8, so only the last few are kept: enough for the five predicates of
-    one relation, which :func:`relation_flags` asks in a row.
+    One closure of a random arity-8 relation holds about 20,000 small
+    ints, 1.7 MiB, so only the last few are kept: enough for the five
+    predicates of one relation, which :func:`relation_flags` asks in a row.
     """
-    levels = [frozenset({relation.tuples})]
+    levels = [frozenset({relation.table})]
     for arity in range(relation.arity, 1, -1):
-        steps = _elementary_steps(arity)
-        levels.append(frozenset(
-            frozenset(map(drop, tuples & keep))
-            for tuples in levels[-1]
-            for keep, drop in steps
-        ))
+        levels.append(_level_steps(arity, levels[-1]))
     return tuple(reversed(levels))
 
 
@@ -267,16 +336,34 @@ def _hamming_components(arity: int, tuples: frozenset[int]) -> list[frozenset[in
     return comps
 
 
+def _table_components(arity: int, tables) -> set[int]:
+    """The distinct Hamming components of the given truth tables, each as
+    a truth table. A packed flood fill grows one component of every table
+    at once, by all single-bit flips per round, from its lowest tuple."""
+    comps = set()
+    pending = [t for t in tables if t]
+    while pending:
+        count = len(pending)
+        flips = [(m, 1 << i) for i, m in enumerate(_packed_masks(arity, count))]
+        rest = _pack(arity, pending)
+        comp, grown = 0, _pack(arity, [t & -t for t in pending])
+        while grown != comp:
+            comp = grown
+            for m, shift in flips:
+                grown |= ((comp & ~m) << shift) | ((comp & m) >> shift)
+            grown &= rest
+        found = list(_unpack(arity, (comp,), count))
+        comps.update(found)
+        pending = [t ^ c for t, c in zip(pending, found) if t != c]
+    return comps
+
+
 def _closed_under(relation: Relation, op, n: int) -> bool:
     """True iff ``op`` maps every n distinct tuples of the relation into
     the relation. Repeated arguments need no check: when two arguments
     coincide, each op used here returns one of its arguments."""
     ts = relation.tuples
     return all(t in ts for t in itertools.starmap(op, itertools.combinations(ts, n)))
-
-
-def _majority(a: int, b: int, c: int) -> int:
-    return (a & b) | (a & c) | (b & c)
 
 
 def _xor3(a: int, b: int, c: int) -> int:
@@ -286,9 +373,32 @@ def _xor3(a: int, b: int, c: int) -> int:
 # Bounded: is_componentwise_bijunctive asks it for every Hamming component
 # of every closure member, about 1,700 distinct ones in one classify stream.
 @lru_cache(maxsize=4096)
+def _bijunctive_table(arity: int, table: int) -> bool:
+    """Closed under coordinatewise majority. A Boolean relation is
+    majority-closed iff it equals the join of its binary projections
+    (Baker & Pixley, 1975). The projection on positions i, j, lifted back
+    to all positions, is the union of the pair cubes (fixed bits i and j)
+    that the table touches; the join is their intersection over all pairs."""
+    if arity <= 2:
+        return True
+    masks = _index_masks(arity)
+    full = (1 << (1 << arity)) - 1
+    join = full
+    for i, j in itertools.combinations(range(arity), 2):
+        union = 0
+        for mi in (masks[i], full ^ masks[i]):
+            for mj in (masks[j], full ^ masks[j]):
+                if table & mi & mj:
+                    union |= mi & mj
+        join &= union
+    return join == table
+
+
+# Bounded like the table check it reads.
+@lru_cache(maxsize=4096)
 def is_bijunctive(relation: Relation) -> bool:
     """Closed under coordinatewise majority, i.e. expressible in 2CNF."""
-    return _closed_under(relation, _majority, 3)
+    return _bijunctive_table(relation.arity, relation.table)
 
 
 @lru_cache(maxsize=None)
@@ -312,13 +422,13 @@ def is_affine(relation: Relation) -> bool:
 @lru_cache(maxsize=None)
 def is_or_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of (x | y)."""
-    return relation.arity < 2 or OR_TUPLES not in _restriction_closure(relation)[1]
+    return relation.arity < 2 or OR_TABLE not in _restriction_closure(relation)[1]
 
 
 @lru_cache(maxsize=None)
 def is_nand_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of !(x & y)."""
-    return relation.arity < 2 or NAND_TUPLES not in _restriction_closure(relation)[1]
+    return relation.arity < 2 or NAND_TABLE not in _restriction_closure(relation)[1]
 
 
 @lru_cache(maxsize=None)
@@ -342,13 +452,14 @@ def is_componentwise_bijunctive(relation: Relation) -> bool:
     """Every connected component of every restriction induces a bijunctive
     relation (the identity restriction included). Components and
     bijunctivity do not depend on the order of positions, so the closure
-    covers every restriction."""
-    for arity, members in enumerate(_restriction_closure(relation), 1):
-        for tuples in members:
-            for comp in _hamming_components(arity, tuples):
-                if not is_bijunctive(Relation(arity, comp)):
-                    return False
-    return True
+    covers every restriction. Relations of arity 2 or less are bijunctive,
+    so only the wider levels are split."""
+    closure = _restriction_closure(relation)
+    return all(
+        _bijunctive_table(arity, comp)
+        for arity in range(3, relation.arity + 1)
+        for comp in _table_components(arity, closure[arity - 1])
+    )
 
 
 @dataclass(frozen=True)

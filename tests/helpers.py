@@ -116,6 +116,31 @@ def synth_bijunctive(rel):
     return _synthesizes(rel, _width_clauses(rel.arity, (1, 2)))
 
 
+def _majority(a, b, c):
+    return (a & b) | (a & c) | (b & c)
+
+
+def majority_closed(rel):
+    """Bijunctivity by definition: the coordinatewise majority of every
+    three distinct tuples is a tuple (repeated arguments return one of
+    them)."""
+    return all(
+        _majority(a, b, c) in rel.tuples
+        for a, b, c in itertools.combinations(rel.tuples, 3)
+    )
+
+
+def two_cnf_relation(arity, rng, clauses):
+    """The solution set of `clauses` random clauses of width 1 and 2, a
+    bijunctive relation by construction."""
+    sols = set(range(1 << arity))
+    for _ in range(clauses):
+        width = rng.randint(1, min(2, arity))
+        literals = [(p, rng.randint(0, 1)) for p in rng.sample(range(1, arity + 1), width)]
+        sols &= _clause_solutions(arity, literals)
+    return Relation(arity, frozenset(sols))
+
+
 def synth_horn(rel):
     widths = range(1, rel.arity + 1)
     return _synthesizes(rel, _width_clauses(rel.arity, widths, max_positive=1))

@@ -244,3 +244,22 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "PATH 4 x3+ x1+ x2+ x3-\n"
+
+    def test_classify_and_gen_leave_numpy_unloaded(self):
+        # Only the exhaustive search needs numpy; the oracle run at the
+        # end shows that the check can see it load.
+        script = (
+            "import sys\n"
+            "from satflip.cli import main\n"
+            f"for argv in ({['classify', PATH_CNFS]!r}, {['gen', 'vc', K3_GRAPH]!r},\n"
+            f"             {['gen', 'is', K3_GRAPH]!r}):\n"
+            "    assert main(argv) == 0\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            f"assert main({['oracle', PATH_CNFS]!r}) == 0\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False\nTrue\n"

@@ -1,8 +1,9 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from satflip import (
@@ -32,9 +33,16 @@ from satflip import (
     serialize_relation,
 )
 from satflip.errors import ParseError
-from satflip.relation import _hamming_components, _restriction_closure
+from satflip.relation import (
+    _bijunctive_table,
+    _hamming_components,
+    _level_steps,
+    _restriction_closure,
+    _table_components,
+)
 
 from helpers import (
+    majority_closed,
     naive_all_restriction_values,
     naive_is_free,
     naive_relation_flags,
@@ -45,6 +53,7 @@ from helpers import (
     synth_bijunctive,
     synth_dual_horn,
     synth_horn,
+    two_cnf_relation,
 )
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
@@ -56,6 +65,18 @@ CUBE3_NO_100 = Relation(3, frozenset(range(8)) - {0b100})
 def all_relations(arity):
     for bits in range(1 << (1 << arity)):
         yield Relation(arity, frozenset(i for i in range(1 << arity) if bits >> i & 1))
+
+
+def staircase(arity):
+    return Relation(arity, frozenset((1 << i) - 1 for i in range(arity + 1)))
+
+
+def table_of(tuples):
+    return sum(1 << t for t in tuples)
+
+
+def tuples_of(arity, table):
+    return frozenset(t for t in range(1 << arity) if table >> t & 1)
 
 
 def product(left, right):
@@ -115,6 +136,32 @@ class TestRestrict:
                 assert r ^ (1 << (target - p)) in out.tuples
 
 
+class TestTruthTable:
+    @given(relation_strategy(max_arity=8))
+    @settings(max_examples=100, deadline=None)
+    @example(rel=Relation.full(8))
+    @example(rel=Relation(8, frozenset()))
+    def test_table_matches_tuples(self, rel):
+        assert rel.table == sum(1 << t for t in rel.tuples)
+
+    def test_table_stays_out_of_construction_repr_and_equality(self):
+        rel = Relation(2, frozenset({0b01, 0b10}))
+        assert repr(rel) == "Relation(arity=2, tuples=frozenset({1, 2}))"
+        assert rel == Relation(2, [0b10, 0b01, 0b10])
+        with pytest.raises(TypeError):
+            Relation(2, frozenset({1}), table=0b10)
+
+    def test_equal_relations_share_one_cache_entry(self):
+        built_from_set = Relation(3, {0b001, 0b101})
+        built_from_frozenset = Relation(3, frozenset({0b101, 0b001}))
+        assert built_from_set == built_from_frozenset
+        assert hash(built_from_set) == hash(built_from_frozenset)
+        cached = lru_cache(maxsize=None)(lambda rel: object())
+        assert cached(built_from_set) is cached(built_from_frozenset)
+        info = cached.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+
+
 class TestAllRestrictions:
     def test_count_arity2(self):
         rel = Relation.full(2)
@@ -166,10 +213,11 @@ class TestSyntacticClasses:
         assert is_affine(rel) == synth_affine(rel)
 
     def test_bijunctive_cache_is_bounded(self):
-        # one classify stream asks it for ~1,700 components; a long-lived
-        # process must not keep every one of them
-        maxsize = is_bijunctive.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 4096
+        # one classify stream asks the table check for ~1,700 components;
+        # a long-lived process must not keep every one of them
+        for cached in (is_bijunctive, _bijunctive_table):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize >= 4096
 
     def test_synthesis_oracles_agree_arity4_sample(self):
         rng = random.Random(41)
@@ -180,6 +228,67 @@ class TestSyntacticClasses:
             assert is_horn(rel) == synth_horn(rel)
             assert is_dual_horn(rel) == synth_dual_horn(rel)
             assert is_affine(rel) == synth_affine(rel)
+
+
+class TestBijunctiveTable:
+    """is_bijunctive reads the join of binary projections; the reference
+    checks majority closure on every three tuples."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_small_relation_matches_majority(self, arity):
+        for rel in all_relations(arity):
+            assert is_bijunctive(rel) == majority_closed(rel), rel
+
+    @given(relation_strategy(min_arity=4, max_arity=8))
+    @settings(max_examples=150, deadline=None)
+    @example(rel=Relation.full(8))
+    @example(rel=Relation(8, frozenset(range(256)) - {0b10110100}))
+    @example(rel=staircase(4))
+    @example(rel=staircase(6))
+    @example(rel=staircase(8))
+    @example(rel=staircase(8).complemented())
+    @example(rel=Relation(8, frozenset({0, 255})))
+    def test_wide_relations_match_majority(self, rel):
+        assert is_bijunctive(rel) == majority_closed(rel)
+
+    def test_two_cnf_relations_and_near_misses(self):
+        rng = random.Random(43)
+        seen = set()
+        for arity in range(4, 9):
+            for _ in range(12):
+                rel = two_cnf_relation(arity, rng, rng.randint(arity // 2, 2 * arity))
+                if len(rel.tuples) >= 3 and rng.random() < 0.5:
+                    # drop the majority of three tuples, unless it is one of them
+                    a, b, c = rng.sample(sorted(rel.tuples), 3)
+                    rel = Relation(arity, rel.tuples - {(a & b) | (a & c) | (b & c)})
+                got = is_bijunctive(rel)
+                assert got == majority_closed(rel), rel
+                seen.add(got)
+        assert seen == {True, False}
+
+
+class TestTableComponents:
+    @given(relation_strategy(min_arity=1, max_arity=8))
+    @settings(max_examples=200, deadline=None)
+    @example(rel=Relation.full(8))
+    @example(rel=staircase(8))
+    @example(rel=Relation(8, frozenset({0, 255})))
+    @example(rel=Relation(4, frozenset({0b0000, 0b0110, 0b0111, 0b1000, 0b1001})))
+    def test_matches_hamming_components(self, rel):
+        want = [table_of(c) for c in _hamming_components(rel.arity, rel.tuples)]
+        got = sorted(_table_components(rel.arity, [rel.table]), key=lambda c: c & -c)
+        assert got == want
+
+    @given(st.integers(1, 8).flatmap(
+        lambda k: st.lists(relation_strategy(k, k), min_size=1, max_size=6)
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_packed_tables_split_one_by_one(self, rels):
+        arity = rels[0].arity
+        each = set()
+        for rel in rels:
+            each |= _table_components(arity, [rel.table])
+        assert _table_components(arity, [rel.table for rel in rels]) == each
 
 
 class TestFreePredicates:
@@ -278,9 +387,39 @@ class TestRestrictionClosure:
                     if set(range(1, target + 1)) <= set(entries)
                 }
                 reached = set()
-                for tuples in closure[target - 1]:
+                for table in closure[target - 1]:
+                    tuples = [t for t in range(1 << target) if table >> t & 1]
                     reached |= self.permuted(target, tuples)
                 assert reached == covering
+
+    @given(relation_strategy(min_arity=2, max_arity=8))
+    @settings(max_examples=100, deadline=None)
+    @example(rel=Relation.full(8))
+    @example(rel=staircase(8))
+    def test_steps_of_one_table_match_restrict(self, rel):
+        # tuple bit b is position k - b: fix it, or identify it with a
+        # higher bit h (an earlier position), then drop it
+        k = rel.arity
+        want = set()
+        for b in range(k):
+            p = k - b
+            rest = [q if q < p else q - 1 for q in range(1, k + 1)]
+            for c in [CONST0, CONST1] + [k - h for h in range(b + 1, k)]:
+                entries = tuple(c if q == p else rest[q - 1] for q in range(1, k + 1))
+                want.add(naive_restrict_tuples(rel, k - 1, entries))
+        got = {tuples_of(k - 1, table) for table in _level_steps(k, [rel.table])}
+        assert got == want
+
+    @given(st.integers(2, 8).flatmap(
+        lambda k: st.lists(relation_strategy(k, k), min_size=1, max_size=6)
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_packed_level_steps_each_table(self, rels):
+        arity = rels[0].arity
+        each = set()
+        for rel in rels:
+            each |= _level_steps(arity, [rel.table])
+        assert _level_steps(arity, [rel.table for rel in rels]) == each
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_every_relation_matches_oracles(self, arity):
