@@ -30,6 +30,7 @@ from .flip_order import (
 )
 from .formula import (
     Clause,
+    CompiledFormula,
     Formula,
     effective_clause,
     evaluate,
@@ -56,7 +57,6 @@ from .navigate import (
     SolveStats,
     classify_formula,
     dualize,
-    dualize_flips,
     shortest_path_cwb,
     shortest_path_navigable,
     solve,

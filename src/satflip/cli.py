@@ -130,7 +130,7 @@ def cmd_solve(args) -> int:
         print(result.oracle.protocol_line())
     if args.verify and result.outcome is not Outcome.HARD:
         if phi.num_vars <= args.cap:
-            reference = bfs_shortest(phi, s, t, cap=args.cap)
+            reference = bfs_shortest(phi.compiled, s, t, cap=args.cap)
             if reference.connected != (result.outcome is Outcome.PATH) or (
                 reference.connected and reference.length != result.length
             ):
@@ -146,7 +146,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     phi, s, t = _load_instance(args)
     _require_endpoints(s, t)
-    result = bfs_shortest(phi, s, t, cap=args.cap)
+    result = bfs_shortest(phi.compiled, s, t, cap=args.cap)
     print(result.protocol_line())
     return 0
 
@@ -184,7 +184,7 @@ def cmd_dot(args) -> int:
     phi, s, _ = _load_instance(args)
     check_cap(args.cap)
     if args.what == "recon":
-        graph = build_graph(phi, cap=args.cap)
+        graph = build_graph(phi.compiled, cap=args.cap)
         if args.format == "text":
             print(f"states {len(graph.states)}")
             print(f"edges {len(graph.edges)}")
@@ -193,7 +193,7 @@ def cmd_dot(args) -> int:
         return 0
     if s is None:
         raise ParseError("no assignment: pass --from or embed a '# s=' comment")
-    dag = formula_flip_dag(phi, s)
+    dag = formula_flip_dag(phi.compiled, s)
     if args.format == "text":
         print(f"nodes {len(dag.nodes)}")
         print(f"edges {len(dag.edges)}")

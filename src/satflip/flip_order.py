@@ -20,6 +20,7 @@ forced after such a flip) are pruned by one Kahn peel. It serves the DOT
 export, and with :func:`smallest_lower_set` and
 :func:`order_respecting_sequence` it is the reference the walk is tested
 against.
+Functions that read a formula take its compiled form, ``phi.compiled``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Iterable, NamedTuple
 
 from .bits import flip_bit, set_vars, var_bit
 from .errors import FlipSequenceError, ParseError, PreconditionError, TheoryError
-from .formula import FlipState, Formula, _check_assignment, flip_state
+from .formula import CompiledFormula, FlipState, _check_assignment
+from .formula import require_relations, satisfying_state
 from .relation import Relation, is_dual_horn_free, is_nand_free
 
 
@@ -74,7 +76,9 @@ def invert_sequence(flips) -> tuple[Flip, ...]:
     return tuple(f.inverse() for f in reversed(flips))
 
 
-def apply_sequence(phi: Formula, assignment: int, flips, *, check: bool = True) -> int:
+def apply_sequence(
+    compiled: CompiledFormula, assignment: int, flips, *, check: bool = True
+) -> int:
     """Apply flips in order; with check, every flip must move in the right
     direction and every prefix must keep the formula satisfied. A start
     outside 0 <= a < 2^n, or a flip of a variable outside 1..n, is
@@ -83,14 +87,12 @@ def apply_sequence(phi: Formula, assignment: int, flips, *, check: bool = True) 
     The start assignment is checked in full once; each flip then costs
     only the clauses of its variable (see :func:`advance`).
     """
-    n = phi.num_vars
+    n = compiled.num_vars
     if check:
-        state = flip_state(phi, assignment)
-        if state.violated() is not None:
-            raise PreconditionError("start assignment does not satisfy the formula")
+        state = satisfying_state(compiled, assignment, "start")
         advance(state, flips)
         return state.assignment
-    _check_assignment(phi, assignment)
+    _check_assignment(n, assignment)
     a = assignment
     for i, f in enumerate(flips):
         if not 1 <= f.var <= n:
@@ -152,7 +154,7 @@ def relation_partial_order(relation: Relation, state: int):
     valid positive sequences are exactly the orderings of downward-closed
     subsets of `members` that respect `prec`.
     """
-    if not (is_nand_free(relation) and is_dual_horn_free(relation)):
+    if not _in_order_class(relation):
         raise PreconditionError(
             "flip partial order requires a NAND-free and dual-Horn-free relation"
         )
@@ -184,12 +186,12 @@ def _local_order(relation: Relation, state: int) -> tuple[tuple[int, ...] | None
     )
 
 
-def _require_order_class(phi: Formula) -> None:
-    for name, rel in phi.relations:
-        if not (is_nand_free(rel) and is_dual_horn_free(rel)):
-            raise PreconditionError(
-                f"relation {name!r} is not NAND-free and dual-Horn-free"
-            )
+def _in_order_class(relation: Relation) -> bool:
+    return is_nand_free(relation) and is_dual_horn_free(relation)
+
+
+def _require_order_class(compiled: CompiledFormula) -> None:
+    require_relations(compiled, _in_order_class, "NAND-free and dual-Horn-free")
 
 
 def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, ...] | None:
@@ -295,13 +297,8 @@ class FlipOrderDag:
         return frozenset(pairs)
 
 
-def formula_flip_dag(phi: Formula, at) -> FlipOrderDag:
-    """Merge per-clause flip orders at `at` into one pruned DAG.
-
-    `at` is an assignment, range- and satisfaction-checked here, or a
-    :class:`FlipState` of ``phi.compiled``, taken as the satisfying state
-    its caller has kept by checked flips; a state of any other compiled
-    form is rejected.
+def formula_flip_dag(compiled: CompiledFormula, assignment: int) -> FlipOrderDag:
+    """Merge per-clause flip orders at a satisfying assignment into one DAG.
 
     Every variable currently 0 starts as a candidate node (variables in
     no clause stay as isolated, always-flippable nodes). Each clause
@@ -315,18 +312,9 @@ def formula_flip_dag(phi: Formula, at) -> FlipOrderDag:
     impossible. This reads every clause; :func:`lower_set_sequence`
     reads only the ancestors of the flips it is asked for.
     """
-    _require_order_class(phi)
-    compiled = phi.compiled
-    if isinstance(at, FlipState):
-        if at.compiled is not compiled:
-            raise PreconditionError("flip state belongs to another formula")
-        state = at
-    else:
-        state = flip_state(phi, at)
-        if state.violated() is not None:
-            raise PreconditionError("assignment does not satisfy the formula")
-
-    n = phi.num_vars
+    _require_order_class(compiled)
+    state = satisfying_state(compiled, assignment, "start")
+    n = compiled.num_vars
     candidates = set(set_vars(state.assignment ^ ((1 << n) - 1), n))
     blocked = set()
     edges = set()
@@ -412,7 +400,7 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
     return tuple(Flip(v, True) for v in out)
 
 
-def canonicalize(phi: Formula, start: int, flips) -> tuple[Flip, ...]:
+def canonicalize(compiled: CompiledFormula, start: int, flips) -> tuple[Flip, ...]:
     """Rewrite a valid flip sequence so all raises precede all lowers.
 
     Adjacent lower/raise pairs on one variable cancel; a lower
@@ -421,7 +409,7 @@ def canonicalize(phi: Formula, start: int, flips) -> tuple[Flip, ...]:
     same endpoint, uses a subset of the original flips, and keeps the
     relative order within each sign.
     """
-    end = apply_sequence(phi, start, flips)
+    end = apply_sequence(compiled, start, flips)
     work = list(flips)
     i = 0
     while i < len(work) - 1:
@@ -436,7 +424,7 @@ def canonicalize(phi: Formula, start: int, flips) -> tuple[Flip, ...]:
             i += 1
     out = tuple(work)
     try:
-        final = apply_sequence(phi, start, out)
+        final = apply_sequence(compiled, start, out)
     except FlipSequenceError as exc:
         raise TheoryError(
             f"canonical rewrite became invalid ({exc}); is some relation not NAND-free?"

@@ -6,6 +6,7 @@ clause's induced tuple is accepted by its relation. Each formula is
 compiled once, on first use, into per-clause accept masks and
 per-variable occurrence lists (:class:`CompiledFormula`), so a flip is
 checked against the clauses of its variable only (:class:`FlipState`).
+The solvers, flip orders and exact search read only that compiled form.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .bits import to_bitstring, var_bit
+from .bits import to_bitstring
 from .errors import ParseError, PreconditionError
 from .relation import CONST0, CONST1, MAX_ARITY, Relation, RestrictionMap, restrict
+from .relation import pack_tuple
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def _compile(phi: Formula) -> CompiledFormula:
     for j, clause in enumerate(phi.clauses):
         clause_vars, eff = effective_clause(phi, clause)
         if eff is None:
-            mask = int(induced(phi, clause, 0) in phi.relation(clause.relation_name))
+            mask = int(pack_tuple(clause.args, 0, 0) in phi.relation(clause.relation_name))
         else:
             mask = eff.table
         k = len(clause_vars)
@@ -191,32 +193,43 @@ class FlipState:
         self.assignment ^= 1 << (self.compiled.num_vars - v)
 
 
-def flip_state(phi: Formula, assignment: int) -> FlipState:
-    """A :class:`FlipState` of the formula at a range-checked assignment."""
-    _check_assignment(phi, assignment)
-    return FlipState(phi.compiled, assignment)
+def flip_state(compiled: CompiledFormula, assignment: int) -> FlipState:
+    """A :class:`FlipState` at a range-checked assignment."""
+    _check_assignment(compiled.num_vars, assignment)
+    return FlipState(compiled, assignment)
 
 
-def _check_assignment(phi: Formula, assignment: int):
-    if not isinstance(assignment, int) or not 0 <= assignment < (1 << phi.num_vars):
+def satisfying_state(compiled: CompiledFormula, assignment: int, label: str) -> FlipState:
+    """A :class:`FlipState` of an endpoint, which must be in range and
+    satisfy every clause; `label` names the endpoint in the error."""
+    state = flip_state(compiled, assignment)
+    bad = state.violated()
+    if bad is not None:
+        raise PreconditionError(f"{label} assignment does not satisfy clause {bad}")
+    return state
+
+
+def require_relations(compiled: CompiledFormula, accepts, description: str) -> None:
+    """Check each distinct effective relation once with `accepts`, naming
+    the first clause whose relation fails. Solvers read these relations,
+    not the declared ones a clause may use only trivially or not at all."""
+    for eff in dict.fromkeys(compiled.relations):
+        if eff is not None and not accepts(eff):
+            j = compiled.relations.index(eff) + 1
+            raise PreconditionError(f"the relation of clause {j} is not {description}")
+
+
+def _check_assignment(num_vars: int, assignment: int) -> None:
+    if not isinstance(assignment, int) or not 0 <= assignment < (1 << num_vars):
         raise PreconditionError(
-            f"assignment {assignment!r} out of range for {phi.num_vars} variables"
+            f"assignment {assignment!r} out of range for {num_vars} variables"
         )
 
 
 def induced(phi: Formula, clause: Clause, assignment: int) -> int:
     """The tuple the assignment induces on the clause's relation."""
-    _check_assignment(phi, assignment)
-    v = 0
-    for a in clause.args:
-        if a == CONST0:
-            b = 0
-        elif a == CONST1:
-            b = 1
-        else:
-            b = var_bit(assignment, a, phi.num_vars)
-        v = (v << 1) | b
-    return v
+    _check_assignment(phi.num_vars, assignment)
+    return pack_tuple(clause.args, assignment, phi.num_vars)
 
 
 def evaluate(phi: Formula, assignment: int) -> bool:
@@ -226,7 +239,7 @@ def evaluate(phi: Formula, assignment: int) -> bool:
 
 def first_violated_clause(phi: Formula, assignment: int) -> int | None:
     """1-based index of the first falsified clause, or None if satisfying."""
-    return flip_state(phi, assignment).violated()
+    return flip_state(phi.compiled, assignment).violated()
 
 
 @lru_cache(maxsize=None)

@@ -174,7 +174,7 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
             args = tuple(rng.randint(1, num_vars) for _ in range(rel.arity))
             clauses.append(Clause(name, args))
         phi = Formula(num_vars, named, tuple(clauses))
-        sats = np.flatnonzero(sat_mask(phi))
+        sats = np.flatnonzero(sat_mask(phi.compiled))
         if sats.size:
             s = int(sats[rng.randrange(sats.size)])
             t = int(sats[rng.randrange(sats.size)])

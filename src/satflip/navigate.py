@@ -8,7 +8,9 @@ clauses of the flips it makes rather than the whole formula. OR-free +
 Horn-free instances are handled through the complementing transform;
 componentwise bijunctive ones by a greedy walk over the symmetric
 difference. Everything else is reported hard, optionally falling back to
-the capped exact search.
+the capped exact search. :func:`solve` classifies a formula's declared
+relations; the solvers and the complementing transform run on its
+compiled form, ``phi.compiled``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .bits import hamming, set_vars, var_bit, zeros
-from .errors import FlipSequenceError, PreconditionError, TheoryError
+from .errors import FlipSequenceError, TheoryError
 from .flip_order import (
     Flip,
     _require_order_class,
@@ -28,7 +30,8 @@ from .flip_order import (
     lower_set_sequence,
     path_line,
 )
-from .formula import Clause, FlipState, Formula, _check_assignment, flip_state
+from .formula import Clause, CompiledFormula, Formula, _check_assignment
+from .formula import require_relations, satisfying_state
 from .recon import DEFAULT_STATE_CAP, PathResult, bfs_shortest, check_cap
 from .relation import (
     CONST0,
@@ -82,16 +85,9 @@ def classify_formula(phi: Formula) -> Classification:
     return Classification(Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE, ())
 
 
-def _satisfying_state(phi: Formula, assignment: int, label: str) -> FlipState:
-    """A FlipState of the endpoint, which must satisfy the formula."""
-    state = flip_state(phi, assignment)
-    bad = state.violated()
-    if bad is not None:
-        raise PreconditionError(f"{label} assignment does not satisfy clause {bad}")
-    return state
-
-
-def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveResult:
+def shortest_path_navigable(
+    compiled: CompiledFormula, s: int, t: int, trace=None
+) -> SolveResult:
     """Shortest flip sequence for NAND-free + dual-Horn-free formulas.
 
     Each level raises, on both endpoints, the smallest lower set of the
@@ -106,11 +102,11 @@ def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveRe
     endpoint is checked in full once, and every later flip only against
     the clauses of its variable. `stats.dag_builds` counts the walks.
     """
-    side_s = _satisfying_state(phi, s, "source")
-    side_t = _satisfying_state(phi, t, "target")
+    side_s = satisfying_state(compiled, s, "source")
+    side_t = satisfying_state(compiled, t, "target")
     if s != t:
-        _require_order_class(phi)
-    n = phi.num_vars
+        _require_order_class(compiled)
+    n = compiled.num_vars
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
     prefix: list[Flip] = []
     tails: list[tuple[Flip, ...]] = []
@@ -157,12 +153,12 @@ def shortest_path_navigable(phi: Formula, s: int, t: int, trace=None) -> SolveRe
     flips = tuple(prefix)
     for tail in reversed(tails):
         flips += invert_sequence(tail)
-    if apply_sequence(phi, s, flips) != t:
+    if apply_sequence(compiled, s, flips) != t:
         raise TheoryError("assembled sequence does not reach the target")
     return SolveResult(Outcome.PATH, flips=flips, stats=stats)
 
 
-def shortest_path_cwb(phi: Formula, s: int, t: int) -> SolveResult:
+def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     """Greedy walk for componentwise bijunctive formulas: repeatedly flip
     the lowest-index differing variable that keeps the formula satisfied.
     Within a component the distance equals the Hamming distance, so any
@@ -174,16 +170,11 @@ def shortest_path_cwb(phi: Formula, s: int, t: int) -> SolveResult:
     clause with it are re-checked; an entry that went stale is dropped
     when popped, and pushed again if a later flip frees it.
     """
-    for name, rel in phi.relations:
-        if not is_componentwise_bijunctive(rel):
-            raise PreconditionError(
-                f"relation {name!r} is not componentwise bijunctive"
-            )
-    state = _satisfying_state(phi, s, "source")
-    _satisfying_state(phi, t, "target")
-    n = phi.num_vars
+    require_relations(compiled, is_componentwise_bijunctive, "componentwise bijunctive")
+    state = satisfying_state(compiled, s, "source")
+    satisfying_state(compiled, t, "target")
+    n = compiled.num_vars
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
-    compiled = phi.compiled
 
     def ready(v):
         return var_bit(state.assignment ^ t, v, n) and state.can_flip(v)
@@ -219,27 +210,19 @@ def dualize(phi: Formula, s: int, t: int):
     the image exactly when their complements satisfy the original, so the
     transform is an involution swapping OR-free + Horn-free with
     NAND-free + dual-Horn-free. The endpoints are range-checked first.
-    The image's compiled form is derived from the original's, not
-    compiled again (:meth:`CompiledFormula.complemented`).
+    :func:`solve` does not build this image: it complements the compiled
+    form (:meth:`CompiledFormula.complemented`), which equals the image's.
     """
-    _check_assignment(phi, s)
-    _check_assignment(phi, t)
+    _check_assignment(phi.num_vars, s)
+    _check_assignment(phi.num_vars, t)
     relations = tuple((name, rel.complemented()) for name, rel in phi.relations)
     swap = {CONST0: CONST1, CONST1: CONST0}
     clauses = tuple(
         Clause(c.relation_name, tuple(swap.get(a, a) for a in c.args))
         for c in phi.clauses
     )
-    dual = Formula(phi.num_vars, relations, clauses)
-    # fill the Formula.compiled cache, so the image is never compiled itself
-    vars(dual)["compiled"] = phi.compiled.complemented()
     mask = (1 << phi.num_vars) - 1
-    return dual, s ^ mask, t ^ mask
-
-
-def dualize_flips(flips) -> tuple[Flip, ...]:
-    """Swap the sign of every flip, keeping the order."""
-    return tuple(Flip(f.var, not f.up) for f in flips)
+    return Formula(phi.num_vars, relations, clauses), s ^ mask, t ^ mask
 
 
 def solve(
@@ -255,36 +238,42 @@ def solve(
 
     Componentwise bijunctive sets take the greedy walk; NAND-free +
     dual-Horn-free sets the order-based solver; OR-free + Horn-free sets
-    are complemented, solved, and the flips' signs swapped back.
-    Non-navigable sets return HARD, with the exact search attached when
-    `allow_oracle` holds and the variable count is within `cap`. A cap
-    above `MAX_STATE_CAP` is rejected up front, whichever route runs. The
-    solvers check the endpoints themselves; only the HARD route checks
-    them here.
+    are complemented, solved, and the flips' signs swapped back in the
+    same order. Non-navigable sets return HARD, with the exact search
+    attached when `allow_oracle` holds and the variable count is within
+    `cap`. A cap above `MAX_STATE_CAP` is rejected up front, whichever
+    route runs. The solvers check the endpoints themselves; the HARD
+    route checks them here, and the complement route range-checks them
+    before complementing.
     """
     check_cap(cap)
     cls = classify_formula(phi)
+    compiled, n = phi.compiled, phi.num_vars
     if cls.verdict is Verdict.NAVIGABLE:
         if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:
-            result = shortest_path_cwb(phi, s, t)
+            result = shortest_path_cwb(compiled, s, t)
         elif cls.kind is NavigableKind.NAND_AND_DUAL_HORN_FREE:
-            result = shortest_path_navigable(phi, s, t, trace=trace)
+            result = shortest_path_navigable(compiled, s, t, trace=trace)
         else:
-            dual_phi, dual_s, dual_t = dualize(phi, s, t)
-            result = shortest_path_navigable(dual_phi, dual_s, dual_t, trace=trace)
+            # an out-of-range error names the endpoint given, not its image
+            _check_assignment(n, s)
+            _check_assignment(n, t)
+            mask = (1 << n) - 1
+            result = shortest_path_navigable(
+                compiled.complemented(), s ^ mask, t ^ mask, trace=trace
+            )
             if result.flips is not None:
-                result.flips = dualize_flips(result.flips)
-                if apply_sequence(phi, s, result.flips) != t:
+                result.flips = tuple(f.inverse() for f in result.flips)
+                if apply_sequence(compiled, s, result.flips) != t:
                     raise TheoryError("mirrored sequence does not reach the target")
         result.classification = cls
         return result
 
-    _satisfying_state(phi, s, "source")
-    _satisfying_state(phi, t, "target")
+    satisfying_state(compiled, s, "source")
+    satisfying_state(compiled, t, "target")
     oracle = None
-    if allow_oracle and phi.num_vars <= cap:
-        oracle = bfs_shortest(phi, s, t, cap=cap)
-    n = phi.num_vars
+    if allow_oracle and n <= cap:
+        oracle = bfs_shortest(compiled, s, t, cap=cap)
     return SolveResult(
         Outcome.HARD,
         classification=cls,

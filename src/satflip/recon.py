@@ -2,7 +2,8 @@
 
 This is the brute-force reference every solver in the package is
 validated against: it enumerates the full assignment space (capped) and
-runs plain BFS, sharing no machinery with the order-based solver.
+runs plain BFS, sharing no machinery with the order-based solver. Like
+the solvers, it reads a formula's compiled form, ``phi.compiled``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import TYPE_CHECKING
 from .bits import to_bitstring, var_bit
 from .errors import PreconditionError, TheoryError
 from .flip_order import Flip, path_line
-from .formula import Formula, first_violated_clause
+from .formula import CompiledFormula, satisfying_state
 
 # numpy is imported inside the functions that use it, so that importing
 # satflip, and the commands that never search, do not load it.
@@ -38,8 +39,8 @@ def check_cap(cap: int) -> None:
         )
 
 
-def sat_mask(phi: Formula) -> np.ndarray:
-    """Boolean array over all 2^n assignments, True where phi holds.
+def sat_mask(compiled: CompiledFormula) -> np.ndarray:
+    """Boolean array over all 2^n assignments, True where the formula holds.
 
     Built clause by clause from the compiled accept masks: each
     falsifying local tuple of a clause wipes one subcube of the mask (all
@@ -48,10 +49,9 @@ def sat_mask(phi: Formula) -> np.ndarray:
     """
     import numpy as np
 
-    n = phi.num_vars
+    n = compiled.num_vars
     mask = np.ones(1 << n, dtype=bool)
     view = mask.reshape((2,) * n)
-    compiled = phi.compiled
     for variables, accept in zip(compiled.variables, compiled.accept):
         k = len(variables)
         for local in range(1 << k):
@@ -73,16 +73,16 @@ class ReconGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-def build_graph(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> ReconGraph:
+def build_graph(compiled: CompiledFormula, cap: int = DEFAULT_STATE_CAP) -> ReconGraph:
     check_cap(cap)
-    n = phi.num_vars
+    n = compiled.num_vars
     if n > cap:
         raise PreconditionError(
             f"formula has {n} variables, above the explicit-graph cap {cap}"
         )
     import numpy as np
 
-    mask = sat_mask(phi)
+    mask = sat_mask(compiled)
     states = np.flatnonzero(mask)
     edges: list[tuple[int, int]] = []
     for i in range(1, n + 1):
@@ -112,7 +112,9 @@ class PathResult:
         return path_line(self.flips)
 
 
-def bfs_shortest(phi: Formula, s: int, t: int, cap: int = DEFAULT_STATE_CAP) -> PathResult:
+def bfs_shortest(
+    compiled: CompiledFormula, s: int, t: int, cap: int = DEFAULT_STATE_CAP
+) -> PathResult:
     """Genuinely shortest flip sequence from s to t by breadth-first search.
 
     Distances are computed from the target, then the path is rebuilt from
@@ -121,21 +123,17 @@ def bfs_shortest(phi: Formula, s: int, t: int, cap: int = DEFAULT_STATE_CAP) -> 
     lexicographically first shortest sequence.
     """
     check_cap(cap)
-    n = phi.num_vars
+    n = compiled.num_vars
     if n > cap:
         raise PreconditionError(f"formula has {n} variables, above the oracle cap {cap}")
-    for label, a in (("source", s), ("target", t)):
-        bad = first_violated_clause(phi, a)
-        if bad is not None:
-            raise PreconditionError(
-                f"{label} assignment does not satisfy clause {bad}"
-            )
+    satisfying_state(compiled, s, "source")
+    satisfying_state(compiled, t, "target")
     if s == t:
         return PathResult(())
 
     import numpy as np
 
-    mask = sat_mask(phi)
+    mask = sat_mask(compiled)
     dist = np.full(1 << n, -1, dtype=np.int32)
     dist[t] = 0
     frontier = np.array([t], dtype=np.int64)

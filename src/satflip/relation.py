@@ -119,6 +119,21 @@ class Relation:
         return Relation(self.arity, frozenset(t ^ mask for t in self.tuples))
 
 
+def pack_tuple(entries, value: int, width: int) -> int:
+    """The tuple `entries` read, first entry highest: a constant gives its
+    bit, an int i position i of the `width`-bit `value`."""
+    v = 0
+    for e in entries:
+        if e == CONST0:
+            b = 0
+        elif e == CONST1:
+            b = 1
+        else:
+            b = (value >> (width - e)) & 1
+        v = (v << 1) | b
+    return v
+
+
 @dataclass(frozen=True)
 class RestrictionMap:
     """Assignment of every source position to a target position or constant.
@@ -157,19 +172,6 @@ class RestrictionMap:
     def identity(cls, arity: int) -> "RestrictionMap":
         return cls(arity, arity, tuple(range(1, arity + 1)))
 
-    def image(self, r: int) -> int:
-        """Expand a target tuple into the source tuple it induces."""
-        v = 0
-        for e in self.entries:
-            if e == CONST0:
-                b = 0
-            elif e == CONST1:
-                b = 1
-            else:
-                b = (r >> (self.target_arity - e)) & 1
-            v = (v << 1) | b
-        return v
-
     def then(self, other: "RestrictionMap") -> "RestrictionMap":
         """Compose: restricting by self and then by other equals
         restricting once by the returned map."""
@@ -189,19 +191,18 @@ def restrict(relation: Relation, rmap: RestrictionMap) -> Relation:
     the source tuple it induces is accepted.
 
     An uncovered target coordinate is free: flipping it keeps a tuple in
-    the restriction. `rmap.image` is injective on the covered coordinates,
-    so the restriction has at most ``len(relation.tuples) * 2**u`` tuples,
-    where ``u`` is the number of uncovered target positions; a covering
-    map never grows the relation.
+    the restriction. The induced source tuple (:func:`pack_tuple`) is
+    injective on the covered coordinates, so the restriction has at most
+    ``len(relation.tuples) * 2**u`` tuples, where ``u`` is the number of
+    uncovered target positions; a covering map never grows the relation.
     """
     if rmap.source_arity != relation.arity:
         raise PreconditionError(
             f"map source arity {rmap.source_arity} != relation arity {relation.arity}"
         )
-    keep = frozenset(
-        r for r in range(1 << rmap.target_arity) if rmap.image(r) in relation.tuples
-    )
-    return Relation(rmap.target_arity, keep)
+    k = rmap.target_arity
+    keep = (r for r in range(1 << k) if pack_tuple(rmap.entries, r, k) in relation.tuples)
+    return Relation(k, frozenset(keep))
 
 
 def all_restrictions(relation: Relation, target_arity: int):
@@ -358,16 +359,11 @@ def _table_components(arity: int, tables) -> set[int]:
     return comps
 
 
-def _closed_under(relation: Relation, op, n: int) -> bool:
-    """True iff ``op`` maps every n distinct tuples of the relation into
-    the relation. Repeated arguments need no check: when two arguments
-    coincide, each op used here returns one of its arguments."""
+def _closed_under(relation: Relation, op) -> bool:
+    """True iff ``op`` maps every two distinct tuples of the relation into
+    the relation; AND and OR of a tuple with itself return it."""
     ts = relation.tuples
-    return all(t in ts for t in itertools.starmap(op, itertools.combinations(ts, n)))
-
-
-def _xor3(a: int, b: int, c: int) -> int:
-    return a ^ b ^ c
+    return all(t in ts for t in itertools.starmap(op, itertools.combinations(ts, 2)))
 
 
 # Bounded: is_componentwise_bijunctive asks it for every Hamming component
@@ -404,19 +400,34 @@ def is_bijunctive(relation: Relation) -> bool:
 @lru_cache(maxsize=None)
 def is_horn(relation: Relation) -> bool:
     """Closed under coordinatewise AND."""
-    return _closed_under(relation, operator.and_, 2)
+    return _closed_under(relation, operator.and_)
 
 
 @lru_cache(maxsize=None)
 def is_dual_horn(relation: Relation) -> bool:
     """Closed under coordinatewise OR."""
-    return _closed_under(relation, operator.or_, 2)
+    return _closed_under(relation, operator.or_)
 
 
 @lru_cache(maxsize=None)
 def is_affine(relation: Relation) -> bool:
-    """Closed under coordinatewise XOR of three tuples."""
-    return _closed_under(relation, _xor3, 3)
+    """Closed under coordinatewise XOR of three tuples, i.e. empty or a
+    coset of a linear subspace: xored with one of its tuples it must be
+    its whole span, whose rank r elimination finds, so it has 2^r tuples."""
+    tuples = relation.tuples
+    if not tuples:
+        return True
+    base = next(iter(tuples))
+    basis = {}  # leading bit -> basis vector with that leading bit
+    for t in tuples:
+        x = t ^ base
+        while x:
+            top = x.bit_length()
+            if top not in basis:
+                basis[top] = x
+                break
+            x ^= basis[top]
+    return len(tuples) == 1 << len(basis)
 
 
 @lru_cache(maxsize=None)

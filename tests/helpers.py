@@ -130,6 +130,15 @@ def majority_closed(rel):
     )
 
 
+def xor3_closed(rel):
+    """Affinity by definition: the coordinatewise XOR of every three
+    distinct tuples is a tuple (with a repeated argument, XOR returns the
+    third one)."""
+    return all(
+        a ^ b ^ c in rel.tuples for a, b, c in itertools.combinations(rel.tuples, 3)
+    )
+
+
 def two_cnf_relation(arity, rng, clauses):
     """The solution set of `clauses` random clauses of width 1 and 2, a
     bijunctive relation by construction."""

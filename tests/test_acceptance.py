@@ -73,8 +73,8 @@ def test_criterion_2_oracle_equivalence_primal():
     if len(instances) < 500:
         failures.append(f"only generated {len(instances)} instances")
     for i, (phi, s, t) in enumerate(instances):
-        res = shortest_path_navigable(phi, s, t)
-        ref = bfs_shortest(phi, s, t)
+        res = shortest_path_navigable(phi.compiled, s, t)
+        ref = bfs_shortest(phi.compiled, s, t)
         if (res.outcome is Outcome.PATH) != ref.connected:
             failures.append(f"instance {i}: connectivity mismatch")
         elif ref.connected and res.length != ref.length:
@@ -95,13 +95,13 @@ def test_criterion_3_oracle_equivalence_dual():
     for i, primal in enumerate(instances):
         phi, s, t = dualize(*primal)
         res = solve(phi, s, t)
-        ref = bfs_shortest(phi, s, t)
+        ref = bfs_shortest(phi.compiled, s, t)
         if (res.outcome is Outcome.PATH) != ref.connected:
             failures.append(f"instance {i}: connectivity mismatch")
         elif ref.connected:
             if res.length != ref.length:
                 failures.append(f"instance {i}: {res.length} vs {ref.length}")
-            elif apply_sequence(phi, s, res.flips) != t:
+            elif apply_sequence(phi.compiled, s, res.flips) != t:
                 failures.append(f"instance {i}: path does not reach target")
     _report(3, f"{len(instances)} dualized instances vs oracle", failures,
             time.perf_counter() - start)
@@ -160,8 +160,8 @@ def test_criterion_6_canonicalization():
     for phi, s, _ in instances:
         for _ in range(10):
             flips, end = random_walk(phi, s, rng.randint(0, 14), rng)
-            out = canonicalize(phi, s, flips)
-            if apply_sequence(phi, s, out) != end:
+            out = canonicalize(phi.compiled, s, flips)
+            if apply_sequence(phi.compiled, s, out) != end:
                 failures.append("endpoint changed")
             signs = [f.up for f in out]
             if signs != sorted(signs, reverse=True):
@@ -203,8 +203,8 @@ def test_criterion_7_componentwise_bijunctive():
             )
         except GenerationError:
             continue
-        res = shortest_path_cwb(phi, s, t)
-        ref = bfs_shortest(phi, s, t)
+        res = shortest_path_cwb(phi.compiled, s, t)
+        ref = bfs_shortest(phi.compiled, s, t)
         if (res.outcome is Outcome.PATH) != ref.connected:
             failures.append(f"instance {checked}: connectivity mismatch")
         elif ref.connected:
@@ -260,7 +260,7 @@ def test_criterion_8_reduction_fidelity():
     equal = 0
     for graph in classes.values():
         phi, s, t = gen_vertex_cover_instance(graph)
-        res = bfs_shortest(phi, s, t, cap=26)
+        res = bfs_shortest(phi.compiled, s, t, cap=26)
         want = 2 * len(graph.edges) + 2 * min_vertex_cover_size(graph)
         if res.length != want:
             failures.append(f"length {res.length} != {want} for {graph}")

@@ -123,17 +123,17 @@ class TestRelationPartialOrder:
 
 class TestFormulaFlipDag:
     def test_single_clause_chain(self):
-        dag = formula_flip_dag(PATH_PHI, 0b000)
+        dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
         assert dag.nodes == frozenset({1, 2, 3})
         assert dag.closure() == frozenset({(3, 1), (3, 2), (1, 2)})
 
     def test_conflicting_clauses_prune_cycle(self):
         phi = Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)), Clause("imp", (2, 1))))
-        dag = formula_flip_dag(phi, 0b00)
+        dag = formula_flip_dag(phi.compiled, 0b00)
         assert dag.nodes == frozenset()
 
     def test_free_variables_are_isolated_nodes(self):
-        dag = formula_flip_dag(Formula(2, (), ()), 0b00)
+        dag = formula_flip_dag(Formula(2, (), ()).compiled, 0b00)
         assert dag.nodes == frozenset({1, 2})
         assert dag.edges == frozenset()
 
@@ -146,18 +146,18 @@ class TestFormulaFlipDag:
             (("or2", or2), ("zero", zero)),
             (Clause("or2", (1, 2)), Clause("zero", (1,))),
         )
-        dag = formula_flip_dag(phi, 0b01)
+        dag = formula_flip_dag(phi.compiled, 0b01)
         assert dag.nodes == frozenset()
 
     def test_requires_satisfying_state(self):
         with pytest.raises(PreconditionError):
-            formula_flip_dag(PATH_PHI, 0b010)
+            formula_flip_dag(PATH_PHI.compiled, 0b010)
 
     def test_cycle_drops_what_it_feeds(self):
         # x1 <-> x2 (each must rise first) feeds x2 -> x3; x4 is free
         clauses = (Clause("imp", (1, 2)), Clause("imp", (2, 1)), Clause("imp", (2, 3)))
         phi = Formula(4, (("imp", IMP),), clauses)
-        dag = formula_flip_dag(phi, 0b0000)
+        dag = formula_flip_dag(phi.compiled, 0b0000)
         assert dag.nodes == frozenset({4}) == frozenset(positive_flip_variables(phi, 0))
         assert dag.edges == frozenset()
 
@@ -171,37 +171,19 @@ class TestFormulaFlipDag:
             (("imp", IMP), ("zero", zero)),
             (Clause("zero", (pinned,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
         )
-        dag = formula_flip_dag(phi, 0b0000)
+        dag = formula_flip_dag(phi.compiled, 0b0000)
         assert dag.nodes == frozenset(survivors) == frozenset(positive_flip_variables(phi, 0))
         assert dag.edges == frozenset()
-
-    def test_state_equals_assignment(self):
-        # a FlipState advanced by checked flips gives the DAG of its assignment
-        rng = random.Random(71)
-        for phi, s, _ in navigable_corpus(60, seed=67, max_vars=10, max_clauses=6):
-            state = flip_state(phi, s)
-            for _ in range(3):
-                assert formula_flip_dag(phi, state) == formula_flip_dag(phi, state.assignment)
-                for _ in range(phi.num_vars):
-                    v = rng.randint(1, phi.num_vars)
-                    if state.can_flip(v):
-                        state.flip(v)
-
-    def test_rejects_state_of_another_formula(self):
-        twin = Formula(3, PATH_PHI.relations, PATH_PHI.clauses)
-        with pytest.raises(PreconditionError, match="another formula"):
-            formula_flip_dag(PATH_PHI, flip_state(twin, 0b000))
-        assert formula_flip_dag(twin, flip_state(twin, 0b000)).nodes == {1, 2, 3}
 
     def test_requires_right_relation_class(self):
         nand = Relation.from_bitstrings(["00", "01", "10"])
         phi = Formula(2, (("nand", nand),), (Clause("nand", (1, 2)),))
         with pytest.raises(PreconditionError):
-            formula_flip_dag(phi, 0b00)
+            formula_flip_dag(phi.compiled, 0b00)
 
     def test_nodes_match_reachability_oracle(self):
         for phi, s, _ in navigable_corpus(80, seed=47, max_vars=10, max_clauses=6):
-            dag = formula_flip_dag(phi, s)
+            dag = formula_flip_dag(phi.compiled, s)
             assert dag.nodes == frozenset(positive_flip_variables(phi, s))
 
     def test_sequences_match_enumeration_on_tiny_instances(self):
@@ -209,7 +191,7 @@ class TestFormulaFlipDag:
         for phi, s, _ in navigable_corpus(
             120, seed=53, max_vars=6, max_clauses=4, max_arity=3
         ):
-            dag = formula_flip_dag(phi, s)
+            dag = formula_flip_dag(phi.compiled, s)
             got = order_obeying_sequences(dag.nodes, dag.closure())
             assert got == enum_positive_sequences(phi, s)
             count += 1
@@ -218,7 +200,7 @@ class TestFormulaFlipDag:
 
 class TestLowerSets:
     def chain_dag(self):
-        return formula_flip_dag(PATH_PHI, 0b000)
+        return formula_flip_dag(PATH_PHI.compiled, 0b000)
 
     def test_chain_closure(self):
         assert smallest_lower_set(self.chain_dag(), {2}) == frozenset({1, 2, 3})
@@ -237,7 +219,7 @@ class TestLowerSets:
     def test_minimality(self):
         # removing any element not in the seed breaks closure or containment
         for phi, s, _ in navigable_corpus(30, seed=61, max_vars=8, max_clauses=5):
-            dag = formula_flip_dag(phi, s)
+            dag = formula_flip_dag(phi.compiled, s)
             nodes = sorted(dag.nodes)
             if not nodes:
                 continue
@@ -255,7 +237,7 @@ class TestLowerSets:
 
 class TestOrderRespectingSequence:
     def test_chain_unique(self):
-        dag = formula_flip_dag(PATH_PHI, 0b000)
+        dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
         seq = order_respecting_sequence(dag, {1, 2, 3})
         assert seq == (Flip(3, True), Flip(1, True), Flip(2, True))
 
@@ -268,15 +250,15 @@ class TestOrderRespectingSequence:
         assert order_respecting_sequence(dag, set()) == ()
 
     def test_rejects_non_lower_sets(self):
-        dag = formula_flip_dag(PATH_PHI, 0b000)
+        dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
         with pytest.raises(PreconditionError, match="downward"):
             order_respecting_sequence(dag, {2})
 
 
-def dag_route(phi, state, want):
+def dag_route(state, want):
     """The lower set's sequence through the whole flip DAG, or None when
     some wanted flip is not one of its nodes."""
-    dag = formula_flip_dag(phi, state)
+    dag = formula_flip_dag(state.compiled, state.assignment)
     if not set(want) <= dag.nodes:
         return None
     return order_respecting_sequence(dag, smallest_lower_set(dag, want))
@@ -298,22 +280,22 @@ def stride2_window(n):
 
 class TestLowerSetSequence:
     def test_chain(self):
-        state = flip_state(PATH_PHI, 0b000)
+        state = flip_state(PATH_PHI.compiled, 0b000)
         assert lower_set_sequence(state, {2}) == (Flip(3, True), Flip(1, True), Flip(2, True))
         assert lower_set_sequence(state, {1}) == (Flip(3, True), Flip(1, True))
 
     def test_empty_wanted_set(self):
-        assert lower_set_sequence(flip_state(PATH_PHI, 0b000), ()) == ()
+        assert lower_set_sequence(flip_state(PATH_PHI.compiled, 0b000), ()) == ()
 
     def test_variable_in_no_clause(self):
         # x4 is free: it needs nothing, and ties break by lowest index
         phi = Formula(4, PATH_PHI.relations, PATH_PHI.clauses)
-        state = flip_state(phi, 0b0000)
+        state = flip_state(phi.compiled, 0b0000)
         assert lower_set_sequence(state, {4}) == (Flip(4, True),)
         assert lower_set_sequence(state, {4, 2}) == (
             Flip(3, True), Flip(1, True), Flip(2, True), Flip(4, True)
         )
-        assert lower_set_sequence(flip_state(Formula(2, (), ()), 0b00), {2}) == (Flip(2, True),)
+        assert lower_set_sequence(flip_state(Formula(2, (), ()).compiled, 0b00), {2}) == (Flip(2, True),)
 
     @pytest.mark.parametrize("pinned, want, expected", [
         (1, {3}, None),  # x1 is blocked, and x3 needs x2 needs x1
@@ -329,8 +311,8 @@ class TestLowerSetSequence:
             (("imp", IMP), ("zero", zero)),
             (Clause("zero", (pinned,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
         )
-        state = flip_state(phi, 0b0000)
-        assert lower_set_sequence(state, want) == expected == dag_route(phi, state, want)
+        state = flip_state(phi.compiled, 0b0000)
+        assert lower_set_sequence(state, want) == expected == dag_route(state, want)
 
     @pytest.mark.parametrize("want, expected", [
         ({3}, None),  # x3 needs x2, which sits on the cycle x1 <-> x2
@@ -341,25 +323,25 @@ class TestLowerSetSequence:
     def test_cycle_among_ancestors(self, want, expected):
         clauses = (Clause("imp", (1, 2)), Clause("imp", (2, 1)), Clause("imp", (2, 3)))
         phi = Formula(4, (("imp", IMP),), clauses)
-        state = flip_state(phi, 0b0000)
-        assert lower_set_sequence(state, want) == expected == dag_route(phi, state, want)
+        state = flip_state(phi.compiled, 0b0000)
+        assert lower_set_sequence(state, want) == expected == dag_route(state, want)
 
     def test_wanted_variable_already_raised(self):
-        state = flip_state(PATH_PHI, 0b001)
+        state = flip_state(PATH_PHI.compiled, 0b001)
         assert lower_set_sequence(state, {3}) is None
         assert lower_set_sequence(state, {1, 3}) is None
         # a variable in no clause has no local order to say so
-        assert lower_set_sequence(flip_state(Formula(2, (), ()), 0b01), {2}) is None
+        assert lower_set_sequence(flip_state(Formula(2, (), ()).compiled, 0b01), {2}) is None
 
     def test_rejects_variable_out_of_range(self):
         with pytest.raises(PreconditionError, match="x4 names no variable"):
-            lower_set_sequence(flip_state(PATH_PHI, 0b000), {4})
+            lower_set_sequence(flip_state(PATH_PHI.compiled, 0b000), {4})
 
     def test_matches_dag_route_on_corpus(self):
         rng = random.Random(97)
         outcomes = {True: 0, False: 0}
         for phi, s, _ in navigable_corpus(80, seed=89, max_vars=10, max_clauses=7):
-            state = flip_state(phi, s)
+            state = flip_state(phi.compiled, s)
             for _ in range(3):
                 for _ in range(rng.randint(0, phi.num_vars)):
                     v = rng.randint(1, phi.num_vars)
@@ -371,7 +353,7 @@ class TestLowerSetSequence:
                     before = state.assignment
                     got = lower_set_sequence(state, want)
                     assert state.assignment == before
-                    assert got == dag_route(phi, state, want)
+                    assert got == dag_route(state, want)
                     outcomes[got is None] += 1
         assert min(outcomes.values()) >= 50
 
@@ -381,13 +363,13 @@ class TestLowerSetSequence:
         n = phi.num_vars
         sat = [a for a in range(1 << n) if evaluate(phi, a)]
         assume(sat)
-        state = flip_state(phi, data.draw(st.sampled_from(sat)))
+        state = flip_state(phi.compiled, data.draw(st.sampled_from(sat)))
         for v in data.draw(st.lists(st.integers(1, n), max_size=2 * n)):
             if state.can_flip(v):
                 state.flip(v)
         zeros = zero_vars(state)
         want = data.draw(st.sets(st.sampled_from(zeros))) if zeros else set()
-        assert lower_set_sequence(state, want) == dag_route(phi, state, want)
+        assert lower_set_sequence(state, want) == dag_route(state, want)
 
     def test_reads_only_the_ancestors_clauses(self, monkeypatch):
         # n = 4801: x1..x2403 odd and even at 0, every odd x >= 2405 at 1;
@@ -395,7 +377,7 @@ class TestLowerSetSequence:
         n = 4801
         phi = stride2_window(n)
         a = sum(1 << (n - v) for v in range(2405, n + 1, 2))
-        state = flip_state(phi, a)
+        state = flip_state(phi.compiled, a)
         assert state.violated() is None
         lookups = []
         counted = flip_order._local_order
@@ -408,7 +390,7 @@ class TestLowerSetSequence:
         got = lower_set_sequence(state, {2400})
         assert got == (Flip(2403, True), Flip(2401, True), Flip(2399, True), Flip(2400, True))
         assert len(lookups) <= 8  # one per clause of each variable reached
-        assert got == dag_route(phi, state, {2400})
+        assert got == dag_route(state, {2400})
         assert len(lookups) > n // 2  # the DAG route reads every clause
         advance(state, got)
 
@@ -420,15 +402,15 @@ class TestApplySequence:
     @pytest.mark.parametrize("bad", [Flip(3, True), Flip(0, True), Flip(-1, False)])
     def test_out_of_range_flip(self, check, bad):
         with pytest.raises(FlipSequenceError, match="flip 2: .*no variable in 1..2") as err:
-            apply_sequence(self.IMP_PHI, 0b00, (Flip(1, True), bad), check=check)
+            apply_sequence(self.IMP_PHI.compiled, 0b00, (Flip(1, True), bad), check=check)
         assert err.value.index == 1
 
     def test_advance_keeps_flips_before_the_bad_one(self):
-        state = flip_state(PATH_PHI, 0b000)
+        state = flip_state(PATH_PHI.compiled, 0b000)
         with pytest.raises(FlipSequenceError, match="flip 2: prefix ending at x2") as err:
             advance(state, (Flip(3, True), Flip(2, True)))  # 011 is not in PATH5
         assert err.value.index == 1 and state.assignment == 0b001
-        assert state.local == flip_state(PATH_PHI, 0b001).local
+        assert state.local == flip_state(PATH_PHI.compiled, 0b001).local
 
     def test_messages(self):
         cases = [
@@ -438,18 +420,18 @@ class TestApplySequence:
         ]
         for flips, index, message in cases:
             with pytest.raises(FlipSequenceError, match=f"flip {index + 1}: .*{message}") as err:
-                apply_sequence(self.IMP_PHI, 0b00, flips)
+                apply_sequence(self.IMP_PHI.compiled, 0b00, flips)
             assert err.value.index == index
 
     def test_rejects_unsatisfying_start(self):
         with pytest.raises(PreconditionError, match="start assignment"):
-            apply_sequence(self.IMP_PHI, 0b01, ())
+            apply_sequence(self.IMP_PHI.compiled, 0b01, ())
 
     @pytest.mark.parametrize("check", [True, False])
     @pytest.mark.parametrize("start", [1 << 10, 0b100, -1])
     def test_out_of_range_start(self, check, start):
         with pytest.raises(PreconditionError, match="out of range for 2 variables"):
-            apply_sequence(self.IMP_PHI, start, (Flip(1, True),), check=check)
+            apply_sequence(self.IMP_PHI.compiled, start, (Flip(1, True),), check=check)
 
     def test_first_bad_index_matches_replay(self):
         rng = random.Random(83)
@@ -462,7 +444,7 @@ class TestApplySequence:
                              Flip(rng.randint(0, n + 1), rng.random() < 0.5))
                 want = replay_first_bad_flip(phi, s, flips)
                 try:
-                    apply_sequence(phi, s, flips)
+                    apply_sequence(phi.compiled, s, flips)
                     got = None
                 except FlipSequenceError as exc:
                     got = exc.index
@@ -474,21 +456,21 @@ class TestApplySequence:
 class TestCanonicalize:
     def test_already_canonical(self):
         seq = (Flip(3, True), Flip(1, True), Flip(2, True), Flip(3, False))
-        assert canonicalize(PATH_PHI, 0b000, seq) == seq
+        assert canonicalize(PATH_PHI.compiled, 0b000, seq) == seq
 
     def test_swap(self):
         phi = Formula(2, (("full", Relation.full(2)),), (Clause("full", (1, 2)),))
         seq = (Flip(1, False), Flip(2, True))  # valid at 10
-        assert canonicalize(phi, 0b10, seq) == (Flip(2, True), Flip(1, False))
+        assert canonicalize(phi.compiled, 0b10, seq) == (Flip(2, True), Flip(1, False))
 
     def test_cancel(self):
         phi = Formula(1, (), ())
-        assert canonicalize(phi, 0b1, (Flip(1, False), Flip(1, True))) == ()
+        assert canonicalize(phi.compiled, 0b1, (Flip(1, False), Flip(1, True))) == ()
 
     def test_invalid_input_reports_first_prefix(self):
         seq = (Flip(3, True), Flip(2, True))
         with pytest.raises(FlipSequenceError) as err:
-            canonicalize(PATH_PHI, 0b000, seq)
+            canonicalize(PATH_PHI.compiled, 0b000, seq)
         assert err.value.index == 1
 
     def test_walks_canonicalize(self):
@@ -497,8 +479,8 @@ class TestCanonicalize:
         for phi, s, _ in navigable_corpus(40, seed=73, max_vars=8, max_clauses=5):
             for _ in range(5):
                 flips, end = random_walk(phi, s, rng.randint(0, 12), rng)
-                out = canonicalize(phi, s, flips)
-                assert apply_sequence(phi, s, out) == end
+                out = canonicalize(phi.compiled, s, flips)
+                assert apply_sequence(phi.compiled, s, out) == end
                 signs = [f.up for f in out]
                 assert signs == sorted(signs, reverse=True)  # ups before downs
                 assert len(set(out)) == len(out)
@@ -515,7 +497,7 @@ class TestCanonicalize:
 
 class TestDagDot:
     def test_chain_golden(self):
-        dag = formula_flip_dag(PATH_PHI, 0b000)
+        dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
         assert dag_to_dot(dag) == (
             "digraph fliporder {\n"
             '  "x1+";\n'

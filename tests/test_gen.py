@@ -87,7 +87,7 @@ class TestVertexCoverInstance:
         phi, s, t = gen_vertex_cover_instance(SINGLE_EDGE)
         assert phi.num_vars == 5
         assert len(phi.clauses) == 2
-        assert bfs_shortest(phi, s, t).length == 4  # 2|E| + 2*mvc = 2 + 2
+        assert bfs_shortest(phi.compiled, s, t).length == 4  # 2|E| + 2*mvc = 2 + 2
 
     def test_empty_graph(self):
         phi, s, t = gen_vertex_cover_instance(SimpleGraph(2, ()))
@@ -111,7 +111,7 @@ class TestVertexCoverInstance:
         for g in [SINGLE_EDGE, K3, SimpleGraph(4, ((1, 2), (3, 4)))]:
             phi, s, t = gen_vertex_cover_instance(g)
             want = 2 * len(g.edges) + 2 * min_vertex_cover_size(g)
-            assert bfs_shortest(phi, s, t).length == want
+            assert bfs_shortest(phi.compiled, s, t).length == want
 
 
 class TestIndependentSetInstance:
@@ -125,7 +125,7 @@ class TestIndependentSetInstance:
     def test_single_edge_oracle(self):
         phi, s, t = gen_independent_set_instance(SINGLE_EDGE)
         assert evaluate(phi, s) and evaluate(phi, t)
-        assert bfs_shortest(phi, s, t).length == 4
+        assert bfs_shortest(phi.compiled, s, t).length == 4
 
     def test_solve_reports_hard(self):
         phi, s, t = gen_independent_set_instance(K3)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from satflip import (
+    CONST0,
     Clause,
     Flip,
     Formula,
@@ -17,7 +18,6 @@ from satflip import (
     bfs_shortest,
     classify_formula,
     dualize,
-    dualize_flips,
     evaluate,
     relation_flags,
     shortest_path_cwb,
@@ -45,26 +45,27 @@ IMP = Relation.from_bitstrings(["00", "10", "11"])
 EQ_PHI = Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)), Clause("imp", (2, 1))))
 OR2 = Relation.from_bitstrings(["01", "10", "11"])
 XOR2 = Relation.from_bitstrings(["01", "10"])
+NAND = Relation.from_bitstrings(["00", "01", "10"])
 
 
 class TestNavigableSolver:
     def test_counterexample_sequence(self):
-        res = shortest_path_navigable(PATH_PHI, 0b000, 0b110)
+        res = shortest_path_navigable(PATH_PHI.compiled, 0b000, 0b110)
         assert res.outcome is Outcome.PATH
         assert res.flips == (Flip(3, True), Flip(1, True), Flip(2, True), Flip(3, False))
         assert res.length == 4 and hamming(0b000, 0b110) == 2
 
     def test_equal_endpoints(self):
-        res = shortest_path_navigable(PATH_PHI, 0b111, 0b111)
+        res = shortest_path_navigable(PATH_PHI.compiled, 0b111, 0b111)
         assert res.flips == ()
 
     def test_not_connected_via_pruned_nodes(self):
-        res = shortest_path_navigable(EQ_PHI, 0b00, 0b11)
+        res = shortest_path_navigable(EQ_PHI.compiled, 0b00, 0b11)
         assert res.outcome is Outcome.NOT_CONNECTED
 
     def test_rejects_unsatisfying_endpoint(self):
         with pytest.raises(PreconditionError, match="clause 1"):
-            shortest_path_navigable(PATH_PHI, 0b010, 0b110)
+            shortest_path_navigable(PATH_PHI.compiled, 0b010, 0b110)
 
     @pytest.mark.parametrize("side, bad, message", [
         (0, Flip(2, True), "flip 1: prefix ending at x2\\+ falsifies"),  # 000 -> 010
@@ -82,22 +83,22 @@ class TestNavigableSolver:
 
         monkeypatch.setattr(navigate, "lower_set_sequence", wrong_on_one_side)
         with pytest.raises(TheoryError, match="falsified the formula: " + message):
-            shortest_path_navigable(PATH_PHI, 0b000, 0b110)
+            shortest_path_navigable(PATH_PHI.compiled, 0b000, 0b110)
 
     def test_rejects_wrong_class(self):
         nand = Relation.from_bitstrings(["00", "01", "10"])
         phi = Formula(2, (("nand", nand),), (Clause("nand", (1, 2)),))
         with pytest.raises(PreconditionError, match="NAND-free"):
-            shortest_path_navigable(phi, 0b00, 0b01)
+            shortest_path_navigable(phi.compiled, 0b00, 0b01)
 
     def test_matches_oracle_on_fuzz(self):
         for phi, s, t in navigable_corpus(120, seed=2001):
-            res = shortest_path_navigable(phi, s, t)
-            ref = bfs_shortest(phi, s, t)
+            res = shortest_path_navigable(phi.compiled, s, t)
+            ref = bfs_shortest(phi.compiled, s, t)
             assert (res.outcome is Outcome.PATH) == ref.connected
             if ref.connected:
                 assert res.length == ref.length
-                assert apply_sequence(phi, s, res.flips) == t
+                assert apply_sequence(phi.compiled, s, res.flips) == t
                 assert res.length >= hamming(s, t)
                 assert res.length % 2 == hamming(s, t) % 2
                 assert res.stats.levels <= res.stats.eta_entry + 1
@@ -105,7 +106,7 @@ class TestNavigableSolver:
     def test_trace_levels_decrease_eta(self):
         seen = []
         shortest_path_navigable(
-            PATH_PHI, 0b000, 0b110, trace=lambda **kw: seen.append(kw["eta"])
+            PATH_PHI.compiled, 0b000, 0b110, trace=lambda **kw: seen.append(kw["eta"])
         )
         assert seen == sorted(seen, reverse=True)
 
@@ -113,20 +114,20 @@ class TestNavigableSolver:
 class TestCwbSolver:
     def test_or_clause(self):
         phi = Formula(2, (("or2", OR2),), (Clause("or2", (1, 2)),))
-        res = shortest_path_cwb(phi, 0b01, 0b10)
+        res = shortest_path_cwb(phi.compiled, 0b01, 0b10)
         assert res.flips == (Flip(1, True), Flip(2, False))
 
     def test_equal_endpoints(self):
         phi = Formula(2, (("or2", OR2),), (Clause("or2", (1, 2)),))
-        assert shortest_path_cwb(phi, 0b01, 0b01).flips == ()
+        assert shortest_path_cwb(phi.compiled, 0b01, 0b01).flips == ()
 
     def test_xor_not_connected(self):
         phi = Formula(2, (("xor", XOR2),), (Clause("xor", (1, 2)),))
-        assert shortest_path_cwb(phi, 0b01, 0b10).outcome is Outcome.NOT_CONNECTED
+        assert shortest_path_cwb(phi.compiled, 0b01, 0b10).outcome is Outcome.NOT_CONNECTED
 
     def test_rejects_wrong_class(self):
         with pytest.raises(PreconditionError, match="bijunctive"):
-            shortest_path_cwb(PATH_PHI, 0b000, 0b110)
+            shortest_path_cwb(PATH_PHI.compiled, 0b000, 0b110)
 
     def test_hamming_length_against_oracle(self):
         two_clause_rels = {
@@ -149,8 +150,8 @@ class TestCwbSolver:
                 )
             except GenerationError:
                 continue
-            res = shortest_path_cwb(phi, s, t)
-            ref = bfs_shortest(phi, s, t)
+            res = shortest_path_cwb(phi.compiled, s, t)
+            ref = bfs_shortest(phi.compiled, s, t)
             assert (res.outcome is Outcome.PATH) == ref.connected
             if ref.connected:
                 assert res.length == ref.length == hamming(s, t)
@@ -175,7 +176,7 @@ class TestCwbSolver:
                 )
             except GenerationError:
                 continue
-            res = shortest_path_cwb(phi, s, t)
+            res = shortest_path_cwb(phi.compiled, s, t)
             want = rescan_cwb_walk(phi, s, t)
             assert res.flips == want
             assert (res.outcome is Outcome.PATH) == (want is not None)
@@ -189,7 +190,7 @@ class TestCwbSolver:
         phi = Formula(n, (("imp", IMP),), chain)
         for j in (0, 7, 39):
             t = (1 << (n - j)) - 1
-            res = shortest_path_cwb(phi, 0, t)
+            res = shortest_path_cwb(phi.compiled, 0, t)
             assert res.flips == rescan_cwb_walk(phi, 0, t)
             assert [f.var for f in res.flips] == list(range(n, j, -1))
 
@@ -234,26 +235,89 @@ class TestDualize:
         for phi, s, t in navigable_corpus(50, seed=88, max_vars=10, max_clauses=6):
             dphi, ds, dt = dualize(phi, s, t)
             res = solve(dphi, ds, dt)
-            ref = bfs_shortest(dphi, ds, dt)
+            ref = bfs_shortest(dphi.compiled, ds, dt)
             assert (res.outcome is Outcome.PATH) == ref.connected
             if ref.connected:
                 assert res.length == ref.length
-                assert apply_sequence(dphi, ds, res.flips) == dt
+                assert apply_sequence(dphi.compiled, ds, res.flips) == dt
 
     @given(formula_strategy())
     @settings(max_examples=200, deadline=None)
-    def test_seeded_compiled_form_equals_compiling(self, phi):
-        dual, _, _ = dualize(phi, 0, 0)
-        assert dual.compiled == _compile(dual)
-        assert dual.compiled.occurrences is phi.compiled.occurrences
+    def test_complemented_equals_compiling_the_dual(self, phi):
+        assert phi.compiled.complemented() == _compile(dualize(phi, 0, 0)[0])
+
+    def test_solve_builds_no_dual_formula(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solve built the dual formula")
+
+        monkeypatch.setattr(navigate, "dualize", refuse)
+        outcomes = []
+        for phi, s, t in navigable_corpus(200, seed=88):
+            dphi, ds, dt = dualize(phi, s, t)
+            res = solve(dphi, ds, dt)
+            if res.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
+                continue
+            primal = shortest_path_navigable(dualize(dphi, ds, dt)[0].compiled, s, t)
+            want = None if primal.flips is None else tuple(f.inverse() for f in primal.flips)
+            assert res.flips == want
+            outcomes.append(res.outcome)
+        assert outcomes.count(Outcome.PATH) >= 10
+        assert Outcome.NOT_CONNECTED in outcomes
 
     def test_dualize_range_checks_endpoints(self):
         with pytest.raises(PreconditionError, match="out of range for 3 variables"):
             dualize(PATH_PHI, 0, 1 << 3)
 
-    def test_dualize_flips(self):
-        seq = (Flip(1, True), Flip(2, False))
-        assert dualize_flips(seq) == (Flip(1, False), Flip(2, True))
+
+class TestEffectiveRelations:
+    """The solvers check the relations the clauses use: a declared relation
+    that no clause uses, or a clause its constants make full, is fine."""
+
+    NAVIGABLE = {
+        "unused": Formula(3, (("path5", PATH5), ("nand", NAND)),
+                          (Clause("path5", (1, 2, 3)),)),
+        "full": Formula(3, (("path5", PATH5), ("nand", NAND)),
+                        (Clause("path5", (1, 2, 3)), Clause("nand", (2, CONST0)))),
+    }
+    CWB = {
+        "unused": Formula(3, (("or2", OR2), ("path5", PATH5)),
+                          (Clause("or2", (1, 3)),)),
+        "full": Formula(3, (("or2", OR2), ("path5", PATH5)),
+                        (Clause("or2", (1, 3)), Clause("path5", (CONST0, CONST0, 2)))),
+    }
+
+    @staticmethod
+    def matches_oracle(solver, phi):
+        sat = [a for a in range(1 << phi.num_vars) if evaluate(phi, a)]
+        assert len(sat) >= 4
+        for s in sat:
+            for t in sat:
+                res = solver(phi.compiled, s, t)
+                ref = bfs_shortest(phi.compiled, s, t)
+                assert (res.outcome is Outcome.PATH) == ref.connected
+                assert res.length == ref.length
+
+    @pytest.mark.parametrize("case", ["unused", "full"])
+    def test_navigable_solver(self, case):
+        self.matches_oracle(shortest_path_navigable, self.NAVIGABLE[case])
+
+    @pytest.mark.parametrize("case", ["unused", "full"])
+    def test_cwb_solver(self, case):
+        self.matches_oracle(shortest_path_cwb, self.CWB[case])
+
+    def test_out_of_class_clause_is_named(self):
+        phi = Formula(3, (("path5", PATH5), ("nand", NAND)),
+                      (Clause("path5", (1, 2, 3)), Clause("nand", (1, 2))))
+        with pytest.raises(PreconditionError) as err:
+            shortest_path_navigable(phi.compiled, 0b000, 0b001)
+        assert str(err.value) == (
+            "the relation of clause 2 is not NAND-free and dual-Horn-free"
+        )
+        phi = Formula(3, (("or2", OR2), ("path5", PATH5)),
+                      (Clause("or2", (1, 3)), Clause("path5", (1, 2, 3))))
+        with pytest.raises(PreconditionError) as err:
+            shortest_path_cwb(phi.compiled, 0b001, 0b101)
+        assert str(err.value) == "the relation of clause 2 is not componentwise bijunctive"
 
 
 class TestSolveDispatch:

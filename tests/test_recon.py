@@ -31,7 +31,7 @@ EQ_PHI = Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)), Clause("imp", (2, 1
 class TestSatMask:
     def test_matches_evaluate(self):
         for phi, _, _ in navigable_corpus(20, seed=3, max_vars=8, max_clauses=5):
-            mask = sat_mask(phi)
+            mask = sat_mask(phi.compiled)
             for a in range(1 << phi.num_vars):
                 assert mask[a] == evaluate(phi, a)
 
@@ -43,12 +43,12 @@ class TestSatMask:
             (("one", Relation(1, frozenset({1}))),),
             (Clause("one", (CONST0,)),),
         )
-        assert not sat_mask(phi).any()
+        assert not sat_mask(phi.compiled).any()
 
 
 class TestBuildGraph:
     def test_path_relation_is_a_path(self):
-        g = build_graph(PATH_PHI)
+        g = build_graph(PATH_PHI.compiled)
         assert len(g.states) == 5
         assert len(g.edges) == 4
         degree = {}
@@ -58,51 +58,51 @@ class TestBuildGraph:
         assert sorted(degree.values()) == [1, 1, 2, 2, 2]
 
     def test_free_square(self):
-        g = build_graph(Formula(2, (), ()))
+        g = build_graph(Formula(2, (), ()).compiled)
         assert g.states == (0, 1, 2, 3)
         assert len(g.edges) == 4
 
     def test_equality_formula_no_edges(self):
-        g = build_graph(EQ_PHI)
+        g = build_graph(EQ_PHI.compiled)
         assert g.states == (0b00, 0b11)
         assert g.edges == ()
 
     def test_cap_error_names_cap(self):
         phi = Formula(6, (), ())
         with pytest.raises(PreconditionError, match="cap 5"):
-            build_graph(phi, cap=5)
+            build_graph(phi.compiled, cap=5)
 
 
 class TestBfsShortest:
     def test_path_relation_length_four(self):
-        res = bfs_shortest(PATH_PHI, 0b000, 0b110)
+        res = bfs_shortest(PATH_PHI.compiled, 0b000, 0b110)
         assert res.length == 4
         assert res.protocol_line() == "PATH 4 x3+ x1+ x2+ x3-"
 
     def test_same_endpoints(self):
-        res = bfs_shortest(PATH_PHI, 0b111, 0b111)
+        res = bfs_shortest(PATH_PHI.compiled, 0b111, 0b111)
         assert res.connected and res.length == 0
         assert res.protocol_line() == "PATH 0"
 
     def test_not_connected(self):
-        res = bfs_shortest(EQ_PHI, 0b00, 0b11)
+        res = bfs_shortest(EQ_PHI.compiled, 0b00, 0b11)
         assert not res.connected
         assert res.protocol_line() == "NOTCONNECTED"
 
     def test_unsatisfying_endpoint(self):
         with pytest.raises(PreconditionError, match="clause 1"):
-            bfs_shortest(PATH_PHI, 0b010, 0b110)
+            bfs_shortest(PATH_PHI.compiled, 0b010, 0b110)
 
     def test_cap(self):
         phi = Formula(8, (), ())
         with pytest.raises(PreconditionError, match="cap 6"):
-            bfs_shortest(phi, 0, 0, cap=6)
+            bfs_shortest(phi.compiled, 0, 0, cap=6)
 
     def test_path_properties_on_fuzz(self):
         rng = random.Random(8)
         for phi, s, t in navigable_corpus(60, seed=21, max_vars=10, max_clauses=6):
-            res = bfs_shortest(phi, s, t)
-            sym = bfs_shortest(phi, t, s)
+            res = bfs_shortest(phi.compiled, s, t)
+            sym = bfs_shortest(phi.compiled, t, s)
             assert res.connected == sym.connected
             if not res.connected:
                 continue
@@ -110,7 +110,7 @@ class TestBfsShortest:
             assert res.length >= hamming(s, t)
             assert res.length % 2 == hamming(s, t) % 2
             # every prefix satisfies; endpoint is t
-            assert apply_sequence(phi, s, res.flips) == t
+            assert apply_sequence(phi.compiled, s, res.flips) == t
 
 
 class TestStateCapCeiling:
@@ -126,8 +126,8 @@ class TestStateCapCeiling:
         assert (2 << MAX_STATE_CAP) * recon.BYTES_PER_STATE > recon.STATE_BYTE_BUDGET
 
     @pytest.mark.parametrize("search", [
-        lambda cap: build_graph(PATH_PHI, cap=cap),
-        lambda cap: bfs_shortest(PATH_PHI, 0b000, 0b110, cap=cap),
+        lambda cap: build_graph(PATH_PHI.compiled, cap=cap),
+        lambda cap: bfs_shortest(PATH_PHI.compiled, 0b000, 0b110, cap=cap),
     ], ids=["build_graph", "bfs_shortest"])
     def test_rejected_before_allocation(self, no_allocation, search):
         # a 3-variable formula would fit any cap; the cap itself is refused
@@ -135,8 +135,8 @@ class TestStateCapCeiling:
             search(MAX_STATE_CAP + 1)
 
     def test_ceiling_itself_is_accepted(self):
-        assert bfs_shortest(PATH_PHI, 0b000, 0b110, cap=MAX_STATE_CAP).length == 4
-        assert len(build_graph(PATH_PHI, cap=MAX_STATE_CAP).states) == 5
+        assert bfs_shortest(PATH_PHI.compiled, 0b000, 0b110, cap=MAX_STATE_CAP).length == 4
+        assert len(build_graph(PATH_PHI.compiled, cap=MAX_STATE_CAP).states) == 5
 
 
 class TestComponents:
@@ -152,7 +152,7 @@ class TestComponents:
 
 class TestDot:
     def test_path_relation_golden(self):
-        assert graph_to_dot(build_graph(PATH_PHI)) == (
+        assert graph_to_dot(build_graph(PATH_PHI.compiled)) == (
             "graph recon {\n"
             '  "000";\n'
             '  "001";\n'

@@ -54,6 +54,7 @@ from helpers import (
     synth_dual_horn,
     synth_horn,
     two_cnf_relation,
+    xor3_closed,
 )
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
@@ -77,6 +78,17 @@ def table_of(tuples):
 
 def tuples_of(arity, table):
     return frozenset(t for t in range(1 << arity) if table >> t & 1)
+
+
+def coset(arity, base, generators):
+    """base xor the linear span of the generators."""
+    span = {0}
+    for g in generators:
+        span |= {x ^ g for x in span}
+    return Relation(arity, frozenset(base ^ x for x in span))
+
+
+COSET8 = coset(8, 0b10110100, (0b11000000, 0b00110000, 0b00001100, 0b10101010, 0b00000011))
 
 
 def product(left, right):
@@ -263,6 +275,39 @@ class TestBijunctiveTable:
                     rel = Relation(arity, rel.tuples - {(a & b) | (a & c) | (b & c)})
                 got = is_bijunctive(rel)
                 assert got == majority_closed(rel), rel
+                seen.add(got)
+        assert seen == {True, False}
+
+
+class TestAffineCoset:
+    """is_affine compares the relation's size with the rank of its
+    differences; the reference checks XOR closure on every three tuples."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_small_relation_matches_xor_closure(self, arity):
+        for rel in all_relations(arity):
+            assert is_affine(rel) == xor3_closed(rel) == synth_affine(rel), rel
+
+    @given(relation_strategy(min_arity=4, max_arity=8))
+    @settings(max_examples=150, deadline=None)
+    @example(rel=Relation.full(8))
+    @example(rel=COSET8)
+    @example(rel=Relation(8, COSET8.tuples - {0b10110100}))
+    def test_wide_relations_match_xor_closure(self, rel):
+        assert is_affine(rel) == xor3_closed(rel) == synth_affine(rel)
+
+    def test_cosets_and_near_misses(self):
+        assert len(COSET8.tuples) == 32 and is_affine(COSET8)
+        rng = random.Random(47)
+        seen = set()
+        for arity in range(4, 9):
+            for _ in range(12):
+                gens = [rng.randrange(1, 1 << arity) for _ in range(rng.randint(1, arity))]
+                rel = coset(arity, rng.randrange(1 << arity), gens)
+                if len(rel.tuples) >= 4 and rng.random() < 0.5:
+                    rel = Relation(arity, rel.tuples - {rng.choice(sorted(rel.tuples))})
+                got = is_affine(rel)
+                assert got == xor3_closed(rel), rel
                 seen.add(got)
         assert seen == {True, False}
 
