@@ -69,7 +69,9 @@ from .recon import (
     bfs_shortest,
     build_graph,
     components,
+    graph_size,
     sat_mask,
+    solution_table,
 )
 from .relation import (
     CONST0,

@@ -26,7 +26,14 @@ from .gen import (
     random_navigable_relation,
 )
 from .navigate import Outcome, classify_formula, solve
-from .recon import DEFAULT_STATE_CAP, bfs_shortest, build_graph, check_cap, graph_to_dot
+from .recon import (
+    DEFAULT_STATE_CAP,
+    bfs_shortest,
+    build_graph,
+    check_cap,
+    graph_size,
+    graph_to_dot,
+)
 from .relation import Verdict, classify_set, parse_relation
 
 _VERDICT_LINES = {
@@ -184,12 +191,12 @@ def cmd_dot(args) -> int:
     phi, s, _ = _load_instance(args)
     check_cap(args.cap)
     if args.what == "recon":
-        graph = build_graph(phi.compiled, cap=args.cap)
         if args.format == "text":
-            print(f"states {len(graph.states)}")
-            print(f"edges {len(graph.edges)}")
+            states, edges = graph_size(phi.compiled, cap=args.cap)
+            print(f"states {states}")
+            print(f"edges {edges}")
         else:
-            sys.stdout.write(graph_to_dot(graph))
+            sys.stdout.write(graph_to_dot(build_graph(phi.compiled, cap=args.cap)))
         return 0
     if s is None:
         raise ParseError("no assignment: pass --from or embed a '# s=' comment")

@@ -89,7 +89,9 @@ class CompiledFormula(NamedTuple):
     `local` is set iff the tuple satisfies the clause. A clause without
     variables has k = 0, relation None, and bit 0 set iff it holds.
     `occurrences[v]` lists the (clause, bit) pairs of variable v: flipping
-    v xors `bit` into that clause's local tuple.
+    v xors `bit` into that clause's local tuple. `distinct` lists each
+    distinct relation of `relations` once, in order of first use, with
+    the 1-based index of the first clause that uses it.
     """
 
     num_vars: int
@@ -97,6 +99,7 @@ class CompiledFormula(NamedTuple):
     relations: tuple[Relation | None, ...]
     accept: tuple[int, ...]
     occurrences: tuple[tuple[tuple[int, int], ...], ...]
+    distinct: tuple[tuple[Relation, int], ...]
 
     def complemented(self) -> "CompiledFormula":
         """The compiled form of the formula's complement image: every
@@ -119,18 +122,23 @@ class CompiledFormula(NamedTuple):
                 mask = eff.table
             relations.append(eff)
             accept.append(mask)
-        return self._replace(relations=tuple(relations), accept=tuple(accept))
+        distinct = tuple((images[eff], j) for eff, j in self.distinct)
+        return self._replace(
+            relations=tuple(relations), accept=tuple(accept), distinct=distinct
+        )
 
 
 def _compile(phi: Formula) -> CompiledFormula:
     variables, relations, accept = [], [], []
     occurrences = [[] for _ in range(phi.num_vars + 1)]
+    first_clause = {}
     for j, clause in enumerate(phi.clauses):
         clause_vars, eff = effective_clause(phi, clause)
         if eff is None:
             mask = int(pack_tuple(clause.args, 0, 0) in phi.relation(clause.relation_name))
         else:
             mask = eff.table
+            first_clause.setdefault(eff, j + 1)
         k = len(clause_vars)
         for p, v in enumerate(clause_vars):
             occurrences[v].append((j, 1 << (k - 1 - p)))
@@ -143,6 +151,7 @@ def _compile(phi: Formula) -> CompiledFormula:
         tuple(relations),
         tuple(accept),
         tuple(map(tuple, occurrences)),
+        tuple(first_clause.items()),
     )
 
 
@@ -213,9 +222,8 @@ def require_relations(compiled: CompiledFormula, accepts, description: str) -> N
     """Check each distinct effective relation once with `accepts`, naming
     the first clause whose relation fails. Solvers read these relations,
     not the declared ones a clause may use only trivially or not at all."""
-    for eff in dict.fromkeys(compiled.relations):
-        if eff is not None and not accepts(eff):
-            j = compiled.relations.index(eff) + 1
+    for eff, j in compiled.distinct:
+        if not accepts(eff):
             raise PreconditionError(f"the relation of clause {j} is not {description}")
 
 

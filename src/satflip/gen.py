@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GenerationError, ParseError, PreconditionError, TheoryError
 from .formula import Clause, Formula
-from .recon import sat_mask
+from .recon import members, solution_table
 from .relation import Relation, is_dual_horn_free, is_nand_free
 
 
@@ -164,8 +164,6 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
     named = tuple((f"r{i}", rel) for i, rel in enumerate(relations, 1))
     if not named:
         raise PreconditionError("need at least one relation")
-    import numpy as np  # here, not at the top: see the note in recon
-
     rng = random.Random(seed)
     for _ in range(max_tries):
         clauses = []
@@ -174,9 +172,9 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
             args = tuple(rng.randint(1, num_vars) for _ in range(rel.arity))
             clauses.append(Clause(name, args))
         phi = Formula(num_vars, named, tuple(clauses))
-        sats = np.flatnonzero(sat_mask(phi.compiled))
-        if sats.size:
-            s = int(sats[rng.randrange(sats.size)])
-            t = int(sats[rng.randrange(sats.size)])
+        sats = members(solution_table(phi.compiled))
+        if sats:
+            s = sats[rng.randrange(len(sats))]
+            t = sats[rng.randrange(len(sats))]
             return phi, s, t
     raise GenerationError(f"no satisfiable draw after {max_tries} tries")

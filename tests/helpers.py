@@ -337,6 +337,61 @@ def order_obeying_sequences(members, prec):
     return out
 
 
+# ------------------------------------------------ dict BFS reference search
+# Shares nothing with the table search in satflip.recon: states come from
+# `naive_evaluate` one assignment at a time, distances live in a dict.
+
+def naive_solutions(phi):
+    """The satisfying assignments, ascending."""
+    return [a for a in range(1 << phi.num_vars) if naive_evaluate(phi, a)]
+
+
+def dict_bfs_line(phi, s, t):
+    """The protocol line of a shortest flip sequence from s to t: BFS
+    distances from t in a dict, then from s always the lowest-index flip
+    whose state is one closer."""
+    n = phi.num_vars
+    sat = set(naive_solutions(phi))
+    dist = {t: 0}
+    layer = [t]
+    while layer and s not in dist:
+        nxt = []
+        for a in layer:
+            for v in range(1, n + 1):
+                b = flip_bit(a, v, n)
+                if b in sat and b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        layer = nxt
+    if s not in dist:
+        return "NOTCONNECTED"
+    tokens = []
+    cur = s
+    while cur != t:
+        for v in range(1, n + 1):
+            b = flip_bit(cur, v, n)
+            if dist.get(b) == dist[cur] - 1:
+                tokens.append(f"x{v}{'+' if var_bit(cur, v, n) == 0 else '-'}")
+                cur = b
+                break
+    return " ".join(["PATH", str(len(tokens))] + tokens)
+
+
+def dict_graph(phi):
+    """(states, edges) of the reconfiguration graph, edges (u, v) with
+    u < v, both ascending."""
+    n = phi.num_vars
+    states = naive_solutions(phi)
+    sat = set(states)
+    edges = sorted(
+        (a, b)
+        for a in states
+        for v in range(1, n + 1)
+        if (b := flip_bit(a, v, n)) > a and b in sat
+    )
+    return tuple(states), tuple(edges)
+
+
 # -------------------------------------------------------- seeded instances
 
 def navigable_corpus(count, seed, max_arity=4, max_vars=12, max_clauses=8,

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import json
 import pathlib
 import subprocess
 import sys
@@ -221,6 +225,17 @@ class TestDot:
         code, out, _ = run(capsys, "dot", PATH_CNFS, "--format", "text")
         assert (code, out) == (0, "states 5\nedges 4\n")
 
+    def test_graph_above_budget_is_refused(self, capsys, tmp_path):
+        free = tmp_path / "free.cnfs"
+        free.write_text("vars 18\n")
+        code, out, err = run(capsys, "dot", str(free))
+        assert (code, out) == (2, "")
+        assert "262144 states and 2359296 edges" in err
+        assert "512 MiB budget" in err
+        # the counts alone need no graph
+        code, out, _ = run(capsys, "dot", "--format", "text", str(free))
+        assert (code, out) == (0, "states 262144\nedges 2359296\n")
+
     def test_fliporder_rejects_hard_formula(self, capsys, tmp_path):
         _, text, _ = run(capsys, "gen", "is", SINGLE_EDGE_GRAPH)
         instance = tmp_path / "is.cnfs"
@@ -245,21 +260,77 @@ class TestUsage:
         assert proc.returncode == 0
         assert proc.stdout == "PATH 4 x3+ x1+ x2+ x3-\n"
 
-    def test_classify_and_gen_leave_numpy_unloaded(self):
-        # Only the exhaustive search needs numpy; the oracle run at the
-        # end shows that the check can see it load.
+    def test_no_command_needs_numpy(self, capsys, tmp_path):
+        # The same commands run twice in fresh interpreters: once with
+        # numpy blocked (importing it raises), once without. Both runs
+        # must agree, and the unblocked one must not have loaded numpy.
+        _, is_text, _ = run(capsys, "gen", "is", K3_GRAPH)
+        is_cnfs = tmp_path / "is.cnfs"
+        is_cnfs.write_text(is_text)
+        commands = [
+            ["classify", PATH_CNFS],
+            ["solve", "--verify", PATH_CNFS],
+            ["solve", "--verify", EQ_CNFS],
+            ["solve", "--allow-oracle", str(is_cnfs)],
+            ["oracle", PATH_CNFS],
+            ["oracle", EQ_CNFS],
+            ["dot", PATH_CNFS],
+            ["dot", "--format", "text", str(is_cnfs)],
+            ["dot", "--what", "fliporder", PATH_CNFS],
+            ["gen", "vc", K3_GRAPH],
+            ["gen", "is", K3_GRAPH],
+            ["gen", "random", "--seed", "3"],
+        ]
         script = (
-            "import sys\n"
+            "import contextlib, io, json, sys\n"
+            "if sys.argv[1] == 'block':\n"
+            "    sys.modules['numpy'] = None\n"
             "from satflip.cli import main\n"
-            f"for argv in ({['classify', PATH_CNFS]!r}, {['gen', 'vc', K3_GRAPH]!r},\n"
-            f"             {['gen', 'is', K3_GRAPH]!r}):\n"
-            "    assert main(argv) == 0\n"
-            "print('numpy' in sys.modules, file=sys.stderr)\n"
-            f"assert main({['oracle', PATH_CNFS]!r}) == 0\n"
-            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        results.append([main(argv), out.getvalue()])\n"
+            "print(json.dumps([results, sys.modules.get('numpy') is not None]))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "False\nTrue\n"
+        runs = {}
+        for mode in ("block", "free"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, mode, json.dumps(commands)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[mode] = json.loads(proc.stdout)
+        results, loaded = runs["free"]
+        assert not loaded
+        assert runs["block"] == [results, False]
+        assert [code for code, _ in results] == [0] * len(commands)
+        assert results[1][1] == "PATH 4 x3+ x1+ x2+ x3-\n"
+        assert results[2][1] == results[5][1] == "NOTCONNECTED\n"
+        assert results[3][1].startswith("HARD ")
+        assert results[7][1].startswith("states ")
+
+
+def gen_random_digest(*extra):
+    digest = hashlib.sha256()
+    for seed in range(50):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["gen", "random", *extra, "--seed", str(seed)])
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+class TestGenRandomPinned:
+    # sha256 over seeds 0-49 of each run's exit code and stdout, as the
+    # numpy solution mask produced them; the table search must draw the
+    # same endpoints.
+    @pytest.mark.parametrize("extra, expected", [
+        ((), "39c2631803ccae9077be10c384a3bfae2aee733d649ec49044ac58ece76e8e83"),
+        (("--vars", "16", "--clauses", "20"),
+         "527160d0e54703ea34486c86dad7638fe19e67eec122529ae170b1516dc6f81d"),
+        (("--vars", "12", "--clauses", "12", "--arity", "4", "--relations", "3"),
+         "e190c812f9f8cf8c6c1b279fbb3bd7bfd06773f7c2cbb88610640c443f3ffc72"),
+    ], ids=["defaults", "n16-m20", "n12-arity4"])
+    def test_stdout_unchanged(self, extra, expected):
+        assert gen_random_digest(*extra) == expected

@@ -141,6 +141,25 @@ class TestEffectiveClause:
         assert len({id(r) for r in compiled.relations}) == 1
         # (r1, 1, r2, r1) hits 0110 and 1111 -> {01, 11}
         assert compiled.relations[0].tuples == frozenset({0b01, 0b11})
+        assert compiled.distinct == ((compiled.relations[0], 1),)
+
+    def test_distinct_relations_name_their_first_clause(self):
+        phi = Formula(4, (("path5", PATH5),), (
+            Clause("path5", (CONST0, CONST0, CONST0)),
+            Clause("path5", (1, 2, 3)),
+            Clause("path5", (1, 1, 2)),
+            Clause("path5", (2, 3, 4)),
+            Clause("path5", (3, 3, 4)),
+        ))
+        compiled = phi.compiled
+        assert compiled.distinct == (
+            (compiled.relations[1], 2), (compiled.relations[2], 3),
+        )
+        assert compiled.relations[3] is compiled.relations[1]
+        assert compiled.relations[4] is compiled.relations[2]
+        image = compiled.complemented()
+        assert image.distinct == ((image.relations[1], 2), (image.relations[2], 3))
+        assert image.relations[1] == compiled.relations[1].complemented()
 
 
 class TestFormulaValidation:
