@@ -10,10 +10,6 @@ def to_bitstring(value: int, width: int) -> str:
     return format(value, f"0{width}b")
 
 
-def from_bitstring(text: str) -> int:
-    return int(text, 2)
-
-
 def var_bit(value: int, index: int, width: int) -> int:
     return (value >> (width - index)) & 1
 

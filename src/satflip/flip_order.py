@@ -3,9 +3,12 @@
 A positive flip raises a variable from 0 to 1 while keeping every clause
 satisfied. For a single NAND-free and dual-Horn-free relation, the valid
 positive flip sequences from a state are exactly the orderings of
-downward-closed flip sets under an explicit partial order; this module
-computes that order per clause and combines the clauses of a formula in
-two ways.
+downward-closed flip sets under an explicit partial order.
+:func:`relation_partial_order` reads that order off the relation's truth
+table, from the tuples a flood by single raises reaches;
+:func:`valid_positive_sequences` enumerates the sequences themselves and
+is kept as the reference the order is tested against. This module
+combines the per-clause orders of a formula in two ways.
 
 :func:`lower_set_sequence` is the solver's route. It walks precedence
 backwards from a set of wanted flips, reading only the clauses of the
@@ -33,9 +36,9 @@ from typing import Iterable, NamedTuple
 
 from .bits import flip_bit, set_vars, var_bit
 from .errors import FlipSequenceError, ParseError, PreconditionError, TheoryError
-from .formula import CompiledFormula, FlipState, _check_assignment
+from .formula import CompiledFormula, FlipState
 from .formula import require_relations, satisfying_state
-from .relation import Relation, is_dual_horn_free, is_nand_free
+from .relation import Relation, _index_masks, is_dual_horn_free, is_nand_free
 
 
 class Flip(NamedTuple):
@@ -76,29 +79,18 @@ def invert_sequence(flips) -> tuple[Flip, ...]:
     return tuple(f.inverse() for f in reversed(flips))
 
 
-def apply_sequence(
-    compiled: CompiledFormula, assignment: int, flips, *, check: bool = True
-) -> int:
-    """Apply flips in order; with check, every flip must move in the right
-    direction and every prefix must keep the formula satisfied. A start
-    outside 0 <= a < 2^n, or a flip of a variable outside 1..n, is
-    rejected with or without check.
+def apply_sequence(compiled: CompiledFormula, assignment: int, flips) -> int:
+    """Apply flips in order and return the end assignment. The start must
+    satisfy the formula, every flip must name a variable in 1..n and move
+    it in the right direction, and every prefix must keep the formula
+    satisfied.
 
     The start assignment is checked in full once; each flip then costs
     only the clauses of its variable (see :func:`advance`).
     """
-    n = compiled.num_vars
-    if check:
-        state = satisfying_state(compiled, assignment, "start")
-        advance(state, flips)
-        return state.assignment
-    _check_assignment(n, assignment)
-    a = assignment
-    for i, f in enumerate(flips):
-        if not 1 <= f.var <= n:
-            raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")
-        a = flip_bit(a, f.var, n)
-    return a
+    state = satisfying_state(compiled, assignment, "start")
+    advance(state, flips)
+    return state.assignment
 
 
 def advance(state: FlipState, flips) -> None:
@@ -124,7 +116,9 @@ def advance(state: FlipState, flips) -> None:
 
 def valid_positive_sequences(relation: Relation, state: int) -> frozenset[tuple[int, ...]]:
     """Every positive flip sequence valid at `state`, as tuples of
-    positions (1-based), including the empty sequence."""
+    positions (1-based), including the empty sequence. It grows
+    factorially with the arity; nothing in the library calls it, and it
+    is the reference :func:`relation_partial_order` is tested against."""
     if state not in relation.tuples:
         raise PreconditionError(f"state {state} is not in the relation")
     k = relation.arity
@@ -153,22 +147,37 @@ def relation_partial_order(relation: Relation, state: int):
     contains p, earlier. For NAND-free and dual-Horn-free relations the
     valid positive sequences are exactly the orderings of downward-closed
     subsets of `members` that respect `prec`.
+
+    Both are read off the truth table: a flood by single raises marks
+    every tuple some valid positive sequence ends at. Position q is a
+    member iff a reached tuple has raised it, and p precedes q iff every
+    reached tuple that has raised q has raised p too. A valid sequence's
+    prefix up to q ends at a reached tuple, and the raises up to any
+    reached tuple form a valid sequence, so this is the definition above.
+    :func:`valid_positive_sequences` is the enumeration it is tested
+    against.
     """
     if not _in_order_class(relation):
         raise PreconditionError(
             "flip partial order requires a NAND-free and dual-Horn-free relation"
         )
-    seqs = valid_positive_sequences(relation, state)
-    members = frozenset(p for s in seqs for p in s)
-    prec = set()
-    for q in members:
-        containing = [s for s in seqs if q in s]
-        for p in members:
-            if p != q and all(
-                p in s and s.index(p) < s.index(q) for s in containing
-            ):
-                prec.add((p, q))
-    return members, frozenset(prec)
+    if state not in relation.tuples:
+        raise PreconditionError(f"state {state} is not in the relation")
+    k, table = relation.arity, relation.table
+    masks = _index_masks(k)  # masks[k - p]: the tuples whose position p is 1
+    free = [(k - i, m, 1 << i) for i, m in enumerate(masks) if not state >> i & 1]
+    reached, grown = 0, 1 << state
+    while grown != reached:
+        reached = grown
+        for _, m, shift in free:
+            grown |= ((reached & ~m) << shift) & table
+    # per member q: the reached tuples that have raised q
+    raised = {q: reached & m for q, m, _ in free if reached & m}
+    prec = frozenset(
+        (p, q) for q, rq in raised.items() for p, rp in raised.items()
+        if p != q and not rq & ~rp
+    )
+    return frozenset(raised), prec
 
 
 @lru_cache(maxsize=4096)
@@ -436,13 +445,22 @@ def canonicalize(compiled: CompiledFormula, start: int, flips) -> tuple[Flip, ..
 
 def dag_to_dot(dag: FlipOrderDag) -> str:
     """DOT text for the DAG, drawing the transitive reduction of its
-    reachability order."""
-    closure = dag.closure()
-    reduced = [
-        (u, v)
-        for u, v in closure
-        if not any((u, w) in closure and (w, v) in closure for w in dag.nodes)
-    ]
+    reachability order.
+
+    Every edge of the reduction is an edge of the DAG: (u, v) is kept
+    unless v is reachable from another successor of u. The nodes
+    reachable from each node are one bitset int, filled in reverse
+    topological order."""
+    succs = dag.successor_map()
+    below = {}  # node -> bitset of the nodes reachable from it
+    reduced = []
+    for f in reversed(order_respecting_sequence(dag, dag.nodes)):
+        u = f.var
+        via = 0  # the nodes reachable from some successor of u
+        for v in succs[u]:
+            via |= below[v]
+        reduced += ((u, v) for v in succs[u] if not via >> v & 1)
+        below[u] = via | sum(1 << v for v in succs[u])
     lines = ["digraph fliporder {"]
     for v in sorted(dag.nodes):
         lines.append(f'  "x{v}+";')

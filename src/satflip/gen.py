@@ -161,6 +161,8 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
         raise PreconditionError(
             f"num_vars must be in 1..16 for explicit endpoint sampling, got {num_vars}"
         )
+    if num_clauses < 0:
+        raise PreconditionError(f"num_clauses must be at least 0, got {num_clauses}")
     named = tuple((f"r{i}", rel) for i, rel in enumerate(relations, 1))
     if not named:
         raise PreconditionError("need at least one relation")

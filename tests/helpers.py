@@ -23,9 +23,10 @@ from satflip import (
     induced,
     random_formula,
     random_navigable_relation,
+    valid_positive_sequences,
 )
 from satflip.bits import flip_bit, var_bit
-from satflip.relation import _hamming_components
+from satflip.relation import _hamming_components, is_dual_horn_free, is_nand_free
 
 
 # ---------------------------------------------------------------- relations
@@ -337,6 +338,34 @@ def order_obeying_sequences(members, prec):
     return out
 
 
+def sequence_partial_order(relation, state):
+    """The flip partial order derived from the valid positive sequences
+    themselves: a position is a member iff some sequence raises it, and p
+    precedes q iff every sequence containing q contains p earlier."""
+    seqs = valid_positive_sequences(relation, state)
+    members = frozenset(p for s in seqs for p in s)
+    prec = set()
+    for q in members:
+        containing = [s for s in seqs if q in s]
+        for p in members:
+            if p != q and all(
+                p in s and s.index(p) < s.index(q) for s in containing
+            ):
+                prec.add((p, q))
+    return members, frozenset(prec)
+
+
+def closure_reduction(dag):
+    """The transitive reduction of a flip DAG, read off its closure: the
+    pairs (u, v) with a path from u to v and no node w between them."""
+    closure = dag.closure()
+    return frozenset(
+        (u, v)
+        for u, v in closure
+        if not any((u, w) in closure and (w, v) in closure for w in dag.nodes)
+    )
+
+
 # ------------------------------------------------ dict BFS reference search
 # Shares nothing with the table search in satflip.recon: states come from
 # `naive_evaluate` one assignment at a time, distances live in a dict.
@@ -419,6 +448,30 @@ def navigable_corpus(count, seed, max_arity=4, max_vars=12, max_clauses=8,
         except GenerationError:
             continue
     return instances
+
+
+def in_order_class_sample(count, seed, min_arity=4, max_arity=6):
+    """Seeded NAND-free and dual-Horn-free relations of arity min..max.
+    Each starts as the solution set of random implications between its
+    positions, a lattice with long precedence chains; about a tenth of
+    its tuples are dropped, and it is kept if it is still in the class."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        arity = rng.randint(min_arity, max_arity)
+        implied = [(i, j) for i in range(arity) for j in range(arity)
+                   if i != j and rng.random() < 0.15]
+        kept = frozenset(
+            t for t in range(1 << arity)
+            if all(not t >> i & 1 or t >> j & 1 for i, j in implied)
+            and rng.random() >= 0.1
+        )
+        if not kept:
+            continue
+        rel = Relation(arity, kept)
+        if is_nand_free(rel) and is_dual_horn_free(rel):
+            out.append(rel)
+    return out
 
 
 def random_walk(phi, start, steps, rng):

@@ -151,6 +151,16 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert f"cap 40 is above the largest supported cap {MAX_STATE_CAP}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("oracle",),
+        ("solve",),
+        ("dot", "--what", "recon"),
+    ], ids=["oracle", "solve", "dot-recon"])
+    def test_negative_cap_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], PATH_CNFS, *argv[1:], "--cap", "-5")
+        assert (code, out) == (2, "")
+        assert "state cap -5 is negative" in err
+
 
 class TestGen:
     def test_vc_k3_golden(self, capsys):
@@ -193,6 +203,11 @@ class TestGen:
         first = run(capsys, *args)
         second = run(capsys, *args)
         assert first == second
+
+    def test_negative_clause_count_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--clauses", "-1")
+        assert (code, out) == (2, "")
+        assert "num_clauses must be at least 0, got -1" in err
 
     def test_malformed_graph_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"

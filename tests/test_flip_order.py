@@ -15,6 +15,7 @@ from satflip import (
     Relation,
     TheoryError,
     apply_sequence,
+    bfs_shortest,
     canonicalize,
     evaluate,
     formula_flip_dag,
@@ -23,6 +24,7 @@ from satflip import (
     order_respecting_sequence,
     relation_partial_order,
     smallest_lower_set,
+    solve,
     valid_positive_sequences,
 )
 from satflip import flip_order
@@ -31,13 +33,16 @@ from satflip.formula import flip_state
 from satflip.relation import is_dual_horn_free, is_nand_free
 
 from helpers import (
+    closure_reduction,
     enum_positive_sequences,
     formula_strategy,
+    in_order_class_sample,
     navigable_corpus,
     order_obeying_sequences,
     positive_flip_variables,
     random_walk,
     replay_first_bad_flip,
+    sequence_partial_order,
 )
 from satflip import random_navigable_relation
 
@@ -107,8 +112,64 @@ class TestRelationPartialOrder:
 
     def test_requires_classification(self):
         nand = Relation.from_bitstrings(["00", "01", "10"])
-        with pytest.raises(PreconditionError):
+        message = "requires a NAND-free and dual-Horn-free relation"
+        with pytest.raises(PreconditionError, match=message):
             relation_partial_order(nand, 0b00)
+        with pytest.raises(PreconditionError, match=message):
+            relation_partial_order(nand, 0b11)  # the class is checked first
+
+    @pytest.mark.parametrize("state", [-1, 0b1000, 0b010])
+    def test_state_outside_the_relation(self, state):
+        with pytest.raises(PreconditionError, match=f"state {state} is not in the relation"):
+            relation_partial_order(PATH5, state)
+
+    def test_equals_sequence_order_on_every_small_relation(self):
+        pairs = 0
+        for arity in (1, 2, 3):
+            for table in range(1, 1 << (1 << arity)):
+                rel = Relation(arity, frozenset(
+                    t for t in range(1 << arity) if table >> t & 1
+                ))
+                if not (is_nand_free(rel) and is_dual_horn_free(rel)):
+                    continue
+                for state in sorted(rel.tuples):
+                    assert relation_partial_order(rel, state) == (
+                        sequence_partial_order(rel, state)
+                    ), (rel, state)
+                    pairs += 1
+        assert pairs > 500
+
+    def test_equals_sequence_order_on_sampled_relations(self):
+        relations = in_order_class_sample(80, seed=67)
+        relations += [Relation.full(k) for k in (4, 5, 6)]
+        chained = 0
+        for rel in relations:
+            for state in sorted(rel.tuples):
+                members, prec = relation_partial_order(rel, state)
+                assert (members, prec) == sequence_partial_order(rel, state), (rel, state)
+                chained += len(prec) >= 2
+        assert chained >= 100
+
+    def test_reads_no_sequences(self, monkeypatch):
+        relations = in_order_class_sample(30, seed=71)
+        want = [
+            [sequence_partial_order(rel, state) for state in sorted(rel.tuples)]
+            for rel in relations
+        ]
+        instances = navigable_corpus(60, seed=73, max_vars=10, max_clauses=6)
+        lengths = [bfs_shortest(phi.compiled, s, t).length for phi, s, t in instances]
+
+        def refuse(relation, state):
+            raise AssertionError("valid_positive_sequences ran")
+
+        monkeypatch.setattr(flip_order, "valid_positive_sequences", refuse)
+        flip_order._local_order.cache_clear()
+        members, prec = relation_partial_order(Relation.full(8), 0)
+        assert members == frozenset(range(1, 9)) and prec == frozenset()
+        for rel, orders in zip(relations, want):
+            assert [relation_partial_order(rel, s) for s in sorted(rel.tuples)] == orders
+        for (phi, s, t), length in zip(instances, lengths):
+            assert solve(phi, s, t).length == length
 
     def test_characterizes_valid_sequences(self):
         rng = random.Random(31)
@@ -398,11 +459,10 @@ class TestLowerSetSequence:
 class TestApplySequence:
     IMP_PHI = Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)),))
 
-    @pytest.mark.parametrize("check", [True, False])
     @pytest.mark.parametrize("bad", [Flip(3, True), Flip(0, True), Flip(-1, False)])
-    def test_out_of_range_flip(self, check, bad):
+    def test_out_of_range_flip(self, bad):
         with pytest.raises(FlipSequenceError, match="flip 2: .*no variable in 1..2") as err:
-            apply_sequence(self.IMP_PHI.compiled, 0b00, (Flip(1, True), bad), check=check)
+            apply_sequence(self.IMP_PHI.compiled, 0b00, (Flip(1, True), bad))
         assert err.value.index == 1
 
     def test_advance_keeps_flips_before_the_bad_one(self):
@@ -427,11 +487,10 @@ class TestApplySequence:
         with pytest.raises(PreconditionError, match="start assignment"):
             apply_sequence(self.IMP_PHI.compiled, 0b01, ())
 
-    @pytest.mark.parametrize("check", [True, False])
     @pytest.mark.parametrize("start", [1 << 10, 0b100, -1])
-    def test_out_of_range_start(self, check, start):
+    def test_out_of_range_start(self, start):
         with pytest.raises(PreconditionError, match="out of range for 2 variables"):
-            apply_sequence(self.IMP_PHI.compiled, start, (Flip(1, True),), check=check)
+            apply_sequence(self.IMP_PHI.compiled, start, (Flip(1, True),))
 
     def test_first_bad_index_matches_replay(self):
         rng = random.Random(83)
@@ -507,3 +566,51 @@ class TestDagDot:
             '  "x3+" -> "x1+";\n'
             "}\n"
         )
+
+    @staticmethod
+    def reduction_edges(dag):
+        return [line for line in dag_to_dot(dag).splitlines() if "->" in line]
+
+    def test_equals_closure_reduction_on_corpus(self):
+        for phi, s, _ in navigable_corpus(300, seed=97, max_vars=12, max_clauses=10):
+            dag = formula_flip_dag(phi.compiled, s)
+            assert self.reduction_edges(dag) == [
+                f'  "x{u}+" -> "x{v}+";' for u, v in sorted(closure_reduction(dag))
+            ]
+
+    def test_equals_closure_reduction_on_random_dags(self):
+        # the corpus DAGs are mostly edgeless; these have transitive edges
+        rng = random.Random(101)
+        dropped = 0
+        for _ in range(300):
+            rank = rng.sample(range(1, 41), rng.randint(1, 40))  # a random topological order
+            density = rng.random() * 0.5
+            edges = frozenset(
+                (u, v) for i, u in enumerate(rank) for v in rank[i + 1:]
+                if rng.random() < density
+            )
+            dag = FlipOrderDag(frozenset(rank), edges)
+            got = self.reduction_edges(dag)
+            assert got == [
+                f'  "x{u}+" -> "x{v}+";' for u, v in sorted(closure_reduction(dag))
+            ]
+            dropped += len(got) < len(edges)
+        assert dropped >= 100
+
+    def test_long_chain_needs_no_closure(self, monkeypatch):
+        n = 4801
+        phi = Formula(n, (("imp", IMP),), tuple(
+            Clause("imp", (v, v + 1)) for v in range(1, n)
+        ))
+        dag = formula_flip_dag(phi.compiled, 0)
+
+        def refuse(self):
+            raise AssertionError("closure built")
+
+        monkeypatch.setattr(FlipOrderDag, "closure", refuse)
+        assert dag_to_dot(dag) == "".join([
+            "digraph fliporder {\n",
+            *(f'  "x{v}+";\n' for v in range(1, n + 1)),
+            *(f'  "x{v}+" -> "x{v + 1}+";\n' for v in range(1, n)),
+            "}\n",
+        ])
