@@ -53,6 +53,7 @@ from .gen import (
 )
 from .navigate import (
     Outcome,
+    Route,
     SolveResult,
     SolveStats,
     classify_formula,
@@ -68,7 +69,6 @@ from .recon import (
     ReconGraph,
     bfs_shortest,
     build_graph,
-    components,
     graph_size,
     sat_mask,
     solution_table,

@@ -31,6 +31,7 @@ from .recon import (
     bfs_shortest,
     build_graph,
     check_cap,
+    check_graph_vars,
     graph_size,
     graph_to_dot,
 )
@@ -114,7 +115,7 @@ def cmd_classify(args) -> int:
 
 def _make_trace(num_vars):
     def trace(level, s, t, lower_s, lower_t, eta):
-        fmt = lambda flips: "{" + " ".join(f"x{v}+" for v in sorted(flips)) + "}"
+        fmt = lambda flips: "{" + " ".join(f.token() for f in sorted(flips)) + "}"
         print(
             f"# level {level}: s={format_assignment(s, num_vars)}"
             f" t={format_assignment(t, num_vars)}"
@@ -191,6 +192,8 @@ def cmd_dot(args) -> int:
     phi, s, _ = _load_instance(args)
     check_cap(args.cap)
     if args.what == "recon":
+        # before phi.compiled, whose size grows with the variable count
+        check_graph_vars(phi.num_vars, args.cap)
         if args.format == "text":
             states, edges = graph_size(phi.compiled, cap=args.cap)
             print(f"states {states}")
@@ -200,12 +203,13 @@ def cmd_dot(args) -> int:
         return 0
     if s is None:
         raise ParseError("no assignment: pass --from or embed a '# s=' comment")
-    dag = formula_flip_dag(phi.compiled, s)
+    route = phi.route
+    dag = formula_flip_dag(route.compiled, s ^ route.mask)
     if args.format == "text":
         print(f"nodes {len(dag.nodes)}")
         print(f"edges {len(dag.edges)}")
     else:
-        sys.stdout.write(dag_to_dot(dag))
+        sys.stdout.write(dag_to_dot(dag, up=not route.mask))
     return 0
 
 

@@ -20,9 +20,11 @@ a precedence cycle. Its cost follows the lower set, not the formula.
 :func:`formula_flip_dag` merges every clause into one precedence DAG over
 all flips. The flips that can never happen (blocked, on a cycle, or
 forced after such a flip) are pruned by one Kahn peel. It serves the DOT
-export, and with :func:`smallest_lower_set` and
-:func:`order_respecting_sequence` it is the reference the walk is tested
-against.
+export, :func:`dag_to_dot`, which the CLI draws on the formula's route:
+for an OR-free + Horn-free formula that is the DAG of its complemented
+form, whose raises are the formula's lowering flips. With
+:func:`smallest_lower_set` and :func:`order_respecting_sequence` it is
+the reference the walk is tested against.
 Functions that read a formula take its compiled form, ``phi.compiled``.
 """
 
@@ -289,22 +291,6 @@ class FlipOrderDag:
             succs[u].add(v)
         return succs
 
-    def closure(self) -> frozenset[tuple[int, int]]:
-        """All ordered pairs (u, v) with a directed path from u to v."""
-        succs = self.successor_map()
-        pairs = set()
-        for start in self.nodes:
-            stack = list(succs[start])
-            seen = set()
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                pairs.add((start, v))
-                stack.extend(succs[v])
-        return frozenset(pairs)
-
 
 def formula_flip_dag(compiled: CompiledFormula, assignment: int) -> FlipOrderDag:
     """Merge per-clause flip orders at a satisfying assignment into one DAG.
@@ -443,9 +429,11 @@ def canonicalize(compiled: CompiledFormula, start: int, flips) -> tuple[Flip, ..
     return out
 
 
-def dag_to_dot(dag: FlipOrderDag) -> str:
+def dag_to_dot(dag: FlipOrderDag, up: bool = True) -> str:
     """DOT text for the DAG, drawing the transitive reduction of its
-    reachability order.
+    reachability order. Nodes are named by their flip tokens, raising
+    (`x3+`) or, with `up` false, lowering (`x3-`): the DAG of a
+    complemented formula orders the lowering flips of the formula itself.
 
     Every edge of the reduction is an edge of the DAG: (u, v) is kept
     unless v is reachable from another successor of u. The nodes
@@ -461,10 +449,11 @@ def dag_to_dot(dag: FlipOrderDag) -> str:
             via |= below[v]
         reduced += ((u, v) for v in succs[u] if not via >> v & 1)
         below[u] = via | sum(1 << v for v in succs[u])
+    sign = "+" if up else "-"
     lines = ["digraph fliporder {"]
     for v in sorted(dag.nodes):
-        lines.append(f'  "x{v}+";')
+        lines.append(f'  "x{v}{sign}";')
     for u, v in sorted(reduced):
-        lines.append(f'  "x{u}+" -> "x{v}+";')
+        lines.append(f'  "x{u}{sign}" -> "x{v}{sign}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

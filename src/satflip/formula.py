@@ -78,6 +78,14 @@ class Formula:
         """The formula's clause tables, built on first use."""
         return _compile(self)
 
+    @cached_property
+    def route(self):
+        """How the solvers answer the formula (:class:`satflip.navigate.Route`):
+        it is classified, and complemented where needed, on first use."""
+        from .navigate import formula_route
+
+        return formula_route(self)
+
 
 class CompiledFormula(NamedTuple):
     """Clause tables of a formula, in clause order.

@@ -8,9 +8,12 @@ clauses of the flips it makes rather than the whole formula. OR-free +
 Horn-free instances are handled through the complementing transform;
 componentwise bijunctive ones by a greedy walk over the symmetric
 difference. Everything else is reported hard, optionally falling back to
-the capped exact search. :func:`solve` classifies a formula's declared
-relations; the solvers and the complementing transform run on its
-compiled form, ``phi.compiled``.
+the capped exact search.
+
+Which of these answers a formula is decided once per formula and cached
+as ``phi.route`` (:class:`Route`): the classification, the compiled form
+the solver runs on, and the xor mask from the formula's assignments to
+that form's. :func:`solve` and the CLI's flip-order export both read it.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ def shortest_path_navigable(
     stack. Each side keeps one FlipState for the whole solve: its
     endpoint is checked in full once, and every later flip only against
     the clauses of its variable. `stats.dag_builds` counts the walks.
+
+    `trace`, when given, is called once per level with keywords `level`,
+    `s` and `t` (the pair entering the level), `lower_s` and `lower_t`
+    (the flips each side makes, as `Flip` tuples in order) and `eta`
+    (the pair's zero count entering the level).
     """
     side_s = satisfying_state(compiled, s, "source")
     side_t = satisfying_state(compiled, t, "target")
@@ -130,8 +138,8 @@ def shortest_path_navigable(
                 level=stats.levels,
                 s=cur_s,
                 t=cur_t,
-                lower_s=frozenset(f.var for f in seq_s),
-                lower_t=frozenset(f.var for f in seq_t),
+                lower_s=seq_s,
+                lower_t=seq_t,
                 eta=eta_old,
             )
         try:
@@ -210,8 +218,9 @@ def dualize(phi: Formula, s: int, t: int):
     the image exactly when their complements satisfy the original, so the
     transform is an involution swapping OR-free + Horn-free with
     NAND-free + dual-Horn-free. The endpoints are range-checked first.
-    :func:`solve` does not build this image: it complements the compiled
-    form (:meth:`CompiledFormula.complemented`), which equals the image's.
+    The complement route does not build this image: it complements the
+    compiled form (:meth:`CompiledFormula.complemented`), which equals the
+    image's.
     """
     _check_assignment(phi.num_vars, s)
     _check_assignment(phi.num_vars, t)
@@ -225,6 +234,50 @@ def dualize(phi: Formula, s: int, t: int):
     return Formula(phi.num_vars, relations, clauses), s ^ mask, t ^ mask
 
 
+@dataclass(frozen=True)
+class Route:
+    """How :func:`solve` answers a formula, decided once per formula.
+
+    `classification` is that of the declared relations; its verdict and
+    kind pick the solver. `compiled` is the form the solver runs on, and
+    an assignment of the formula maps onto it by xor with `mask`. On the
+    complement route (OR-free + Horn-free sets) that is
+    ``phi.compiled.complemented()`` with mask 2^n - 1, solved as
+    NAND-free + dual-Horn-free with the flips' signs swapped back; on
+    every other route it is ``phi.compiled`` with mask 0.
+    """
+
+    classification: Classification
+    compiled: CompiledFormula
+    mask: int
+
+
+def formula_route(phi: Formula) -> Route:
+    """Classify the formula and pick its route. ``phi.route`` caches the
+    result, so a formula is classified and complemented once."""
+    cls = classify_formula(phi)
+    if cls.kind is NavigableKind.OR_AND_HORN_FREE:
+        return Route(cls, phi.compiled.complemented(), (1 << phi.num_vars) - 1)
+    return Route(cls, phi.compiled, 0)
+
+
+def _mirrored(trace, mask: int):
+    """A solver trace on the complement route, reported in the formula's
+    own terms: states xor `mask`, and each lower set's flips inverted."""
+
+    def mirrored(level, s, t, lower_s, lower_t, eta):
+        trace(
+            level=level,
+            s=s ^ mask,
+            t=t ^ mask,
+            lower_s=tuple(f.inverse() for f in lower_s),
+            lower_t=tuple(f.inverse() for f in lower_t),
+            eta=eta,
+        )
+
+    return mirrored
+
+
 def solve(
     phi: Formula,
     s: int,
@@ -234,41 +287,44 @@ def solve(
     cap: int = DEFAULT_STATE_CAP,
     trace=None,
 ) -> SolveResult:
-    """Classify the instance and run the matching solver.
+    """Answer the instance on the formula's route (``phi.route``).
 
     Componentwise bijunctive sets take the greedy walk; NAND-free +
     dual-Horn-free sets the order-based solver; OR-free + Horn-free sets
-    are complemented, solved, and the flips' signs swapped back in the
-    same order. Non-navigable sets return HARD, with the exact search
-    attached when `allow_oracle` holds and the variable count is within
-    `cap`. A cap above `MAX_STATE_CAP` is rejected up front, whichever
-    route runs. The solvers check the endpoints themselves; the HARD
-    route checks them here, and the complement route range-checks them
-    before complementing.
+    take the order-based solver on the complement, and the flips' signs
+    are swapped back in the same order and replayed on the formula.
+    Non-navigable sets return HARD, with the exact search attached when
+    `allow_oracle` holds and the variable count is within `cap`. A cap
+    above `MAX_STATE_CAP` is rejected up front, whichever route runs.
+    Navigable routes range-check the endpoints before mapping them, so
+    an error names the endpoint given; the solvers check that they
+    satisfy the formula. `trace` receives the order-based solver's
+    levels (see :func:`shortest_path_navigable`) in the formula's own
+    terms on either route.
     """
     check_cap(cap)
-    cls = classify_formula(phi)
-    compiled, n = phi.compiled, phi.num_vars
+    route = phi.route
+    cls, n = route.classification, phi.num_vars
     if cls.verdict is Verdict.NAVIGABLE:
+        _check_assignment(n, s)
+        _check_assignment(n, t)
+        mask = route.mask
         if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:
-            result = shortest_path_cwb(compiled, s, t)
-        elif cls.kind is NavigableKind.NAND_AND_DUAL_HORN_FREE:
-            result = shortest_path_navigable(compiled, s, t, trace=trace)
+            result = shortest_path_cwb(route.compiled, s ^ mask, t ^ mask)
         else:
-            # an out-of-range error names the endpoint given, not its image
-            _check_assignment(n, s)
-            _check_assignment(n, t)
-            mask = (1 << n) - 1
+            if trace is not None and mask:
+                trace = _mirrored(trace, mask)
             result = shortest_path_navigable(
-                compiled.complemented(), s ^ mask, t ^ mask, trace=trace
+                route.compiled, s ^ mask, t ^ mask, trace=trace
             )
-            if result.flips is not None:
-                result.flips = tuple(f.inverse() for f in result.flips)
-                if apply_sequence(compiled, s, result.flips) != t:
-                    raise TheoryError("mirrored sequence does not reach the target")
+        if mask and result.flips is not None:
+            result.flips = tuple(f.inverse() for f in result.flips)
+            if apply_sequence(phi.compiled, s, result.flips) != t:
+                raise TheoryError("mirrored sequence does not reach the target")
         result.classification = cls
         return result
 
+    compiled = phi.compiled
     satisfying_state(compiled, s, "source")
     satisfying_state(compiled, t, "target")
     oracle = None

@@ -150,14 +150,19 @@ def _edge_ends(table: int, n: int):
         yield w, table & low & (table >> w)
 
 
+def check_graph_vars(num_vars: int, cap: int) -> None:
+    """Reject an explicit graph of more than `cap` variables."""
+    if num_vars > cap:
+        raise PreconditionError(
+            f"formula has {num_vars} variables, above the explicit-graph cap {cap}"
+        )
+
+
 def _counted_table(compiled: CompiledFormula, cap: int) -> tuple[int, int, int]:
     """The solution table with the graph's state and edge counts."""
     check_cap(cap)
     n = compiled.num_vars
-    if n > cap:
-        raise PreconditionError(
-            f"formula has {n} variables, above the explicit-graph cap {cap}"
-        )
+    check_graph_vars(n, cap)
     table = solution_table(compiled)
     edges = sum(lower.bit_count() for _, lower in _edge_ends(table, n))
     return table, table.bit_count(), edges
@@ -285,15 +290,6 @@ def bfs_shortest(
     if cur != t:
         raise TheoryError("BFS path reconstruction did not reach the target")
     return PathResult(tuple(flips))
-
-
-def components(relation) -> tuple[tuple[int, ...], ...]:
-    """Connected components of a relation's flip graph, each component
-    sorted ascending, components ordered by smallest member."""
-    from .relation import _hamming_components
-
-    comps = _hamming_components(relation.arity, relation.tuples)
-    return tuple(tuple(sorted(c)) for c in comps)
 
 
 def graph_to_dot(graph: ReconGraph) -> str:

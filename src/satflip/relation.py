@@ -37,6 +37,10 @@ from .errors import ParseError, PreconditionError
 # 1 ms at arity 6, 3.5 ms at arity 7 and 17-23 ms at arity 8, where one
 # closure holds about 1.7 MiB (15,000 arity-4 members); the
 # componentwise-bijunctive check of the full arity-8 relation takes 1 ms.
+# At arity 9 (measured with the bound raised, 3 seeds) the nine flags take
+# 190-220 ms, one closure has about 120,000 members with an 18 MiB
+# tracemalloc peak, and the 4-entry closure cache could hold about 70 MiB:
+# a tenfold step per arity that no workload needs, so the bound stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
@@ -313,28 +317,6 @@ def _restriction_closure(relation: Relation) -> tuple[frozenset[int], ...]:
     for arity in range(relation.arity, 1, -1):
         levels.append(_level_steps(arity, levels[-1]))
     return tuple(reversed(levels))
-
-
-def _hamming_components(arity: int, tuples: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components under single-bit flips, ordered by smallest member."""
-    remaining = set(tuples)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        remaining.remove(seed)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for j in range(arity):
-                v = u ^ (1 << j)
-                if v in remaining:
-                    remaining.remove(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return comps
 
 
 def _table_components(arity: int, tables) -> set[int]:

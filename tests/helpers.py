@@ -26,7 +26,8 @@ from satflip import (
     valid_positive_sequences,
 )
 from satflip.bits import flip_bit, var_bit
-from satflip.relation import _hamming_components, is_dual_horn_free, is_nand_free
+from satflip.recon import members, solution_table
+from satflip.relation import is_dual_horn_free, is_nand_free
 
 
 # ---------------------------------------------------------------- relations
@@ -79,6 +80,37 @@ def naive_is_free(rel, forbidden_tuples, target_arity):
     if rel.arity < target_arity:
         return True
     return forbidden_tuples not in naive_all_restriction_values(rel, target_arity)
+
+
+def hamming_components(arity, tuples):
+    """Connected components under single-bit flips, as frozensets of
+    tuples ordered by smallest member: a flood over a Python set, the
+    reference for the packed flood of `relation._table_components`."""
+    remaining = set(tuples)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        remaining.remove(seed)
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            u = stack.pop()
+            for j in range(arity):
+                v = u ^ (1 << j)
+                if v in remaining:
+                    remaining.remove(v)
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(frozenset(comp))
+    comps.sort(key=min)
+    return comps
+
+
+def components(relation):
+    """Connected components of a relation's flip graph, each component
+    sorted ascending, components ordered by smallest member."""
+    comps = hamming_components(relation.arity, relation.tuples)
+    return tuple(tuple(sorted(c)) for c in comps)
 
 
 # ------------------------------------------------- clause-synthesis oracles
@@ -186,7 +218,7 @@ def naive_is_componentwise_bijunctive(rel):
         (target, comp)
         for target in range(1, rel.arity + 1)
         for tuples in naive_all_restriction_values(rel, target)
-        for comp in _hamming_components(target, tuples)
+        for comp in hamming_components(target, tuples)
     }
     return all(synth_bijunctive(Relation(target, comp)) for target, comp in comps)
 
@@ -355,14 +387,32 @@ def sequence_partial_order(relation, state):
     return members, frozenset(prec)
 
 
+def closure(dag):
+    """All ordered pairs (u, v) of a flip DAG with a directed path from u
+    to v."""
+    succs = dag.successor_map()
+    pairs = set()
+    for start in dag.nodes:
+        stack = list(succs[start])
+        seen = set()
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            pairs.add((start, v))
+            stack.extend(succs[v])
+    return frozenset(pairs)
+
+
 def closure_reduction(dag):
     """The transitive reduction of a flip DAG, read off its closure: the
     pairs (u, v) with a path from u to v and no node w between them."""
-    closure = dag.closure()
+    pairs = closure(dag)
     return frozenset(
         (u, v)
-        for u, v in closure
-        if not any((u, w) in closure and (w, v) in closure for w in dag.nodes)
+        for u, v in pairs
+        if not any((u, w) in pairs and (w, v) in pairs for w in dag.nodes)
     )
 
 
@@ -448,6 +498,32 @@ def navigable_corpus(count, seed, max_arity=4, max_vars=12, max_clauses=8,
         except GenerationError:
             continue
     return instances
+
+
+def formula_with_constants(relations, num_vars, num_clauses, rng):
+    """(phi, s, t) over the given relations, or None when unsatisfiable.
+    Unlike `random_formula`, a clause argument is a constant about one
+    time in six and repeats an earlier argument of its clause about one
+    time in five; s and t are drawn from the solutions."""
+    named = tuple((f"r{i}", rel) for i, rel in enumerate(relations, 1))
+    clauses = []
+    for _ in range(num_clauses):
+        name, rel = rng.choice(named)
+        args = []
+        for _ in range(rel.arity):
+            roll = rng.random()
+            if roll < 1 / 6:
+                args.append(rng.choice([CONST0, CONST1]))
+            elif roll < 1 / 6 + 1 / 5 and args:
+                args.append(rng.choice(args))
+            else:
+                args.append(rng.randint(1, num_vars))
+        clauses.append(Clause(name, tuple(args)))
+    phi = Formula(num_vars, named, tuple(clauses))
+    sats = members(solution_table(phi.compiled))
+    if not sats:
+        return None
+    return phi, rng.choice(sats), rng.choice(sats)
 
 
 def in_order_class_sample(count, seed, min_arity=4, max_arity=6):

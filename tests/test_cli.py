@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,21 @@ EQ_CNFS = str(DATA / "equality.cnfs")
 THREECNF = str(DATA / "threecnf.cnfs")
 K3_GRAPH = str(DATA / "k3.graph")
 SINGLE_EDGE_GRAPH = str(DATA / "single_edge.graph")
+
+
+PATH5_COMPLEMENT_CNFS = """\
+# s=111
+# t=001
+vars 3
+relation p5c 3
+111
+110
+010
+000
+001
+end
+clause p5c x1 x2 x3
+"""
 
 
 def run(capsys, *argv):
@@ -95,7 +111,22 @@ class TestSolve:
         code, out, err = run(capsys, "solve", PATH_CNFS, "--verbose")
         assert code == 0
         assert out == "PATH 4 x3+ x1+ x2+ x3-\n"
-        assert "# level 1:" in err
+        assert err == (
+            "# level 1: s=000 t=110 S'={x1+ x2+ x3+} T'={} eta=4\n"
+            "# level 2: s=111 t=110 S'={} T'={x3+} eta=1\n"
+        )
+
+    def test_verbose_on_the_complement_route(self, capsys, tmp_path):
+        # PATH5's complement: solved on its complement image, reported in
+        # its own states and lowering flips
+        f = tmp_path / "p5c.cnfs"
+        f.write_text(PATH5_COMPLEMENT_CNFS)
+        code, out, err = run(capsys, "solve", str(f), "--verbose")
+        assert (code, out) == (0, "PATH 4 x3- x1- x2- x3+\n")
+        assert err == (
+            "# level 1: s=111 t=001 S'={x1- x2- x3-} T'={} eta=4\n"
+            "# level 2: s=000 t=001 S'={} T'={x3-} eta=1\n"
+        )
 
     def test_hard_with_oracle(self, capsys, tmp_path):
         _, text, _ = run(capsys, "gen", "vc", SINGLE_EDGE_GRAPH)
@@ -250,6 +281,56 @@ class TestDot:
         # the counts alone need no graph
         code, out, _ = run(capsys, "dot", "--format", "text", str(free))
         assert (code, out) == (0, "states 262144\nedges 2359296\n")
+
+    def test_fliporder_on_the_complement_route(self, capsys, tmp_path):
+        f = tmp_path / "p5c.cnfs"
+        f.write_text(PATH5_COMPLEMENT_CNFS)
+        code, out, _ = run(capsys, "dot", str(f), "--what", "fliporder")
+        assert (code, out) == (0, (
+            "digraph fliporder {\n"
+            '  "x1-";\n'
+            '  "x2-";\n'
+            '  "x3-";\n'
+            '  "x1-" -> "x2-";\n'
+            '  "x3-" -> "x1-";\n'
+            "}\n"
+        ))
+        code, out, _ = run(capsys, "dot", str(f), "--what", "fliporder", "--format", "text")
+        assert (code, out) == (0, "nodes 3\nedges 3\n")
+
+    def test_fliporder_draws_the_routes_dag(self, capsys, tmp_path):
+        # The declared set routes through the complement because of a
+        # relation no clause uses; the implication clause alone would have
+        # a raising DAG (the free x3+), but the route's lowering DAG is drawn.
+        f = tmp_path / "unused.cnfs"
+        f.write_text(
+            "vars 3\n"
+            "relation p5c 3\n111\n110\n010\n000\n001\nend\n"
+            "relation imp 2\n00\n10\n11\nend\n"
+            "clause imp x1 x2\n"
+        )
+        code, out, _ = run(capsys, "dot", str(f), "--what", "fliporder", "--from", "110")
+        assert (code, out) == (0, (
+            "digraph fliporder {\n"
+            '  "x1-";\n'
+            '  "x2-";\n'
+            '  "x2-" -> "x1-";\n'
+            "}\n"
+        ))
+
+    @pytest.mark.parametrize("form", [(), ("--format", "text")], ids=["dot", "text"])
+    def test_cap_checked_before_compiling(self, capsys, tmp_path, form):
+        f = tmp_path / "huge.cnfs"
+        f.write_text("vars 2000000\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "dot", *form, str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "formula has 2000000 variables, above the explicit-graph cap 20" in err
+        assert peak < 16 << 20
 
     def test_fliporder_rejects_hard_formula(self, capsys, tmp_path):
         _, text, _ = run(capsys, "gen", "is", SINGLE_EDGE_GRAPH)

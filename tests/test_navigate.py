@@ -25,11 +25,14 @@ from satflip import (
     solve,
 )
 from satflip import (
+    CompiledFormula,
     GenerationError,
     SimpleGraph,
+    formula_flip_dag,
     gen_vertex_cover_instance,
     is_componentwise_bijunctive,
     random_formula,
+    random_navigable_relation,
 )
 from satflip.bits import hamming, zeros
 
@@ -37,7 +40,15 @@ from satflip import navigate
 from satflip.flip_order import lower_set_sequence
 from satflip.formula import _compile
 
-from helpers import formula_strategy, navigable_corpus, rescan_cwb_walk
+from helpers import (
+    closure,
+    formula_strategy,
+    formula_with_constants,
+    navigable_corpus,
+    order_obeying_sequences,
+    rescan_cwb_walk,
+    two_cnf_relation,
+)
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
 PATH_PHI = Formula(3, (("path5", PATH5),), (Clause("path5", (1, 2, 3)),))
@@ -403,6 +414,131 @@ class TestEndpointErrors:
         with pytest.raises(PreconditionError) as err:
             solve(phi, 1 << 3, t)
         assert str(err.value) == "assignment 8 out of range for 3 variables"
+
+
+PATH5_COMPLEMENT = Formula(3, (("p5c", PATH5.complemented()),), (Clause("p5c", (1, 2, 3)),))
+
+
+class TestRoute:
+    def test_primal_routes(self):
+        for name in ("cwb", "navigable", "hard"):
+            phi, _ = BAD_SOURCE_ROUTES[name]
+            route = phi.route
+            assert route.classification == classify_formula(phi)
+            assert route.compiled is phi.compiled and route.mask == 0
+
+    def test_complement_route(self):
+        route = PATH5_COMPLEMENT.route
+        assert route.classification.kind is NavigableKind.OR_AND_HORN_FREE
+        assert route.compiled == PATH5_COMPLEMENT.compiled.complemented()
+        assert route.mask == 0b111
+
+    def test_cached_on_the_formula(self):
+        assert PATH5_COMPLEMENT.route is PATH5_COMPLEMENT.route
+
+    def test_classified_and_complemented_once(self, monkeypatch):
+        calls = {"classify": 0, "complemented": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            navigate, "classify_formula", counting("classify", navigate.classify_formula)
+        )
+        monkeypatch.setattr(
+            CompiledFormula, "complemented",
+            counting("complemented", CompiledFormula.complemented),
+        )
+        phi = Formula(3, (("p5c", PATH5.complemented()),), (Clause("p5c", (1, 2, 3)),))
+        for _ in range(3):
+            assert solve(phi, 0b111, 0b001).protocol_line() == "PATH 4 x3- x1- x2- x3+"
+        assert calls == {"classify": 1, "complemented": 1}
+
+    def test_trace_in_the_formulas_terms(self):
+        seen = []
+        solve(PATH5_COMPLEMENT, 0b111, 0b001, trace=lambda **kw: seen.append(kw))
+        assert seen == [
+            dict(level=1, s=0b111, t=0b001, eta=4, lower_t=(),
+                 lower_s=(Flip(3, False), Flip(1, False), Flip(2, False))),
+            dict(level=2, s=0b000, t=0b001, eta=1, lower_s=(),
+                 lower_t=(Flip(3, False),)),
+        ]
+
+
+def _random_relation(rng):
+    arity = rng.randint(2, 3)
+    return Relation(arity, frozenset(
+        rng.sample(range(1 << arity), rng.randint(1, 1 << arity))
+    ))
+
+
+# Relations that put a formula on each route of `solve`; a drawn set may
+# still classify elsewhere, and `routed_corpus` keeps only its own route's.
+ROUTE_RELATIONS = {
+    NavigableKind.COMPONENTWISE_BIJUNCTIVE:
+        lambda rng: two_cnf_relation(rng.randint(1, 3), rng, rng.randint(1, 3)),
+    NavigableKind.NAND_AND_DUAL_HORN_FREE:
+        lambda rng: random_navigable_relation(rng.randint(1, 4), rng.randrange(2**32)),
+    NavigableKind.OR_AND_HORN_FREE:
+        lambda rng: random_navigable_relation(
+            rng.randint(1, 4), rng.randrange(2**32)).complemented(),
+    None: _random_relation,
+}
+
+
+def routed_corpus(kind, count, seed):
+    """Seeded instances, n <= 12, whose clauses mix repeated variables
+    with constants, all on the route of `kind` (None: the HARD route)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count * 20):
+        relations = [ROUTE_RELATIONS[kind](rng) for _ in range(rng.randint(1, 3))]
+        drawn = formula_with_constants(
+            relations, rng.randint(1, 12), rng.randint(0, 10), rng
+        )
+        if drawn is not None and drawn[0].route.classification.kind is kind:
+            out.append(drawn)
+            if len(out) == count:
+                return out
+    raise AssertionError(f"too few instances on the {kind} route")
+
+
+class TestRoutesAgainstExactSearch:
+    @pytest.mark.parametrize("kind", list(ROUTE_RELATIONS), ids=[
+        "cwb", "nand-free-dual-horn-free", "complement", "hard-oracle"])
+    def test_outcome_length_and_replay(self, kind):
+        connected = 0
+        for phi, s, t in routed_corpus(kind, 40, seed=1201):
+            res = solve(phi, s, t, allow_oracle=True, cap=12)
+            ref = bfs_shortest(phi.compiled, s, t, cap=12)
+            if kind is None:
+                assert res.outcome is Outcome.HARD
+                res = res.oracle
+            else:
+                assert (res.outcome is Outcome.PATH) == ref.connected
+            assert res.length == ref.length
+            if ref.connected:
+                assert apply_sequence(phi.compiled, s, res.flips) == t
+                connected += res.length > 0
+        assert connected >= 10
+
+    def test_complement_dag_lowering_sequences_replay(self):
+        checked = 0
+        for phi, s, _ in routed_corpus(NavigableKind.OR_AND_HORN_FREE, 200, seed=1202):
+            route = phi.route
+            dag = formula_flip_dag(route.compiled, s ^ route.mask)
+            if len(dag.nodes) > 6:
+                continue  # every sequence is enumerated
+            for seq in order_obeying_sequences(dag.nodes, closure(dag)):
+                lowering = [Flip(v, False) for v in seq]
+                assert apply_sequence(phi.compiled, s, lowering) == s ^ sum(
+                    1 << (phi.num_vars - v) for v in seq
+                )
+            checked += bool(dag.edges)
+        assert checked >= 8
 
 
 class TestProtocolLines:

@@ -16,7 +16,6 @@ from satflip import (
     apply_sequence,
     bfs_shortest,
     build_graph,
-    components,
     evaluate,
     gen_independent_set_instance,
     gen_vertex_cover_instance,
@@ -28,6 +27,7 @@ from satflip import recon
 from satflip.recon import graph_size, graph_to_dot, members
 
 from helpers import (
+    components,
     dict_bfs_line,
     dict_graph,
     formula_strategy,
@@ -43,6 +43,11 @@ EQ_PHI = Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)), Clause("imp", (2, 1
 
 
 class TestSatMask:
+    @pytest.fixture(autouse=True)
+    def numpy(self):
+        # numpy is an optional extra, and sat_mask is its only user
+        pytest.importorskip("numpy")
+
     def test_matches_evaluate(self):
         for phi, _, _ in navigable_corpus(20, seed=3, max_vars=8, max_clauses=5):
             mask = sat_mask(phi.compiled)

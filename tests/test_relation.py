@@ -35,13 +35,13 @@ from satflip import (
 from satflip.errors import ParseError
 from satflip.relation import (
     _bijunctive_table,
-    _hamming_components,
     _level_steps,
     _restriction_closure,
     _table_components,
 )
 
 from helpers import (
+    hamming_components,
     majority_closed,
     naive_all_restriction_values,
     naive_is_free,
@@ -320,7 +320,7 @@ class TestTableComponents:
     @example(rel=Relation(8, frozenset({0, 255})))
     @example(rel=Relation(4, frozenset({0b0000, 0b0110, 0b0111, 0b1000, 0b1001})))
     def test_matches_hamming_components(self, rel):
-        want = [table_of(c) for c in _hamming_components(rel.arity, rel.tuples)]
+        want = [table_of(c) for c in hamming_components(rel.arity, rel.tuples)]
         got = sorted(_table_components(rel.arity, [rel.table]), key=lambda c: c & -c)
         assert got == want
 
@@ -400,7 +400,7 @@ class TestComponentwiseBijunctive:
             for rel in all_relations(arity):
                 if not rel.tuples:
                     continue
-                connected = len(_hamming_components(arity, rel.tuples)) == 1
+                connected = len(hamming_components(arity, rel.tuples)) == 1
                 if is_bijunctive(rel) and connected:
                     assert is_componentwise_bijunctive(rel)
 
@@ -494,7 +494,7 @@ class TestRestrictionClosure:
         # positions 2 and 3 joins them into {000, 010, 011, 100, 101},
         # which lacks majority(011, 101, 000) = 001.
         rel = Relation.from_bitstrings(["0000", "0110", "0111", "1000", "1001"])
-        comps = _hamming_components(4, rel.tuples)
+        comps = hamming_components(4, rel.tuples)
         assert len(comps) == 2
         assert all(is_bijunctive(Relation(4, c)) for c in comps)
         assert not is_componentwise_bijunctive(rel)
