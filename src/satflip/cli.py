@@ -19,6 +19,7 @@ from .formula import (
     serialize_formula,
 )
 from .gen import (
+    MAX_RANDOM_COUNT,
     gen_independent_set_instance,
     gen_vertex_cover_instance,
     parse_graph,
@@ -50,13 +51,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _yesno(flag: bool) -> str:
@@ -177,6 +180,9 @@ def cmd_gen_is(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
+    for flag, count in (("--clauses", args.clauses), ("--relations", args.relations)):
+        if count > MAX_RANDOM_COUNT:
+            raise PreconditionError(f"{flag} must be at most {MAX_RANDOM_COUNT}, got {count}")
     rng = random.Random(args.seed)
     relations = [
         random_navigable_relation(args.arity, rng.randrange(2**32))

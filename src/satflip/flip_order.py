@@ -7,24 +7,19 @@ downward-closed flip sets under an explicit partial order.
 :func:`relation_partial_order` reads that order off the relation's truth
 table, from the tuples a flood by single raises reaches;
 :func:`valid_positive_sequences` enumerates the sequences themselves and
-is kept as the reference the order is tested against. This module
-combines the per-clause orders of a formula in two ways.
+is kept as the reference the order is tested against.
 
-:func:`lower_set_sequence` is the solver's route. It walks precedence
-backwards from a set of wanted flips, reading only the clauses of the
-variables it reaches, and orders the smallest lower set it finds by
-Kahn's algorithm (Kahn, CACM 1962), or reports that some wanted flip can
-never happen: an ancestor is blocked by a clause, or the ancestors hold
-a precedence cycle. Its cost follows the lower set, not the formula.
-
-:func:`formula_flip_dag` merges every clause into one precedence DAG over
-all flips. The flips that can never happen (blocked, on a cycle, or
-forced after such a flip) are pruned by one Kahn peel. It serves the DOT
-export, :func:`dag_to_dot`, which the CLI draws on the formula's route:
-for an OR-free + Horn-free formula that is the DAG of its complemented
-form, whose raises are the formula's lowering flips. With
-:func:`smallest_lower_set` and :func:`order_respecting_sequence` it is
-the reference the walk is tested against.
+A formula's flip order is read by one backward walk, :func:`_walk`, and
+one topological order, :func:`_kahn` (Kahn, CACM 1962). The walk reads
+only the clauses of the variables it reaches; a variable stuck in one of
+its clauses is its own predecessor, so the order leaves it out, and all
+it precedes, as it leaves out a cycle. :func:`lower_set_sequence`, the
+solver's route, walks from the flips it wants, so its cost follows their
+lower set, not the formula. :func:`formula_flip_dag` walks from every
+variable at 0; its DAG serves the DOT export, :func:`dag_to_dot`, which
+the CLI draws on the formula's route (for an OR-free + Horn-free formula,
+the DAG of its complemented form, whose raises are the formula's lowering
+flips), and :func:`order_respecting_sequence` orders its lower sets.
 Functions that read a formula take its compiled form, ``phi.compiled``.
 """
 
@@ -187,9 +182,8 @@ def _local_order(relation: Relation, state: int) -> tuple[tuple[int, ...] | None
     """`relation_partial_order` at `state`, per 0-based position: the
     ascending positions that must be raised before it, or None where no
     valid positive sequence raises it (it is 1 already, or stuck at 0).
-    The flip DAG and the backward walk both read their clauses through
-    this; a formula has few distinct (effective relation, local tuple)
-    pairs."""
+    :func:`_walk` reads every clause through this; a formula has few
+    distinct (effective relation, local tuple) pairs."""
     members, prec = relation_partial_order(relation, state)
     return tuple(
         tuple(sorted(p - 1 for p, r in prec if r == q)) if q in members else None
@@ -205,34 +199,16 @@ def _require_order_class(compiled: CompiledFormula) -> None:
     require_relations(compiled, _in_order_class, "NAND-free and dual-Horn-free")
 
 
-def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, ...] | None:
-    """Raise the smallest lower set of the wanted flips, in order.
-
-    `state` is taken as the satisfying state its caller has kept by
-    checked flips. Walks precedence backwards from the wanted variables:
-    each variable reached reads the local order of its own clauses only,
-    and the predecessors found there are walked in turn. The variables
-    reached are then ordered by Kahn's algorithm, lowest index first.
-    Returns None when some wanted flip can never happen: a wanted
-    variable is 1 already, a variable reached is stuck in one of its
-    clauses, or the variables reached contain a precedence cycle. The
-    result equals ``order_respecting_sequence(dag, smallest_lower_set(dag,
-    wanted))`` on the state's flip DAG when the wanted flips are its
-    nodes, and None exactly when they are not.
-    """
+def _walk(state: FlipState, roots: Iterable[int]) -> dict[int, set[int]]:
+    """The roots and every variable they need raised first, at a
+    satisfying state, each with the set of variables that must be raised
+    before it. Each variable reached reads the local order of its own
+    clauses only. One stuck in a clause (no valid positive sequence of it
+    raises the variable) is its own predecessor, so no order raises it."""
     compiled = state.compiled
-    n = compiled.num_vars
     variables, relations, local = compiled.variables, compiled.relations, state.local
-    preds: dict[int, set[int]] = {}
-    stack = []
-    for v in wanted:
-        if not 1 <= v <= n:
-            raise PreconditionError(f"x{v} names no variable in 1..{n}")
-        if v not in preds:
-            if state.value(v):
-                return None
-            preds[v] = set()
-            stack.append(v)
+    preds = {v: set() for v in roots}
+    stack = list(preds)
     while stack:
         v = stack.pop()
         before = preds[v]
@@ -240,14 +216,22 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
             clause_vars = variables[j]
             order = _local_order(relations[j], local[j])[len(clause_vars) - bit.bit_length()]
             if order is None:
-                return None
+                before.add(v)
+                continue
             for p in order:
                 u = clause_vars[p]
                 before.add(u)
                 if u not in preds:
                     preds[u] = set()
                     stack.append(u)
+    return preds
 
+
+def _kahn(preds: dict[int, set[int]]) -> list[int]:
+    """Kahn's topological order (Kahn, CACM 1962) of the keys of `preds`,
+    each after its predecessors, ties going to the lowest index. A
+    variable left out lies on a precedence cycle (a stuck variable's
+    self-loop included) or after one."""
     indeg = {v: len(before) for v, before in preds.items()}
     succs = defaultdict(list)
     for v, before in preds.items():
@@ -258,14 +242,38 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
     out = []
     while ready:
         u = heapq.heappop(ready)
-        out.append(Flip(u, True))
+        out.append(u)
         for v in succs[u]:
             indeg[v] -= 1
             if not indeg[v]:
                 heapq.heappush(ready, v)
-    if len(out) != len(preds):
-        return None  # the leftover variables hold a precedence cycle
-    return tuple(out)
+    return out
+
+
+def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, ...] | None:
+    """Raise the smallest lower set of the wanted flips, in order.
+
+    `state` is taken as the satisfying state its caller has kept by
+    checked flips. The lower set is :func:`_walk` from the wanted flips,
+    in :func:`_kahn`'s order. Returns None when some wanted flip can
+    never happen: it is 1 already, or the order leaves a variable out.
+    The result equals ``order_respecting_sequence(dag,
+    smallest_lower_set(dag, wanted))`` on the state's flip DAG when the
+    wanted flips are its nodes, and None exactly when they are not.
+    """
+    n = state.compiled.num_vars
+    roots = []
+    for v in wanted:
+        if not 1 <= v <= n:
+            raise PreconditionError(f"x{v} names no variable in 1..{n}")
+        if state.value(v):
+            return None
+        roots.append(v)
+    preds = _walk(state, roots)
+    order = _kahn(preds)
+    if len(order) != len(preds):
+        return None
+    return tuple(Flip(v, True) for v in order)
 
 
 @dataclass(frozen=True)
@@ -293,52 +301,18 @@ class FlipOrderDag:
 
 
 def formula_flip_dag(compiled: CompiledFormula, assignment: int) -> FlipOrderDag:
-    """Merge per-clause flip orders at a satisfying assignment into one DAG.
-
-    Every variable currently 0 starts as a candidate node (variables in
-    no clause stay as isolated, always-flippable nodes). Each clause
-    contributes the partial order of its effective relation at its local
-    tuple, translated to variable level, and blocks the variables of
-    that clause the order cannot raise. One Kahn peel then keeps the
-    candidates that can happen: a candidate survives iff it is not
-    blocked and all its predecessors survive. A candidate the peel never
-    reaches lies on a directed cycle or downstream of a cycle or of a
-    blocked flip, and a flip forced after an impossible flip is itself
-    impossible. This reads every clause; :func:`lower_set_sequence`
-    reads only the ancestors of the flips it is asked for.
-    """
+    """The precedence DAG of every positive flip at a satisfying assignment:
+    :func:`_walk` from every variable at 0, whose nodes are the variables
+    :func:`_kahn` can order and whose edges are their predecessors. A
+    variable in no clause is an isolated node; a flip stuck in a clause,
+    on a precedence cycle or forced after such a flip can never happen."""
     _require_order_class(compiled)
     state = satisfying_state(compiled, assignment, "start")
     n = compiled.num_vars
-    candidates = set(set_vars(state.assignment ^ ((1 << n) - 1), n))
-    blocked = set()
-    edges = set()
-    for variables, eff, sub in zip(compiled.variables, compiled.relations, state.local):
-        if eff is None:
-            continue  # constant clause, already known satisfied
-        for v, before in zip(variables, _local_order(eff, sub)):
-            if before is None:
-                blocked.add(v)
-            else:
-                edges.update((variables[p], v) for p in before)
-
-    indeg = dict.fromkeys(candidates, 0)
-    succs = defaultdict(list)
-    for u, v in edges:
-        succs[u].append(v)
-        indeg[v] += 1
-    ready = [v for v in candidates if not indeg[v] and v not in blocked]
-    nodes = set()
-    while ready:
-        u = ready.pop()
-        nodes.add(u)
-        for v in succs[u]:
-            indeg[v] -= 1
-            if not indeg[v] and v not in blocked:
-                ready.append(v)
-
-    kept = frozenset((u, v) for u, v in edges if u in nodes and v in nodes)
-    return FlipOrderDag(frozenset(nodes), kept)
+    preds = _walk(state, set_vars(state.assignment ^ ((1 << n) - 1), n))
+    nodes = _kahn(preds)
+    edges = frozenset((u, v) for v in nodes for u in preds[v])
+    return FlipOrderDag(frozenset(nodes), edges)
 
 
 def smallest_lower_set(dag: FlipOrderDag, flips: Iterable[int]) -> frozenset[int]:
@@ -363,8 +337,9 @@ def smallest_lower_set(dag: FlipOrderDag, flips: Iterable[int]) -> frozenset[int
 
 
 def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[Flip, ...]:
-    """A topological ordering of a downward-closed flip set, breaking ties
-    by lowest variable index."""
+    """A topological ordering of a downward-closed flip set of the DAG,
+    by :func:`_kahn` over the set's predecessors, so ties go to the
+    lowest variable index."""
     chosen = set(flips)
     extra = chosen - dag.nodes
     if extra:
@@ -374,25 +349,11 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
             raise PreconditionError(
                 f"flip set is not downward closed: x{v}+ requires x{u}+"
             )
-    indeg = {v: 0 for v in chosen}
-    succs = defaultdict(set)
-    for u, v in dag.edges:
-        if u in chosen and v in chosen and v not in succs[u]:
-            succs[u].add(v)
-            indeg[v] += 1
-    ready = [v for v in chosen if indeg[v] == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for w in sorted(succs[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(out) != len(chosen):
+    preds = dag.predecessor_map()
+    order = _kahn({v: preds[v] for v in chosen})
+    if len(order) != len(chosen):
         raise TheoryError("cycle survived pruning in the flip DAG")
-    return tuple(Flip(v, True) for v in out)
+    return tuple(Flip(v, True) for v in order)
 
 
 def canonicalize(compiled: CompiledFormula, start: int, flips) -> tuple[Flip, ...]:

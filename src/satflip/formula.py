@@ -258,7 +258,9 @@ def first_violated_clause(phi: Formula, assignment: int) -> int | None:
     return flip_state(phi.compiled, assignment).violated()
 
 
-@lru_cache(maxsize=None)
+# Bounded: one entry per clause shape. Compiling every formula of the
+# benchmark's navigate or greedy stream (seed 1) fills 2 or 8 entries.
+@lru_cache(maxsize=4096)
 def _effective(rel: Relation, entries: tuple, k: int) -> Relation:
     """The restriction of `rel` for one clause shape: `entries` are the
     clause's arguments with its variables renumbered 1..k."""
@@ -303,8 +305,7 @@ def parse_instance(text: str):
     """Like `parse_formula` but also returns endpoints embedded as
     `# s=<bits>` / `# t=<bits>` comments (None when absent)."""
     num_vars = None
-    relations: list[tuple[str, Relation]] = []
-    names = set()
+    relations: dict[str, Relation] = {}
     clauses: list[Clause] = []
     pending = None  # (name, arity, tuples, start_line) of an open relation block
     endpoint_raw = {}
@@ -323,7 +324,7 @@ def parse_instance(text: str):
         if pending is not None:
             name, arity, tuples, start = pending
             if parts == ["end"]:
-                relations.append((name, Relation(arity, frozenset(tuples))))
+                relations[name] = Relation(arity, frozenset(tuples))
                 pending = None
                 continue
             if len(line) != arity or any(c not in "01" for c in line):
@@ -351,7 +352,7 @@ def parse_instance(text: str):
             if len(parts) != 3:
                 raise ParseError("expected 'relation <name> <arity>'", lineno)
             name = parts[1]
-            if name in names:
+            if name in relations:
                 raise ParseError(f"duplicate relation name {name!r}", lineno)
             try:
                 arity = int(parts[2])
@@ -359,7 +360,6 @@ def parse_instance(text: str):
                 raise ParseError(f"bad arity {parts[2]!r}", lineno) from None
             if not 1 <= arity <= MAX_ARITY:
                 raise ParseError(f"arity must be in 1..{MAX_ARITY}", lineno)
-            names.add(name)
             pending = (name, arity, set(), lineno)
         elif directive == "clause":
             if num_vars is None:
@@ -367,7 +367,7 @@ def parse_instance(text: str):
             if len(parts) < 2:
                 raise ParseError("expected 'clause <name> <args...>'", lineno)
             name = parts[1]
-            rel = dict(relations).get(name)
+            rel = relations.get(name)
             if rel is None:
                 raise ParseError(f"undefined relation {name!r}", lineno)
             raw_args = parts[2:]
@@ -406,7 +406,7 @@ def parse_instance(text: str):
         raise ParseError(f"relation {pending[0]!r} not terminated by 'end'", pending[3])
     if num_vars is None:
         raise ParseError("missing 'vars' line")
-    phi = Formula(num_vars, tuple(relations), tuple(clauses))
+    phi = Formula(num_vars, tuple(relations.items()), tuple(clauses))
 
     endpoints = {}
     for key, value in endpoint_raw.items():

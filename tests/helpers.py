@@ -331,24 +331,79 @@ def enum_positive_sequences(phi, start):
     return out
 
 
-def positive_flip_variables(phi, start):
-    """Variables raised by some valid positive sequence (via BFS over the
-    monotone-up reachable states, so it stays cheap)."""
+def raise_reachable(phi, start):
+    """The assignments that valid positive sequences from `start` reach
+    (BFS over the monotone-up reachable states, so it stays cheap)."""
     n = phi.num_vars
     seen = {start}
     stack = [start]
-    flippable = set()
     while stack:
         u = stack.pop()
         for v in range(1, n + 1):
             if var_bit(u, v, n) == 0:
                 w = flip_bit(u, v, n)
-                if naive_evaluate(phi, w):
-                    flippable.add(v)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-    return flippable
+                if w not in seen and naive_evaluate(phi, w):
+                    seen.add(w)
+                    stack.append(w)
+    return seen
+
+
+def positive_flip_variables(phi, start):
+    """Variables raised by some valid positive sequence."""
+    raised = 0
+    for a in raise_reachable(phi, start):
+        raised |= a & ~start
+    n = phi.num_vars
+    return {v for v in range(1, n + 1) if var_bit(raised, v, n)}
+
+
+def reached_precedence(phi, start):
+    """The formula's flip order at `start`, read off `raise_reachable`: v
+    is a member iff some reached assignment has raised it, and (u, v) is
+    a pair iff every reached assignment that has raised v has raised u
+    too. The pairs are transitively closed."""
+    n = phi.num_vars
+    seen = raise_reachable(phi, start)
+    members = set()
+    prec = set()
+    for v in range(1, n + 1):
+        raised = [a & ~start for a in seen if var_bit(a & ~start, v, n)]
+        if raised:
+            members.add(v)
+            prec.update(
+                (u, v) for u in range(1, n + 1)
+                if u != v and all(var_bit(a, u, n) for a in raised)
+            )
+    return frozenset(members), frozenset(prec)
+
+
+def lowest_index_order(chosen, prec):
+    """The topological order of `chosen` under the pairs (u, v) of `prec`,
+    u first, that always places the smallest variable whose predecessors
+    in `chosen` are all placed; None when some variable never qualifies.
+    Quadratic and heap-free, so it shares nothing with the library."""
+    placed = []
+    left = sorted(chosen)
+    while left:
+        ready = [
+            v for v in left
+            if all(u in placed for u, w in prec if w == v and u in chosen)
+        ]
+        if not ready:
+            return None
+        placed.append(ready[0])
+        left.remove(ready[0])
+    return placed
+
+
+def reference_lower_set_sequence(phi, start, want):
+    """What `lower_set_sequence` must return at `start`, from
+    `reached_precedence` and `lowest_index_order` alone."""
+    members, prec = reached_precedence(phi, start)
+    if not set(want) <= members:
+        return None
+    lower = set(want) | {u for u, v in prec if v in want}
+    return tuple(Flip(v, True) for v in lowest_index_order(lower, prec))
 
 
 def order_obeying_sequences(members, prec):

@@ -5,9 +5,12 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from satflip import MAX_STATE_CAP
 from satflip.cli import main
@@ -240,6 +243,31 @@ class TestGen:
         assert (code, out) == (2, "")
         assert "num_clauses must be at least 0, got -1" in err
 
+    @pytest.mark.parametrize("flag", ["--clauses", "--relations"])
+    def test_count_above_ceiling_exit_2(self, capsys, flag):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "gen", "random", flag, "1000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert f"{flag} must be at most 1000, got 1000000000" in err
+        assert peak < 1 << 20
+
+    def test_huge_vertex_count_exit_1(self, capsys, tmp_path):
+        huge = tmp_path / "huge.graph"
+        huge.write_text("graph 99999999999999\nedge 1 2\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "gen", "vc", str(huge))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert "graph has 99999999999999 vertices, above the ceiling 1000000" in err
+        assert peak < 1 << 20
+
     def test_malformed_graph_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text("graph 2\nedge 1\n")
@@ -342,6 +370,13 @@ class TestDot:
 
 
 class TestUsage:
+    def test_not_utf8_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cnfs"
+        bad.write_bytes(b"vars 3\xff\n")
+        code, out, err = run(capsys, "classify", str(bad))
+        assert (code, out) == (1, "")
+        assert "not UTF-8 text at byte 6" in err
+
     def test_unknown_subcommand_exit_1(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -430,3 +465,86 @@ class TestGenRandomPinned:
     ], ids=["defaults", "n16-m20", "n12-arity4"])
     def test_stdout_unchanged(self, extra, expected):
         assert gen_random_digest(*extra) == expected
+
+
+# ------------------------------------------------------------------ fuzzing
+
+REL_TEXT = "arity 3\n000\n001\n101\n111\n110\n"
+FUZZ_BASES = [
+    (".cnfs", (DATA / "path.cnfs").read_bytes()),
+    (".cnfs", PATH5_COMPLEMENT_CNFS.encode()),
+    (".cnfs", (DATA / "threecnf.cnfs").read_bytes()),
+    (".cnfs", (DATA / "equality.cnfs").read_bytes()),
+    (".rel", REL_TEXT.encode()),
+    (".graph", (DATA / "k3.graph").read_bytes()),
+    (".graph", (DATA / "single_edge.graph").read_bytes()),
+]
+FUZZ_TOKENS = [
+    b"\n", b" ", b"\t", b"0", b"1", b"9", b"x", b"x0", b"x4", b"T", b"F", b"-",
+    b"#", b"# s=", b"# t=", b"end", b"vars", b"relation", b"clause", b"graph",
+    b"edge", b"arity", b"99999999999999999999", b"-7", b"\x00", b"\xff",
+    "\u00e9".encode(), "\ufeff".encode(),
+]
+FUZZ_CAPS = ["-99999999999999999999", "-1", "0", "3", "12", "27", "99999999999999999999"]
+ABSURD_COUNTS = ["-1", "0", "3", "1001", "1000000000", "99999999999999999999"]
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` after one to six deletions of a run of up to 12 bytes or
+    insertions of a token."""
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(text)))
+        if text and draw(st.booleans()):
+            text = text[:i] + text[i + draw(st.integers(1, 12)):]
+        else:
+            text = text[:i] + draw(st.sampled_from(FUZZ_TOKENS)) + text[i:]
+    return text
+
+
+def exit_code(argv):
+    """`main`'s exit code with stdout and stderr swallowed; argparse's
+    usage errors end in SystemExit, whose code is the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FUZZ_BASES), st.data())
+    def test_mutated_files_exit_cleanly(self, base, data):
+        suffix, text = base
+        cap = data.draw(st.sampled_from(FUZZ_CAPS))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(pathlib.Path(tmp) / f"fuzz{suffix}")
+            pathlib.Path(path).write_bytes(data.draw(mutated(text)))
+            if suffix == ".rel":
+                commands = [["classify", path]]
+            elif suffix == ".graph":
+                commands = [["gen", "vc", path], ["gen", "is", path]]
+            else:
+                commands = [
+                    ["classify", path],
+                    ["solve", path, "--cap", cap, "--verify", "--allow-oracle"],
+                    ["solve", path, "--verbose"],
+                    ["oracle", path, "--cap", cap],
+                    ["dot", path, "--cap", cap],
+                    ["dot", path, "--cap", cap, "--format", "text"],
+                    ["dot", path, "--what", "fliporder"],
+                ]
+            for argv in commands:
+                assert exit_code(argv) in (0, 1, 2), argv
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["--clauses", "--relations", "--vars", "--arity", "--seed"]),
+        st.sampled_from(ABSURD_COUNTS),
+        st.sampled_from(["--clauses", "--relations", "--vars", "--arity", "--seed"]),
+        st.sampled_from(ABSURD_COUNTS),
+    )
+    def test_absurd_gen_random_flags_exit_cleanly(self, flag, value, flag2, value2):
+        argv = ["gen", "random", flag, value, flag2, value2]
+        assert exit_code(argv) in (0, 1, 2), argv

@@ -38,10 +38,13 @@ from helpers import (
     enum_positive_sequences,
     formula_strategy,
     in_order_class_sample,
+    lowest_index_order,
     navigable_corpus,
     order_obeying_sequences,
     positive_flip_variables,
     random_walk,
+    reached_precedence,
+    reference_lower_set_sequence,
     replay_first_bad_flip,
     sequence_partial_order,
 )
@@ -248,6 +251,13 @@ class TestFormulaFlipDag:
             dag = formula_flip_dag(phi.compiled, s)
             assert dag.nodes == frozenset(positive_flip_variables(phi, s))
 
+    def test_order_matches_reached_assignments(self):
+        # the DAG's closure is the order read off the assignments that
+        # raising flips reach, with no clause order involved
+        for phi, s, _ in navigable_corpus(80, seed=49, max_vars=10, max_clauses=6):
+            dag = formula_flip_dag(phi.compiled, s)
+            assert (dag.nodes, closure(dag)) == reached_precedence(phi, s)
+
     def test_sequences_match_enumeration_on_tiny_instances(self):
         count = 0
         for phi, s, _ in navigable_corpus(
@@ -315,6 +325,39 @@ class TestOrderRespectingSequence:
         dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
         with pytest.raises(PreconditionError, match="downward"):
             order_respecting_sequence(dag, {2})
+
+    def test_cycle_is_a_theory_error(self):
+        dag = FlipOrderDag(frozenset({1, 2}), frozenset({(1, 2), (2, 1)}))
+        with pytest.raises(TheoryError, match="cycle survived pruning"):
+            order_respecting_sequence(dag, {1, 2})
+
+    def test_matches_reference_order_on_corpus(self):
+        rng = random.Random(59)
+        checked = 0
+        for phi, s, _ in navigable_corpus(80, seed=67, max_vars=10, max_clauses=7):
+            dag = formula_flip_dag(phi.compiled, s)
+            nodes = sorted(dag.nodes)
+            for _ in range(3):
+                want = set(rng.sample(nodes, rng.randint(0, len(nodes))))
+                lower = smallest_lower_set(dag, want)
+                got = order_respecting_sequence(dag, lower)
+                assert [f.var for f in got] == lowest_index_order(lower, dag.edges)
+                assert got == reference_lower_set_sequence(phi, s, want)
+                checked += len(got) >= 2
+        assert checked >= 50
+
+    def test_random_dags_follow_the_reference_order(self):
+        # corpus DAGs have few edges; these have many, and many ties
+        rng = random.Random(61)
+        for _ in range(200):
+            rank = rng.sample(range(1, 31), rng.randint(1, 30))
+            edges = frozenset(
+                (u, v) for i, u in enumerate(rank) for v in rank[i + 1:]
+                if rng.random() < 0.1
+            )
+            dag = FlipOrderDag(frozenset(rank), edges)
+            got = order_respecting_sequence(dag, dag.nodes)
+            assert [f.var for f in got] == lowest_index_order(dag.nodes, edges)
 
 
 def dag_route(state, want):
@@ -419,6 +462,25 @@ class TestLowerSetSequence:
                     outcomes[got is None] += 1
         assert min(outcomes.values()) >= 50
 
+    def test_matches_reference_order_on_corpus(self):
+        # the reference shares no code with the walk or its ordering
+        rng = random.Random(103)
+        outcomes = {True: 0, False: 0}
+        for phi, s, _ in navigable_corpus(80, seed=107, max_vars=10, max_clauses=7):
+            state = flip_state(phi.compiled, s)
+            for _ in range(3):
+                for _ in range(rng.randint(0, phi.num_vars)):
+                    v = rng.randint(1, phi.num_vars)
+                    if state.can_flip(v):
+                        state.flip(v)
+                zeros = zero_vars(state)
+                for _ in range(3):
+                    want = set(rng.sample(zeros, rng.randint(0, len(zeros))))
+                    got = lower_set_sequence(state, want)
+                    assert got == reference_lower_set_sequence(phi, state.assignment, want)
+                    outcomes[got is None] += 1
+        assert min(outcomes.values()) >= 50
+
     @settings(max_examples=200, deadline=None)
     @given(formula_strategy().filter(in_order_class), st.data())
     def test_matches_dag_route_on_drawn_formulas(self, phi, data):
@@ -431,7 +493,9 @@ class TestLowerSetSequence:
                 state.flip(v)
         zeros = zero_vars(state)
         want = data.draw(st.sets(st.sampled_from(zeros))) if zeros else set()
-        assert lower_set_sequence(state, want) == dag_route(state, want)
+        got = lower_set_sequence(state, want)
+        assert got == dag_route(state, want)
+        assert got == reference_lower_set_sequence(phi, state.assignment, want)
 
     def test_reads_only_the_ancestors_clauses(self, monkeypatch):
         # n = 4801: x1..x2403 odd and even at 0, every odd x >= 2405 at 1;
@@ -455,6 +519,24 @@ class TestLowerSetSequence:
         assert got == dag_route(state, {2400})
         assert len(lookups) > n // 2  # the DAG route reads every clause
         advance(state, got)
+
+
+class TestWalkAndKahn:
+    def test_stuck_variable_is_its_own_predecessor(self):
+        # a unit clause pins x1 at 0 in the chain x1 -> x2 -> x3
+        zero = Relation(1, frozenset({0}))
+        phi = Formula(
+            3,
+            (("imp", IMP), ("zero", zero)),
+            (Clause("zero", (1,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
+        )
+        preds = flip_order._walk(flip_state(phi.compiled, 0b000), [3])
+        assert preds == {3: {2}, 2: {1}, 1: {1}}
+        assert flip_order._kahn(preds) == []
+
+    def test_kahn_leaves_out_cycles_and_what_follows(self):
+        preds = {5: {1}, 4: {3}, 3: {2}, 2: {3}, 1: set(), 6: set()}
+        assert flip_order._kahn(preds) == [1, 5, 6]
 
 
 class TestApplySequence:

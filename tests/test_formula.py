@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -130,14 +132,19 @@ class TestEffectiveClause:
         )
         assert effective_clause(phi, phi.clauses[0]) == ((), None)
 
+    def test_cache_is_bounded(self):
+        assert _effective.cache_info().maxsize == 4096
+
     def test_cache_holds_one_entry_per_shape(self):
         # a relation no other test uses, so its shape is not cached yet
         rel = Relation(4, frozenset({0b0000, 0b0110, 0b1011, 0b1111}))
         clauses = tuple(Clause("q", (v, CONST1, v + 1, v)) for v in range(1, 501))
         phi = Formula(501, (("q", rel),), clauses)
-        before = _effective.cache_info().currsize
+        # counted in misses and hits: the cache is bounded, and may be full
+        before = _effective.cache_info()
         compiled = phi.compiled
-        assert _effective.cache_info().currsize == before + 1
+        after = _effective.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 499)
         assert len({id(r) for r in compiled.relations}) == 1
         # (r1, 1, r2, r1) hits 0110 and 1111 -> {01, 11}
         assert compiled.relations[0].tuples == frozenset({0b01, 0b11})
@@ -204,6 +211,24 @@ class TestCnfsFormat:
         text = "vars 1\nrelation imp 2\n00\nend\nclause imp x1 x9\n"
         with pytest.raises(ParseError, match="line 5.*out of range"):
             parse_formula(text)
+
+    def test_duplicate_relation_name_diagnostic(self):
+        text = "vars 1\nrelation r 1\n0\nend\nrelation r 1\n1\nend\n"
+        with pytest.raises(ParseError, match="line 5.*duplicate relation name 'r'"):
+            parse_formula(text)
+
+    def test_many_relations_keep_their_order(self):
+        rng = random.Random(5)
+        count = 2000
+        lines = ["vars 3"]
+        for i in range(count):
+            lines += [f"relation r{i} 1", str(i % 2), "end"]
+        uses = [rng.randrange(count) for _ in range(4000)]
+        lines += [f"clause r{i} x{i % 3 + 1}" for i in uses]
+        phi = parse_formula("\n".join(lines) + "\n")
+        assert [name for name, _ in phi.relations] == [f"r{i}" for i in range(count)]
+        assert [c.relation_name for c in phi.clauses] == [f"r{i}" for i in uses]
+        assert all(rel.tuples == {i % 2} for i, (_, rel) in enumerate(phi.relations))
 
     def test_unterminated_relation(self):
         with pytest.raises(ParseError, match="not terminated"):

@@ -24,6 +24,7 @@ from satflip import (
     solve,
 )
 from satflip.bits import hamming
+from satflip.gen import MAX_GRAPH_VERTICES
 
 K3 = SimpleGraph(3, ((1, 2), (1, 3), (2, 3)))
 SINGLE_EDGE = SimpleGraph(3, ((1, 2),))  # one edge plus an isolated vertex
@@ -53,6 +54,11 @@ class TestSimpleGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(PreconditionError, match="out of range"):
             SimpleGraph(2, ((1, 3),))
+
+    def test_vertex_ceiling(self):
+        assert SimpleGraph(MAX_GRAPH_VERTICES, ()).num_vertices == MAX_GRAPH_VERTICES
+        with pytest.raises(PreconditionError, match="above the ceiling 1000000"):
+            SimpleGraph(MAX_GRAPH_VERTICES + 1, ())
 
 
 class TestParseGraph:
@@ -187,3 +193,4 @@ class TestRandomFormula:
     def test_vars_cap(self):
         with pytest.raises(PreconditionError):
             random_formula([random_navigable_relation(2, 0)], 17, 1, 0)
+

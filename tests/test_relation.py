@@ -231,6 +231,18 @@ class TestSyntacticClasses:
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= 4096
 
+    def test_predicate_caches_are_bounded(self):
+        # one classify stream fills ~500 entries in each; a long-lived
+        # process must not keep every relation it has classified
+        from satflip import relation
+
+        for name in ("is_horn", "is_dual_horn", "is_affine", "is_or_free",
+                     "is_nand_free", "is_horn_free", "is_dual_horn_free",
+                     "is_componentwise_bijunctive"):
+            cached = getattr(relation, name)
+            assert cached.cache_info().maxsize == relation.PREDICATE_CACHE_SIZE, name
+        assert relation.PREDICATE_CACHE_SIZE >= 4096
+
     def test_synthesis_oracles_agree_arity4_sample(self):
         rng = random.Random(41)
         for _ in range(40):
