@@ -26,7 +26,6 @@ from .flip_order import (
     order_respecting_sequence,
     relation_partial_order,
     smallest_lower_set,
-    valid_positive_sequences,
 )
 from .formula import (
     Clause,
@@ -46,7 +45,6 @@ from .gen import (
     SimpleGraph,
     gen_independent_set_instance,
     gen_vertex_cover_instance,
-    min_vertex_cover_size,
     parse_graph,
     random_formula,
     random_navigable_relation,
@@ -83,7 +81,6 @@ from .relation import (
     RelationFlags,
     RestrictionMap,
     Verdict,
-    all_restrictions,
     classify_set,
     is_affine,
     is_bijunctive,

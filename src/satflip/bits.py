@@ -14,10 +14,6 @@ def var_bit(value: int, index: int, width: int) -> int:
     return (value >> (width - index)) & 1
 
 
-def flip_bit(value: int, index: int, width: int) -> int:
-    return value ^ (1 << (width - index))
-
-
 def zeros(value: int, width: int) -> int:
     return width - value.bit_count()
 

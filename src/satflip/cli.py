@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import fields
 
 from .errors import ParseError, PreconditionError, TheoryError
 from .flip_order import dag_to_dot, formula_flip_dag
@@ -51,11 +52,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
+    """The file's text, or stdin's for `-`, decoded as strict UTF-8 from
+    its bytes, so both report the same errors."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return data.decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -97,18 +102,10 @@ def cmd_classify(args) -> int:
         named = phi.relations
         cls = classify_formula(phi)
     for (name, _), flags in zip(named, cls.per_relation):
-        print(
-            f"relation {name}:"
-            f" bijunctive={_yesno(flags.bijunctive)}"
-            f" horn={_yesno(flags.horn)}"
-            f" dual-horn={_yesno(flags.dual_horn)}"
-            f" affine={_yesno(flags.affine)}"
-            f" componentwise-bijunctive={_yesno(flags.componentwise_bijunctive)}"
-            f" or-free={_yesno(flags.or_free)}"
-            f" nand-free={_yesno(flags.nand_free)}"
-            f" horn-free={_yesno(flags.horn_free)}"
-            f" dual-horn-free={_yesno(flags.dual_horn_free)}"
-        )
+        print(f"relation {name}:", *(
+            f"{f.name.replace('_', '-')}={_yesno(getattr(flags, f.name))}"
+            for f in fields(flags)
+        ))
     if cls.verdict is Verdict.NAVIGABLE:
         print(f"NAVIGABLE ({cls.kind.value})")
     else:
@@ -169,14 +166,9 @@ def _emit_instance(phi, s, t) -> int:
     return 0
 
 
-def cmd_gen_vc(args) -> int:
+def cmd_gen_reduction(args) -> int:
     graph = parse_graph(_read(args.graph))
-    return _emit_instance(*gen_vertex_cover_instance(graph))
-
-
-def cmd_gen_is(args) -> int:
-    graph = parse_graph(_read(args.graph))
-    return _emit_instance(*gen_independent_set_instance(graph))
+    return _emit_instance(*args.reduction(graph))
 
 
 def cmd_gen_random(args) -> int:
@@ -251,12 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit instances on stdout")
     gensub = p.add_subparsers(dest="kind", required=True)
-    g = gensub.add_parser("vc", help="vertex-cover reduction instance")
-    g.add_argument("graph", help="graph file or -")
-    g.set_defaults(func=cmd_gen_vc)
-    g = gensub.add_parser("is", help="independent-set reduction instance")
-    g.add_argument("graph", help="graph file or -")
-    g.set_defaults(func=cmd_gen_is)
+    for kind, problem, reduction in (
+        ("vc", "vertex-cover", gen_vertex_cover_instance),
+        ("is", "independent-set", gen_independent_set_instance),
+    ):
+        g = gensub.add_parser(kind, help=f"{problem} reduction instance")
+        g.add_argument("graph", help="graph file or -")
+        g.set_defaults(func=cmd_gen_reduction, reduction=reduction)
     g = gensub.add_parser("random", help="seeded random solvable instance")
     g.add_argument("--vars", type=int, default=8)
     g.add_argument("--clauses", type=int, default=5)

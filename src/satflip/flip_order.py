@@ -5,9 +5,8 @@ satisfied. For a single NAND-free and dual-Horn-free relation, the valid
 positive flip sequences from a state are exactly the orderings of
 downward-closed flip sets under an explicit partial order.
 :func:`relation_partial_order` reads that order off the relation's truth
-table, from the tuples a flood by single raises reaches;
-:func:`valid_positive_sequences` enumerates the sequences themselves and
-is kept as the reference the order is tested against.
+table, from the tuples a flood by single raises reaches, without
+enumerating the sequences, whose number grows factorially with the arity.
 
 A formula's flip order is read by one backward walk, :func:`_walk`, and
 one topological order, :func:`_kahn` (Kahn, CACM 1962). The walk reads
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .bits import flip_bit, set_vars, var_bit
-from .errors import FlipSequenceError, ParseError, PreconditionError, TheoryError
+from .bits import set_vars
+from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .formula import CompiledFormula, FlipState
 from .formula import require_relations, satisfying_state
 from .relation import Relation, _index_masks, is_dual_horn_free, is_nand_free
@@ -49,26 +48,12 @@ class Flip(NamedTuple):
         return Flip(self.var, not self.up)
 
 
-def parse_flip(token: str) -> Flip:
-    """Read a flip token `x<var>+` or `x<var>-`; raises ParseError."""
-    if len(token) < 3 or token[0] != "x" or token[-1] not in "+-":
-        raise ParseError(f"bad flip token {token!r}")
-    digits = token[1:-1]
-    if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"bad variable in flip token {token!r}")
-    return Flip(int(digits), token[-1] == "+")
-
-
-def format_sequence(flips: Iterable[Flip]) -> str:
-    return " ".join(f.token() for f in flips)
-
-
 def path_line(flips) -> str:
     """The protocol line of a search result: `PATH <length> <flips>`, or
     `NOTCONNECTED` when `flips` is None."""
     if flips is None:
         return "NOTCONNECTED"
-    return f"PATH {len(flips)} {format_sequence(flips)}".rstrip()
+    return " ".join(["PATH", str(len(flips)), *(f.token() for f in flips)])
 
 
 def invert_sequence(flips) -> tuple[Flip, ...]:
@@ -111,30 +96,6 @@ def advance(state: FlipState, flips) -> None:
         state.flip(f.var)
 
 
-def valid_positive_sequences(relation: Relation, state: int) -> frozenset[tuple[int, ...]]:
-    """Every positive flip sequence valid at `state`, as tuples of
-    positions (1-based), including the empty sequence. It grows
-    factorially with the arity; nothing in the library calls it, and it
-    is the reference :func:`relation_partial_order` is tested against."""
-    if state not in relation.tuples:
-        raise PreconditionError(f"state {state} is not in the relation")
-    k = relation.arity
-    out = set()
-
-    def walk(cur, prefix):
-        out.add(tuple(prefix))
-        for p in range(1, k + 1):
-            if var_bit(cur, p, k) == 0:
-                nxt = flip_bit(cur, p, k)
-                if nxt in relation.tuples:
-                    prefix.append(p)
-                    walk(nxt, prefix)
-                    prefix.pop()
-
-    walk(state, [])
-    return frozenset(out)
-
-
 def relation_partial_order(relation: Relation, state: int):
     """The flips reachable from `state` and the order they must respect.
 
@@ -151,8 +112,6 @@ def relation_partial_order(relation: Relation, state: int):
     reached tuple that has raised q has raised p too. A valid sequence's
     prefix up to q ends at a reached tuple, and the raises up to any
     reached tuple form a valid sequence, so this is the definition above.
-    :func:`valid_positive_sequences` is the enumeration it is tested
-    against.
     """
     if not _in_order_class(relation):
         raise PreconditionError(

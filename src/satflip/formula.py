@@ -458,6 +458,8 @@ def parse_dimacs_2cnf(text: str) -> Formula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError("duplicate 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)

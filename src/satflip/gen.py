@@ -2,18 +2,18 @@
 
 The vertex-cover and independent-set builders produce formulas whose
 shortest flip sequences encode minimum covers, giving concrete instances
-of the NP-complete class; the random builders rejection-sample inputs
-for the polynomial solvers so they can be fuzzed against the exact
+of the NP-complete class; the tests find those covers by brute force.
+The random builders rejection-sample inputs for the polynomial solvers,
+up to a fixed number of draws, so they can be fuzzed against the exact
 search.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import GenerationError, ParseError, PreconditionError, TheoryError
+from .errors import GenerationError, ParseError, PreconditionError
 from .formula import Clause, Formula
 from .recon import members, solution_table
 from .relation import Relation, is_dual_horn_free, is_nand_free
@@ -132,47 +132,39 @@ def gen_independent_set_instance(graph: SimpleGraph):
     return phi, s, t
 
 
-def min_vertex_cover_size(graph: SimpleGraph) -> int:
-    """Brute force over vertex subsets, smallest first."""
-    vertices = range(1, graph.num_vertices + 1)
-    for size in range(graph.num_vertices + 1):
-        for subset in itertools.combinations(vertices, size):
-            chosen = set(subset)
-            if all(u in chosen or v in chosen for u, v in graph.edges):
-                return size
-    raise TheoryError("the full vertex set always covers")  # pragma: no cover
-
-
 # The largest `--clauses` or `--relations` count `gen random` accepts. As
 # whole processes (0.13 s of start-up each): 1,000 clauses over 16 variables
 # take 0.17 s and 17 MiB peak RSS; with 1,000 arity-4 relations and 200
-# unsatisfiable draws (random_formula's retry bound), 7.3 s and 23 MiB.
+# unsatisfiable draws (RANDOM_FORMULA_TRIES), 7.3 s and 23 MiB.
 MAX_RANDOM_COUNT = 1_000
 
+RANDOM_RELATION_TRIES = 1000
+RANDOM_FORMULA_TRIES = 200
 
-def random_navigable_relation(arity: int, seed: int, max_tries: int = 1000) -> Relation:
+
+def random_navigable_relation(arity: int, seed: int) -> Relation:
     """Rejection-sample a NAND-free and dual-Horn-free relation."""
     if not 1 <= arity <= 4:
         raise PreconditionError(f"arity must be in 1..4, got {arity}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_RELATION_TRIES):
         size = rng.randint(1, 1 << arity)
         rel = Relation(arity, frozenset(rng.sample(range(1 << arity), size)))
         if is_nand_free(rel) and is_dual_horn_free(rel):
             return rel
     raise GenerationError(
         f"no NAND-free and dual-Horn-free relation of arity {arity} "
-        f"after {max_tries} draws"
+        f"after {RANDOM_RELATION_TRIES} draws"
     )
 
 
-def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
-                   max_tries: int = 200):
+def random_formula(relations, num_vars: int, num_clauses: int, seed: int):
     """Random clauses over the given relations, plus two satisfying
     endpoints sampled from the explicit solution set.
 
     Clause arguments are uniform random variables (repeats allowed, no
-    constants). Unsatisfiable draws are resampled up to `max_tries`.
+    constants). Unsatisfiable draws are resampled up to
+    `RANDOM_FORMULA_TRIES` times.
     """
     if not 1 <= num_vars <= 16:
         raise PreconditionError(
@@ -184,7 +176,7 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
     if not named:
         raise PreconditionError("need at least one relation")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_FORMULA_TRIES):
         clauses = []
         for _ in range(num_clauses):
             name, rel = named[rng.randrange(len(named))]
@@ -196,4 +188,4 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int,
             s = sats[rng.randrange(len(sats))]
             t = sats[rng.randrange(len(sats))]
             return phi, s, t
-    raise GenerationError(f"no satisfiable draw after {max_tries} tries")
+    raise GenerationError(f"no satisfiable draw after {RANDOM_FORMULA_TRIES} tries")

@@ -58,7 +58,6 @@ class SolveStats:
     levels: int = 0
     eta_entry: int = 0
     dag_builds: int = 0
-    flips_applied: int = 0
 
 
 @dataclass
@@ -149,7 +148,6 @@ def shortest_path_navigable(
             raise TheoryError(
                 f"order-respecting sequence falsified the formula: {exc}"
             ) from exc
-        stats.flips_applied += len(seq_s) + len(seq_t)
         eta_new = zeros(side_s.assignment, n) + zeros(side_t.assignment, n)
         if eta_new >= eta_old:
             raise TheoryError("level made no progress on the zero count")
@@ -204,7 +202,6 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
                     heapq.heappush(heap, w)
     if state.assignment != t:
         return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
-    stats.flips_applied = len(flips)
     if len(flips) != hamming(s, t):
         raise TheoryError("greedy walk left the symmetric difference")
     return SolveResult(Outcome.PATH, flips=tuple(flips), stats=stats)

@@ -15,8 +15,7 @@ mask-and-shift operations, run once for a whole level of the closure
 with its tables packed side by side into one int; components and
 bijunctivity are read off the tables the same way. The closure holds
 every covering restriction up to a permutation of its positions, so the
-predicates never walk the (k'+2)^k restriction maps one by one;
-:func:`all_restrictions` still does, as the tests' reference.
+predicates never walk the (k'+2)^k restriction maps one by one.
 """
 
 from __future__ import annotations
@@ -172,10 +171,6 @@ class RestrictionMap:
                     or not 1 <= e <= self.target_arity):
                 raise PreconditionError(f"bad restriction entry {e!r}")
 
-    @classmethod
-    def identity(cls, arity: int) -> "RestrictionMap":
-        return cls(arity, arity, tuple(range(1, arity + 1)))
-
     def then(self, other: "RestrictionMap") -> "RestrictionMap":
         """Compose: restricting by self and then by other equals
         restricting once by the returned map."""
@@ -207,17 +202,6 @@ def restrict(relation: Relation, rmap: RestrictionMap) -> Relation:
     k = rmap.target_arity
     keep = (r for r in range(1 << k) if pack_tuple(rmap.entries, r, k) in relation.tuples)
     return Relation(k, frozenset(keep))
-
-
-def all_restrictions(relation: Relation, target_arity: int):
-    """Yield the restriction for every one of the (target_arity+2)^arity maps."""
-    if not 1 <= target_arity <= relation.arity:
-        raise PreconditionError(
-            f"target arity must be in 1..{relation.arity}, got {target_arity}"
-        )
-    choices = tuple(range(1, target_arity + 1)) + (CONST0, CONST1)
-    for entries in itertools.product(choices, repeat=relation.arity):
-        yield restrict(relation, RestrictionMap(relation.arity, target_arity, entries))
 
 
 @lru_cache(maxsize=None)

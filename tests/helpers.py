@@ -18,16 +18,20 @@ from satflip import (
     Flip,
     Formula,
     GenerationError,
+    PreconditionError,
     Relation,
     RelationFlags,
     induced,
     random_formula,
     random_navigable_relation,
-    valid_positive_sequences,
 )
-from satflip.bits import flip_bit, var_bit
+from satflip.bits import var_bit
 from satflip.recon import members, solution_table
 from satflip.relation import is_dual_horn_free, is_nand_free
+
+
+def flip_bit(value, index, width):
+    return value ^ (1 << (width - index))
 
 
 # ---------------------------------------------------------------- relations
@@ -425,6 +429,29 @@ def order_obeying_sequences(members, prec):
     return out
 
 
+def valid_positive_sequences(relation, state):
+    """Every positive flip sequence valid at `state`, as tuples of
+    positions (1-based), including the empty sequence. It grows
+    factorially with the arity."""
+    if state not in relation.tuples:
+        raise PreconditionError(f"state {state} is not in the relation")
+    k = relation.arity
+    out = set()
+
+    def walk(cur, prefix):
+        out.add(tuple(prefix))
+        for p in range(1, k + 1):
+            if var_bit(cur, p, k) == 0:
+                nxt = flip_bit(cur, p, k)
+                if nxt in relation.tuples:
+                    prefix.append(p)
+                    walk(nxt, prefix)
+                    prefix.pop()
+
+    walk(state, [])
+    return frozenset(out)
+
+
 def sequence_partial_order(relation, state):
     """The flip partial order derived from the valid positive sequences
     themselves: a position is a member iff some sequence raises it, and p
@@ -622,3 +649,31 @@ def random_walk(phi, start, steps, rng):
         flips.append(Flip(v, var_bit(cur, v, n) == 0))
         cur = flip_bit(cur, v, n)
     return flips, cur
+
+
+# ------------------------------------------------------------------ fuzzing
+
+@st.composite
+def mutated(draw, text, tokens):
+    """`text` (bytes or str) after one to six deletions of a run of up to
+    12 characters or insertions of one of `tokens`."""
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(text)))
+        if text and draw(st.booleans()):
+            text = text[:i] + text[i + draw(st.integers(1, 12)):]
+        else:
+            text = text[:i] + draw(st.sampled_from(tokens)) + text[i:]
+    return text
+
+
+# ------------------------------------------------------------------- graphs
+
+def min_vertex_cover_size(graph):
+    """Brute force over vertex subsets, smallest first."""
+    vertices = range(1, graph.num_vertices + 1)
+    for size in range(graph.num_vertices + 1):
+        for subset in itertools.combinations(vertices, size):
+            chosen = set(subset)
+            if all(u in chosen or v in chosen for u, v in graph.edges):
+                return size
+    raise AssertionError("the full vertex set always covers")

@@ -22,19 +22,23 @@ from satflip import (
     classify_set,
     dualize,
     gen_vertex_cover_instance,
-    min_vertex_cover_size,
     random_formula,
     relation_partial_order,
     shortest_path_cwb,
     shortest_path_navigable,
     solve,
-    valid_positive_sequences,
 )
 from satflip import GenerationError, SimpleGraph, random_navigable_relation
 from satflip.bits import hamming
 from satflip.cli import main as cli_main
 
-from helpers import navigable_corpus, order_obeying_sequences, random_walk
+from helpers import (
+    min_vertex_cover_size,
+    navigable_corpus,
+    order_obeying_sequences,
+    random_walk,
+    valid_positive_sequences,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 
 from satflip import MAX_STATE_CAP
 from satflip.cli import main
+
+from helpers import mutated
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -369,6 +372,53 @@ class TestDot:
         assert "NAND-free" in err
 
 
+def run_stdin(capsys, monkeypatch, data, *argv, errors="strict"):
+    """`run` with `data` as stdin's bytes. The interpreter picks stdin's
+    text error handler from the locale; `errors` stands for that choice."""
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    return run(capsys, *argv)
+
+
+class TestStdin:
+    @pytest.mark.parametrize("name", ["equality.cnfs", "path.cnfs", "threecnf.cnfs"])
+    def test_classify_matches_file(self, capsys, monkeypatch, name):
+        path = DATA / name
+        want = run(capsys, "classify", str(path))
+        assert want[0] == 0
+        assert run_stdin(capsys, monkeypatch, path.read_bytes(), "classify", "-") == want
+
+    @pytest.mark.parametrize("path", [PATH_CNFS, EQ_CNFS])
+    def test_solve_with_embedded_endpoints_matches_file(self, capsys, monkeypatch, path):
+        want = run(capsys, "solve", path)
+        assert want[0] == 0 and want[1].startswith(("PATH", "NOTCONNECTED"))
+        data = pathlib.Path(path).read_bytes()
+        assert run_stdin(capsys, monkeypatch, data, "solve", "-") == want
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape", "replace"])
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    def test_not_utf8_reports_like_a_file(self, capsys, monkeypatch, tmp_path, command, errors):
+        data = b"vars 3\xff\n"
+        bad = tmp_path / "bad.cnfs"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"satflip: error: cannot read {bad}: not UTF-8 text at byte 6\n"
+        got = run_stdin(capsys, monkeypatch, data, command, "-", errors=errors)
+        assert got == (1, "", err.replace(str(bad), "-"))
+
+    def test_module_entry_point_reads_stdin_bytes(self):
+        # surrogateescape is the handler a C or POSIX locale gives stdin
+        proc = subprocess.run(
+            [sys.executable, "-m", "satflip", "classify", "-"],
+            input=b"vars 3\xff\n",
+            capture_output=True,
+            env=dict(os.environ, PYTHONIOENCODING="utf-8:surrogateescape"),
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"satflip: error: cannot read -: not UTF-8 text at byte 6\n"
+
+
 class TestUsage:
     def test_not_utf8_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.cnfs"
@@ -489,19 +539,6 @@ FUZZ_CAPS = ["-99999999999999999999", "-1", "0", "3", "12", "27", "9999999999999
 ABSURD_COUNTS = ["-1", "0", "3", "1001", "1000000000", "99999999999999999999"]
 
 
-@st.composite
-def mutated(draw, text):
-    """`text` after one to six deletions of a run of up to 12 bytes or
-    insertions of a token."""
-    for _ in range(draw(st.integers(1, 6))):
-        i = draw(st.integers(0, len(text)))
-        if text and draw(st.booleans()):
-            text = text[:i] + text[i + draw(st.integers(1, 12)):]
-        else:
-            text = text[:i] + draw(st.sampled_from(FUZZ_TOKENS)) + text[i:]
-    return text
-
-
 def exit_code(argv):
     """`main`'s exit code with stdout and stderr swallowed; argparse's
     usage errors end in SystemExit, whose code is the exit code."""
@@ -520,7 +557,7 @@ class TestFuzz:
         cap = data.draw(st.sampled_from(FUZZ_CAPS))
         with tempfile.TemporaryDirectory() as tmp:
             path = str(pathlib.Path(tmp) / f"fuzz{suffix}")
-            pathlib.Path(path).write_bytes(data.draw(mutated(text)))
+            pathlib.Path(path).write_bytes(data.draw(mutated(text, FUZZ_TOKENS)))
             if suffix == ".rel":
                 commands = [["classify", path]]
             elif suffix == ".graph":

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from satflip import (
@@ -23,7 +23,7 @@ from satflip import (
 )
 from satflip.formula import _effective, first_violated_clause
 
-from helpers import formula_strategy, navigable_corpus, naive_first_violated_clause
+from helpers import formula_strategy, mutated, navigable_corpus, naive_first_violated_clause
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
 PATH_PHI = Formula(3, (("path5", PATH5),), (Clause("path5", (1, 2, 3)),))
@@ -313,3 +313,30 @@ class TestDimacs2Cnf:
     def test_non_integer_clause_count(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_dimacs_2cnf("p cnf 2 y\n1 0\n")
+
+    def test_duplicate_header(self):
+        with pytest.raises(ParseError, match="line 3.*duplicate 'p cnf' header"):
+            parse_dimacs_2cnf("p cnf 5 1\n5 0\np cnf 2 1\n")
+
+
+DIMACS_BASES = [
+    "p cnf 3 3\n1 2 0\n-1 3 0\n-2 0\n",
+    "c comment\np cnf 2 2\n1 0\n-2 0\n",
+]
+DIMACS_TOKENS = [
+    "\n", " ", "\t", "0", "1", "2", "9", "-", "-1", "p", "c", "cnf", "x",
+    "p cnf ", "p cnf 2 1\n", "1 2 3 0", "1_0", "99999999999999999999",
+    "-99999999999999999999", "\x00", "\u00e9", "\ufeff", "\u0663",
+]
+
+
+class TestDimacsFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(DIMACS_BASES).flatmap(lambda text: mutated(text, DIMACS_TOKENS)))
+    @example("p cnf 5 1\n5 0\np cnf 2 1\n")
+    def test_mutated_text_raises_only_parse_error(self, text):
+        try:
+            phi = parse_dimacs_2cnf(text)
+        except ParseError:
+            return
+        assert isinstance(phi, Formula)

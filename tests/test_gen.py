@@ -17,7 +17,6 @@ from satflip import (
     gen_vertex_cover_instance,
     is_dual_horn_free,
     is_nand_free,
-    min_vertex_cover_size,
     parse_graph,
     random_formula,
     random_navigable_relation,
@@ -25,6 +24,8 @@ from satflip import (
 )
 from satflip.bits import hamming
 from satflip.gen import MAX_GRAPH_VERTICES
+
+from helpers import min_vertex_cover_size
 
 K3 = SimpleGraph(3, ((1, 2), (1, 3), (2, 3)))
 SINGLE_EDGE = SimpleGraph(3, ((1, 2),))  # one edge plus an isolated vertex
@@ -188,7 +189,7 @@ class TestRandomFormula:
     def test_unsatisfiable_relations_exhaust(self):
         empty = Relation(2, frozenset())
         with pytest.raises(GenerationError):
-            random_formula([empty], 4, 1, 0, max_tries=5)
+            random_formula([empty], 4, 1, 0)
 
     def test_vars_cap(self):
         with pytest.raises(PreconditionError):

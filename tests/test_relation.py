@@ -16,7 +16,6 @@ from satflip import (
     RelationFlags,
     RestrictionMap,
     Verdict,
-    all_restrictions,
     classify_set,
     is_affine,
     is_bijunctive,
@@ -43,7 +42,6 @@ from satflip.relation import (
 from helpers import (
     hamming_components,
     majority_closed,
-    naive_all_restriction_values,
     naive_is_free,
     naive_relation_flags,
     naive_restrict_tuples,
@@ -104,7 +102,7 @@ class TestRestrict:
         assert restrict(CUBE3_NO_100, rmap).tuples == frozenset({0b01, 0b10, 0b11})
 
     def test_identity(self):
-        assert restrict(PATH5, RestrictionMap.identity(3)) == PATH5
+        assert restrict(PATH5, RestrictionMap(3, 3, (1, 2, 3))) == PATH5
 
     def test_identification(self):
         rmap = RestrictionMap(2, 1, (1, 1))
@@ -112,7 +110,7 @@ class TestRestrict:
 
     def test_arity_mismatch(self):
         with pytest.raises(PreconditionError):
-            restrict(OR2, RestrictionMap.identity(3))
+            restrict(OR2, RestrictionMap(3, 3, (1, 2, 3)))
 
     @given(relation_strategy(max_arity=4), st.data())
     @settings(max_examples=200, deadline=None)
@@ -172,31 +170,6 @@ class TestTruthTable:
         assert cached(built_from_set) is cached(built_from_frozenset)
         info = cached.cache_info()
         assert (info.currsize, info.hits) == (1, 1)
-
-
-class TestAllRestrictions:
-    def test_count_arity2(self):
-        rel = Relation.full(2)
-        assert sum(1 for _ in all_restrictions(rel, 2)) == 16
-
-    def test_count_arity3(self):
-        assert sum(1 for _ in all_restrictions(PATH5, 3)) == 125
-
-    def test_equality_relation_yields_unary_full(self):
-        eq = Relation.from_bitstrings(["00", "11"])
-        values = {r.tuples for r in all_restrictions(eq, 1)}
-        assert frozenset({0, 1}) in values
-
-    @given(relation_strategy(max_arity=3), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_value_set_matches_naive(self, rel, data):
-        target = data.draw(st.integers(1, rel.arity))
-        got = {r.tuples for r in all_restrictions(rel, target)}
-        assert got == naive_all_restriction_values(rel, target)
-
-    def test_bad_target(self):
-        with pytest.raises(PreconditionError):
-            list(all_restrictions(OR2, 3))
 
 
 class TestSyntacticClasses:
