@@ -2,12 +2,22 @@
 
 Assignments and relation tuples are plain ints. Variable/position 1 is
 the leftmost character of the printed bitstring, i.e. bit ``width - i``
-of the integer holds variable ``i``.
+of the integer holds variable ``i``. :func:`from_bitstring` reads that
+string back; it is the one reader of every tuple and assignment in
+input text.
 """
 
 
 def to_bitstring(value: int, width: int) -> str:
     return format(value, f"0{width}b")
+
+
+def from_bitstring(text: str, width: int) -> int | None:
+    """The inverse of :func:`to_bitstring`: a `width`-character string
+    of ``0`` and ``1`` as an int, or None for any other string."""
+    if len(text) == width and text and not text.strip("01"):
+        return int(text, 2)
+    return None
 
 
 def var_bit(value: int, index: int, width: int) -> int:

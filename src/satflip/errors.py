@@ -1,7 +1,14 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and the two readers
+every input format shares.
 
 The CLI maps these onto exit codes: ParseError -> 1, PreconditionError
 (and subclasses) -> 2, TheoryError -> 3.
+
+The four text formats (.cnfs, .rel, .graph and DIMACS) read their lines
+through :func:`content_lines` and every count, index and literal
+through :func:`read_decimal`, so one token rule holds for all of them:
+ASCII digits 0-9 after at most one leading ``-``. Python's ``int()``
+would also take ``+``, ``_`` and non-ASCII digits.
 """
 
 
@@ -17,6 +24,27 @@ class ParseError(SatFlipError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def content_lines(text: str, comment: str | None = None):
+    """Yield (1-based line number, stripped line) for each line of `text`
+    that is neither blank nor starts with `comment`."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not (comment and line.startswith(comment)):
+            yield lineno, line
+
+
+def read_decimal(token: str, message: str, line: int | None = None) -> int:
+    """The int `token` spells in ASCII digits after at most one ``-``;
+    anything else, or more digits than int() takes, raises ParseError."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(message, line)
 
 
 class PreconditionError(SatFlipError):

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .bits import to_bitstring
-from .errors import ParseError, PreconditionError
-from .relation import CONST0, CONST1, MAX_ARITY, Relation, RestrictionMap, restrict
-from .relation import pack_tuple
+from .bits import from_bitstring, to_bitstring
+from .errors import ParseError, PreconditionError, content_lines, read_decimal
+from .relation import CONST0, CONST1, Relation, RestrictionMap, restrict
+from .relation import pack_tuple, read_arity
 
 
 @dataclass(frozen=True)
@@ -284,12 +284,12 @@ def effective_clause(phi: Formula, clause: Clause):
     return variables, _effective(phi.relation(clause.relation_name), entries, len(variables))
 
 
-def parse_assignment(text: str, num_vars: int) -> int:
-    if len(text) != num_vars or any(c not in "01" for c in text):
+def parse_assignment(text: str, num_vars: int, line: int | None = None) -> int:
+    if (assignment := from_bitstring(text, num_vars)) is None:
         raise ParseError(
-            f"assignment must be a {num_vars}-character bitstring, got {text!r}"
+            f"assignment must be a {num_vars}-character bitstring, got {text!r}", line
         )
-    return int(text, 2)
+    return assignment
 
 
 def format_assignment(assignment: int, num_vars: int) -> str:
@@ -310,40 +310,34 @@ def parse_instance(text: str):
     pending = None  # (name, arity, tuples, start_line) of an open relation block
     endpoint_raw = {}
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("#"):
             body = line[1:].strip()
             for key in ("s", "t"):
                 if body.startswith(f"{key}="):
                     endpoint_raw[key] = (body[2:].strip(), lineno)
             continue
-        parts = line.split()
         if pending is not None:
             name, arity, tuples, start = pending
-            if parts == ["end"]:
+            if line == "end":
                 relations[name] = Relation(arity, frozenset(tuples))
                 pending = None
-                continue
-            if len(line) != arity or any(c not in "01" for c in line):
+            elif (t := from_bitstring(line, arity)) is None:
                 raise ParseError(
                     f"expected a {arity}-bit tuple or 'end' in relation {name!r}",
                     lineno,
                 )
-            tuples.add(int(line, 2))
+            else:
+                tuples.add(t)
             continue
+        parts = line.split()
         directive = parts[0]
         if directive == "vars":
             if num_vars is not None:
                 raise ParseError("duplicate 'vars' line", lineno)
             if len(parts) != 2:
                 raise ParseError("expected 'vars <n>'", lineno)
-            try:
-                num_vars = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad variable count {parts[1]!r}", lineno) from None
+            num_vars = read_decimal(parts[1], f"bad variable count {parts[1]!r}", lineno)
             if num_vars < 1:
                 raise ParseError("variable count must be >= 1", lineno)
         elif directive == "relation":
@@ -354,13 +348,7 @@ def parse_instance(text: str):
             name = parts[1]
             if name in relations:
                 raise ParseError(f"duplicate relation name {name!r}", lineno)
-            try:
-                arity = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad arity {parts[2]!r}", lineno) from None
-            if not 1 <= arity <= MAX_ARITY:
-                raise ParseError(f"arity must be in 1..{MAX_ARITY}", lineno)
-            pending = (name, arity, set(), lineno)
+            pending = (name, read_arity(parts[2], lineno), set(), lineno)
         elif directive == "clause":
             if num_vars is None:
                 raise ParseError("'vars' must come before 'clause'", lineno)
@@ -384,10 +372,7 @@ def parse_instance(text: str):
                 elif tok == "F":
                     args.append(CONST0)
                 elif tok.startswith("x"):
-                    try:
-                        idx = int(tok[1:])
-                    except ValueError:
-                        raise ParseError(f"bad argument {tok!r}", lineno) from None
+                    idx = read_decimal(tok[1:], f"bad argument {tok!r}", lineno)
                     if not 1 <= idx <= num_vars:
                         raise ParseError(
                             f"variable index {tok!r} out of range 1..{num_vars}",
@@ -408,13 +393,8 @@ def parse_instance(text: str):
         raise ParseError("missing 'vars' line")
     phi = Formula(num_vars, tuple(relations.items()), tuple(clauses))
 
-    endpoints = {}
-    for key, value in endpoint_raw.items():
-        bits, lineno = value
-        try:
-            endpoints[key] = parse_assignment(bits, num_vars)
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
+    endpoints = {key: parse_assignment(bits, num_vars, lineno)
+                 for key, (bits, lineno) in endpoint_raw.items()}
     return phi, endpoints.get("s"), endpoints.get("t")
 
 
@@ -449,24 +429,22 @@ _DIMACS_RELATIONS = (
 
 def parse_dimacs_2cnf(text: str) -> Formula:
     """Convenience converter for DIMACS files whose clauses all have one
-    or two literals; wider clauses are rejected."""
+    or two literals; wider clauses are rejected, and so is a clause count
+    other than the header's."""
     num_vars = None
     clauses = []
     used = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in content_lines(text, "c"):
         if line.startswith("p"):
             if num_vars is not None:
                 raise ParseError("duplicate 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad header counts in {line!r}", lineno) from None
+            message = f"bad header counts in {line!r}"
+            num_vars = read_decimal(parts[2], message, lineno)
+            num_clauses = read_decimal(parts[3], message, lineno)
+            header = lineno
             if num_vars < 1:
                 raise ParseError("variable count must be >= 1", lineno)
             if num_clauses < 0:
@@ -474,10 +452,8 @@ def parse_dimacs_2cnf(text: str) -> Formula:
             continue
         if num_vars is None:
             raise ParseError("missing 'p cnf' header", lineno)
-        try:
-            lits = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"bad clause line {line!r}", lineno) from None
+        message = f"bad clause line {line!r}"
+        lits = [read_decimal(tok, message, lineno) for tok in line.split()]
         if not lits or lits[-1] != 0:
             raise ParseError("clause line must end with 0", lineno)
         lits = lits[:-1]
@@ -494,5 +470,8 @@ def parse_dimacs_2cnf(text: str) -> Formula:
         clauses.append(Clause(name, tuple(abs(lit) for lit in lits)))
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
+    if len(clauses) != num_clauses:
+        raise ParseError(f"header declares {num_clauses} clauses, "
+                         f"the file has {len(clauses)}", header)
     relations = tuple(pair for pair in _DIMACS_RELATIONS if pair[0] in used)
     return Formula(num_vars, relations, tuple(clauses))

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenerationError, ParseError, PreconditionError
+from .errors import content_lines, read_decimal
 from .formula import Clause, Formula
 from .recon import members, solution_table
 from .relation import Relation, is_dual_horn_free, is_nand_free
@@ -31,7 +32,8 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.num_vertices, int) or self.num_vertices < 1:
+        if (isinstance(self.num_vertices, bool) or not isinstance(self.num_vertices, int)
+                or self.num_vertices < 1):
             raise PreconditionError(
                 f"graph needs at least one vertex, got {self.num_vertices!r}"
             )
@@ -42,6 +44,8 @@ class SimpleGraph:
         normalized = []
         seen = set()
         for u, v in self.edges:
+            if any(isinstance(w, bool) or not isinstance(w, int) for w in (u, v)):
+                raise PreconditionError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.num_vertices and 1 <= v <= self.num_vertices):
@@ -58,30 +62,21 @@ def parse_graph(text: str) -> SimpleGraph:
     """Read `graph <num_vertices>` followed by `edge <u> <v>` lines."""
     num_vertices = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text, "#"):
         parts = line.split()
         if parts[0] == "graph":
             if num_vertices is not None:
                 raise ParseError("duplicate 'graph' line", lineno)
             if len(parts) != 2:
                 raise ParseError("expected 'graph <num_vertices>'", lineno)
-            try:
-                num_vertices = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
+            num_vertices = read_decimal(parts[1], f"bad vertex count {parts[1]!r}", lineno)
         elif parts[0] == "edge":
             if num_vertices is None:
                 raise ParseError("'graph' must come before 'edge'", lineno)
             if len(parts) != 3:
                 raise ParseError("expected 'edge <u> <v>'", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("edge endpoints must be integers", lineno) from None
-            edges.append((u, v))
+            edges.append(tuple(read_decimal(tok, "edge endpoints must be integers", lineno)
+                               for tok in parts[1:]))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     if num_vertices is None:

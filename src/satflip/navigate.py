@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .bits import hamming, set_vars, var_bit, zeros
-from .errors import FlipSequenceError, TheoryError
+from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .flip_order import (
     Flip,
     _require_order_class,
@@ -103,6 +103,8 @@ def shortest_path_navigable(
     stack. Each side keeps one FlipState for the whole solve: its
     endpoint is checked in full once, and every later flip only against
     the clauses of its variable. `stats.dag_builds` counts the walks.
+    The assembled sequence is not replayed here: :func:`solve` replays
+    it once, on the formula's own compiled form.
 
     `trace`, when given, is called once per level with keywords `level`,
     `s` and `t` (the pair entering the level), `lower_s` and `lower_t`
@@ -159,8 +161,6 @@ def shortest_path_navigable(
     flips = tuple(prefix)
     for tail in reversed(tails):
         flips += invert_sequence(tail)
-    if apply_sequence(compiled, s, flips) != t:
-        raise TheoryError("assembled sequence does not reach the target")
     return SolveResult(Outcome.PATH, flips=flips, stats=stats)
 
 
@@ -289,7 +289,10 @@ def solve(
     Componentwise bijunctive sets take the greedy walk; NAND-free +
     dual-Horn-free sets the order-based solver; OR-free + Horn-free sets
     take the order-based solver on the complement, and the flips' signs
-    are swapped back in the same order and replayed on the formula.
+    are swapped back in the same order. Each order-based answer is
+    replayed once, on ``phi.compiled``, and a replay that fails or ends
+    off the target is a TheoryError; the greedy walk's answer is not
+    replayed, since it checks each flip on one live state.
     Non-navigable sets return HARD, with the exact search attached when
     `allow_oracle` holds and the variable count is within `cap`. A cap
     above `MAX_STATE_CAP` is rejected up front, whichever route runs.
@@ -314,10 +317,15 @@ def solve(
             result = shortest_path_navigable(
                 route.compiled, s ^ mask, t ^ mask, trace=trace
             )
-        if mask and result.flips is not None:
-            result.flips = tuple(f.inverse() for f in result.flips)
-            if apply_sequence(phi.compiled, s, result.flips) != t:
-                raise TheoryError("mirrored sequence does not reach the target")
+            if result.flips is not None:
+                if mask:
+                    result.flips = tuple(f.inverse() for f in result.flips)
+                try:
+                    end = apply_sequence(phi.compiled, s, result.flips)
+                except PreconditionError as exc:
+                    raise TheoryError(f"order-based answer fails its replay: {exc}") from exc
+                if end != t:
+                    raise TheoryError("order-based answer does not reach the target")
         result.classification = cls
         return result
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .bits import to_bitstring
-from .errors import ParseError, PreconditionError
+from .bits import from_bitstring, to_bitstring
+from .errors import ParseError, PreconditionError, content_lines, read_decimal
 
 # The restriction closure grows quickly with arity. Measured cold on
 # CPython 3.11, best of 3: all nine flags of a random relation take about
@@ -101,9 +101,9 @@ class Relation:
         arity = len(rows[0])
         vals = set()
         for row in rows:
-            if len(row) != arity or any(c not in "01" for c in row):
+            if (t := from_bitstring(row, arity)) is None:
                 raise PreconditionError(f"bad tuple {row!r} for arity {arity}")
-            vals.add(int(row, 2))
+            vals.add(t)
         return cls(arity, frozenset(vals))
 
     @classmethod
@@ -518,28 +518,28 @@ def classify_set(relations) -> Classification:
     return Classification(Verdict.NOT_TIGHT, None, flags)
 
 
+def read_arity(token: str, line: int) -> int:
+    """An arity token of a .rel or .cnfs file, checked against 1..MAX_ARITY."""
+    arity = read_decimal(token, f"bad arity {token!r}", line)
+    if not 1 <= arity <= MAX_ARITY:
+        raise ParseError(f"arity must be in 1..{MAX_ARITY}", line)
+    return arity
+
+
 def parse_relation(text: str) -> Relation:
     """Read the .rel format: `arity <k>`, then one k-bit tuple per line."""
     arity = None
     tuples = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text, "#"):
         if arity is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "arity":
                 raise ParseError("expected 'arity <k>'", lineno)
-            try:
-                arity = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad arity {parts[1]!r}", lineno) from None
-            if not 1 <= arity <= MAX_ARITY:
-                raise ParseError(f"arity must be in 1..{MAX_ARITY}", lineno)
-            continue
-        if len(line) != arity or any(c not in "01" for c in line):
+            arity = read_arity(parts[1], lineno)
+        elif (t := from_bitstring(line, arity)) is None:
             raise ParseError(f"expected a {arity}-bit tuple, got {line!r}", lineno)
-        tuples.add(int(line, 2))
+        else:
+            tuples.add(t)
     if arity is None:
         raise ParseError("missing 'arity' line")
     return Relation(arity, frozenset(tuples))

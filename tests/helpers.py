@@ -677,3 +677,15 @@ def min_vertex_cover_size(graph):
             if all(u in chosen or v in chosen for u, v in graph.edges):
                 return size
     raise AssertionError("the full vertex set always covers")
+
+
+# Numeric tokens that Python's int() reads as 2, 10 and 3 but that no
+# input format accepts: a sign, a digit separator, an Arabic-Indic digit.
+NON_DECIMAL_TOKENS = ("+2", "1_0", "٣")
+
+
+def non_decimal_cases(sites, tokens=NON_DECIMAL_TOKENS):
+    """(text, message) for each site and token: a site is a text and the
+    message its parser raises, each with `{tok}` where the token goes."""
+    return [(text.format(tok=tok), message.format(tok=tok))
+            for text, message in sites for tok in tokens]

@@ -533,7 +533,7 @@ FUZZ_TOKENS = [
     b"\n", b" ", b"\t", b"0", b"1", b"9", b"x", b"x0", b"x4", b"T", b"F", b"-",
     b"#", b"# s=", b"# t=", b"end", b"vars", b"relation", b"clause", b"graph",
     b"edge", b"arity", b"99999999999999999999", b"-7", b"\x00", b"\xff",
-    "\u00e9".encode(), "\ufeff".encode(),
+    "\u00e9".encode(), "\ufeff".encode(), b"+", b"_", "\u0663".encode(),
 ]
 FUZZ_CAPS = ["-99999999999999999999", "-1", "0", "3", "12", "27", "99999999999999999999"]
 ABSURD_COUNTS = ["-1", "0", "3", "1001", "1000000000", "99999999999999999999"]

@@ -23,7 +23,14 @@ from satflip import (
 )
 from satflip.formula import _effective, first_violated_clause
 
-from helpers import formula_strategy, mutated, navigable_corpus, naive_first_violated_clause
+from helpers import (
+    NON_DECIMAL_TOKENS,
+    formula_strategy,
+    mutated,
+    navigable_corpus,
+    naive_first_violated_clause,
+    non_decimal_cases,
+)
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
 PATH_PHI = Formula(3, (("path5", PATH5),), (Clause("path5", (1, 2, 3)),))
@@ -268,6 +275,20 @@ class TestCnfsFormat:
         text = serialize_formula(PATH_PHI)
         assert "000\n001\n101\n110\n111" in text
 
+    @pytest.mark.parametrize("text, message", non_decimal_cases([
+        ("vars {tok}\n", "line 1: bad variable count '{tok}'"),
+        ("vars 3\nrelation r {tok}\n", "line 2: bad arity '{tok}'"),
+        ("vars 3\nrelation r 1\n1\nend\nclause r x{tok}\n", "line 5: bad argument 'x{tok}'"),
+    ]))
+    def test_non_decimal_number(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
+    def test_leading_zeros(self):
+        phi = parse_formula("vars 03\nrelation r 01\n1\nend\nclause r x003\n")
+        assert phi == Formula(3, (("r", Relation(1, {1})),), (Clause("r", (3,)),))
+
 
 class TestAssignmentText:
     def test_parse(self):
@@ -318,6 +339,34 @@ class TestDimacs2Cnf:
         with pytest.raises(ParseError, match="line 3.*duplicate 'p cnf' header"):
             parse_dimacs_2cnf("p cnf 5 1\n5 0\np cnf 2 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 2 5\n1 0\n", "line 1: header declares 5 clauses, the file has 1"),
+        ("p cnf 2 0\n1 0\n-2 0\n", "line 1: header declares 0 clauses, the file has 2"),
+        ("c\np cnf 2 2\n1 0\n", "line 2: header declares 2 clauses, the file has 1"),
+    ])
+    def test_clause_count_must_match_header(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_2cnf(text)
+        assert str(err.value) == message
+
+    # "-+2" is refused by int() too, so the negated site takes the other two.
+    @pytest.mark.parametrize("text, message", non_decimal_cases([
+        ("p cnf {tok} 1\n1 0\n", "line 1: bad header counts in 'p cnf {tok} 1'"),
+        ("p cnf 3 {tok}\n1 0\n", "line 1: bad header counts in 'p cnf 3 {tok}'"),
+        ("p cnf 3 1\n{tok} 0\n", "line 2: bad clause line '{tok} 0'"),
+    ]) + non_decimal_cases(
+        [("p cnf 3 1\n1 -{tok} 0\n", "line 2: bad clause line '1 -{tok} 0'")],
+        NON_DECIMAL_TOKENS[1:],
+    ))
+    def test_non_decimal_number(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_2cnf(text)
+        assert str(err.value) == message
+
+    def test_leading_zeros(self):
+        phi = parse_dimacs_2cnf("p cnf 03 01\n-02 003 0\n")
+        assert phi.num_vars == 3 and phi.clauses == (Clause("or2_np", (2, 3)),)
+
 
 DIMACS_BASES = [
     "p cnf 3 3\n1 2 0\n-1 3 0\n-2 0\n",
@@ -326,7 +375,7 @@ DIMACS_BASES = [
 DIMACS_TOKENS = [
     "\n", " ", "\t", "0", "1", "2", "9", "-", "-1", "p", "c", "cnf", "x",
     "p cnf ", "p cnf 2 1\n", "1 2 3 0", "1_0", "99999999999999999999",
-    "-99999999999999999999", "\x00", "\u00e9", "\ufeff", "\u0663",
+    "-99999999999999999999", "\x00", "\u00e9", "\ufeff", "\u0663", "+", "_",
 ]
 
 

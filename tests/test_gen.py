@@ -25,7 +25,7 @@ from satflip import (
 from satflip.bits import hamming
 from satflip.gen import MAX_GRAPH_VERTICES
 
-from helpers import min_vertex_cover_size
+from helpers import min_vertex_cover_size, non_decimal_cases
 
 K3 = SimpleGraph(3, ((1, 2), (1, 3), (2, 3)))
 SINGLE_EDGE = SimpleGraph(3, ((1, 2),))  # one edge plus an isolated vertex
@@ -56,6 +56,18 @@ class TestSimpleGraph:
         with pytest.raises(PreconditionError, match="out of range"):
             SimpleGraph(2, ((1, 3),))
 
+    def test_rejects_bool_vertex_count(self):
+        # bool is an int subclass; True would otherwise pass as one vertex
+        with pytest.raises(PreconditionError) as err:
+            SimpleGraph(True, ())
+        assert str(err.value) == "graph needs at least one vertex, got True"
+
+    @pytest.mark.parametrize("edge", [(1.0, 2), (1, True), (2, "3")])
+    def test_rejects_non_integer_endpoint(self, edge):
+        with pytest.raises(PreconditionError) as err:
+            SimpleGraph(3, (edge,))
+        assert str(err.value) == f"edge ({edge[0]!r}, {edge[1]!r}) has a non-integer endpoint"
+
     def test_vertex_ceiling(self):
         assert SimpleGraph(MAX_GRAPH_VERTICES, ()).num_vertices == MAX_GRAPH_VERTICES
         with pytest.raises(PreconditionError, match="above the ceiling 1000000"):
@@ -82,6 +94,19 @@ class TestParseGraph:
     def test_invalid_edge_reported_as_parse_error(self):
         with pytest.raises(ParseError, match="self-loop"):
             parse_graph("graph 2\nedge 1 1\n")
+
+    @pytest.mark.parametrize("text, message", non_decimal_cases([
+        ("graph {tok}\n", "line 1: bad vertex count '{tok}'"),
+        ("graph 3\nedge {tok} 1\n", "line 2: edge endpoints must be integers"),
+        ("graph 3\n# c\nedge 1 {tok}\n", "line 3: edge endpoints must be integers"),
+    ]))
+    def test_non_decimal_number(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+    def test_leading_zeros(self):
+        assert parse_graph("graph 03\nedge 01 003\n") == SimpleGraph(3, ((1, 3),))
 
 
 class TestVertexCoverInstance:

@@ -457,6 +457,23 @@ class TestRoute:
             assert solve(phi, 0b111, 0b001).protocol_line() == "PATH 4 x3- x1- x2- x3+"
         assert calls == {"classify": 1, "complemented": 1}
 
+    @pytest.mark.parametrize("relation, s, t", [
+        (PATH5, 0b000, 0b110),
+        (PATH5.complemented(), 0b111, 0b001),
+    ])
+    def test_answer_replayed_on_the_formula(self, relation, s, t):
+        # A route whose compiled form lost the formula's one clause: the
+        # solver answers the empty formula, and only a replay on the
+        # formula itself can see that the answer falsifies the clause.
+        phi = Formula(3, (("p", relation),), (Clause("p", (1, 2, 3)),))
+        route = phi.route
+        empty = route.compiled._replace(
+            variables=(), relations=(), accept=(), occurrences=((),) * 4, distinct=()
+        )
+        phi.__dict__["route"] = navigate.Route(route.classification, empty, route.mask)
+        with pytest.raises(TheoryError, match="order-based answer fails its replay"):
+            solve(phi, s, t)
+
     def test_trace_in_the_formulas_terms(self):
         seen = []
         solve(PATH5_COMPLEMENT, 0b111, 0b001, trace=lambda **kw: seen.append(kw))

@@ -45,6 +45,7 @@ from helpers import (
     naive_is_free,
     naive_relation_flags,
     naive_restrict_tuples,
+    non_decimal_cases,
     relation_strategy,
     restriction_entries,
     synth_affine,
@@ -593,6 +594,17 @@ class TestRelFormat:
     def test_bad_row_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_relation("arity 2\n01\n012\n")
+
+    @pytest.mark.parametrize("text, message", non_decimal_cases(
+        [("# c\narity {tok}\n01\n", "line 2: bad arity '{tok}'")]
+    ))
+    def test_non_decimal_arity(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_relation(text)
+        assert str(err.value) == message
+
+    def test_leading_zeros(self):
+        assert parse_relation("arity 02\n01\n") == Relation(2, frozenset({0b01}))
 
     @given(relation_strategy(max_arity=4))
     @settings(max_examples=100, deadline=None)
