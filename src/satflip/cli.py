@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import fields
 
-from .errors import ParseError, PreconditionError, TheoryError
+from .errors import ParseError, PreconditionError, TheoryError, read_decimal
 from .flip_order import dag_to_dot, formula_flip_dag
 from .formula import (
     format_assignment,
@@ -49,6 +48,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _decimal(token: str) -> int:
+    """An integer flag's value, read by the token rule of the input files
+    (:func:`read_decimal`); argparse reports a bad token as a usage error."""
+    try:
+        return read_decimal(token, f"invalid int value: {token!r}")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read(path: str) -> str:
@@ -103,8 +111,8 @@ def cmd_classify(args) -> int:
         cls = classify_formula(phi)
     for (name, _), flags in zip(named, cls.per_relation):
         print(f"relation {name}:", *(
-            f"{f.name.replace('_', '-')}={_yesno(getattr(flags, f.name))}"
-            for f in fields(flags)
+            f"{field.replace('_', '-')}={_yesno(flag)}"
+            for field, flag in zip(flags._fields, flags)
         ))
     if cls.verdict is Verdict.NAVIGABLE:
         print(f"NAVIGABLE ({cls.kind.value})")
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     def endpoint_flags(p):
         p.add_argument("--from", dest="source", metavar="BITS")
         p.add_argument("--to", dest="target", metavar="BITS")
-        p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+        p.add_argument("--cap", type=_decimal, default=DEFAULT_STATE_CAP,
                        help="exact-search state cap (number of variables)")
 
     p = sub.add_parser("solve", help="shortest flip sequence via the class dispatcher")
@@ -251,18 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("graph", help="graph file or -")
         g.set_defaults(func=cmd_gen_reduction, reduction=reduction)
     g = gensub.add_parser("random", help="seeded random solvable instance")
-    g.add_argument("--vars", type=int, default=8)
-    g.add_argument("--clauses", type=int, default=5)
-    g.add_argument("--arity", type=int, default=3)
-    g.add_argument("--relations", type=int, default=2)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--vars", type=_decimal, default=8)
+    g.add_argument("--clauses", type=_decimal, default=5)
+    g.add_argument("--arity", type=_decimal, default=3)
+    g.add_argument("--relations", type=_decimal, default=2)
+    g.add_argument("--seed", type=_decimal, default=0)
     g.set_defaults(func=cmd_gen_random)
 
     p = sub.add_parser("dot", help="export graphs in DOT")
     p.add_argument("formula")
     p.add_argument("--what", choices=("recon", "fliporder"), default="recon")
     p.add_argument("--from", dest="source", metavar="BITS")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_decimal, default=DEFAULT_STATE_CAP)
     p.add_argument("--format", choices=("dot", "text"), default="dot")
     p.set_defaults(func=cmd_dot)
 

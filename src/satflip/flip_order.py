@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -235,8 +234,7 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
     return tuple(Flip(v, True) for v in order)
 
 
-@dataclass(frozen=True)
-class FlipOrderDag:
+class FlipOrderDag(NamedTuple):
     """Pruned precedence DAG over positive flips of a formula.
 
     `nodes` are the variables that can still be raised in some valid

@@ -11,18 +11,17 @@ The solvers, flip orders and exact search read only that compiled form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .bits import from_bitstring, to_bitstring
 from .errors import ParseError, PreconditionError, content_lines, read_decimal
+from .records import Frozen, set_field
 from .relation import CONST0, CONST1, Relation, RestrictionMap, restrict
 from .relation import pack_tuple, read_arity
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One constraint: args[p] is the variable index (1-based) or constant
     feeding position p+1 of the named relation."""
 
@@ -34,22 +33,23 @@ class Clause:
         return tuple(sorted({a for a in self.args if isinstance(a, int)}))
 
 
-@dataclass(frozen=True)
-class Formula:
-    num_vars: int
-    relations: tuple[tuple[str, Relation], ...]
-    clauses: tuple[Clause, ...]
+class Formula(Frozen):
+    """Clauses over named relations. The compiled form and the route are
+    computed on first use and kept in the instance's ``__dict__``."""
 
-    def __post_init__(self):
-        if (isinstance(self.num_vars, bool) or not isinstance(self.num_vars, int)
-                or self.num_vars < 1):
-            raise PreconditionError(f"num_vars must be >= 1, got {self.num_vars!r}")
+    _fields = ("num_vars", "relations", "clauses")
+
+    def __init__(self, num_vars: int, relations: tuple[tuple[str, Relation], ...],
+                 clauses: tuple[Clause, ...]):
+        if (isinstance(num_vars, bool) or not isinstance(num_vars, int)
+                or num_vars < 1):
+            raise PreconditionError(f"num_vars must be >= 1, got {num_vars!r}")
         by_name = {}
-        for name, rel in self.relations:
+        for name, rel in relations:
             if name in by_name:
                 raise PreconditionError(f"duplicate relation name {name!r}")
             by_name[name] = rel
-        for i, clause in enumerate(self.clauses, 1):
+        for i, clause in enumerate(clauses, 1):
             rel = by_name.get(clause.relation_name)
             if rel is None:
                 raise PreconditionError(
@@ -64,11 +64,14 @@ class Formula:
                 if a in (CONST0, CONST1):
                     continue
                 if (isinstance(a, bool) or not isinstance(a, int)
-                        or not 1 <= a <= self.num_vars):
+                        or not 1 <= a <= num_vars):
                     raise PreconditionError(
-                        f"clause {i} argument {a!r} out of range 1..{self.num_vars}"
+                        f"clause {i} argument {a!r} out of range 1..{num_vars}"
                     )
-        object.__setattr__(self, "_by_name", by_name)
+        set_field(self, "num_vars", num_vars)
+        set_field(self, "relations", relations)
+        set_field(self, "clauses", clauses)
+        set_field(self, "_by_name", by_name)
 
     def relation(self, name: str) -> Relation:
         return self._by_name[name]
@@ -276,12 +279,17 @@ def effective_clause(phi: Formula, clause: Clause):
     :func:`induced` instead. Clauses of one shape (same relation, same
     pattern of constants and repeats) share one cached relation.
     """
+    return restricted_clause(phi.relation(clause.relation_name), clause)
+
+
+def restricted_clause(rel: Relation, clause: Clause):
+    """:func:`effective_clause` of a clause whose relation is `rel`."""
     variables = clause.variables()
     if not variables:
         return variables, None
     index = {v: i for i, v in enumerate(variables, 1)}
     entries = tuple(index.get(a, a) for a in clause.args)
-    return variables, _effective(phi.relation(clause.relation_name), entries, len(variables))
+    return variables, _effective(rel, entries, len(variables))
 
 
 def parse_assignment(text: str, num_vars: int, line: int | None = None) -> int:

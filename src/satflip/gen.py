@@ -11,12 +11,12 @@ search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import GenerationError, ParseError, PreconditionError
 from .errors import content_lines, read_decimal
-from .formula import Clause, Formula
-from .recon import members, solution_table
+from .formula import Clause, Formula, restricted_clause
+from .recon import clause_table, members
+from .records import Frozen, set_field
 from .relation import Relation, is_dual_horn_free, is_nand_free
 
 
@@ -26,36 +26,36 @@ from .relation import Relation, is_dual_horn_free, is_nand_free
 MAX_GRAPH_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
+class SimpleGraph(Frozen):
+    """An undirected graph on vertices 1..num_vertices. `edges` are stored
+    as (smaller, larger) pairs, in the order given."""
 
-    def __post_init__(self):
-        if (isinstance(self.num_vertices, bool) or not isinstance(self.num_vertices, int)
-                or self.num_vertices < 1):
+    __slots__ = _fields = ("num_vertices", "edges")
+
+    def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...]):
+        if (isinstance(num_vertices, bool) or not isinstance(num_vertices, int)
+                or num_vertices < 1):
+            raise PreconditionError(f"graph needs at least one vertex, got {num_vertices!r}")
+        if num_vertices > MAX_GRAPH_VERTICES:
             raise PreconditionError(
-                f"graph needs at least one vertex, got {self.num_vertices!r}"
-            )
-        if self.num_vertices > MAX_GRAPH_VERTICES:
-            raise PreconditionError(
-                f"graph has {self.num_vertices} vertices, above the ceiling {MAX_GRAPH_VERTICES}"
+                f"graph has {num_vertices} vertices, above the ceiling {MAX_GRAPH_VERTICES}"
             )
         normalized = []
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if any(isinstance(w, bool) or not isinstance(w, int) for w in (u, v)):
                 raise PreconditionError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.num_vertices and 1 <= v <= self.num_vertices):
+            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
                 raise PreconditionError(f"edge ({u}, {v}) out of range")
             e = (min(u, v), max(u, v))
             if e in seen:
                 raise PreconditionError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
             normalized.append(e)
-        object.__setattr__(self, "edges", tuple(normalized))
+        set_field(self, "num_vertices", num_vertices)
+        set_field(self, "edges", tuple(normalized))
 
 
 def parse_graph(text: str) -> SimpleGraph:
@@ -128,9 +128,10 @@ def gen_independent_set_instance(graph: SimpleGraph):
 
 
 # The largest `--clauses` or `--relations` count `gen random` accepts. As
-# whole processes (0.13 s of start-up each): 1,000 clauses over 16 variables
-# take 0.17 s and 17 MiB peak RSS; with 1,000 arity-4 relations and 200
-# unsatisfiable draws (RANDOM_FORMULA_TRIES), 7.3 s and 23 MiB.
+# whole processes (0.11 s of start-up each): 1,000 clauses over 16 variables
+# take 0.13 s and 16 MiB peak RSS; with 1,000 arity-4 relations and 200
+# unsatisfiable draws (RANDOM_FORMULA_TRIES), 1.3 s and 19 MiB, most of it
+# drawing the 200,000 clauses from the rng.
 MAX_RANDOM_COUNT = 1_000
 
 RANDOM_RELATION_TRIES = 1000
@@ -159,7 +160,10 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int):
 
     Clause arguments are uniform random variables (repeats allowed, no
     constants). Unsatisfiable draws are resampled up to
-    `RANDOM_FORMULA_TRIES` times.
+    `RANDOM_FORMULA_TRIES` times. A draw takes all its clauses from the
+    rng first, so the stream does not depend on the draw's outcome; its
+    solution table is then narrowed clause by clause, and the draw is
+    refused at the first clause that empties it.
     """
     if not 1 <= num_vars <= 16:
         raise PreconditionError(
@@ -172,14 +176,16 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int):
         raise PreconditionError("need at least one relation")
     rng = random.Random(seed)
     for _ in range(RANDOM_FORMULA_TRIES):
-        clauses = []
+        drawn = []
         for _ in range(num_clauses):
             name, rel = named[rng.randrange(len(named))]
             args = tuple(rng.randint(1, num_vars) for _ in range(rel.arity))
-            clauses.append(Clause(name, args))
-        phi = Formula(num_vars, named, tuple(clauses))
-        sats = members(solution_table(phi.compiled))
-        if sats:
+            drawn.append((rel, Clause(name, args)))
+        effective = (restricted_clause(rel, clause) for rel, clause in drawn)
+        table = clause_table(num_vars, ((vs, eff.table) for vs, eff in effective))
+        if table:
+            phi = Formula(num_vars, named, tuple(clause for _, clause in drawn))
+            sats = members(table)
             s = sats[rng.randrange(len(sats))]
             t = sats[rng.randrange(len(sats))]
             return phi, s, t

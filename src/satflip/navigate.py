@@ -19,8 +19,8 @@ that form's. :func:`solve` and the CLI's flip-order export both read it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .bits import hamming, set_vars, var_bit, zeros
 from .errors import FlipSequenceError, PreconditionError, TheoryError
@@ -36,6 +36,7 @@ from .flip_order import (
 from .formula import Clause, CompiledFormula, Formula, _check_assignment
 from .formula import require_relations, satisfying_state
 from .recon import DEFAULT_STATE_CAP, PathResult, bfs_shortest, check_cap
+from .records import Record
 from .relation import (
     CONST0,
     CONST1,
@@ -53,20 +54,34 @@ class Outcome(Enum):
     HARD = "hard"
 
 
-@dataclass
-class SolveStats:
-    levels: int = 0
-    eta_entry: int = 0
-    dag_builds: int = 0
+class SolveStats(Record):
+    __slots__ = _fields = ("levels", "eta_entry", "dag_builds")
+
+    def __init__(self, levels: int = 0, eta_entry: int = 0, dag_builds: int = 0):
+        self.levels = levels
+        self.eta_entry = eta_entry
+        self.dag_builds = dag_builds
 
 
-@dataclass
-class SolveResult:
-    outcome: Outcome
-    flips: tuple[Flip, ...] | None = None
-    classification: Classification | None = None
-    stats: SolveStats = field(default_factory=SolveStats)
-    oracle: PathResult | None = None
+class SolveResult(Record):
+    """A solver's answer. `stats` defaults to a new :class:`SolveStats`
+    for each result."""
+
+    __slots__ = _fields = ("outcome", "flips", "classification", "stats", "oracle")
+
+    def __init__(
+        self,
+        outcome: Outcome,
+        flips: tuple[Flip, ...] | None = None,
+        classification: Classification | None = None,
+        stats: SolveStats | None = None,
+        oracle: PathResult | None = None,
+    ):
+        self.outcome = outcome
+        self.flips = flips
+        self.classification = classification
+        self.stats = SolveStats() if stats is None else stats
+        self.oracle = oracle
 
     @property
     def length(self) -> int | None:
@@ -231,8 +246,7 @@ def dualize(phi: Formula, s: int, t: int):
     return Formula(phi.num_vars, relations, clauses), s ^ mask, t ^ mask
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """How :func:`solve` answers a formula, decided once per formula.
 
     `classification` is that of the declared relations; its verdict and

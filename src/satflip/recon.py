@@ -18,8 +18,7 @@ down from the others. Nothing here needs numpy; only the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bits import to_bitstring, var_bit
 from .errors import PreconditionError, TheoryError
@@ -75,19 +74,25 @@ def _low_masks(n: int):
 
 def solution_table(compiled: CompiledFormula) -> int:
     """The formula's solution set as one int: bit a is set iff assignment
-    a satisfies every clause.
+    a satisfies every clause."""
+    return clause_table(compiled.num_vars, zip(compiled.variables, compiled.accept))
+
+
+def clause_table(n: int, clauses) -> int:
+    """The assignments of n variables that satisfy every clause, given as
+    (variables, accept) pairs in the :class:`CompiledFormula` layout.
 
     Starts from all 2^n assignments and clears, clause by clause, the
     subcube of each falsifying local tuple. The subcubes of one clause
     come from splitting the table position by position on the low mask
     of the position's variable, so tuples sharing a prefix share its
     splits, and a prefix all of whose tuples falsify the clause is cleared
-    whole. Returns as soon as the table is 0.
+    whole. Returns 0 as soon as the table is 0, without reading the
+    remaining clauses.
     """
-    n = compiled.num_vars
     masks = [0, *_low_masks(n)]  # masks[v] for variable v
     table = (1 << (1 << n)) - 1
-    for variables, accept in zip(compiled.variables, compiled.accept):
+    for variables, accept in clauses:
         k = len(variables)
         reject = accept ^ ((1 << (1 << k)) - 1)
         parts = [(table, 0, 0)]  # (assignments of the prefix, its length, prefix)
@@ -132,8 +137,7 @@ def members(table: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ReconGraph:
+class ReconGraph(NamedTuple):
     """Explicit reconfiguration graph: satisfying assignments as nodes,
     single-bit flips as edges. States ascending; edges (u, v) with u < v."""
 
@@ -193,8 +197,7 @@ def build_graph(compiled: CompiledFormula, cap: int = DEFAULT_STATE_CAP) -> Reco
     return ReconGraph(n, tuple(members(table)), tuple(edges))
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     """Outcome of an exact search: a shortest flip sequence, or None when
     the endpoints lie in different components."""
 

@@ -24,12 +24,13 @@ import itertools
 import operator
 import sys
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bits import from_bitstring, to_bitstring
 from .errors import ParseError, PreconditionError, content_lines, read_decimal
+from .records import Frozen, set_field
 
 # The restriction closure grows quickly with arity. Measured cold on
 # CPython 3.11, best of 3: all nine flags of a random relation take about
@@ -56,39 +57,42 @@ HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b011, 0b101, 0b110))
 DUAL_HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b100, 0b010, 0b001))
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     """A k-ary Boolean relation stored as the explicit set of accepted
     tuples, each an int whose bit ``k - p`` holds position ``p``.
 
     ``table`` is the same set as one truth-table int: bit t is set iff
     tuple t is accepted. It is derived from ``tuples``, so it takes no
-    part in construction, equality or ``repr``; the hash is computed once
-    from ``(arity, table)``.
+    part in construction or ``repr``; equality compares it in place of
+    ``tuples``, and the hash is computed once from ``(arity, table)``.
     """
 
-    arity: int
-    tuples: frozenset[int]
-    table: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("arity", "tuples", "table", "_hash")
+    _fields = ("arity", "tuples")
 
-    def __post_init__(self):
-        if (isinstance(self.arity, bool) or not isinstance(self.arity, int)
-                or not 1 <= self.arity <= MAX_ARITY):
+    def __init__(self, arity: int, tuples):
+        if (isinstance(arity, bool) or not isinstance(arity, int)
+                or not 1 <= arity <= MAX_ARITY):
             raise PreconditionError(
-                f"relation arity must be an integer in 1..{MAX_ARITY}, got {self.arity!r}"
+                f"relation arity must be an integer in 1..{MAX_ARITY}, got {arity!r}"
             )
-        if not isinstance(self.tuples, frozenset):
-            object.__setattr__(self, "tuples", frozenset(self.tuples))
-        top = 1 << self.arity
+        if not isinstance(tuples, frozenset):
+            tuples = frozenset(tuples)
+        top = 1 << arity
         table = 0
-        for t in self.tuples:
+        for t in tuples:
             if not isinstance(t, int) or not 0 <= t < top:
-                raise PreconditionError(
-                    f"tuple {t!r} out of range for arity {self.arity}"
-                )
+                raise PreconditionError(f"tuple {t!r} out of range for arity {arity}")
             table |= 1 << t
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_hash", hash((self.arity, table)))
+        set_field(self, "arity", arity)
+        set_field(self, "tuples", tuples)
+        set_field(self, "table", table)
+        set_field(self, "_hash", hash((arity, table)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arity == other.arity and self.table == other.table
 
     def __hash__(self) -> int:
         return self._hash
@@ -137,8 +141,7 @@ def pack_tuple(entries, value: int, width: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
+class RestrictionMap(Frozen):
     """Assignment of every source position to a target position or constant.
 
     ``entries[i]`` describes source position ``i + 1``: an int in
@@ -147,29 +150,28 @@ class RestrictionMap:
     source tuple, so its coordinate is free in the restriction.
     """
 
-    source_arity: int
-    target_arity: int
-    entries: tuple
+    __slots__ = _fields = ("source_arity", "target_arity", "entries")
 
-    def __post_init__(self):
-        for label, arity in (("source", self.source_arity), ("target", self.target_arity)):
+    def __init__(self, source_arity: int, target_arity: int, entries: tuple):
+        for label, arity in (("source", source_arity), ("target", target_arity)):
             if isinstance(arity, bool) or not isinstance(arity, int):
                 raise PreconditionError(f"{label} arity must be an integer, got {arity!r}")
-        if not 1 <= self.target_arity <= self.source_arity <= MAX_ARITY:
+        if not 1 <= target_arity <= source_arity <= MAX_ARITY:
             raise PreconditionError(
-                f"need 1 <= target ({self.target_arity}) <= source "
-                f"({self.source_arity}) <= {MAX_ARITY}"
+                f"need 1 <= target ({target_arity}) <= source "
+                f"({source_arity}) <= {MAX_ARITY}"
             )
-        if len(self.entries) != self.source_arity:
-            raise PreconditionError(
-                f"expected {self.source_arity} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
+        if len(entries) != source_arity:
+            raise PreconditionError(f"expected {source_arity} entries, got {len(entries)}")
+        for e in entries:
             if e in (CONST0, CONST1):
                 continue
             if (isinstance(e, bool) or not isinstance(e, int)
-                    or not 1 <= e <= self.target_arity):
+                    or not 1 <= e <= target_arity):
                 raise PreconditionError(f"bad restriction entry {e!r}")
+        set_field(self, "source_arity", source_arity)
+        set_field(self, "target_arity", target_arity)
+        set_field(self, "entries", entries)
 
     def then(self, other: "RestrictionMap") -> "RestrictionMap":
         """Compose: restricting by self and then by other equals
@@ -444,8 +446,7 @@ def is_componentwise_bijunctive(relation: Relation) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RelationFlags:
+class RelationFlags(NamedTuple):
     bijunctive: bool
     horn: bool
     dual_horn: bool
@@ -483,8 +484,7 @@ class NavigableKind(Enum):
     OR_AND_HORN_FREE = "or-free + horn-free"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: Verdict
     kind: NavigableKind | None
     per_relation: tuple[RelationFlags, ...]

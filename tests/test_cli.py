@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from satflip import MAX_STATE_CAP
 from satflip.cli import main
 
-from helpers import mutated
+from helpers import NON_DECIMAL_TOKENS, mutated
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -431,6 +431,49 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+    # at the parent commit argparse read these with int(): `--cap ٣` ran
+    # with cap 3 and `gen random --vars ٣` wrote a 3-variable formula
+    @pytest.mark.parametrize("token", NON_DECIMAL_TOKENS)
+    @pytest.mark.parametrize("argv", [
+        ("oracle", PATH_CNFS, "--cap"),
+        ("solve", PATH_CNFS, "--cap"),
+        ("dot", PATH_CNFS, "--cap"),
+        ("gen", "random", "--vars"),
+        ("gen", "random", "--clauses"),
+        ("gen", "random", "--arity"),
+        ("gen", "random", "--relations"),
+        ("gen", "random", "--seed"),
+    ], ids=lambda argv: " ".join(argv[::2]))
+    def test_non_decimal_flag_exit_1(self, capsys, argv, token):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, token])
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out) == (1, "")
+        assert f"error: argument {argv[-1]}: invalid int value: {token!r}\n" in captured.err
+
+    def test_flags_keep_leading_zeros(self, capsys):
+        assert run(capsys, "oracle", PATH_CNFS, "--cap", "03") == (
+            run(capsys, "oracle", PATH_CNFS, "--cap", "3"))
+        padded = run(capsys, "gen", "random", "--vars", "06", "--clauses", "004",
+                     "--arity", "02", "--relations", "01", "--seed", "007")
+        plain = run(capsys, "gen", "random", "--vars", "6", "--clauses", "4",
+                    "--arity", "2", "--relations", "1", "--seed", "7")
+        assert padded == plain
+        assert plain[0] == 0
+
+    def test_import_loads_no_dataclasses(self):
+        # dataclasses and the inspect module it imports cost a CLI process
+        # about 10 ms; measured against the modules loaded before the
+        # import, so that a site hook loading them does not count
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import satflip.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -22,7 +22,9 @@ from satflip import (
     random_navigable_relation,
     solve,
 )
+from satflip import gen
 from satflip.bits import hamming
+from satflip.formula import restricted_clause
 from satflip.gen import MAX_GRAPH_VERTICES
 
 from helpers import min_vertex_cover_size, non_decimal_cases
@@ -215,6 +217,22 @@ class TestRandomFormula:
         empty = Relation(2, frozenset())
         with pytest.raises(GenerationError):
             random_formula([empty], 4, 1, 0)
+
+    def test_draw_refused_at_the_clause_that_empties_it(self, monkeypatch):
+        # x1 = 0 and x1 = 1: a draw is unsatisfiable at its first clause
+        # whose relation differs from the first one's, so each of the 200
+        # tries reads about three of its 50 clauses
+        reads = []
+
+        def counted(rel, clause):
+            reads.append(clause)
+            return restricted_clause(rel, clause)
+
+        monkeypatch.setattr(gen, "restricted_clause", counted)
+        zero, one = Relation(1, {0}), Relation(1, {1})
+        with pytest.raises(GenerationError):
+            random_formula([zero, one], 1, 50, 0)
+        assert 2 * 200 <= len(reads) <= 5 * 200
 
     def test_vars_cap(self):
         with pytest.raises(PreconditionError):

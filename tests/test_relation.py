@@ -472,7 +472,7 @@ class TestRestrictionClosure:
             assert flags == naive_relation_flags(rel), rel
             seen.add(flags)
         # the sample exercises both values of every flag
-        for field in RelationFlags.__dataclass_fields__:
+        for field in RelationFlags._fields:
             assert {getattr(f, field) for f in seen} == {True, False}, field
 
     def test_componentwise_bijunctive_looks_past_the_relation_itself(self):
