@@ -18,6 +18,9 @@ from .errors import (
 from .flip_order import (
     Flip,
     FlipOrderDag,
+    Outcome,
+    SolveResult,
+    SolveStats,
     apply_sequence,
     canonicalize,
     formula_flip_dag,
@@ -50,10 +53,7 @@ from .gen import (
     random_navigable_relation,
 )
 from .navigate import (
-    Outcome,
     Route,
-    SolveResult,
-    SolveStats,
     classify_formula,
     dualize,
     shortest_path_cwb,
@@ -63,7 +63,6 @@ from .navigate import (
 from .recon import (
     DEFAULT_STATE_CAP,
     MAX_STATE_CAP,
-    PathResult,
     ReconGraph,
     bfs_shortest,
     build_graph,

@@ -20,12 +20,16 @@ the CLI draws on the formula's route (for an OR-free + Horn-free formula,
 the DAG of its complemented form, whose raises are the formula's lowering
 flips), and :func:`order_respecting_sequence` orders its lower sets.
 Functions that read a formula take its compiled form, ``phi.compiled``.
+
+:class:`SolveResult` is the one immutable answer record that the solvers
+and the exact search both return; it prints the protocol line.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -33,7 +37,8 @@ from .bits import set_vars
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .formula import CompiledFormula, FlipState
 from .formula import require_relations, satisfying_state
-from .relation import Relation, _index_masks, is_dual_horn_free, is_nand_free
+from .relation import Classification, Relation, _index_masks
+from .relation import is_dual_horn_free, is_nand_free
 
 
 class Flip(NamedTuple):
@@ -47,12 +52,44 @@ class Flip(NamedTuple):
         return Flip(self.var, not self.up)
 
 
-def path_line(flips) -> str:
-    """The protocol line of a search result: `PATH <length> <flips>`, or
-    `NOTCONNECTED` when `flips` is None."""
-    if flips is None:
-        return "NOTCONNECTED"
-    return " ".join(["PATH", str(len(flips)), *(f.token() for f in flips)])
+class Outcome(Enum):
+    PATH = "path"
+    NOT_CONNECTED = "not-connected"
+    HARD = "hard"
+
+
+class SolveStats(NamedTuple):
+    """What one solve counted: the order-based solver's levels, the
+    endpoints' zero count on entry and the backward walks made."""
+
+    levels: int = 0
+    eta_entry: int = 0
+    dag_builds: int = 0
+
+
+class SolveResult(NamedTuple):
+    """An answer to an instance, from a solver or the exact search: a
+    shortest flip sequence (PATH, with `flips`), NOT_CONNECTED (`flips`
+    None), or HARD with the formula's `classification` and, when asked
+    for, the exact search's answer as `oracle`."""
+
+    outcome: Outcome
+    flips: tuple[Flip, ...] | None = None
+    classification: Classification | None = None
+    stats: SolveStats = SolveStats()
+    oracle: SolveResult | None = None
+
+    @property
+    def length(self) -> int | None:
+        return None if self.flips is None else len(self.flips)
+
+    def protocol_line(self) -> str:
+        """`PATH <length> <flips>`, `NOTCONNECTED` or `HARD <verdict>`."""
+        if self.outcome is Outcome.HARD:
+            return f"HARD {self.classification.verdict.name}"
+        if self.flips is None:
+            return "NOTCONNECTED"
+        return " ".join(["PATH", str(len(self.flips)), *(f.token() for f in self.flips)])
 
 
 def invert_sequence(flips) -> tuple[Flip, ...]:
@@ -250,12 +287,6 @@ class FlipOrderDag(NamedTuple):
             preds[v].add(u)
         return preds
 
-    def successor_map(self) -> dict[int, set[int]]:
-        succs = defaultdict(set)
-        for u, v in self.edges:
-            succs[u].add(v)
-        return succs
-
 
 def formula_flip_dag(compiled: CompiledFormula, assignment: int) -> FlipOrderDag:
     """The precedence DAG of every positive flip at a satisfying assignment:
@@ -354,19 +385,20 @@ def dag_to_dot(dag: FlipOrderDag, up: bool = True) -> str:
     complemented formula orders the lowering flips of the formula itself.
 
     Every edge of the reduction is an edge of the DAG: (u, v) is kept
-    unless v is reachable from another successor of u. The nodes
-    reachable from each node are one bitset int, filled in reverse
-    topological order."""
-    succs = dag.successor_map()
-    below = {}  # node -> bitset of the nodes reachable from it
+    unless u reaches v through another predecessor of v. The ancestors
+    of each node are one bitset int, filled in :func:`_kahn`'s order."""
+    preds = dag.predecessor_map()
+    order = _kahn({v: preds[v] for v in dag.nodes})
+    if len(order) != len(dag.nodes):
+        raise TheoryError("cycle survived pruning in the flip DAG")
+    above = {}  # node -> bitset of the nodes that reach it
     reduced = []
-    for f in reversed(order_respecting_sequence(dag, dag.nodes)):
-        u = f.var
-        via = 0  # the nodes reachable from some successor of u
-        for v in succs[u]:
-            via |= below[v]
-        reduced += ((u, v) for v in succs[u] if not via >> v & 1)
-        below[u] = via | sum(1 << v for v in succs[u])
+    for v in order:
+        via = 0  # the nodes that reach some predecessor of v
+        for u in preds[v]:
+            via |= above[u]
+        reduced += ((u, v) for u in preds[v] if not via >> u & 1)
+        above[v] = via | sum(1 << u for u in preds[v])
     sign = "+" if up else "-"
     lines = ["digraph fliporder {"]
     for v in sorted(dag.nodes):

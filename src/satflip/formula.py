@@ -323,6 +323,8 @@ def parse_instance(text: str):
             body = line[1:].strip()
             for key in ("s", "t"):
                 if body.startswith(f"{key}="):
+                    if key in endpoint_raw:
+                        raise ParseError(f"duplicate '{key}=' endpoint", lineno)
                     endpoint_raw[key] = (body[2:].strip(), lineno)
             continue
         if pending is not None:

@@ -14,29 +14,32 @@ Which of these answers a formula is decided once per formula and cached
 as ``phi.route`` (:class:`Route`): the classification, the compiled form
 the solver runs on, and the xor mask from the formula's assignments to
 that form's. :func:`solve` and the CLI's flip-order export both read it.
+
+Every answer is an immutable :class:`SolveResult`, the exact search's
+type too; :func:`solve` builds its answer once from the solver's parts.
 """
 
 from __future__ import annotations
 
 import heapq
-from enum import Enum
 from typing import NamedTuple
 
 from .bits import hamming, set_vars, var_bit, zeros
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .flip_order import (
     Flip,
+    Outcome,
+    SolveResult,
+    SolveStats,
     _require_order_class,
     advance,
     apply_sequence,
     invert_sequence,
     lower_set_sequence,
-    path_line,
 )
 from .formula import Clause, CompiledFormula, Formula, _check_assignment
 from .formula import require_relations, satisfying_state
-from .recon import DEFAULT_STATE_CAP, PathResult, bfs_shortest, check_cap
-from .records import Record
+from .recon import DEFAULT_STATE_CAP, bfs_shortest, check_cap
 from .relation import (
     CONST0,
     CONST1,
@@ -46,51 +49,6 @@ from .relation import (
     classify_set,
     is_componentwise_bijunctive,
 )
-
-
-class Outcome(Enum):
-    PATH = "path"
-    NOT_CONNECTED = "not-connected"
-    HARD = "hard"
-
-
-class SolveStats(Record):
-    __slots__ = _fields = ("levels", "eta_entry", "dag_builds")
-
-    def __init__(self, levels: int = 0, eta_entry: int = 0, dag_builds: int = 0):
-        self.levels = levels
-        self.eta_entry = eta_entry
-        self.dag_builds = dag_builds
-
-
-class SolveResult(Record):
-    """A solver's answer. `stats` defaults to a new :class:`SolveStats`
-    for each result."""
-
-    __slots__ = _fields = ("outcome", "flips", "classification", "stats", "oracle")
-
-    def __init__(
-        self,
-        outcome: Outcome,
-        flips: tuple[Flip, ...] | None = None,
-        classification: Classification | None = None,
-        stats: SolveStats | None = None,
-        oracle: PathResult | None = None,
-    ):
-        self.outcome = outcome
-        self.flips = flips
-        self.classification = classification
-        self.stats = SolveStats() if stats is None else stats
-        self.oracle = oracle
-
-    @property
-    def length(self) -> int | None:
-        return None if self.flips is None else len(self.flips)
-
-    def protocol_line(self) -> str:
-        if self.outcome is Outcome.HARD:
-            return f"HARD {self.classification.verdict.name}"
-        return path_line(self.flips)
 
 
 def classify_formula(phi: Formula) -> Classification:
@@ -117,9 +75,10 @@ def shortest_path_navigable(
     prefix and suffix stack, so deep instances cannot exhaust the call
     stack. Each side keeps one FlipState for the whole solve: its
     endpoint is checked in full once, and every later flip only against
-    the clauses of its variable. `stats.dag_builds` counts the walks.
-    The assembled sequence is not replayed here: :func:`solve` replays
-    it once, on the formula's own compiled form.
+    the clauses of its variable. The result's `stats` counts the levels
+    and, as `dag_builds`, the walks: two per level. The assembled
+    sequence is not replayed here: :func:`solve` replays it once, on the
+    formula's own compiled form.
 
     `trace`, when given, is called once per level with keywords `level`,
     `s` and `t` (the pair entering the level), `lower_s` and `lower_t`
@@ -131,27 +90,29 @@ def shortest_path_navigable(
     if s != t:
         _require_order_class(compiled)
     n = compiled.num_vars
-    stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
+    eta_entry = zeros(s, n) + zeros(t, n)
+    levels = 0
     prefix: list[Flip] = []
     tails: list[tuple[Flip, ...]] = []
 
     while side_s.assignment != side_t.assignment:
         cur_s, cur_t = side_s.assignment, side_t.assignment
-        stats.levels += 1
-        if stats.levels > stats.eta_entry + 1:
+        levels += 1
+        if levels > eta_entry + 1:
             raise TheoryError("level count exceeded the zero-count measure")
         diff = cur_s ^ cur_t
         want_s = tuple(set_vars(diff & cur_t, n))
         want_t = tuple(set_vars(diff & cur_s, n))
         seq_s = lower_set_sequence(side_s, want_s)
         seq_t = lower_set_sequence(side_t, want_t)
-        stats.dag_builds += 2
         if seq_s is None or seq_t is None:
-            return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
+            return SolveResult(
+                Outcome.NOT_CONNECTED, stats=SolveStats(levels, eta_entry, 2 * levels)
+            )
         eta_old = zeros(cur_s, n) + zeros(cur_t, n)
         if trace is not None:
             trace(
-                level=stats.levels,
+                level=levels,
                 s=cur_s,
                 t=cur_t,
                 lower_s=seq_s,
@@ -176,7 +137,9 @@ def shortest_path_navigable(
     flips = tuple(prefix)
     for tail in reversed(tails):
         flips += invert_sequence(tail)
-    return SolveResult(Outcome.PATH, flips=flips, stats=stats)
+    return SolveResult(
+        Outcome.PATH, flips=flips, stats=SolveStats(levels, eta_entry, 2 * levels)
+    )
 
 
 def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
@@ -324,24 +287,25 @@ def solve(
         _check_assignment(n, t)
         mask = route.mask
         if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:
-            result = shortest_path_cwb(route.compiled, s ^ mask, t ^ mask)
+            part = shortest_path_cwb(route.compiled, s ^ mask, t ^ mask)
+            flips = part.flips
         else:
             if trace is not None and mask:
                 trace = _mirrored(trace, mask)
-            result = shortest_path_navigable(
+            part = shortest_path_navigable(
                 route.compiled, s ^ mask, t ^ mask, trace=trace
             )
-            if result.flips is not None:
+            flips = part.flips
+            if flips is not None:
                 if mask:
-                    result.flips = tuple(f.inverse() for f in result.flips)
+                    flips = tuple(f.inverse() for f in flips)
                 try:
-                    end = apply_sequence(phi.compiled, s, result.flips)
+                    end = apply_sequence(phi.compiled, s, flips)
                 except PreconditionError as exc:
                     raise TheoryError(f"order-based answer fails its replay: {exc}") from exc
                 if end != t:
                     raise TheoryError("order-based answer does not reach the target")
-        result.classification = cls
-        return result
+        return SolveResult(part.outcome, flips, cls, part.stats)
 
     compiled = phi.compiled
     satisfying_state(compiled, s, "source")

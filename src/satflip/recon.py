@@ -4,7 +4,9 @@ This is the brute-force reference every solver in the package is
 validated against: it covers the full assignment space (capped) and runs
 plain breadth-first search, sharing no machinery with the order-based
 solver. Like the solvers, it reads a formula's compiled form,
-``phi.compiled``.
+``phi.compiled``, and its answer, :func:`bfs_shortest`, is the
+solvers' :class:`~satflip.flip_order.SolveResult`, so the two compare
+by ``(outcome, length)``.
 
 The solution set is one Python int, :func:`solution_table`: bit ``a`` is
 set iff assignment ``a`` satisfies the formula, the ``Relation.table``
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .bits import to_bitstring, var_bit
 from .errors import PreconditionError, TheoryError
-from .flip_order import Flip, path_line
+from .flip_order import Flip, Outcome, SolveResult
 from .formula import CompiledFormula, satisfying_state
 
 if TYPE_CHECKING:
@@ -197,28 +199,11 @@ def build_graph(compiled: CompiledFormula, cap: int = DEFAULT_STATE_CAP) -> Reco
     return ReconGraph(n, tuple(members(table)), tuple(edges))
 
 
-class PathResult(NamedTuple):
-    """Outcome of an exact search: a shortest flip sequence, or None when
-    the endpoints lie in different components."""
-
-    flips: tuple[Flip, ...] | None
-
-    @property
-    def connected(self) -> bool:
-        return self.flips is not None
-
-    @property
-    def length(self) -> int | None:
-        return None if self.flips is None else len(self.flips)
-
-    def protocol_line(self) -> str:
-        return path_line(self.flips)
-
-
 def bfs_shortest(
     compiled: CompiledFormula, s: int, t: int, cap: int = DEFAULT_STATE_CAP
-) -> PathResult:
-    """Genuinely shortest flip sequence from s to t by breadth-first search.
+) -> SolveResult:
+    """Genuinely shortest flip sequence from s to t by breadth-first search:
+    a PATH answer (with ``()`` when s = t) or NOT_CONNECTED.
 
     The search runs from the target, one whole layer per step, on the
     solution table cut into blocks of 2^BLOCK_BITS assignments (a dict
@@ -241,7 +226,7 @@ def bfs_shortest(
     satisfying_state(compiled, s, "source")
     satisfying_state(compiled, t, "target")
     if s == t:
-        return PathResult(())
+        return SolveResult(Outcome.PATH, ())
 
     bits = min(n, BLOCK_BITS)  # assignment a is bit a & inside of block a >> bits
     inside = (1 << bits) - 1
@@ -275,7 +260,7 @@ def bfs_shortest(
                 frontier[block] = new
                 plane[block] = plane.get(block, 0) | new
     if not frontier:
-        return PathResult(None)
+        return SolveResult(Outcome.NOT_CONNECTED)
 
     del unvisited, reached, frontier
     flips = []
@@ -292,7 +277,7 @@ def bfs_shortest(
             raise TheoryError("BFS path reconstruction found no predecessor")
     if cur != t:
         raise TheoryError("BFS path reconstruction did not reach the target")
-    return PathResult(tuple(flips))
+    return SolveResult(Outcome.PATH, tuple(flips))
 
 
 def graph_to_dot(graph: ReconGraph) -> str:

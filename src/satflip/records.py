@@ -1,16 +1,17 @@
-"""Base classes of the package's records that a tuple cannot hold.
+"""The base class of the package's records that a tuple cannot hold.
 
-Plain records are ``typing.NamedTuple`` classes. A record that is mutated
-(:class:`Record`) or that validates and normalizes its fields on
-construction (:class:`Frozen`) derives from these instead. Its fields are
-named in ``_fields``, in the order its ``__init__`` takes them; equality,
-``repr`` and copying go over those fields.
+Plain records are ``typing.NamedTuple`` classes, and none is mutable. A
+record that validates and normalizes its fields on construction derives
+from :class:`Frozen` instead. Its fields are named in ``_fields``, in
+the order its ``__init__`` takes them; equality, hash, ``repr`` and
+copying go over those fields.
 """
 
 
-class Record:
-    """A record compared and printed by its fields, of one class only.
-    Mutable, so it is not hashable."""
+class Frozen:
+    """A record compared, hashed and printed by its fields, of one class
+    only. Its ``__init__`` sets each attribute once, through
+    :func:`set_field`; every later assignment raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -23,7 +24,8 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -31,17 +33,6 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-class Frozen(Record):
-    """A record whose ``__init__`` sets each attribute once, through
-    :func:`set_field`; every later assignment raises AttributeError.
-    Hashed by its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -472,7 +472,9 @@ def sequence_partial_order(relation, state):
 def closure(dag):
     """All ordered pairs (u, v) of a flip DAG with a directed path from u
     to v."""
-    succs = dag.successor_map()
+    succs = {v: [] for v in dag.nodes}
+    for u, v in dag.edges:
+        succs[u].append(v)
     pairs = set()
     for start in dag.nodes:
         stack = list(succs[start])

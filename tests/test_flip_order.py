@@ -634,6 +634,11 @@ class TestDagDot:
             "}\n"
         )
 
+    def test_cycle_is_a_theory_error(self):
+        dag = FlipOrderDag(frozenset({1, 2, 3}), frozenset({(1, 2), (2, 3), (3, 2)}))
+        with pytest.raises(TheoryError, match="^cycle survived pruning in the flip DAG$"):
+            dag_to_dot(dag)
+
     @staticmethod
     def reduction_edges(dag):
         return [line for line in dag_to_dot(dag).splitlines() if "->" in line]

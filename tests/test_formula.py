@@ -257,6 +257,13 @@ class TestCnfsFormat:
         phi, s, t = parse_instance("# s=01\n# t=10\nvars 2\n")
         assert (s, t) == (0b01, 0b10)
 
+    @pytest.mark.parametrize("key", ["s", "t"])
+    def test_duplicate_embedded_endpoint(self, key):
+        # the first value is not silently replaced by the second
+        with pytest.raises(ParseError) as err:
+            parse_instance(f"# s=000\n# t=110\nvars 3\n# {key}=001\n")
+        assert str(err.value) == f"line 4: duplicate '{key}=' endpoint"
+
     def test_bad_embedded_endpoint(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_instance("# s=0\nvars 2\n")

@@ -12,6 +12,7 @@ from satflip import (
     Outcome,
     PreconditionError,
     Relation,
+    SolveStats,
     TheoryError,
     Verdict,
     apply_sequence,
@@ -106,8 +107,8 @@ class TestNavigableSolver:
         for phi, s, t in navigable_corpus(120, seed=2001):
             res = shortest_path_navigable(phi.compiled, s, t)
             ref = bfs_shortest(phi.compiled, s, t)
-            assert (res.outcome is Outcome.PATH) == ref.connected
-            if ref.connected:
+            assert res.outcome is ref.outcome
+            if ref.outcome is Outcome.PATH:
                 assert res.length == ref.length
                 assert apply_sequence(phi.compiled, s, res.flips) == t
                 assert res.length >= hamming(s, t)
@@ -163,8 +164,8 @@ class TestCwbSolver:
                 continue
             res = shortest_path_cwb(phi.compiled, s, t)
             ref = bfs_shortest(phi.compiled, s, t)
-            assert (res.outcome is Outcome.PATH) == ref.connected
-            if ref.connected:
+            assert res.outcome is ref.outcome
+            if ref.outcome is Outcome.PATH:
                 assert res.length == ref.length == hamming(s, t)
             checked += 1
 
@@ -247,8 +248,8 @@ class TestDualize:
             dphi, ds, dt = dualize(phi, s, t)
             res = solve(dphi, ds, dt)
             ref = bfs_shortest(dphi.compiled, ds, dt)
-            assert (res.outcome is Outcome.PATH) == ref.connected
-            if ref.connected:
+            assert res.outcome is ref.outcome
+            if ref.outcome is Outcome.PATH:
                 assert res.length == ref.length
                 assert apply_sequence(dphi.compiled, ds, res.flips) == dt
 
@@ -305,7 +306,7 @@ class TestEffectiveRelations:
             for t in sat:
                 res = solver(phi.compiled, s, t)
                 ref = bfs_shortest(phi.compiled, s, t)
-                assert (res.outcome is Outcome.PATH) == ref.connected
+                assert res.outcome is ref.outcome
                 assert res.length == ref.length
 
     @pytest.mark.parametrize("case", ["unused", "full"])
@@ -337,13 +338,18 @@ class TestSolveDispatch:
         assert res.outcome is Outcome.PATH and res.length == 4
         assert res.classification.kind is NavigableKind.NAND_AND_DUAL_HORN_FREE
 
+    def test_stats_of_a_path5_solve(self):
+        # the counts the benchmark's tracer reads: two levels, four walks
+        res = solve(PATH_PHI, 0b000, 0b110)
+        assert res.stats == SolveStats(levels=2, eta_entry=4, dag_builds=4)
+
     def test_hard_with_oracle(self):
         k3 = SimpleGraph(3, ((1, 2), (1, 3), (2, 3)))
         phi, s, t = gen_vertex_cover_instance(k3)
         res = solve(phi, s, t, allow_oracle=True)
         assert res.outcome is Outcome.HARD
         assert res.classification.verdict is Verdict.TIGHT_NOT_NAVIGABLE
-        assert res.oracle is not None and res.oracle.connected
+        assert res.oracle is not None and res.oracle.outcome is Outcome.PATH
         assert res.protocol_line() == "HARD TIGHT_NOT_NAVIGABLE"
 
     def test_hard_without_oracle(self):
@@ -535,9 +541,9 @@ class TestRoutesAgainstExactSearch:
                 assert res.outcome is Outcome.HARD
                 res = res.oracle
             else:
-                assert (res.outcome is Outcome.PATH) == ref.connected
+                assert res.outcome is ref.outcome
             assert res.length == ref.length
-            if ref.connected:
+            if ref.outcome is Outcome.PATH:
                 assert apply_sequence(phi.compiled, s, res.flips) == t
                 connected += res.length > 0
         assert connected >= 10

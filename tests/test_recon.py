@@ -10,6 +10,7 @@ from satflip import (
     MAX_STATE_CAP,
     Clause,
     Formula,
+    Outcome,
     PreconditionError,
     Relation,
     SimpleGraph,
@@ -232,12 +233,12 @@ class TestBfsShortest:
 
     def test_same_endpoints(self):
         res = bfs_shortest(PATH_PHI.compiled, 0b111, 0b111)
-        assert res.connected and res.length == 0
+        assert res.outcome is Outcome.PATH and res.length == 0
         assert res.protocol_line() == "PATH 0"
 
     def test_not_connected(self):
         res = bfs_shortest(EQ_PHI.compiled, 0b00, 0b11)
-        assert not res.connected
+        assert res.outcome is Outcome.NOT_CONNECTED
         assert res.protocol_line() == "NOTCONNECTED"
 
     def test_unsatisfying_endpoint(self):
@@ -254,8 +255,8 @@ class TestBfsShortest:
         for phi, s, t in navigable_corpus(60, seed=21, max_vars=10, max_clauses=6):
             res = bfs_shortest(phi.compiled, s, t)
             sym = bfs_shortest(phi.compiled, t, s)
-            assert res.connected == sym.connected
-            if not res.connected:
+            assert res.outcome is sym.outcome
+            if res.outcome is Outcome.NOT_CONNECTED:
                 continue
             assert res.length == sym.length
             assert res.length >= hamming(s, t)

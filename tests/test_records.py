@@ -1,5 +1,5 @@
 """The package's records: frozen fields, equality and hash by value,
-and no mutable default shared between instances."""
+and one immutable answer record for the solvers and the exact search."""
 
 import copy
 import pickle
@@ -9,12 +9,15 @@ import pytest
 from satflip import (
     CONST1,
     Clause,
+    Flip,
     Formula,
     Relation,
     RestrictionMap,
     SimpleGraph,
     SolveResult,
     SolveStats,
+    bfs_shortest,
+    solve,
 )
 from satflip.navigate import Outcome
 
@@ -29,10 +32,13 @@ def build_records():
         (Formula(3, (("p", PATH5),), (Clause("p", (1, 2, 3)),)), "num_vars"),
         (SimpleGraph(3, ((2, 1), (3, 2))), "edges"),
         (Clause("p", (1, 2, 3)), "args"),
+        (SolveResult(Outcome.PATH, (Flip(3, True),), stats=SolveStats(1, 2, 2)), "flips"),
+        (SolveStats(2, 4, 4), "levels"),
     ]
 
 
-IDS = ["relation", "restriction-map", "formula", "graph", "clause"]
+IDS = ["relation", "restriction-map", "formula", "graph", "clause",
+       "solve-result", "solve-stats"]
 
 
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
@@ -102,21 +108,40 @@ def test_formula_keeps_its_compiled_form():
     assert phi == Formula(3, (("p", PATH5),), (Clause("p", (1, 2, 3)),))
 
 
-def test_solve_results_do_not_share_stats():
+def test_solve_results_share_no_mutable_stats():
     first, second = SolveResult(Outcome.PATH), SolveResult(Outcome.PATH)
-    assert first.stats is not second.stats
-    first.stats.levels += 1
-    assert (first.stats.levels, second.stats.levels) == (1, 0)
-    assert first != second
+    assert first == second
+    assert first.stats == SolveStats(levels=0, eta_entry=0, dag_builds=0)
+    with pytest.raises(AttributeError):
+        first.stats.levels += 1
+    assert (first.stats.levels, second.stats.levels) == (0, 0)
 
 
-def test_solve_records_are_mutable_and_unhashable():
+def test_solve_records_are_immutable_values():
     result = SolveResult(Outcome.HARD)
-    result.flips = ()
-    assert result.length == 0
-    assert result == SolveResult(Outcome.HARD, flips=())
+    with pytest.raises(AttributeError):
+        result.flips = ()
+    assert result.flips is None and result.length is None
+    assert result == SolveResult(Outcome.HARD, flips=None)
     assert SolveStats(1, 2, 3) == SolveStats(levels=1, eta_entry=2, dag_builds=3)
-    with pytest.raises(TypeError):
-        hash(result)
-    with pytest.raises(TypeError):
-        hash(SolveStats())
+
+
+def test_solve_and_exact_search_return_one_type():
+    phi = Formula(3, (("p", PATH5),), (Clause("p", (1, 2, 3)),))
+    answer, reference = solve(phi, 0b000, 0b110), bfs_shortest(phi.compiled, 0b000, 0b110)
+    assert type(answer) is type(reference) is SolveResult
+    assert (answer.outcome, answer.length) == (reference.outcome, reference.length)
+    assert answer.protocol_line() == reference.protocol_line() == "PATH 4 x3+ x1+ x2+ x3-"
+
+
+def test_empty_path_is_not_not_connected():
+    phi = Formula(3, (("p", PATH5),), (Clause("p", (1, 2, 3)),))
+    equal = Relation.from_bitstrings(["00", "11"])
+    apart = Formula(2, (("eq", equal),), (Clause("eq", (1, 2)),))
+    for here, there in ((solve(phi, 0b000, 0b000), solve(apart, 0b00, 0b11)),
+                        (bfs_shortest(phi.compiled, 0b000, 0b000),
+                         bfs_shortest(apart.compiled, 0b00, 0b11))):
+        assert (here.outcome, here.flips, here.length) == (Outcome.PATH, (), 0)
+        assert (there.outcome, there.flips, there.length) == (Outcome.NOT_CONNECTED, None, None)
+        assert here != there
+        assert (here.protocol_line(), there.protocol_line()) == ("PATH 0", "NOTCONNECTED")
