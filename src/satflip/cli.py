@@ -145,7 +145,10 @@ def cmd_solve(args) -> int:
     if result.outcome is Outcome.HARD and result.oracle is not None:
         print(result.oracle.protocol_line())
     if args.verify and result.outcome is not Outcome.HARD:
-        if phi.num_vars <= args.cap:
+        if phi.num_vars > args.cap:
+            print(f"verify: skipped, n = {phi.num_vars} is above --cap {args.cap}",
+                  file=sys.stderr)
+        else:
             reference = bfs_shortest(phi.compiled, s, t, cap=args.cap)
             if (reference.outcome, reference.length) != (result.outcome, result.length):
                 print(

@@ -30,7 +30,8 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .bits import set_vars
@@ -47,9 +48,6 @@ class Flip(NamedTuple):
 
     def token(self) -> str:
         return f"x{self.var}{'+' if self.up else '-'}"
-
-    def inverse(self) -> "Flip":
-        return Flip(self.var, not self.up)
 
 
 class Outcome(Enum):
@@ -92,9 +90,24 @@ class SolveResult(NamedTuple):
         return " ".join(["PATH", str(len(self.flips)), *(f.token() for f in self.flips)])
 
 
+# A Flip from a (var, up) pair through tuple.__new__, which skips the
+# NamedTuple's Python-level __new__: the solvers build flips in bulk.
+_make_flip = partial(tuple.__new__, Flip)
+
+
+def _raises(variables) -> tuple[Flip, ...]:
+    """The raising flips of `variables`, in order."""
+    return tuple(map(_make_flip, zip(variables, repeat(True))))
+
+
+def swap_signs(flips) -> tuple[Flip, ...]:
+    """The flips in the same order, each with its sign swapped."""
+    return tuple(map(_make_flip, [(v, not up) for v, up in flips]))
+
+
 def invert_sequence(flips) -> tuple[Flip, ...]:
     """Reverse the order and the sign of every flip."""
-    return tuple(f.inverse() for f in reversed(flips))
+    return swap_signs(reversed(flips))
 
 
 def apply_sequence(compiled: CompiledFormula, assignment: int, flips) -> int:
@@ -115,21 +128,37 @@ def advance(state: FlipState, flips) -> None:
     """Make the flips on a satisfying state, in order. Each must name a
     variable in 1..n, move it in the right direction and keep the formula
     satisfied; the first that does not raises FlipSequenceError at its
-    index, and the state keeps the flips before it."""
-    n = state.compiled.num_vars
-    for i, f in enumerate(flips):
-        if not 1 <= f.var <= n:
-            raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")
-        bit = state.value(f.var)
-        if f.up and bit == 1:
-            raise FlipSequenceError(i, f"{f.token()} raises a variable already 1")
-        if not f.up and bit == 0:
-            raise FlipSequenceError(i, f"{f.token()} lowers a variable already 0")
-        if not state.can_flip(f.var):
-            raise FlipSequenceError(
-                i, f"prefix ending at {f.token()} falsifies the formula"
-            )
-        state.flip(f.var)
+    index, and the state keeps the flips before it.
+
+    One loop checks every flip on the compiled form's tables, held in
+    locals: a flip reads the accept masks of its variable's clauses
+    before it changes any local tuple, so a refused flip changes nothing.
+    """
+    compiled = state.compiled
+    n, accept, occurrences = compiled.num_vars, compiled.accept, compiled.occurrences
+    local, assignment = state.local, state.assignment
+    try:
+        for i, f in enumerate(flips):
+            v, up = f
+            if not 1 <= v <= n:
+                raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")
+            shift = n - v
+            if assignment >> shift & 1:
+                if up:
+                    raise FlipSequenceError(i, f"{f.token()} raises a variable already 1")
+            elif not up:
+                raise FlipSequenceError(i, f"{f.token()} lowers a variable already 0")
+            clauses = occurrences[v]
+            for j, bit in clauses:
+                if not accept[j] >> (local[j] ^ bit) & 1:
+                    raise FlipSequenceError(
+                        i, f"prefix ending at {f.token()} falsifies the formula"
+                    )
+            for j, bit in clauses:
+                local[j] ^= bit
+            assignment ^= 1 << shift
+    finally:
+        state.assignment = assignment
 
 
 def relation_partial_order(relation: Relation, state: int):
@@ -177,8 +206,9 @@ def _local_order(relation: Relation, state: int) -> tuple[tuple[int, ...] | None
     """`relation_partial_order` at `state`, per 0-based position: the
     ascending positions that must be raised before it, or None where no
     valid positive sequence raises it (it is 1 already, or stuck at 0).
-    :func:`_walk` reads every clause through this; a formula has few
-    distinct (effective relation, local tuple) pairs."""
+    :func:`_walk` reads every clause through this, once per walk for
+    each distinct key; a formula has few distinct (effective relation,
+    local tuple) pairs."""
     members, prec = relation_partial_order(relation, state)
     return tuple(
         tuple(sorted(p - 1 for p, r in prec if r == q)) if q in members else None
@@ -199,17 +229,30 @@ def _walk(state: FlipState, roots: Iterable[int]) -> dict[int, set[int]]:
     satisfying state, each with the set of variables that must be raised
     before it. Each variable reached reads the local order of its own
     clauses only. One stuck in a clause (no valid positive sequence of it
-    raises the variable) is its own predecessor, so no order raises it."""
+    raises the variable) is its own predecessor, so no order raises it.
+
+    The walk keeps each local order it reads in a dict keyed by ints: the
+    clause's accept mask and arity, which fix its effective relation, its
+    local tuple and the variable's bit. So :func:`_local_order`, whose
+    cache hashes the relation in Python, is asked once per distinct key
+    the walk meets."""
     compiled = state.compiled
-    variables, relations, local = compiled.variables, compiled.relations, state.local
+    variables, relations, accept = compiled.variables, compiled.relations, compiled.accept
+    occurrences, local = compiled.occurrences, state.local
+    orders = {}
     preds = {v: set() for v in roots}
     stack = list(preds)
     while stack:
         v = stack.pop()
         before = preds[v]
-        for j, bit in compiled.occurrences[v]:
+        for j, bit in occurrences[v]:
             clause_vars = variables[j]
-            order = _local_order(relations[j], local[j])[len(clause_vars) - bit.bit_length()]
+            key = (accept[j], len(clause_vars), local[j], bit)
+            try:
+                order = orders[key]
+            except KeyError:
+                order = orders[key] = _local_order(relations[j], local[j])[
+                    len(clause_vars) - bit.bit_length()]
             if order is None:
                 before.add(v)
                 continue
@@ -226,19 +269,25 @@ def _kahn(preds: dict[int, set[int]]) -> list[int]:
     """Kahn's topological order (Kahn, CACM 1962) of the keys of `preds`,
     each after its predecessors, ties going to the lowest index. A
     variable left out lies on a precedence cycle (a stuck variable's
-    self-loop included) or after one."""
-    indeg = {v: len(before) for v, before in preds.items()}
-    succs = defaultdict(list)
+    self-loop included) or after one. One pass over `preds` finds the
+    in-degrees, the successors and the variables ready at the start."""
+    indeg, succs, ready = {}, {}, []
     for v, before in preds.items():
+        if not before:
+            ready.append(v)
+            continue
+        indeg[v] = len(before)
         for u in before:
-            succs[u].append(v)
-    ready = [v for v, d in indeg.items() if not d]
+            if u in succs:
+                succs[u].append(v)
+            else:
+                succs[u] = [v]
     heapq.heapify(ready)
     out = []
     while ready:
         u = heapq.heappop(ready)
         out.append(u)
-        for v in succs[u]:
+        for v in succs.get(u, ()):
             indeg[v] -= 1
             if not indeg[v]:
                 heapq.heappush(ready, v)
@@ -256,19 +305,19 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
     smallest_lower_set(dag, wanted))`` on the state's flip DAG when the
     wanted flips are its nodes, and None exactly when they are not.
     """
-    n = state.compiled.num_vars
+    n, assignment = state.compiled.num_vars, state.assignment
     roots = []
     for v in wanted:
         if not 1 <= v <= n:
             raise PreconditionError(f"x{v} names no variable in 1..{n}")
-        if state.value(v):
+        if assignment >> (n - v) & 1:
             return None
         roots.append(v)
     preds = _walk(state, roots)
     order = _kahn(preds)
     if len(order) != len(preds):
         return None
-    return tuple(Flip(v, True) for v in order)
+    return _raises(order)
 
 
 class FlipOrderDag(NamedTuple):
@@ -341,7 +390,7 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
     order = _kahn({v: preds[v] for v in chosen})
     if len(order) != len(chosen):
         raise TheoryError("cycle survived pruning in the flip DAG")
-    return tuple(Flip(v, True) for v in order)
+    return _raises(order)
 
 
 def canonicalize(compiled: CompiledFormula, start: int, flips) -> tuple[Flip, ...]:

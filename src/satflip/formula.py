@@ -6,7 +6,9 @@ clause's induced tuple is accepted by its relation. Each formula is
 compiled once, on first use, into per-clause accept masks and
 per-variable occurrence lists (:class:`CompiledFormula`), so a flip is
 checked against the clauses of its variable only (:class:`FlipState`).
-The solvers, flip orders and exact search read only that compiled form.
+A state's clause tuples are read off one byte per variable, made in one
+pass from the assignment's bitstring. The solvers, flip orders and exact
+search read only that compiled form.
 """
 
 from __future__ import annotations
@@ -166,9 +168,17 @@ def _compile(phi: Formula) -> CompiledFormula:
     )
 
 
+# bytes.translate table from the characters "0" and "1" to bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 class FlipState:
     """An assignment of a compiled formula plus each clause's local tuple.
 
+    The tuples are built from one byte per variable: the assignment's
+    bitstring, one character wider than n, read so that byte v is
+    variable v's value. The assignment must lie in 0..2^n - 1, as
+    :func:`flip_state` checks first: a wider one would shift every byte.
     `can_flip` and `flip` touch only the clauses of the flipped variable.
     `can_flip` assumes those clauses hold now, as they do while the
     state walks through satisfying assignments.
@@ -177,12 +187,12 @@ class FlipState:
     __slots__ = ("compiled", "assignment", "local")
 
     def __init__(self, compiled: CompiledFormula, assignment: int):
-        n = compiled.num_vars
+        bit = format(assignment, f"0{compiled.num_vars + 1}b").encode().translate(_BIT_BYTES)
         local = []
         for clause_vars in compiled.variables:
             x = 0
             for v in clause_vars:
-                x = (x << 1) | ((assignment >> (n - v)) & 1)
+                x = 2 * x + bit[v]
             local.append(x)
         self.compiled = compiled
         self.assignment = assignment

@@ -36,6 +36,7 @@ from .flip_order import (
     apply_sequence,
     invert_sequence,
     lower_set_sequence,
+    swap_signs,
 )
 from .formula import Clause, CompiledFormula, Formula, _check_assignment
 from .formula import require_relations, satisfying_state
@@ -244,8 +245,8 @@ def _mirrored(trace, mask: int):
             level=level,
             s=s ^ mask,
             t=t ^ mask,
-            lower_s=tuple(f.inverse() for f in lower_s),
-            lower_t=tuple(f.inverse() for f in lower_t),
+            lower_s=swap_signs(lower_s),
+            lower_t=swap_signs(lower_t),
             eta=eta,
         )
 
@@ -298,7 +299,7 @@ def solve(
             flips = part.flips
             if flips is not None:
                 if mask:
-                    flips = tuple(f.inverse() for f in flips)
+                    flips = swap_signs(flips)
                 try:
                     end = apply_sequence(phi.compiled, s, flips)
                 except PreconditionError as exc:

@@ -45,6 +45,12 @@ def relation_strategy(min_arity=1, max_arity=3, min_tuples=0):
     return st.integers(min_arity, max_arity).flatmap(build)
 
 
+def random_relation(arity, rng):
+    """A random nonempty relation of the arity."""
+    return Relation(arity, frozenset(
+        rng.sample(range(1 << arity), rng.randint(1, 1 << arity))))
+
+
 def restriction_entries(source_arity, target_arity):
     choices = list(range(1, target_arity + 1)) + [CONST0, CONST1]
     return st.tuples(*[st.sampled_from(choices) for _ in range(source_arity)])
@@ -285,18 +291,27 @@ def rescan_cwb_walk(phi, s, t):
     return tuple(flips)
 
 
-def replay_first_bad_flip(phi, start, flips):
-    """Index of the first flip that names no variable, moves its variable
-    the wrong way or falsifies the formula; None if every prefix holds."""
+def reference_advance(phi, start, flips):
+    """Step through the flips from a satisfying `start` one at a time,
+    re-evaluating every clause after each. Returns (assignment, None)
+    when every flip holds, else (the assignment before the first bad
+    flip, (its index, the message `advance` gives for it)). A flip is
+    bad when it names no variable, moves its variable the wrong way or
+    falsifies the formula."""
     n = phi.num_vars
     cur = start
-    for i, f in enumerate(flips):
-        if not 1 <= f.var <= n or var_bit(cur, f.var, n) == f.up:
-            return i
-        cur = flip_bit(cur, f.var, n)
-        if not naive_evaluate(phi, cur):
-            return i
-    return None
+    for i, (v, up) in enumerate(flips):
+        token = f"x{v}{'+' if up else '-'}"
+        if not 1 <= v <= n:
+            return cur, (i, f"{token} names no variable in 1..{n}")
+        if var_bit(cur, v, n) == up:
+            verb = "raises" if up else "lowers"
+            return cur, (i, f"{token} {verb} a variable already {int(up)}")
+        nxt = flip_bit(cur, v, n)
+        if not naive_evaluate(phi, nxt):
+            return cur, (i, f"prefix ending at {token} falsifies the formula")
+        cur = nxt
+    return cur, None
 
 
 @st.composite
@@ -635,7 +650,8 @@ def in_order_class_sample(count, seed, min_arity=4, max_arity=6):
 
 
 def random_walk(phi, start, steps, rng):
-    """A random flip walk in the solution graph; returns the Flip list."""
+    """A random flip walk in the solution graph; returns the Flip list
+    and the assignment it ends at."""
     n = phi.num_vars
     cur = start
     flips = []

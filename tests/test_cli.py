@@ -110,8 +110,16 @@ class TestSolve:
         assert "clause 1" in err
 
     def test_verify_keeps_output(self, capsys):
-        code, out, _ = run(capsys, "solve", PATH_CNFS, "--verify")
+        code, out, err = run(capsys, "solve", PATH_CNFS, "--verify")
+        assert (code, out, err) == (0, "PATH 4 x3+ x1+ x2+ x3-\n", "")
+
+    def test_verify_above_cap_says_it_skipped(self, capsys):
+        # n = 3 is above --cap 2: the answer stands unchecked, and stderr says so
+        code, out, err = run(capsys, "solve", PATH_CNFS, "--verify", "--cap", "2")
         assert (code, out) == (0, "PATH 4 x3+ x1+ x2+ x3-\n")
+        assert err == "verify: skipped, n = 3 is above --cap 2\n"
+        code, _, err = run(capsys, "solve", PATH_CNFS, "--verify", "--cap", "3")
+        assert (code, err) == (0, "")
 
     def test_verbose_goes_to_stderr(self, capsys):
         code, out, err = run(capsys, "solve", PATH_CNFS, "--verbose")

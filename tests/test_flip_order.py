@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
 from satflip import (
+    CONST0,
+    CONST1,
     Clause,
     Flip,
     FlipOrderDag,
@@ -26,24 +29,26 @@ from satflip import (
     solve,
 )
 from satflip import flip_order
-from satflip.flip_order import advance, dag_to_dot
+from satflip.flip_order import advance, dag_to_dot, swap_signs
 from satflip.formula import flip_state
-from satflip.relation import is_dual_horn_free, is_nand_free
+from satflip.relation import is_dual_horn_free, is_nand_free, pack_tuple
 
 from helpers import (
     closure,
     closure_reduction,
     enum_positive_sequences,
     formula_strategy,
+    formula_with_constants,
     in_order_class_sample,
     lowest_index_order,
     navigable_corpus,
     order_obeying_sequences,
     positive_flip_variables,
+    random_relation,
     random_walk,
     reached_precedence,
+    reference_advance,
     reference_lower_set_sequence,
-    replay_first_bad_flip,
     sequence_partial_order,
     valid_positive_sequences,
 )
@@ -63,6 +68,13 @@ class TestFlipTokens:
         seq = (Flip(1, True), Flip(2, False))
         assert invert_sequence(seq) == (Flip(2, True), Flip(1, False))
         assert invert_sequence(invert_sequence(seq)) == seq
+
+    def test_swap_signs_keeps_the_order_and_the_type(self):
+        seq = (Flip(1, True), Flip(2, False), Flip(1, False))
+        swapped = swap_signs(seq)
+        assert swapped == (Flip(1, False), Flip(2, True), Flip(1, True))
+        assert all(type(f) is Flip for f in swapped)
+        assert [f.token() for f in swapped] == ["x1-", "x2+", "x1+"]
 
 
 class TestValidPositiveSequences:
@@ -481,27 +493,32 @@ class TestLowerSetSequence:
         assert got == dag_route(state, want)
         assert got == reference_lower_set_sequence(phi, state.assignment, want)
 
-    def test_reads_only_the_ancestors_clauses(self, monkeypatch):
+    def test_reads_only_the_ancestors_clauses(self):
         # n = 4801: x1..x2403 odd and even at 0, every odd x >= 2405 at 1;
         # x2400 needs x2399 and x2401, x2401 needs x2403, and x2403 is free
         n = 4801
         phi = stride2_window(n)
         a = sum(1 << (n - v) for v in range(2405, n + 1, 2))
-        state = flip_state(phi.compiled, a)
+        reads = []
+
+        class RecordingOccurrences(tuple):
+            """The occurrence lists, noting each clause a reader gets."""
+
+            def __getitem__(self, v):
+                clauses = tuple.__getitem__(self, v)
+                reads.extend(j for j, _ in clauses)
+                return clauses
+
+        compiled = phi.compiled._replace(
+            occurrences=RecordingOccurrences(phi.compiled.occurrences))
+        state = flip_state(compiled, a)
         assert state.violated() is None
-        lookups = []
-        counted = flip_order._local_order
-
-        def counting(relation, local):
-            lookups.append(local)
-            return counted(relation, local)
-
-        monkeypatch.setattr(flip_order, "_local_order", counting)
         got = lower_set_sequence(state, {2400})
         assert got == (Flip(2403, True), Flip(2401, True), Flip(2399, True), Flip(2400, True))
-        assert len(lookups) <= 8  # one per clause of each variable reached
+        assert len(reads) <= 8  # the clauses of each variable reached
+        del reads[:]
         assert got == dag_route(state, {2400})
-        assert len(lookups) > n // 2  # the DAG route reads every clause
+        assert len(reads) > n // 2  # the DAG route reads every clause
         advance(state, got)
 
 
@@ -568,7 +585,8 @@ class TestApplySequence:
                 flips, end = random_walk(phi, s, rng.randint(0, 15), rng)
                 flips.insert(rng.randint(0, len(flips)),
                              Flip(rng.randint(0, n + 1), rng.random() < 0.5))
-                want = replay_first_bad_flip(phi, s, flips)
+                want = reference_advance(phi, s, flips)[1]
+                want = None if want is None else want[0]
                 try:
                     apply_sequence(phi.compiled, s, flips)
                     got = None
@@ -577,6 +595,84 @@ class TestApplySequence:
                 assert got == want
                 bad += want is not None
         assert bad >= 100
+
+
+def junk_flips(flips, n, rng):
+    """The flips with a few random ones put in: a variable out of 1..n
+    about one time in six, else a random variable and sign."""
+    flips = list(flips)
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice([0, n + 1]) if rng.random() < 1 / 6 else rng.randint(1, n)
+        flips.insert(rng.randint(0, len(flips)), Flip(v, rng.random() < 0.5))
+    return flips
+
+
+def mixed_formulas(count, seed):
+    """(phi, s) pairs over random relations of arity 1-3 whose clauses
+    mix constants and repeated variables, n = 1..12."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        relations = [random_relation(rng.randint(1, 3), rng)
+                     for _ in range(rng.randint(1, 3))]
+        drawn = formula_with_constants(relations, rng.randint(1, 12), rng.randint(0, 10), rng)
+        if drawn is not None:
+            out.append(drawn[:2])
+    return out
+
+
+ERROR_WORDS = ("names no variable", "raises", "lowers", "falsifies")
+
+
+class TestAdvanceAgainstReference:
+    """`advance` and the FlipState build against references that share
+    no code with them: `reference_advance` re-evaluates every clause
+    after each flip, and `pack_tuple` reads a clause's tuple bit by bit."""
+
+    def test_same_end_or_same_error(self):
+        rng = random.Random(1705)
+        instances = [(phi, s) for phi, s, _ in navigable_corpus(60, seed=1706)]
+        instances += mixed_formulas(120, seed=1707)
+        seen = Counter()
+        for phi, s in instances:
+            n = phi.num_vars
+            for _ in range(5):
+                flips, _ = random_walk(phi, s, rng.randint(0, 12), rng)
+                flips = junk_flips(flips, n, rng)
+                end, bad = reference_advance(phi, s, flips)
+                state = flip_state(phi.compiled, s)
+                try:
+                    advance(state, flips)
+                    got = None
+                except FlipSequenceError as exc:
+                    got = (exc.index, str(exc))
+                want = None if bad is None else (bad[0], f"flip {bad[0] + 1}: {bad[1]}")
+                assert got == want
+                assert state.assignment == end
+                assert state.local == flip_state(phi.compiled, end).local
+                seen[bad and next(w for w in ERROR_WORDS if w in bad[1])] += 1
+        # every outcome, each kind of error included, is met often
+        assert set(seen) == {None, *ERROR_WORDS}
+        assert min(seen.values()) >= 40, seen
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 600])
+    def test_state_tuples_match_pack_tuple(self, n):
+        rng = random.Random(n)
+        relations = [random_relation(k, rng) for k in (1, 2, 3, 4)]
+        named = tuple((f"r{k}", rel) for k, rel in enumerate(relations, 1))
+        clauses = [Clause("r3", (CONST1, CONST0, CONST1)),  # constants only: k = 0
+                   Clause("r2", (1, 1)),  # one variable, repeated
+                   Clause("r4", (n, CONST0, n, 1))]
+        for _ in range(3 * n):
+            k = rng.randint(1, 4)
+            clauses.append(Clause(f"r{k}", tuple(
+                rng.choice([CONST0, CONST1]) if rng.random() < 0.2 else rng.randint(1, n)
+                for _ in range(k))))
+        compiled = Formula(n, named, tuple(clauses)).compiled
+        assert compiled.variables[0] == () and compiled.variables[1] == (1,)
+        for a in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            want = [pack_tuple(clause_vars, a, n) for clause_vars in compiled.variables]
+            assert flip_state(compiled, a).local == want
 
 
 class TestCanonicalize:

@@ -36,6 +36,7 @@ from satflip import (
     random_navigable_relation,
 )
 from satflip.bits import hamming, zeros
+from satflip.recon import members, solution_table
 
 from satflip import navigate
 from satflip.flip_order import lower_set_sequence
@@ -47,6 +48,7 @@ from helpers import (
     formula_with_constants,
     navigable_corpus,
     order_obeying_sequences,
+    random_relation,
     rescan_cwb_walk,
     two_cnf_relation,
 )
@@ -270,7 +272,8 @@ class TestDualize:
             if res.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
                 continue
             primal = shortest_path_navigable(dualize(dphi, ds, dt)[0].compiled, s, t)
-            want = None if primal.flips is None else tuple(f.inverse() for f in primal.flips)
+            want = None if primal.flips is None else tuple(
+                Flip(f.var, not f.up) for f in primal.flips)
             assert res.flips == want
             outcomes.append(res.outcome)
         assert outcomes.count(Outcome.PATH) >= 10
@@ -491,13 +494,6 @@ class TestRoute:
         ]
 
 
-def _random_relation(rng):
-    arity = rng.randint(2, 3)
-    return Relation(arity, frozenset(
-        rng.sample(range(1 << arity), rng.randint(1, 1 << arity))
-    ))
-
-
 # Relations that put a formula on each route of `solve`; a drawn set may
 # still classify elsewhere, and `routed_corpus` keeps only its own route's.
 ROUTE_RELATIONS = {
@@ -508,7 +504,7 @@ ROUTE_RELATIONS = {
     NavigableKind.OR_AND_HORN_FREE:
         lambda rng: random_navigable_relation(
             rng.randint(1, 4), rng.randrange(2**32)).complemented(),
-    None: _random_relation,
+    None: lambda rng: random_relation(rng.randint(2, 3), rng),
 }
 
 
@@ -573,3 +569,91 @@ class TestProtocolLines:
 
     def test_not_connected(self):
         assert solve(EQ_PHI, 0b00, 0b11).protocol_line() == "NOTCONNECTED"
+
+
+def windows(rel, n):
+    """An arity-3 relation on every window (x_i, x_i+1, x_i+2) with odd i."""
+    clauses = tuple(Clause("w", (i, i + 1, i + 2)) for i in range(1, n - 1, 2))
+    return Formula(n, (("w", rel),), clauses)
+
+
+# (x1 or x2) and (x2 -> x3): bijunctive, so its windows take the greedy walk
+OR_IMP = Relation.from_bitstrings(["100", "101", "011", "111"])
+
+
+def tie_break_corpus(seed):
+    """Seeded instances on the three navigable routes: windows of PATH5,
+    of its complement and of OR_IMP at n = 7, 11 and 15, three endpoint
+    pairs each, then six draws of `routed_corpus` per route."""
+    rng = random.Random(seed)
+    out = []
+    for rel in (PATH5, PATH5.complemented(), OR_IMP):
+        for n in (7, 11, 15):
+            phi = windows(rel, n)
+            sats = members(solution_table(phi.compiled))
+            out += [(phi, rng.choice(sats), rng.choice(sats)) for _ in range(3)]
+    for kind in (NavigableKind.NAND_AND_DUAL_HORN_FREE, NavigableKind.OR_AND_HORN_FREE,
+                 NavigableKind.COMPONENTWISE_BIJUNCTIVE):
+        out += routed_corpus(kind, 6, seed)
+    return out
+
+
+# Recorded before the flip-state and walk speed-ups; a change here is a
+# change of the documented tie-breaks, not of speed.
+PINNED_LINES = (
+    "PATH 4 x6+ x7- x4- x3-",
+    "PATH 1 x7+",
+    "PATH 2 x1+ x7+",
+    "PATH 3 x11- x8- x3-",
+    "PATH 3 x1+ x5+ x8+",
+    "PATH 3 x1+ x2+ x4+",
+    "PATH 9 x1+ x2+ x15+ x13+ x11+ x12+ x13- x6- x4-",
+    "PATH 8 x7+ x5+ x6+ x8+ x14- x11- x4- x1-",
+    "PATH 7 x3+ x1+ x2+ x6+ x10+ x11- x8-",
+    "PATH 4 x3- x4- x6- x2+",
+    "PATH 5 x5- x3- x4- x6- x2+",
+    "PATH 4 x5- x3- x4- x2+",
+    "PATH 8 x5- x3- x4- x6- x8+ x7+ x2+ x1+",
+    "PATH 6 x7- x5- x6- x7+ x4+ x3+",
+    "PATH 5 x3- x9+ x11+ x2+ x1+",
+    "PATH 12 x7- x5- x3- x1- x2- x6- x8- x10- x15- x13- x14- x15+",
+    "PATH 9 x4- x7- x8- x15- x14+ x9+ x11+ x13+ x15+",
+    "PATH 9 x4- x6- x13- x11- x14- x15+ x7+ x2+ x1+",
+    "PATH 2 x3+ x4-",
+    "PATH 1 x6-",
+    "PATH 3 x1+ x6- x7-",
+    "PATH 4 x5+ x6- x8+ x10+",
+    "PATH 4 x3+ x4- x6+ x9-",
+    "PATH 4 x3- x8+ x7- x10+",
+    "PATH 4 x1+ x5+ x8+ x15+",
+    "PATH 5 x8+ x7- x13+ x12+ x14-",
+    "PATH 8 x2+ x1- x4- x6+ x5- x10+ x9- x13+",
+    "PATH 2 x1+ x5+",
+    "PATH 1 x5-",
+    "PATH 4 x1+ x2+ x4+ x3-",
+    "PATH 3 x6+ x7+ x1-",
+    "NOTCONNECTED",
+    "PATH 0",
+    "PATH 2 x4+ x1+",
+    "PATH 1 x2-",
+    "PATH 4 x3- x6- x10- x1+",
+    "PATH 5 x5- x6+ x4+ x3+ x2+",
+    "PATH 1 x2+",
+    "PATH 0",
+    "PATH 5 x1- x3+ x8+ x9- x10-",
+    "PATH 1 x2-",
+    "PATH 0",
+    "PATH 2 x1- x2-",
+    "PATH 4 x1- x4+ x8- x11-",
+    "PATH 0",
+)
+
+
+class TestPinnedTieBreaks:
+    def test_protocol_lines(self):
+        corpus = tie_break_corpus(1701)
+        kinds = [phi.route.classification.kind for phi, _, _ in corpus]
+        assert {k.name for k in kinds} == {
+            "NAND_AND_DUAL_HORN_FREE", "OR_AND_HORN_FREE", "COMPONENTWISE_BIJUNCTIVE"}
+        got = tuple(solve(phi, s, t).protocol_line() for phi, s, t in corpus)
+        assert got == PINNED_LINES

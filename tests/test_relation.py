@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -539,6 +540,65 @@ class TestClassify:
             ]
             cls = classify_set(rels)
             assert (cls.kind is not None) == (cls.verdict is Verdict.NAVIGABLE)
+
+
+def every_relation(arity):
+    """All 2^(2^arity) relations of the arity, the empty one included."""
+    return [Relation(arity, frozenset(t for t in range(1 << arity) if mask >> t & 1))
+            for mask in range(1 << (1 << arity))]
+
+
+def gaussian_binomial_2(k, d):
+    """The number of d-dimensional subspaces of GF(2)^k."""
+    out = 1
+    for i in range(d):
+        out = out * (2 ** (k - i) - 1) // (2 ** (i + 1) - 1)
+    return out
+
+
+class TestCensus:
+    """`classify_set` on every single relation of arity 1-3."""
+
+    CWB = (Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE)
+    NAND = (Verdict.NAVIGABLE, NavigableKind.NAND_AND_DUAL_HORN_FREE)
+    OR = (Verdict.NAVIGABLE, NavigableKind.OR_AND_HORN_FREE)
+
+    @pytest.mark.parametrize("arity, counts", [
+        (1, {CWB: 4}),
+        (2, {CWB: 16}),
+        (3, {CWB: 208, NAND: 16, OR: 16,
+             (Verdict.TIGHT_NOT_NAVIGABLE, None): 6, (Verdict.NOT_TIGHT, None): 10}),
+    ])
+    def test_counts_per_verdict_and_kind(self, arity, counts):
+        census = Counter()
+        for rel in every_relation(arity):
+            cls = classify_set([rel])
+            census[cls.verdict, cls.kind] += 1
+        assert census == counts
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_every_relation_of_arity_at_most_2_is_bijunctive(self, arity):
+        # a relation of arity <= 2 is the conjunction of the 2-clauses
+        # that exclude its missing tuples, so the census above is all CWB
+        assert all(is_bijunctive(rel) for rel in every_relation(arity))
+
+    @pytest.mark.parametrize("arity, count", [(1, 4), (2, 12), (3, 52)])
+    def test_affine_count(self, arity, count):
+        # the empty relation plus every coset of every subspace of GF(2)^k:
+        # at arity 3, 1 + 8 points + 28 lines + 14 planes + 1 cube = 52
+        cosets = sum(gaussian_binomial_2(arity, d) * 2 ** (arity - d)
+                     for d in range(arity + 1))
+        assert 1 + cosets == count
+        assert sum(is_affine(rel) for rel in every_relation(arity)) == count
+
+    def test_complement_swaps_the_two_order_kinds(self):
+        # bitwise complement maps NAND-free + dual-Horn-free onto
+        # OR-free + Horn-free, so the arity-3 census has 16 of each
+        for rel in every_relation(3):
+            kinds = {classify_set([r]).kind for r in (rel, rel.complemented())}
+            if NavigableKind.NAND_AND_DUAL_HORN_FREE in kinds:
+                assert kinds == {NavigableKind.NAND_AND_DUAL_HORN_FREE,
+                                 NavigableKind.OR_AND_HORN_FREE}
 
 
 class TestValidation:
