@@ -308,7 +308,7 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
     n, assignment = state.compiled.num_vars, state.assignment
     roots = []
     for v in wanted:
-        if not 1 <= v <= n:
+        if type(v) is not int or not 1 <= v <= n:
             raise PreconditionError(f"x{v} names no variable in 1..{n}")
         if assignment >> (n - v) & 1:
             return None

@@ -4,11 +4,12 @@ A clause is a relation name plus a map from relation positions to
 variables or constants; an assignment satisfies the formula when every
 clause's induced tuple is accepted by its relation. Each formula is
 compiled once, on first use, into per-clause accept masks and
-per-variable occurrence lists (:class:`CompiledFormula`), so a flip is
-checked against the clauses of its variable only (:class:`FlipState`).
-A state's clause tuples are read off one byte per variable, made in one
-pass from the assignment's bitstring. The solvers, flip orders and exact
-search read only that compiled form.
+per-variable occurrence lists (:class:`CompiledFormula`). A
+:class:`FlipState` is a range-checked assignment of that form plus each
+clause's local tuple, read off one byte per variable, made in one pass
+from the assignment's bitstring. The solvers, flip orders and exact
+search read only the compiled form; each walker holds its tables in
+locals, so a flip is checked against the clauses of its variable only.
 """
 
 from __future__ import annotations
@@ -175,18 +176,19 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class FlipState:
     """An assignment of a compiled formula plus each clause's local tuple.
 
-    The tuples are built from one byte per variable: the assignment's
+    The constructor refuses an assignment outside 0..2^n - 1, a bool
+    included: a wider one would shift every byte of the view below. The
+    tuples are built from one byte per variable: the assignment's
     bitstring, one character wider than n, read so that byte v is
-    variable v's value. The assignment must lie in 0..2^n - 1, as
-    :func:`flip_state` checks first: a wider one would shift every byte.
-    `can_flip` and `flip` touch only the clauses of the flipped variable.
-    `can_flip` assumes those clauses hold now, as they do while the
-    state walks through satisfying assignments.
+    variable v's value. The walkers (:func:`~satflip.flip_order.advance`
+    and the greedy walk) hold the compiled tables and `local` in locals:
+    a flip of v xors v's bits into its clauses' tuples and `assignment`.
     """
 
     __slots__ = ("compiled", "assignment", "local")
 
     def __init__(self, compiled: CompiledFormula, assignment: int):
+        _check_assignment(compiled.num_vars, assignment)
         bit = format(assignment, f"0{compiled.num_vars + 1}b").encode().translate(_BIT_BYTES)
         local = []
         for clause_vars in compiled.variables:
@@ -205,34 +207,11 @@ class FlipState:
                 return j
         return None
 
-    def value(self, v: int) -> int:
-        return (self.assignment >> (self.compiled.num_vars - v)) & 1
-
-    def can_flip(self, v: int) -> bool:
-        """True iff flipping v keeps every clause containing v satisfied."""
-        accept, local = self.compiled.accept, self.local
-        for j, bit in self.compiled.occurrences[v]:
-            if not (accept[j] >> (local[j] ^ bit)) & 1:
-                return False
-        return True
-
-    def flip(self, v: int) -> None:
-        local = self.local
-        for j, bit in self.compiled.occurrences[v]:
-            local[j] ^= bit
-        self.assignment ^= 1 << (self.compiled.num_vars - v)
-
-
-def flip_state(compiled: CompiledFormula, assignment: int) -> FlipState:
-    """A :class:`FlipState` at a range-checked assignment."""
-    _check_assignment(compiled.num_vars, assignment)
-    return FlipState(compiled, assignment)
-
 
 def satisfying_state(compiled: CompiledFormula, assignment: int, label: str) -> FlipState:
     """A :class:`FlipState` of an endpoint, which must be in range and
     satisfy every clause; `label` names the endpoint in the error."""
-    state = flip_state(compiled, assignment)
+    state = FlipState(compiled, assignment)
     bad = state.violated()
     if bad is not None:
         raise PreconditionError(f"{label} assignment does not satisfy clause {bad}")
@@ -249,7 +228,8 @@ def require_relations(compiled: CompiledFormula, accepts, description: str) -> N
 
 
 def _check_assignment(num_vars: int, assignment: int) -> None:
-    if not isinstance(assignment, int) or not 0 <= assignment < (1 << num_vars):
+    if (isinstance(assignment, bool) or not isinstance(assignment, int)
+            or not 0 <= assignment < (1 << num_vars)):
         raise PreconditionError(
             f"assignment {assignment!r} out of range for {num_vars} variables"
         )
@@ -268,7 +248,7 @@ def evaluate(phi: Formula, assignment: int) -> bool:
 
 def first_violated_clause(phi: Formula, assignment: int) -> int | None:
     """1-based index of the first falsified clause, or None if satisfying."""
-    return flip_state(phi.compiled, assignment).violated()
+    return FlipState(phi.compiled, assignment).violated()
 
 
 # Bounded: one entry per clause shape. Compiling every formula of the

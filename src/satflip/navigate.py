@@ -24,13 +24,14 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .bits import hamming, set_vars, var_bit, zeros
+from .bits import hamming, set_vars, zeros
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .flip_order import (
     Flip,
     Outcome,
     SolveResult,
     SolveStats,
+    _make_flip,
     _require_order_class,
     advance,
     apply_sequence,
@@ -153,16 +154,26 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     The flippable differing variables wait in a min-heap. A flip changes
     only the clauses of its variable, so only the variables sharing a
     clause with it are re-checked; an entry that went stale is dropped
-    when popped, and pushed again if a later flip frees it.
+    when popped, and pushed again if a later flip frees it. The tables,
+    local tuples and assignment are locals; a variable is ready when it
+    differs from t and passes :func:`~satflip.flip_order.advance`'s
+    accept-mask test.
     """
     require_relations(compiled, is_componentwise_bijunctive, "componentwise bijunctive")
-    state = satisfying_state(compiled, s, "source")
+    local = satisfying_state(compiled, s, "source").local
     satisfying_state(compiled, t, "target")
     n = compiled.num_vars
+    accept, occurrences, variables = compiled.accept, compiled.occurrences, compiled.variables
+    assignment = s
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
 
     def ready(v):
-        return var_bit(state.assignment ^ t, v, n) and state.can_flip(v)
+        if not (assignment ^ t) >> (n - v) & 1:
+            return False
+        for j, bit in occurrences[v]:
+            if not accept[j] >> (local[j] ^ bit) & 1:
+                return False
+        return True
 
     queued = {v for v in range(1, n + 1) if ready(v)}
     heap = sorted(queued)
@@ -170,16 +181,20 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     while heap:
         v = heapq.heappop(heap)
         queued.remove(v)
-        if not state.can_flip(v):
+        if not ready(v):
             continue
-        flips.append(Flip(v, state.value(v) == 0))
-        state.flip(v)
-        for j, _ in compiled.occurrences[v]:
-            for w in compiled.variables[j]:
+        shift = n - v
+        flips.append(_make_flip((v, not assignment >> shift & 1)))
+        clauses = occurrences[v]
+        for j, bit in clauses:
+            local[j] ^= bit
+        assignment ^= 1 << shift
+        for j, _ in clauses:
+            for w in variables[j]:
                 if w not in queued and ready(w):
                     queued.add(w)
                     heapq.heappush(heap, w)
-    if state.assignment != t:
+    if assignment != t:
         return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
     if len(flips) != hamming(s, t):
         raise TheoryError("greedy walk left the symmetric difference")

@@ -52,8 +52,10 @@ BLOCK_BITS = 16
 
 
 def check_cap(cap: int) -> None:
-    """Reject a negative state cap, and one whose full search would not fit
-    the byte budget, before anything is allocated."""
+    """Reject a cap that is a bool, no int or negative, and one whose full
+    search would not fit the byte budget, before anything is allocated."""
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise PreconditionError(f"state cap {cap!r} is not an int")
     if cap < 0:
         raise PreconditionError(f"state cap {cap} is negative")
     if cap > MAX_STATE_CAP:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from contextlib import suppress
 
 import hypothesis.strategies as st
 import pytest
@@ -30,7 +31,8 @@ from satflip import (
 )
 from satflip import flip_order
 from satflip.flip_order import advance, dag_to_dot, swap_signs
-from satflip.formula import flip_state
+from satflip.bits import var_bit
+from satflip.formula import FlipState
 from satflip.relation import is_dual_horn_free, is_nand_free, pack_tuple
 
 from helpers import (
@@ -370,7 +372,15 @@ def in_order_class(phi):
 
 
 def zero_vars(state):
-    return [v for v in range(1, state.compiled.num_vars + 1) if not state.value(v)]
+    n = state.compiled.num_vars
+    return [v for v in range(1, n + 1) if not var_bit(state.assignment, v, n)]
+
+
+def try_flip(state, v):
+    """Flip v through `advance` when that keeps the formula satisfied; a
+    refused flip leaves the state as it was."""
+    with suppress(FlipSequenceError):
+        advance(state, (Flip(v, not var_bit(state.assignment, v, state.compiled.num_vars)),))
 
 
 def stride2_window(n):
@@ -381,22 +391,22 @@ def stride2_window(n):
 
 class TestLowerSetSequence:
     def test_chain(self):
-        state = flip_state(PATH_PHI.compiled, 0b000)
+        state = FlipState(PATH_PHI.compiled, 0b000)
         assert lower_set_sequence(state, {2}) == (Flip(3, True), Flip(1, True), Flip(2, True))
         assert lower_set_sequence(state, {1}) == (Flip(3, True), Flip(1, True))
 
     def test_empty_wanted_set(self):
-        assert lower_set_sequence(flip_state(PATH_PHI.compiled, 0b000), ()) == ()
+        assert lower_set_sequence(FlipState(PATH_PHI.compiled, 0b000), ()) == ()
 
     def test_variable_in_no_clause(self):
         # x4 is free: it needs nothing, and ties break by lowest index
         phi = Formula(4, PATH_PHI.relations, PATH_PHI.clauses)
-        state = flip_state(phi.compiled, 0b0000)
+        state = FlipState(phi.compiled, 0b0000)
         assert lower_set_sequence(state, {4}) == (Flip(4, True),)
         assert lower_set_sequence(state, {4, 2}) == (
             Flip(3, True), Flip(1, True), Flip(2, True), Flip(4, True)
         )
-        assert lower_set_sequence(flip_state(Formula(2, (), ()).compiled, 0b00), {2}) == (Flip(2, True),)
+        assert lower_set_sequence(FlipState(Formula(2, (), ()).compiled, 0b00), {2}) == (Flip(2, True),)
 
     @pytest.mark.parametrize("pinned, want, expected", [
         (1, {3}, None),  # x1 is blocked, and x3 needs x2 needs x1
@@ -412,7 +422,7 @@ class TestLowerSetSequence:
             (("imp", IMP), ("zero", zero)),
             (Clause("zero", (pinned,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
         )
-        state = flip_state(phi.compiled, 0b0000)
+        state = FlipState(phi.compiled, 0b0000)
         assert lower_set_sequence(state, want) == expected == dag_route(state, want)
 
     @pytest.mark.parametrize("want, expected", [
@@ -424,30 +434,28 @@ class TestLowerSetSequence:
     def test_cycle_among_ancestors(self, want, expected):
         clauses = (Clause("imp", (1, 2)), Clause("imp", (2, 1)), Clause("imp", (2, 3)))
         phi = Formula(4, (("imp", IMP),), clauses)
-        state = flip_state(phi.compiled, 0b0000)
+        state = FlipState(phi.compiled, 0b0000)
         assert lower_set_sequence(state, want) == expected == dag_route(state, want)
 
     def test_wanted_variable_already_raised(self):
-        state = flip_state(PATH_PHI.compiled, 0b001)
+        state = FlipState(PATH_PHI.compiled, 0b001)
         assert lower_set_sequence(state, {3}) is None
         assert lower_set_sequence(state, {1, 3}) is None
         # a variable in no clause has no local order to say so
-        assert lower_set_sequence(flip_state(Formula(2, (), ()).compiled, 0b01), {2}) is None
+        assert lower_set_sequence(FlipState(Formula(2, (), ()).compiled, 0b01), {2}) is None
 
     def test_rejects_variable_out_of_range(self):
         with pytest.raises(PreconditionError, match="x4 names no variable"):
-            lower_set_sequence(flip_state(PATH_PHI.compiled, 0b000), {4})
+            lower_set_sequence(FlipState(PATH_PHI.compiled, 0b000), {4})
 
     def test_matches_dag_route_on_corpus(self):
         rng = random.Random(97)
         outcomes = {True: 0, False: 0}
         for phi, s, _ in navigable_corpus(80, seed=89, max_vars=10, max_clauses=7):
-            state = flip_state(phi.compiled, s)
+            state = FlipState(phi.compiled, s)
             for _ in range(3):
                 for _ in range(rng.randint(0, phi.num_vars)):
-                    v = rng.randint(1, phi.num_vars)
-                    if state.can_flip(v):
-                        state.flip(v)
+                    try_flip(state, rng.randint(1, phi.num_vars))
                 zeros = zero_vars(state)
                 for _ in range(3):
                     want = set(rng.sample(zeros, rng.randint(0, len(zeros))))
@@ -463,12 +471,10 @@ class TestLowerSetSequence:
         rng = random.Random(103)
         outcomes = {True: 0, False: 0}
         for phi, s, _ in navigable_corpus(80, seed=107, max_vars=10, max_clauses=7):
-            state = flip_state(phi.compiled, s)
+            state = FlipState(phi.compiled, s)
             for _ in range(3):
                 for _ in range(rng.randint(0, phi.num_vars)):
-                    v = rng.randint(1, phi.num_vars)
-                    if state.can_flip(v):
-                        state.flip(v)
+                    try_flip(state, rng.randint(1, phi.num_vars))
                 zeros = zero_vars(state)
                 for _ in range(3):
                     want = set(rng.sample(zeros, rng.randint(0, len(zeros))))
@@ -483,10 +489,9 @@ class TestLowerSetSequence:
         n = phi.num_vars
         sat = [a for a in range(1 << n) if evaluate(phi, a)]
         assume(sat)
-        state = flip_state(phi.compiled, data.draw(st.sampled_from(sat)))
+        state = FlipState(phi.compiled, data.draw(st.sampled_from(sat)))
         for v in data.draw(st.lists(st.integers(1, n), max_size=2 * n)):
-            if state.can_flip(v):
-                state.flip(v)
+            try_flip(state, v)
         zeros = zero_vars(state)
         want = data.draw(st.sets(st.sampled_from(zeros))) if zeros else set()
         got = lower_set_sequence(state, want)
@@ -511,7 +516,7 @@ class TestLowerSetSequence:
 
         compiled = phi.compiled._replace(
             occurrences=RecordingOccurrences(phi.compiled.occurrences))
-        state = flip_state(compiled, a)
+        state = FlipState(compiled, a)
         assert state.violated() is None
         got = lower_set_sequence(state, {2400})
         assert got == (Flip(2403, True), Flip(2401, True), Flip(2399, True), Flip(2400, True))
@@ -520,6 +525,24 @@ class TestLowerSetSequence:
         assert got == dag_route(state, {2400})
         assert len(reads) > n // 2  # the DAG route reads every clause
         advance(state, got)
+
+
+class TestBoolInputs:
+    """bool is an int subclass: unchecked, True would pass as 1 and False
+    as 0, and a flip of `var=True` would print as `xTrue+`."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: lower_set_sequence(FlipState(PATH_PHI.compiled, 0), [True]), "xTrue names no"),
+        (lambda: solve(PATH_PHI, True, 0b110), "assignment True out of range"),
+        (lambda: solve(PATH_PHI, 0b000, False), "assignment False out of range"),
+        (lambda: apply_sequence(PATH_PHI.compiled, False, ()), "assignment False out of"),
+        (lambda: bfs_shortest(PATH_PHI.compiled, 0b000, 0b110, cap=True), "cap True is not an int"),
+        (lambda: solve(PATH_PHI, 0b000, 0b110, cap=False), "cap False is not an int"),
+    ], ids=["wanted-True", "solve-s", "solve-t", "apply_sequence",
+            "bfs_shortest-cap", "solve-cap"])
+    def test_refused(self, call, message):
+        with pytest.raises(PreconditionError, match=message):
+            call()
 
 
 class TestWalkAndKahn:
@@ -531,7 +554,7 @@ class TestWalkAndKahn:
             (("imp", IMP), ("zero", zero)),
             (Clause("zero", (1,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
         )
-        preds = flip_order._walk(flip_state(phi.compiled, 0b000), [3])
+        preds = flip_order._walk(FlipState(phi.compiled, 0b000), [3])
         assert preds == {3: {2}, 2: {1}, 1: {1}}
         assert flip_order._kahn(preds) == []
 
@@ -550,11 +573,11 @@ class TestApplySequence:
         assert err.value.index == 1
 
     def test_advance_keeps_flips_before_the_bad_one(self):
-        state = flip_state(PATH_PHI.compiled, 0b000)
+        state = FlipState(PATH_PHI.compiled, 0b000)
         with pytest.raises(FlipSequenceError, match="flip 2: prefix ending at x2") as err:
             advance(state, (Flip(3, True), Flip(2, True)))  # 011 is not in PATH5
         assert err.value.index == 1 and state.assignment == 0b001
-        assert state.local == flip_state(PATH_PHI.compiled, 0b001).local
+        assert state.local == FlipState(PATH_PHI.compiled, 0b001).local
 
     def test_messages(self):
         cases = [
@@ -640,7 +663,7 @@ class TestAdvanceAgainstReference:
                 flips, _ = random_walk(phi, s, rng.randint(0, 12), rng)
                 flips = junk_flips(flips, n, rng)
                 end, bad = reference_advance(phi, s, flips)
-                state = flip_state(phi.compiled, s)
+                state = FlipState(phi.compiled, s)
                 try:
                     advance(state, flips)
                     got = None
@@ -649,7 +672,7 @@ class TestAdvanceAgainstReference:
                 want = None if bad is None else (bad[0], f"flip {bad[0] + 1}: {bad[1]}")
                 assert got == want
                 assert state.assignment == end
-                assert state.local == flip_state(phi.compiled, end).local
+                assert state.local == FlipState(phi.compiled, end).local
                 seen[bad and next(w for w in ERROR_WORDS if w in bad[1])] += 1
         # every outcome, each kind of error included, is met often
         assert set(seen) == {None, *ERROR_WORDS}
@@ -672,7 +695,7 @@ class TestAdvanceAgainstReference:
         assert compiled.variables[0] == () and compiled.variables[1] == (1,)
         for a in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
             want = [pack_tuple(clause_vars, a, n) for clause_vars in compiled.variables]
-            assert flip_state(compiled, a).local == want
+            assert FlipState(compiled, a).local == want
 
 
 class TestCanonicalize:

@@ -21,7 +21,7 @@ from satflip import (
     parse_instance,
     serialize_formula,
 )
-from satflip.formula import _effective, first_violated_clause
+from satflip.formula import FlipState, _effective, first_violated_clause
 
 from helpers import (
     NON_DECIMAL_TOKENS,
@@ -105,6 +105,15 @@ class TestEvaluate:
         assert phi.compiled.variables[:2] == ((), ())
         assert phi.compiled.accept[:2] == (0b1, 0b0)
         assert [first_violated_clause(phi, a) for a in range(4)] == [2, 2, 2, 2]
+
+
+class TestFlipState:
+    @pytest.mark.parametrize("assignment", [-1, 8, 1 << 40, True, False, 1.0],
+                             ids=["negative", "2^n", "wide", "True", "False", "float"])
+    def test_refuses_assignment_out_of_range(self, assignment):
+        # unchecked, 8 = 0b1000 would build the local tuple of 000
+        with pytest.raises(PreconditionError, match="out of range for 3 variables"):
+            FlipState(PATH_PHI.compiled, assignment)
 
 
 class TestEffectiveClause:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from satflip import (
     SimpleGraph,
     formula_flip_dag,
     gen_vertex_cover_instance,
+    is_bijunctive,
     is_componentwise_bijunctive,
     random_formula,
     random_navigable_relation,
@@ -47,6 +49,7 @@ from helpers import (
     formula_strategy,
     formula_with_constants,
     navigable_corpus,
+    navigable_population,
     order_obeying_sequences,
     random_relation,
     rescan_cwb_walk,
@@ -174,8 +177,9 @@ class TestCwbSolver:
     def test_matches_rescan_walk(self):
         binary = [Relation(2, frozenset(ts)) for ts in
                   ({1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}, {1, 2}, {0, 3}, {0, 1}, {3})]
+        # every componentwise bijunctive relation of arity <= 3, plus
         # products of two binary relations: (a, b, c, d) with (a, b) in R, (c, d) in S
-        pool = binary + [
+        pool = cwb_population() + [
             Relation(4, frozenset((x << 2) | y for x in r.tuples for y in q.tuples))
             for r, q in zip(binary, binary[3:] + binary[:3])
         ]
@@ -494,11 +498,20 @@ class TestRoute:
         ]
 
 
+def cwb_population():
+    """The 228 componentwise bijunctive relations of arity <= 3."""
+    return [rel for rel, kind in navigable_population()
+            if kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE]
+
+
+def two_cnf_draw(rng):
+    return two_cnf_relation(rng.randint(1, 3), rng, rng.randint(1, 3))
+
+
 # Relations that put a formula on each route of `solve`; a drawn set may
 # still classify elsewhere, and `routed_corpus` keeps only its own route's.
 ROUTE_RELATIONS = {
-    NavigableKind.COMPONENTWISE_BIJUNCTIVE:
-        lambda rng: two_cnf_relation(rng.randint(1, 3), rng, rng.randint(1, 3)),
+    NavigableKind.COMPONENTWISE_BIJUNCTIVE: lambda rng: rng.choice(cwb_population()),
     NavigableKind.NAND_AND_DUAL_HORN_FREE:
         lambda rng: random_navigable_relation(rng.randint(1, 4), rng.randrange(2**32)),
     NavigableKind.OR_AND_HORN_FREE:
@@ -508,13 +521,15 @@ ROUTE_RELATIONS = {
 }
 
 
-def routed_corpus(kind, count, seed):
+def routed_corpus(kind, count, seed, draw=None):
     """Seeded instances, n <= 12, whose clauses mix repeated variables
-    with constants, all on the route of `kind` (None: the HARD route)."""
+    with constants, all on the route of `kind` (None: the HARD route).
+    `draw` replaces the route's entry of ROUTE_RELATIONS."""
     rng = random.Random(seed)
+    draw = draw or ROUTE_RELATIONS[kind]
     out = []
     for _ in range(count * 20):
-        relations = [ROUTE_RELATIONS[kind](rng) for _ in range(rng.randint(1, 3))]
+        relations = [draw(rng) for _ in range(rng.randint(1, 3))]
         drawn = formula_with_constants(
             relations, rng.randint(1, 12), rng.randint(0, 10), rng
         )
@@ -543,6 +558,38 @@ class TestRoutesAgainstExactSearch:
                 assert apply_sequence(phi.compiled, s, res.flips) == t
                 connected += res.length > 0
         assert connected >= 10
+
+    def test_every_navigable_relation_of_arity_at_most_3(self):
+        # ROADMAP item 16: each relation alone, on instances whose
+        # clauses mix constants and repeats, so the effective relations
+        # vary too
+        rng = random.Random(1801)
+        seen = Counter()
+        non_bijunctive = set()
+        assert len(navigable_population()) == 260
+        for rel, kind in navigable_population():
+            answered = 0
+            for _ in range(60):
+                drawn = formula_with_constants([rel], rng.randint(1, 12), rng.randint(0, 10), rng)
+                if drawn is None:
+                    continue
+                phi, s, t = drawn
+                assert phi.route.classification.kind is kind
+                res = solve(phi, s, t)
+                ref = bfs_shortest(phi.compiled, s, t, cap=12)
+                assert (res.outcome, res.length) == (ref.outcome, ref.length)
+                if res.flips is not None:
+                    assert apply_sequence(phi.compiled, s, res.flips) == t
+                seen[kind, res.outcome] += 1
+                if kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE and not is_bijunctive(rel):
+                    non_bijunctive.add(rel)
+                answered += 1
+                if answered == 6:
+                    break
+            assert answered, rel
+        assert len(non_bijunctive) == 42  # on the greedy walk
+        assert set(seen) == {(kind, outcome) for kind in NavigableKind
+                             for outcome in (Outcome.PATH, Outcome.NOT_CONNECTED)}, seen
 
     def test_complement_dag_lowering_sequences_replay(self):
         checked = 0
@@ -584,7 +631,9 @@ OR_IMP = Relation.from_bitstrings(["100", "101", "011", "111"])
 def tie_break_corpus(seed):
     """Seeded instances on the three navigable routes: windows of PATH5,
     of its complement and of OR_IMP at n = 7, 11 and 15, three endpoint
-    pairs each, then six draws of `routed_corpus` per route."""
+    pairs each, then six draws of `routed_corpus` per route. The
+    componentwise bijunctive draws take the 2-CNF relations that the
+    pinned lines were recorded with."""
     rng = random.Random(seed)
     out = []
     for rel in (PATH5, PATH5.complemented(), OR_IMP):
@@ -592,9 +641,9 @@ def tie_break_corpus(seed):
             phi = windows(rel, n)
             sats = members(solution_table(phi.compiled))
             out += [(phi, rng.choice(sats), rng.choice(sats)) for _ in range(3)]
-    for kind in (NavigableKind.NAND_AND_DUAL_HORN_FREE, NavigableKind.OR_AND_HORN_FREE,
-                 NavigableKind.COMPONENTWISE_BIJUNCTIVE):
-        out += routed_corpus(kind, 6, seed)
+    out += routed_corpus(NavigableKind.NAND_AND_DUAL_HORN_FREE, 6, seed)
+    out += routed_corpus(NavigableKind.OR_AND_HORN_FREE, 6, seed)
+    out += routed_corpus(NavigableKind.COMPONENTWISE_BIJUNCTIVE, 6, seed, two_cnf_draw)
     return out
 
 

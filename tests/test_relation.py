@@ -41,6 +41,7 @@ from satflip.relation import (
 )
 
 from helpers import (
+    every_relation,
     hamming_components,
     majority_closed,
     naive_is_free,
@@ -540,12 +541,6 @@ class TestClassify:
             ]
             cls = classify_set(rels)
             assert (cls.kind is not None) == (cls.verdict is Verdict.NAVIGABLE)
-
-
-def every_relation(arity):
-    """All 2^(2^arity) relations of the arity, the empty one included."""
-    return [Relation(arity, frozenset(t for t in range(1 << arity) if mask >> t & 1))
-            for mask in range(1 << (1 << arity))]
 
 
 def gaussian_binomial_2(k, d):
