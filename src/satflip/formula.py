@@ -3,18 +3,23 @@
 A clause is a relation name plus a map from relation positions to
 variables or constants; an assignment satisfies the formula when every
 clause's induced tuple is accepted by its relation. Each formula is
-compiled once, on first use, into per-clause accept masks and
-per-variable occurrence lists (:class:`CompiledFormula`). A
+compiled once, on first use, into per-clause accept masks, the clauses'
+variables by position and per-variable occurrence lists
+(:class:`CompiledFormula`); the compile resolves each clause shape
+(relation and pattern of repeats and constants) once. A
 :class:`FlipState` is a range-checked assignment of that form plus each
-clause's local tuple, read off one byte per variable, made in one pass
-from the assignment's bitstring. The solvers, flip orders and exact
-search read only the compiled form; each walker holds its tables in
-locals, so a flip is checked against the clauses of its variable only.
+clause's local tuple, built with one big-int pass per clause position
+over one byte per variable, and checked against every clause in one
+pass. The solvers, flip orders and exact search read only the compiled
+form; each walker holds its tables in locals, so a flip is checked
+against the clauses of its variable only.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import and_, itemgetter, rshift
 from typing import NamedTuple
 
 from .bits import from_bitstring, to_bitstring
@@ -30,10 +35,6 @@ class Clause(NamedTuple):
 
     relation_name: str
     args: tuple
-
-    def variables(self) -> tuple[int, ...]:
-        """Distinct variables appearing in the clause, ascending."""
-        return tuple(sorted({a for a in self.args if isinstance(a, int)}))
 
 
 class Formula(Frozen):
@@ -105,7 +106,11 @@ class CompiledFormula(NamedTuple):
     `occurrences[v]` lists the (clause, bit) pairs of variable v: flipping
     v xors `bit` into that clause's local tuple. `distinct` lists each
     distinct relation of `relations` once, in order of first use, with
-    the 1-based index of the first clause that uses it.
+    the 1-based index of the first clause that uses it. `columns` holds
+    `variables` by position: with w the widest clause's variable count,
+    `columns[p][j]` is clause j's variable at position p of its tuple
+    right-aligned to width w, and 0 where the clause is narrower, so
+    column p feeds bit w - 1 - p of every local tuple.
     """
 
     num_vars: int
@@ -114,6 +119,7 @@ class CompiledFormula(NamedTuple):
     accept: tuple[int, ...]
     occurrences: tuple[tuple[tuple[int, int], ...], ...]
     distinct: tuple[tuple[Relation, int], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def complemented(self) -> "CompiledFormula":
         """The compiled form of the formula's complement image: every
@@ -121,10 +127,10 @@ class CompiledFormula(NamedTuple):
 
         Restricting a complemented relation with swapped constants gives
         the complement of the restriction, so the image keeps the
-        variables and occurrences, complements each distinct effective
-        relation once, and so mirrors each accept mask (bit x moves to
-        bit x ^ (2^k - 1)). A constant-only clause keeps its mask: it
-        holds in the image iff it holds here.
+        variables, columns and occurrences, complements each distinct
+        effective relation once, and so mirrors each accept mask (bit x
+        moves to bit x ^ (2^k - 1)). A constant-only clause keeps its
+        mask: it holds in the image iff it holds here.
         """
         images = {}
         relations, accept = [], []
@@ -146,26 +152,42 @@ def _compile(phi: Formula) -> CompiledFormula:
     variables, relations, accept = [], [], []
     occurrences = [[] for _ in range(phi.num_vars + 1)]
     first_clause = {}
+    # (relation name, pattern) -> (effective relation, accept mask,
+    # occurrence bits); the pattern is None for distinct ascending variables
+    shapes = {}
     for j, clause in enumerate(phi.clauses):
-        clause_vars, eff = effective_clause(phi, clause)
-        if eff is None:
-            mask = int(pack_tuple(clause.args, 0, 0) in phi.relation(clause.relation_name))
-        else:
-            mask = eff.table
-            first_clause.setdefault(eff, j + 1)
-        k = len(clause_vars)
-        for p, v in enumerate(clause_vars):
-            occurrences[v].append((j, 1 << (k - 1 - p)))
+        name, args = clause
+        clause_vars, pattern = _shape(args)
+        key = name if pattern is None else (name, pattern)
+        shape = shapes.get(key)
+        if shape is None:
+            eff = effective_clause(phi, clause)[1]
+            if eff is None:
+                mask = int(pack_tuple(args, 0, 0) in phi.relation(name))
+            else:
+                mask = eff.table
+                first_clause.setdefault(eff, j + 1)
+            k = len(clause_vars)
+            shape = shapes[key] = (eff, mask, tuple(1 << (k - 1 - p) for p in range(k)))
+        eff, mask, bits = shape
+        for v, bit in zip(clause_vars, bits):
+            occurrences[v].append((j, bit))
         variables.append(clause_vars)
         relations.append(eff)
         accept.append(mask)
+    # the occurrence lists are freed before the columns are built, so the
+    # columns do not raise the compile's memory peak
+    occurrences = tuple(map(tuple, occurrences))
+    width = max(map(len, variables), default=0)
+    columns = tuple(zip(*[(0,) * (width - len(vs)) + vs for vs in variables]))
     return CompiledFormula(
         phi.num_vars,
         tuple(variables),
         tuple(relations),
         tuple(accept),
-        tuple(map(tuple, occurrences)),
+        occurrences,
         tuple(first_clause.items()),
+        columns,
     )
 
 
@@ -178,11 +200,15 @@ class FlipState:
 
     The constructor refuses an assignment outside 0..2^n - 1, a bool
     included: a wider one would shift every byte of the view below. The
-    tuples are built from one byte per variable: the assignment's
-    bitstring, one character wider than n, read so that byte v is
-    variable v's value. The walkers (:func:`~satflip.flip_order.advance`
-    and the greedy walk) hold the compiled tables and `local` in locals:
-    a flip of v xors v's bits into its clauses' tuples and `assignment`.
+    tuples are read off one byte per variable: the assignment's
+    bitstring, one character wider than n, so that byte v is variable
+    v's value and byte 0 is always 0. One big int holds every clause's
+    tuple, one byte per clause; each column of `compiled.columns` shifts
+    it left by one bit and adds the column's bytes, the padding reading
+    byte 0. `violated` tests every clause's accept mask in one pass. The
+    walkers (:func:`~satflip.flip_order.advance` and the greedy walk)
+    hold the compiled tables and `local` in locals: a flip of v xors v's
+    bits into its clauses' tuples and `assignment`.
     """
 
     __slots__ = ("compiled", "assignment", "local")
@@ -190,22 +216,22 @@ class FlipState:
     def __init__(self, compiled: CompiledFormula, assignment: int):
         _check_assignment(compiled.num_vars, assignment)
         bit = format(assignment, f"0{compiled.num_vars + 1}b").encode().translate(_BIT_BYTES)
-        local = []
-        for clause_vars in compiled.variables:
-            x = 0
-            for v in clause_vars:
-                x = 2 * x + bit[v]
-            local.append(x)
+        m = len(compiled.accept)
+        x = 0
+        for col in compiled.columns:
+            # No carry crosses a byte: MAX_ARITY = 8 keeps every tuple
+            # <= 255. itemgetter of one index returns the byte, not a tuple.
+            picked = itemgetter(*col)(bit) if m > 1 else (bit[col[0]],)
+            x = (x << 1) + int.from_bytes(bytes(picked), "big")
         self.compiled = compiled
         self.assignment = assignment
-        self.local = local
+        self.local = list(x.to_bytes(m, "big"))
 
     def violated(self) -> int | None:
         """1-based index of the first falsified clause, or None."""
-        for j, (mask, x) in enumerate(zip(self.compiled.accept, self.local), 1):
-            if not (mask >> x) & 1:
-                return j
-        return None
+        held = map(and_, map(rshift, self.compiled.accept, self.local), repeat(1))
+        j = bytes(held).find(0)
+        return None if j < 0 else j + 1
 
 
 def satisfying_state(compiled: CompiledFormula, assignment: int, label: str) -> FlipState:
@@ -274,12 +300,25 @@ def effective_clause(phi: Formula, clause: Clause):
 
 def restricted_clause(rel: Relation, clause: Clause):
     """:func:`effective_clause` of a clause whose relation is `rel`."""
-    variables = clause.variables()
+    variables, pattern = _shape(clause.args)
     if not variables:
         return variables, None
-    index = {v: i for i, v in enumerate(variables, 1)}
-    entries = tuple(index.get(a, a) for a in clause.args)
-    return variables, _effective(rel, entries, len(variables))
+    k = len(variables)
+    return variables, _effective(rel, pattern or tuple(range(1, k + 1)), k)
+
+
+def _shape(args: tuple):
+    """The clause's distinct variables, ascending, and its pattern: the
+    arguments with each variable replaced by its rank among them (1-based).
+    The pattern is None when the arguments are those variables already."""
+    variables = set(args)
+    variables.discard(CONST0)
+    variables.discard(CONST1)
+    variables = tuple(sorted(variables))
+    if variables == args:
+        return variables, None
+    rank = dict(zip(variables, range(1, len(variables) + 1)))
+    return variables, tuple(map(rank.get, args, args))
 
 
 def parse_assignment(text: str, num_vars: int, line: int | None = None) -> int:

@@ -151,13 +151,15 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     such flip is optimal progress; if none exists the endpoints are in
     different components.
 
-    The flippable differing variables wait in a min-heap. A flip changes
-    only the clauses of its variable, so only the variables sharing a
-    clause with it are re-checked; an entry that went stale is dropped
-    when popped, and pushed again if a later flip frees it. The tables,
-    local tuples and assignment are locals; a variable is ready when it
-    differs from t and passes :func:`~satflip.flip_order.advance`'s
-    accept-mask test.
+    Every differing variable waits in a min-heap from the start, and is
+    tested once when popped, with :func:`~satflip.flip_order.advance`'s
+    accept-mask test on the clauses of its variable. A variable that
+    fails the test is dropped: a flip changes only the clauses of its
+    variable, so after each flip the differing variables sharing a
+    clause with it are queued again. The heap thus holds every differing
+    variable that can be flipped, and each flip is the lowest-index one,
+    as a full rescan would pick. The tables, local tuples and assignment
+    are locals.
     """
     require_relations(compiled, is_componentwise_bijunctive, "componentwise bijunctive")
     local = satisfying_state(compiled, s, "source").local
@@ -167,33 +169,29 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     assignment = s
     stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
 
-    def ready(v):
-        if not (assignment ^ t) >> (n - v) & 1:
-            return False
-        for j, bit in occurrences[v]:
-            if not accept[j] >> (local[j] ^ bit) & 1:
-                return False
-        return True
-
-    queued = {v for v in range(1, n + 1) if ready(v)}
-    heap = sorted(queued)
+    heap = list(set_vars(s ^ t, n))
+    heap.reverse()  # ascending, so already a heap
+    queued = set(heap)
     flips: list[Flip] = []
     while heap:
         v = heapq.heappop(heap)
         queued.remove(v)
-        if not ready(v):
-            continue
-        shift = n - v
-        flips.append(_make_flip((v, not assignment >> shift & 1)))
         clauses = occurrences[v]
         for j, bit in clauses:
-            local[j] ^= bit
-        assignment ^= 1 << shift
-        for j, _ in clauses:
-            for w in variables[j]:
-                if w not in queued and ready(w):
-                    queued.add(w)
-                    heapq.heappush(heap, w)
+            if not accept[j] >> (local[j] ^ bit) & 1:
+                break
+        else:
+            shift = n - v
+            flips.append(_make_flip((v, not assignment >> shift & 1)))
+            for j, bit in clauses:
+                local[j] ^= bit
+            assignment ^= 1 << shift
+            diff = assignment ^ t
+            for j, _ in clauses:
+                for w in variables[j]:
+                    if w not in queued and diff >> (n - w) & 1:
+                        queued.add(w)
+                        heapq.heappush(heap, w)
     if assignment != t:
         return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
     if len(flips) != hamming(s, t):

@@ -1,0 +1,80 @@
+"""Census of every relation of arity 4 (ROADMAP item 16).
+
+    PYTHONPATH=src python tests/census_arity4.py
+
+Classifies each of the 65,536 relations of arity 4 alone with
+`classify_set` and checks the counts per verdict and kind, the
+componentwise bijunctive relations that are not bijunctive, the affine
+relations, and that complementing swaps the two order kinds. It takes
+about 7-13 s, so it runs as a CI step rather than in tier-1; pytest does
+not collect it, since its name does not start with ``test_``. Exits 1
+and names each count that differs.
+"""
+
+import sys
+from collections import Counter
+
+from satflip import NavigableKind, Relation, Verdict, classify_set, is_affine, is_bijunctive
+
+ARITY = 4
+CWB = (Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE)
+NAND = (Verdict.NAVIGABLE, NavigableKind.NAND_AND_DUAL_HORN_FREE)
+OR = (Verdict.NAVIGABLE, NavigableKind.OR_AND_HORN_FREE)
+TIGHT = (Verdict.TIGHT_NOT_NAVIGABLE, None)
+NOT_TIGHT = (Verdict.NOT_TIGHT, None)
+
+
+def gaussian_binomial_2(k, d):
+    """The number of d-dimensional subspaces of GF(2)^k."""
+    num = den = 1
+    for i in range(d):
+        num *= 2 ** (k - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+def complement_mask(mask):
+    """The truth table of the complemented relation: tuple t moves to
+    2^k - 1 - t, which reverses the table's 2^k bits."""
+    return int(format(mask, f"0{1 << ARITY}b")[::-1], 2)
+
+
+def main():
+    size = 1 << ARITY
+    verdicts = {}
+    census = Counter()
+    not_bijunctive = affine = 0
+    for mask in range(1 << size):
+        rel = Relation(ARITY, frozenset(t for t in range(size) if mask >> t & 1))
+        cls = classify_set([rel])
+        key = verdicts[mask] = (cls.verdict, cls.kind)
+        census[key] += 1
+        not_bijunctive += key == CWB and not is_bijunctive(rel)
+        affine += is_affine(rel)
+    swapped = sum(verdicts[complement_mask(mask)] == OR
+                  for mask, key in verdicts.items() if key == NAND)
+    # the empty relation plus every coset of every subspace of GF(2)^4:
+    # 16 points + 120 lines + 140 planes + 30 hyperplanes + 1 space
+    cosets = [gaussian_binomial_2(ARITY, d) * 2 ** (ARITY - d) for d in range(ARITY + 1)]
+    checks = [
+        ("componentwise bijunctive", census[CWB], 16998),
+        ("componentwise bijunctive, not bijunctive", not_bijunctive, 12828),
+        ("NAND-free + dual-Horn-free", census[NAND], 6233),
+        ("OR-free + Horn-free", census[OR], 6233),
+        ("NAND-free + dual-Horn-free with an OR-free + Horn-free complement", swapped, 6233),
+        ("tight but not navigable", census[TIGHT], 3826),
+        ("not tight", census[NOT_TIGHT], 32246),
+        ("every relation", sum(census.values()), 1 << size),
+        ("cosets by Gaussian binomials", cosets, [16, 120, 140, 30, 1]),
+        ("affine: the empty set plus every coset", affine, 1 + sum(cosets)),
+    ]
+    failed = 0
+    for label, got, want in checks:
+        ok = got == want
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {label}: {got}" + ("" if ok else f", expected {want}"))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -691,11 +691,29 @@ class TestAdvanceAgainstReference:
             clauses.append(Clause(f"r{k}", tuple(
                 rng.choice([CONST0, CONST1]) if rng.random() < 0.2 else rng.randint(1, n)
                 for _ in range(k))))
+        # arities 5-8 up to the byte ceiling: at all ones, a clause of
+        # eight distinct variables packs the tuple 255
+        wide = random.Random(-n)
+        named += tuple((f"r{k}", random_relation(k, wide)) for k in (5, 6, 7, 8))
+        clauses.append(Clause("r8", tuple(range(1, 9)) if n >= 8 else (1,) * 8))
+        for _ in range(n // 4 + 4):
+            k = wide.randint(5, 8)
+            clauses.append(Clause(f"r{k}", tuple(
+                wide.choice([CONST0, CONST1]) if wide.random() < 0.2 else wide.randint(1, n)
+                for _ in range(k))))
         compiled = Formula(n, named, tuple(clauses)).compiled
         assert compiled.variables[0] == () and compiled.variables[1] == (1,)
-        for a in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
-            want = [pack_tuple(clause_vars, a, n) for clause_vars in compiled.variables]
-            assert FlipState(compiled, a).local == want
+        assert len(compiled.columns) == max(map(len, compiled.variables))
+        one = Formula(n, named, (clauses[2],)).compiled  # columns of one entry each
+        assert one.columns == (((1,), (n,)) if n > 1 else ((1,),))
+        constants = Formula(n, named, tuple(clauses[:1]) * 3).compiled  # width 0
+        assert constants.columns == ()
+        assignments = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+        for form in (compiled, one, constants):
+            for a in assignments:
+                want = [pack_tuple(clause_vars, a, n) for clause_vars in form.variables]
+                assert FlipState(form, a).local == want
+        assert (255 in FlipState(compiled, (1 << n) - 1).local) == (n >= 8)
 
 
 class TestCanonicalize:

@@ -160,11 +160,18 @@ class TestEffectiveClause:
         before = _effective.cache_info()
         compiled = phi.compiled
         after = _effective.cache_info()
-        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 499)
+        # a compile looks the cache up once per shape, not once per clause
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits)
         assert len({id(r) for r in compiled.relations}) == 1
         # (r1, 1, r2, r1) hits 0110 and 1111 -> {01, 11}
         assert compiled.relations[0].tuples == frozenset({0b01, 0b11})
         assert compiled.distinct == ((compiled.relations[0], 1),)
+        # another formula of the same shape, on other variables, hits it once
+        other = Formula(9, (("q", rel),), (Clause("q", (7, CONST1, 9, 7)),) * 3)
+        before = _effective.cache_info()
+        assert other.compiled.relations == compiled.relations[:3]
+        after = _effective.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
     def test_distinct_relations_name_their_first_clause(self):
         phi = Formula(4, (("path5", PATH5),), (
@@ -183,6 +190,15 @@ class TestEffectiveClause:
         image = compiled.complemented()
         assert image.distinct == ((image.relations[1], 2), (image.relations[2], 3))
         assert image.relations[1] == compiled.relations[1].complemented()
+        # one relation under two names: two shapes, one effective relation
+        phi = Formula(3, (("a", PATH5), ("b", PATH5)), (
+            Clause("a", (1, 1, 2)),
+            Clause("b", (1, 2, 3)),
+            Clause("a", (1, 2, 3)),
+        ))
+        compiled = phi.compiled
+        assert compiled.relations[2] is compiled.relations[1] == PATH5
+        assert compiled.distinct == ((compiled.relations[0], 1), (compiled.relations[1], 2))
 
 
 class TestFormulaValidation:

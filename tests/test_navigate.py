@@ -481,7 +481,8 @@ class TestRoute:
         phi = Formula(3, (("p", relation),), (Clause("p", (1, 2, 3)),))
         route = phi.route
         empty = route.compiled._replace(
-            variables=(), relations=(), accept=(), occurrences=((),) * 4, distinct=()
+            variables=(), relations=(), accept=(), occurrences=((),) * 4, distinct=(),
+            columns=(),
         )
         phi.__dict__["route"] = navigate.Route(route.classification, empty, route.mask)
         with pytest.raises(TheoryError, match="order-based answer fails its replay"):
@@ -590,6 +591,40 @@ class TestRoutesAgainstExactSearch:
         assert len(non_bijunctive) == 42  # on the greedy walk
         assert set(seen) == {(kind, outcome) for kind in NavigableKind
                              for outcome in (Outcome.PATH, Outcome.NOT_CONNECTED)}, seen
+
+    def test_sampled_componentwise_bijunctive_relations_of_arity_4(self):
+        # ROADMAP item 16: 60 of the 16,998 of arity 4, drawn by rejection
+        # from all 65,536; 12,828 of the 16,998 are not bijunctive
+        rng = random.Random(1901)
+        sample = set()
+        while len(sample) < 60:
+            mask = rng.getrandbits(16)
+            rel = Relation(4, frozenset(t for t in range(16) if mask >> t & 1))
+            if is_componentwise_bijunctive(rel):
+                sample.add(rel)
+        sample = sorted(sample, key=lambda rel: rel.table)
+        assert sum(not is_bijunctive(rel) for rel in sample) >= 30
+        outcomes = Counter()
+        for rel in sample:
+            answered = 0
+            for _ in range(40):
+                drawn = formula_with_constants([rel], rng.randint(1, 12), rng.randint(0, 10), rng)
+                if drawn is None:
+                    continue
+                phi, s, t = drawn
+                assert phi.route.classification.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE
+                res = solve(phi, s, t)
+                ref = bfs_shortest(phi.compiled, s, t, cap=12)
+                assert (res.outcome, res.length) == (ref.outcome, ref.length)
+                assert res.flips == rescan_cwb_walk(phi, s, t)
+                if res.flips is not None:
+                    assert apply_sequence(phi.compiled, s, res.flips) == t
+                outcomes[res.outcome] += 1
+                answered += 1
+                if answered == 6:
+                    break
+            assert answered, rel
+        assert min(outcomes[Outcome.PATH], outcomes[Outcome.NOT_CONNECTED]) >= 20, outcomes
 
     def test_complement_dag_lowering_sequences_replay(self):
         checked = 0
