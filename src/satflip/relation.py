@@ -9,7 +9,9 @@ computed by :func:`classify_set`.
 Every tuple set in this layer is also one truth-table int, bit t set
 iff tuple t is accepted (:attr:`Relation.table`). The five
 restriction-based predicates (componentwise bijunctive and the four
-"-free" ones) read one memoized closure of the relation's table under
+"-free" ones) first ask the four Schaefer classes (bijunctive, Horn,
+dual Horn, affine), and a class that implies the flag answers it.
+Otherwise they read one memoized closure of the relation's table under
 elementary steps: fix one position, or identify two. Each step is a few
 mask-and-shift operations, run once for a whole level of the closure
 with its tables packed side by side into one int; components and
@@ -33,14 +35,16 @@ from .errors import ParseError, PreconditionError, content_lines, read_decimal
 from .records import Frozen, set_field
 
 # The restriction closure grows quickly with arity. Measured cold on
-# CPython 3.11, best of 3: all nine flags of a random relation take about
-# 1 ms at arity 6, 3.5 ms at arity 7 and 17-23 ms at arity 8, where one
-# closure holds about 1.7 MiB (15,000 arity-4 members); the
-# componentwise-bijunctive check of the full arity-8 relation takes 1 ms.
-# At arity 9 (measured with the bound raised, 3 seeds) the nine flags take
-# 190-220 ms, one closure has about 120,000 members with an 18 MiB
-# tracemalloc peak, and the 4-entry closure cache could hold about 70 MiB:
-# a tenfold step per arity that no workload needs, so the bound stays 8.
+# CPython 3.11, best of 3, five seeded random relations per arity: all
+# nine flags take 0.4-1.9 ms at arity 6, 2-8 ms at arity 7 and 5-22 ms
+# at arity 8, where one closure holds up to about 1.6 MiB (15,000 arity-4
+# members). A relation in a Schaefer class skips the closure for every
+# flag its class implies: all nine flags of the full arity-8 relation
+# build none. At arity 9 (measured with the bound raised, 3 seeds) the
+# nine flags take 130-230 ms, one closure has 41,000-95,000 members with
+# a tracemalloc peak of 9-18 MiB, and the 4-entry closure cache could
+# hold about 70 MiB: a tenfold step per arity that no workload needs, so
+# the bound stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
@@ -335,7 +339,8 @@ def _closed_under(relation: Relation, op) -> bool:
 
 
 # Bounded: is_componentwise_bijunctive asks it for every Hamming component
-# of every closure member, about 1,700 distinct ones in one classify stream.
+# of every closure member it reads, about 960 distinct ones in one
+# classify stream.
 @lru_cache(maxsize=4096)
 def _bijunctive_table(arity: int, table: int) -> bool:
     """Closed under coordinatewise majority. A Boolean relation is
@@ -360,7 +365,8 @@ def _bijunctive_table(arity: int, table: int) -> bool:
 
 # The bound of every predicate cache below. One benchmark classify stream
 # (seed 1, 40 rounds, 800 relation sets) fills 503 entries in each of
-# them, and 510-518 in the two that relation generation also asks.
+# them, and 505-518 in the ones that relation generation also asks: the
+# two order flags it tests and the Schaefer flags their shortcuts read.
 PREDICATE_CACHE_SIZE = 4096
 
 
@@ -403,32 +409,53 @@ def is_affine(relation: Relation) -> bool:
     return len(tuples) == 1 << len(basis)
 
 
+# Each "-free" predicate and the componentwise-bijunctive one first asks
+# the Schaefer classes that imply it, and reads the closure only when none
+# does. AND, OR, majority and x^y^z are idempotent, so fixing constants
+# and identifying positions keeps a relation closed under each, and no
+# forbidden pattern is closed under an operation that implies its flag:
+# OR lacks 01 & 10 = 00 and, with 3 tuples, is no coset; NAND lacks
+# 01 | 10 = 11; (x | !y | !z) lacks maj(001, 010, 111) = 011 = 010 | 001;
+# (!x | y | z) lacks maj(110, 101, 000) = 100 = 110 & 101; and neither
+# 7-tuple pattern is a coset.
+
+
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_or_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of (x | y)."""
-    return relation.arity < 2 or OR_TABLE not in _restriction_closure(relation)[1]
+    if relation.arity < 2 or is_horn(relation) or is_affine(relation):
+        return True
+    return OR_TABLE not in _restriction_closure(relation)[1]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_nand_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of !(x & y)."""
-    return relation.arity < 2 or NAND_TABLE not in _restriction_closure(relation)[1]
+    if relation.arity < 2 or is_dual_horn(relation) or is_affine(relation):
+        return True
+    return NAND_TABLE not in _restriction_closure(relation)[1]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_horn_free(relation: Relation) -> bool:
     """No ternary restriction equals the satisfying set of (x | !y | !z)."""
-    return relation.arity < 3 or _restriction_closure(relation)[2].isdisjoint(
-        HORN_PLACEMENTS
-    )
+    if (relation.arity < 3 or is_bijunctive(relation) or is_dual_horn(relation)
+            or is_affine(relation)):
+        return True
+    return _restriction_closure(relation)[2].isdisjoint(HORN_PLACEMENTS)
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_dual_horn_free(relation: Relation) -> bool:
     """No ternary restriction equals the satisfying set of (!x | y | z)."""
-    return relation.arity < 3 or _restriction_closure(relation)[2].isdisjoint(
-        DUAL_HORN_PLACEMENTS
-    )
+    if (relation.arity < 3 or is_bijunctive(relation) or is_horn(relation)
+            or is_affine(relation)):
+        return True
+    return _restriction_closure(relation)[2].isdisjoint(DUAL_HORN_PLACEMENTS)
+
+
+def _components_bijunctive(arity: int, tables) -> bool:
+    return all(_bijunctive_table(arity, comp) for comp in _table_components(arity, tables))
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
@@ -436,13 +463,24 @@ def is_componentwise_bijunctive(relation: Relation) -> bool:
     """Every connected component of every restriction induces a bijunctive
     relation (the identity restriction included). Components and
     bijunctivity do not depend on the order of positions, so the closure
-    covers every restriction. Relations of arity 2 or less are bijunctive,
-    so only the wider levels are split."""
+    covers every restriction.
+
+    Bijunctive and affine relations pass at once: their restrictions
+    stay in the class, each component of a bijunctive relation is
+    bijunctive (Gopalan, Kolaitis, Maneva & Papadimitriou, 2009), and
+    each component of an affine relation is a subcube. Otherwise the
+    levels are split widest first, and the widest is the relation itself,
+    so one that fails there builds no closure. Relations of arity 2 or
+    less are bijunctive, so no level below 3 is split."""
+    arity = relation.arity
+    if is_bijunctive(relation) or is_affine(relation):
+        return True
+    if not _components_bijunctive(arity, (relation.table,)):
+        return False
     closure = _restriction_closure(relation)
     return all(
-        _bijunctive_table(arity, comp)
-        for arity in range(3, relation.arity + 1)
-        for comp in _table_components(arity, closure[arity - 1])
+        _components_bijunctive(level, closure[level - 1])
+        for level in range(arity - 1, 2, -1)
     )
 
 

@@ -7,6 +7,7 @@ assignments) so agreement is meaningful.
 
 import functools
 import itertools
+import operator
 import random
 
 import hypothesis.strategies as st
@@ -18,6 +19,7 @@ from satflip import (
     Flip,
     Formula,
     GenerationError,
+    NavigableKind,
     PreconditionError,
     Relation,
     RelationFlags,
@@ -29,7 +31,17 @@ from satflip import (
 )
 from satflip.bits import var_bit
 from satflip.recon import members, solution_table
-from satflip.relation import is_dual_horn_free, is_nand_free
+from satflip.relation import (
+    DUAL_HORN_PLACEMENTS,
+    HORN_PLACEMENTS,
+    NAND_TABLE,
+    OR_TABLE,
+    _bijunctive_table,
+    _restriction_closure,
+    _table_components,
+    is_dual_horn_free,
+    is_nand_free,
+)
 
 
 def flip_bit(value, index, width):
@@ -275,6 +287,72 @@ def naive_relation_flags(rel):
         horn_free=naive_is_free(rel, HORN_PATTERN, 3),
         dual_horn_free=naive_is_free(rel, DUAL_HORN_PATTERN, 3),
     )
+
+
+def closure_relation_flags(rel):
+    """The five restriction-based flags, in `RelationFlags` order
+    (componentwise bijunctive, OR-, NAND-, Horn- and dual-Horn-free),
+    read off `_restriction_closure` at every level with no Schaefer
+    shortcut: the library's predicates before they asked the classes."""
+    closure = _restriction_closure(rel)
+    k = rel.arity
+    return (
+        all(_bijunctive_table(a, comp)
+            for a in range(3, k + 1)
+            for comp in _table_components(a, closure[a - 1])),
+        k < 2 or OR_TABLE not in closure[1],
+        k < 2 or NAND_TABLE not in closure[1],
+        k < 3 or closure[2].isdisjoint(HORN_PLACEMENTS),
+        k < 3 or closure[2].isdisjoint(DUAL_HORN_PLACEMENTS),
+    )
+
+
+def closure_calls():
+    """How many times `_restriction_closure` has been asked, hits included."""
+    info = _restriction_closure.cache_info()
+    return info.hits + info.misses
+
+
+# Each Schaefer class as the operation its relations are closed under,
+# with the operation's number of arguments.
+CLASS_OPERATIONS = {
+    "horn": (operator.and_, 2),
+    "dual_horn": (operator.or_, 2),
+    "bijunctive": (lambda a, b, c: (a & b) | (a & c) | (b & c), 3),
+    "affine": (lambda a, b, c: a ^ b ^ c, 3),
+}
+
+
+def closed_relation(arity, seeds, operation):
+    """The smallest relation that holds `seeds` and is closed under
+    `operation`, a `CLASS_OPERATIONS` value: apply it to every choice of
+    arguments until nothing is new."""
+    op, width = operation
+    tuples = set(seeds)
+    while True:
+        new = set(itertools.starmap(op, itertools.product(tuples, repeat=width))) - tuples
+        if not new:
+            return Relation(arity, frozenset(tuples))
+        tuples |= new
+
+
+def set_rule(flags):
+    """`(verdict, kind)` of a relation set from its relations' nine flags,
+    written from the classification rule alone: the navigable kinds every
+    relation has, the first in preference order, else tight when every
+    relation is OR-free or every one is NAND-free, else not tight."""
+    every = {
+        "cwb": all(f.componentwise_bijunctive for f in flags),
+        "nand": all(f.nand_free and f.dual_horn_free for f in flags),
+        "or": all(f.or_free and f.horn_free for f in flags),
+        "tight": all(f.or_free for f in flags) or all(f.nand_free for f in flags),
+    }
+    for name, kind in (("cwb", NavigableKind.COMPONENTWISE_BIJUNCTIVE),
+                       ("nand", NavigableKind.NAND_AND_DUAL_HORN_FREE),
+                       ("or", NavigableKind.OR_AND_HORN_FREE)):
+        if every[name]:
+            return Verdict.NAVIGABLE, kind
+    return (Verdict.TIGHT_NOT_NAVIGABLE if every["tight"] else Verdict.NOT_TIGHT), None
 
 
 # ------------------------------------------- clause-by-clause evaluation

@@ -41,6 +41,10 @@ from satflip.relation import (
 )
 
 from helpers import (
+    CLASS_OPERATIONS,
+    closed_relation,
+    closure_calls,
+    closure_relation_flags,
     every_relation,
     hamming_components,
     majority_closed,
@@ -50,6 +54,7 @@ from helpers import (
     non_decimal_cases,
     relation_strategy,
     restriction_entries,
+    set_rule,
     synth_affine,
     synth_bijunctive,
     synth_dual_horn,
@@ -201,7 +206,7 @@ class TestSyntacticClasses:
         assert is_affine(rel) == synth_affine(rel)
 
     def test_bijunctive_cache_is_bounded(self):
-        # one classify stream asks the table check for ~1,700 components;
+        # one classify stream asks the table check for ~960 components;
         # a long-lived process must not keep every one of them
         for cached in (is_bijunctive, _bijunctive_table):
             maxsize = cached.cache_info().maxsize
@@ -503,6 +508,63 @@ class TestRestrictionClosure:
         assert is_horn_free(rel)
 
 
+class TestSchaeferShortcut:
+    """The closure predicates return True when a Schaefer class implies
+    the flag, before they read the restriction closure; the closure read
+    without that shortcut must agree."""
+
+    CLOSURE_PREDICATES = (is_componentwise_bijunctive, is_or_free, is_nand_free,
+                          is_horn_free, is_dual_horn_free)
+
+    @staticmethod
+    def in_class_sample():
+        """Seeded relations of arity 5-8 inside each Schaefer class: 2-CNF
+        solution sets, and closures of random tuples under each class's
+        operation."""
+        rng = random.Random(53)
+        out = []
+        for arity in range(5, 9):
+            out += [("bijunctive", two_cnf_relation(arity, rng, rng.randint(1, 2 * arity)))
+                    for _ in range(6)]
+            for name, operation in CLASS_OPERATIONS.items():
+                out += [(name, closed_relation(
+                    arity, rng.sample(range(1 << arity), rng.randint(2, 8)), operation))
+                    for _ in range(6)]
+        return out
+
+    def test_flags_match_the_closure_inside_each_class(self):
+        classes = {"bijunctive": is_bijunctive, "horn": is_horn,
+                   "dual_horn": is_dual_horn, "affine": is_affine}
+        alone = set()
+        for name, rel in self.in_class_sample():
+            assert classes[name](rel), (name, rel)
+            assert relation_flags(rel)[4:] == closure_relation_flags(rel), rel
+            members = {other for other, test in classes.items() if test(rel)}
+            if members == {name}:
+                alone.add(name)
+        # every class has members that no other class holds, so no other
+        # class's shortcut stands in for its own
+        assert alone == set(classes)
+
+    @pytest.mark.parametrize("rel", [Relation.full(8), COSET8], ids=["full", "coset"])
+    def test_relations_in_a_class_build_no_closure(self, rel):
+        for predicate in self.CLOSURE_PREDICATES:
+            predicate.cache_clear()
+        before = closure_calls()
+        assert relation_flags(rel)[4:] == (True,) * 5
+        assert closure_calls() == before
+
+    def test_componentwise_bijunctive_refuses_the_relation_itself_first(self):
+        # connected and not bijunctive: the widest level fails, so no
+        # closure is built
+        rel = product(CUBE3_NO_000, Relation.full(5))
+        is_componentwise_bijunctive.cache_clear()
+        before = closure_calls()
+        assert not is_componentwise_bijunctive(rel)
+        assert closure_calls() == before
+        assert not closure_relation_flags(rel)[0]
+
+
 class TestClassify:
     def test_path_relation_set(self):
         cls = classify_set([PATH5])
@@ -585,6 +647,22 @@ class TestCensus:
                      for d in range(arity + 1))
         assert 1 + cosets == count
         assert sum(is_affine(rel) for rel in every_relation(arity)) == count
+
+    def test_every_pair_of_arity_at_most_3_follows_the_set_rule(self):
+        # 276 relations, so 276 * 277 / 2 = 38,226 pairs, a relation with
+        # itself included; the 228 componentwise bijunctive ones make
+        # 228 * 229 / 2 = 26,106 of them componentwise bijunctive
+        rels = [rel for arity in (1, 2, 3) for rel in every_relation(arity)]
+        flags = {rel: relation_flags(rel) for rel in rels}
+        census = Counter()
+        for a, b in itertools.combinations_with_replacement(rels, 2):
+            cls = classify_set([a, b])
+            assert cls.per_relation == (flags[a], flags[b])
+            assert (cls.verdict, cls.kind) == set_rule(cls.per_relation), (a, b)
+            census[cls.verdict, cls.kind] += 1
+        assert census == {self.CWB: 26106, self.NAND: 2920, self.OR: 2920,
+                          (Verdict.TIGHT_NOT_NAVIGABLE, None): 1152,
+                          (Verdict.NOT_TIGHT, None): 5128}
 
     def test_complement_swaps_the_two_order_kinds(self):
         # bitwise complement maps NAND-free + dual-Horn-free onto
