@@ -393,40 +393,6 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
     return _raises(order)
 
 
-def canonicalize(compiled: CompiledFormula, start: int, flips) -> tuple[Flip, ...]:
-    """Rewrite a valid flip sequence so all raises precede all lowers.
-
-    Adjacent lower/raise pairs on one variable cancel; a lower
-    immediately followed by a raise of a different variable is swapped
-    (sound when every relation is NAND-free). The result reaches the
-    same endpoint, uses a subset of the original flips, and keeps the
-    relative order within each sign.
-    """
-    end = apply_sequence(compiled, start, flips)
-    work = list(flips)
-    i = 0
-    while i < len(work) - 1:
-        a, b = work[i], work[i + 1]
-        if not a.up and b.up:
-            if a.var == b.var:
-                del work[i : i + 2]
-            else:
-                work[i], work[i + 1] = b, a
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    out = tuple(work)
-    try:
-        final = apply_sequence(compiled, start, out)
-    except FlipSequenceError as exc:
-        raise TheoryError(
-            f"canonical rewrite became invalid ({exc}); is some relation not NAND-free?"
-        ) from exc
-    if final != end:
-        raise TheoryError("canonical rewrite changed the endpoint")
-    return out
-
-
 def dag_to_dot(dag: FlipOrderDag, up: bool = True) -> str:
     """DOT text for the DAG, drawing the transitive reduction of its
     reachability order. Nodes are named by their flip tokens, raising

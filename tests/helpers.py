@@ -17,13 +17,16 @@ from satflip import (
     CONST1,
     Clause,
     Flip,
+    FlipSequenceError,
     Formula,
     GenerationError,
     NavigableKind,
     PreconditionError,
     Relation,
     RelationFlags,
+    TheoryError,
     Verdict,
+    apply_sequence,
     classify_set,
     induced,
     random_formula,
@@ -767,6 +770,41 @@ def random_walk(phi, start, steps, rng):
         flips.append(Flip(v, var_bit(cur, v, n) == 0))
         cur = flip_bit(cur, v, n)
     return flips, cur
+
+
+def canonicalize(compiled, start, flips):
+    """Rewrite a valid flip sequence so all raises precede all lowers.
+
+    Adjacent lower/raise pairs on one variable cancel; a lower
+    immediately followed by a raise of a different variable is swapped
+    (sound when every relation is NAND-free). The result reaches the
+    same endpoint, uses a subset of the original flips, and keeps the
+    relative order within each sign. A proof device of the NAND-free
+    case, not a solver step, so it lives with the tests.
+    """
+    end = apply_sequence(compiled, start, flips)
+    work = list(flips)
+    i = 0
+    while i < len(work) - 1:
+        a, b = work[i], work[i + 1]
+        if not a.up and b.up:
+            if a.var == b.var:
+                del work[i : i + 2]
+            else:
+                work[i], work[i + 1] = b, a
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    out = tuple(work)
+    try:
+        final = apply_sequence(compiled, start, out)
+    except FlipSequenceError as exc:
+        raise TheoryError(
+            f"canonical rewrite became invalid ({exc}); is some relation not NAND-free?"
+        ) from exc
+    if final != end:
+        raise TheoryError("canonical rewrite changed the endpoint")
+    return out
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -18,7 +18,6 @@ from satflip import (
     Verdict,
     apply_sequence,
     bfs_shortest,
-    canonicalize,
     classify_set,
     dualize,
     gen_vertex_cover_instance,
@@ -33,6 +32,7 @@ from satflip.bits import hamming
 from satflip.cli import main as cli_main
 
 from helpers import (
+    canonicalize,
     min_vertex_cover_size,
     navigable_corpus,
     order_obeying_sequences,

@@ -19,7 +19,6 @@ from satflip import (
     TheoryError,
     apply_sequence,
     bfs_shortest,
-    canonicalize,
     evaluate,
     formula_flip_dag,
     invert_sequence,
@@ -36,6 +35,7 @@ from satflip.formula import FlipState
 from satflip.relation import is_dual_horn_free, is_nand_free, pack_tuple
 
 from helpers import (
+    canonicalize,
     closure,
     closure_reduction,
     enum_positive_sequences,

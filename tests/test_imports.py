@@ -1,14 +1,23 @@
-"""No module of the package imports a name it never uses. Code that a
-change deletes tends to leave its imports behind; this finds them.
-`__init__.py` is left out: it imports names to export them."""
+"""What importing the package costs, and that no module of it imports a
+name it never uses. Code that a change deletes tends to leave its
+imports behind; the guard finds them, in `__init__.py` too.
+
+`import satflip` loads no module of the package: each export is resolved
+on first use. The import tests run in a fresh interpreter, because this
+one has loaded every module already."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "satflip"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +56,106 @@ def test_the_guard_finds_an_unused_import():
 
 def test_modules_are_found():
     assert {"flip_order", "navigate", "recon", "records"} <= {p.stem for p in MODULES}
+
+
+# ------------------------------------------------------------ lazy exports
+
+def fresh(script):
+    """The stdout of `script` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+def loaded_after(*steps):
+    """Run each statement in one fresh interpreter; after each, the
+    names of the satflip modules it added to `sys.modules`, sorted."""
+    return json.loads(fresh(f"""
+        import json, sys
+        seen = set(sys.modules)
+        out = []
+        for step in {list(steps)!r}:
+            exec(step, {{}})
+            new = set(sys.modules) - seen
+            seen |= new
+            out.append(sorted(m for m in new if m.partition(".")[0] == "satflip"))
+        print(json.dumps(out))
+    """))
+
+
+def test_import_loads_no_module_and_classify_set_only_relation():
+    assert loaded_after("import satflip", "import satflip; satflip.classify_set") == [
+        ["satflip"],
+        ["satflip.bits", "satflip.errors", "satflip.records", "satflip.relation"],
+    ]
+
+
+def test_cli_still_loads_every_traced_module():
+    # perfbench/worker.py's tracer looks `satflip.formula`, `.flip_order`,
+    # `.navigate`, `.recon` and `.relation` up in `sys.modules` right
+    # after `import satflip.cli`, to wrap their functions by name. So the
+    # CLI keeps its module-level imports until the library reports its
+    # own counters (ROADMAP item 13) and the tracer no longer needs them.
+    traced = {"satflip.relation", "satflip.formula", "satflip.flip_order",
+              "satflip.navigate", "satflip.recon"}
+    [loaded] = loaded_after("import satflip.cli")
+    assert traced <= set(loaded)
+
+
+EXPORTS = [
+    "CONST0", "CONST1", "Classification", "Clause", "CompiledFormula",
+    "DEFAULT_STATE_CAP", "Flip", "FlipOrderDag", "FlipSequenceError", "Formula",
+    "GenerationError", "MAX_ARITY", "MAX_STATE_CAP", "NavigableKind", "Outcome",
+    "ParseError", "PreconditionError", "ReconGraph", "Relation", "RelationFlags",
+    "RestrictionMap", "Route", "SatFlipError", "SimpleGraph", "SolveResult",
+    "SolveStats", "TheoryError", "Verdict", "apply_sequence", "bfs_shortest",
+    "bits", "build_graph", "classify_formula", "classify_set", "dualize",
+    "effective_clause", "errors", "evaluate", "flip_order", "format_assignment",
+    "formula", "formula_flip_dag", "gen", "gen_independent_set_instance",
+    "gen_vertex_cover_instance", "graph_size", "induced", "invert_sequence",
+    "is_affine", "is_bijunctive", "is_componentwise_bijunctive", "is_dual_horn",
+    "is_dual_horn_free", "is_horn", "is_horn_free", "is_nand_free", "is_or_free",
+    "lower_set_sequence", "navigate", "order_respecting_sequence",
+    "parse_assignment", "parse_dimacs_2cnf", "parse_formula", "parse_graph",
+    "parse_instance", "parse_relation", "random_formula",
+    "random_navigable_relation", "recon", "records", "relation", "relation_flags",
+    "relation_partial_order", "restrict", "sat_mask", "serialize_formula",
+    "serialize_relation", "shortest_path_cwb", "shortest_path_navigable",
+    "smallest_lower_set", "solution_table", "solve",
+]
+
+
+def test_all_is_pinned():
+    import satflip
+
+    assert sorted(satflip.__all__) == EXPORTS
+
+
+def test_every_export_is_its_home_modules_object():
+    # Fresh, so that `from satflip import *` resolves every name itself,
+    # with no module loaded before it. A module's name binds the module.
+    assert fresh("""
+        import importlib, sys
+        import satflip
+        from satflip import *
+        bad = []
+        for name in satflip.__all__:
+            want = sys.modules.get("satflip." + name)
+            if want is None:
+                home = importlib.import_module("satflip." + satflip._HOME[name])
+                want = getattr(home, name)
+            if globals()[name] is not want or getattr(satflip, name) is not want:
+                bad.append(name)
+        print(len(satflip.__all__), bad)
+    """) == f"{len(EXPORTS)} []\n"
+
+
+def test_unknown_attribute_and_dir():
+    import satflip
+
+    with pytest.raises(AttributeError, match="no attribute 'canonicalize'"):
+        satflip.canonicalize
+    with pytest.raises(ImportError):
+        from satflip import no_such_name  # noqa: F401
+    assert set(satflip.__all__) <= set(dir(satflip))
