@@ -4,8 +4,11 @@ Assignments and relation tuples are plain ints. Variable/position 1 is
 the leftmost character of the printed bitstring, i.e. bit ``width - i``
 of the integer holds variable ``i``. :func:`from_bitstring` reads that
 string back; it is the one reader of every tuple and assignment in
-input text.
+input text. :func:`low_masks` and :func:`index_masks` build the
+per-position masks of a truth table.
 """
+
+from functools import lru_cache
 
 
 def to_bitstring(value: int, width: int) -> str:
@@ -39,3 +42,22 @@ def set_vars(value: int, width: int):
         low = value & -value
         yield width + 1 - low.bit_length()
         value ^= low
+
+
+def low_masks(n: int):
+    """Yield, for v = 1..n, the truth table of the n-bit values whose
+    variable v is 0. Each comes from the previous one in two operations:
+    halving the block width w of a mask m is ``m ^ (m << w/2)``."""
+    m = (1 << (1 << (n - 1))) - 1
+    yield m
+    for v in range(2, n + 1):
+        m ^= m << (1 << (n - v))
+        yield m
+
+
+@lru_cache(maxsize=None)
+def index_masks(arity: int) -> tuple[int, ...]:
+    """Entry i is the truth table of the tuples whose bit i is 1, the
+    complement of the low mask of position ``arity - i``, cached."""
+    full = (1 << (1 << arity)) - 1
+    return tuple(full ^ m for m in reversed(list(low_masks(arity))))

@@ -8,7 +8,10 @@ The four text formats (.cnfs, .rel, .graph and DIMACS) read their lines
 through :func:`content_lines` and every count, index and literal
 through :func:`read_decimal`, so one token rule holds for all of them:
 ASCII digits 0-9 after at most one leading ``-``. Python's ``int()``
-would also take ``+``, ``_`` and non-ASCII digits.
+would also take ``+``, ``_`` and non-ASCII digits. Every count, index,
+tuple and flip variable that a Python caller passes in follows one
+integer rule, ``type(x) is int``: a bool, an int subclass, a float or a
+str raises PreconditionError (FlipSequenceError for a flip).
 """
 
 

@@ -34,11 +34,11 @@ from functools import lru_cache, partial
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
-from .bits import set_vars
+from .bits import index_masks, set_vars
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .formula import CompiledFormula, FlipState
 from .formula import require_relations, satisfying_state
-from .relation import Classification, Relation, _index_masks
+from .relation import Classification, Relation
 from .relation import is_dual_horn_free, is_nand_free
 
 
@@ -47,7 +47,9 @@ class Flip(NamedTuple):
     up: bool
 
     def token(self) -> str:
-        return f"x{self.var}{'+' if self.up else '-'}"
+        """`x<var>+` or `x<var>-`; it reads a plain (var, up) pair too."""
+        var, up = self
+        return f"x{var}{'+' if up else '-'}"
 
 
 class Outcome(Enum):
@@ -57,12 +59,16 @@ class Outcome(Enum):
 
 
 class SolveStats(NamedTuple):
-    """What one solve counted: the order-based solver's levels, the
-    endpoints' zero count on entry and the backward walks made."""
+    """What one solve counted: the order-based solver's levels and the
+    endpoints' zero count on entry."""
 
     levels: int = 0
     eta_entry: int = 0
-    dag_builds: int = 0
+
+    @property
+    def dag_builds(self) -> int:
+        """The backward walks made: two per level."""
+        return 2 * self.levels
 
 
 class SolveResult(NamedTuple):
@@ -140,19 +146,19 @@ def advance(state: FlipState, flips) -> None:
     try:
         for i, f in enumerate(flips):
             v, up = f
-            if not 1 <= v <= n:
-                raise FlipSequenceError(i, f"{f.token()} names no variable in 1..{n}")
+            if type(v) is not int or not 1 <= v <= n:
+                raise FlipSequenceError(i, f"{Flip.token(f)} names no variable in 1..{n}")
             shift = n - v
             if assignment >> shift & 1:
                 if up:
-                    raise FlipSequenceError(i, f"{f.token()} raises a variable already 1")
+                    raise FlipSequenceError(i, f"{Flip.token(f)} raises a variable already 1")
             elif not up:
-                raise FlipSequenceError(i, f"{f.token()} lowers a variable already 0")
+                raise FlipSequenceError(i, f"{Flip.token(f)} lowers a variable already 0")
             clauses = occurrences[v]
             for j, bit in clauses:
                 if not accept[j] >> (local[j] ^ bit) & 1:
                     raise FlipSequenceError(
-                        i, f"prefix ending at {f.token()} falsifies the formula"
+                        i, f"prefix ending at {Flip.token(f)} falsifies the formula"
                     )
             for j, bit in clauses:
                 local[j] ^= bit
@@ -182,10 +188,10 @@ def relation_partial_order(relation: Relation, state: int):
         raise PreconditionError(
             "flip partial order requires a NAND-free and dual-Horn-free relation"
         )
-    if state not in relation.tuples:
+    if type(state) is not int or state not in relation.tuples:
         raise PreconditionError(f"state {state} is not in the relation")
     k, table = relation.arity, relation.table
-    masks = _index_masks(k)  # masks[k - p]: the tuples whose position p is 1
+    masks = index_masks(k)  # masks[k - p]: the tuples whose position p is 1
     free = [(k - i, m, 1 << i) for i, m in enumerate(masks) if not state >> i & 1]
     reached, grown = 0, 1 << state
     while grown != reached:

@@ -45,8 +45,7 @@ class Formula(Frozen):
 
     def __init__(self, num_vars: int, relations: tuple[tuple[str, Relation], ...],
                  clauses: tuple[Clause, ...]):
-        if (isinstance(num_vars, bool) or not isinstance(num_vars, int)
-                or num_vars < 1):
+        if type(num_vars) is not int or num_vars < 1:
             raise PreconditionError(f"num_vars must be >= 1, got {num_vars!r}")
         by_name = {}
         for name, rel in relations:
@@ -65,10 +64,7 @@ class Formula(Frozen):
                     f"{clause.relation_name!r} has arity {rel.arity}"
                 )
             for a in clause.args:
-                if a in (CONST0, CONST1):
-                    continue
-                if (isinstance(a, bool) or not isinstance(a, int)
-                        or not 1 <= a <= num_vars):
+                if a not in (CONST0, CONST1) and not (type(a) is int and 1 <= a <= num_vars):
                     raise PreconditionError(
                         f"clause {i} argument {a!r} out of range 1..{num_vars}"
                     )
@@ -254,8 +250,7 @@ def require_relations(compiled: CompiledFormula, accepts, description: str) -> N
 
 
 def _check_assignment(num_vars: int, assignment: int) -> None:
-    if (isinstance(assignment, bool) or not isinstance(assignment, int)
-            or not 0 <= assignment < (1 << num_vars)):
+    if type(assignment) is not int or not 0 <= assignment < (1 << num_vars):
         raise PreconditionError(
             f"assignment {assignment!r} out of range for {num_vars} variables"
         )

@@ -33,8 +33,7 @@ class SimpleGraph(Frozen):
     __slots__ = _fields = ("num_vertices", "edges")
 
     def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...]):
-        if (isinstance(num_vertices, bool) or not isinstance(num_vertices, int)
-                or num_vertices < 1):
+        if type(num_vertices) is not int or num_vertices < 1:
             raise PreconditionError(f"graph needs at least one vertex, got {num_vertices!r}")
         if num_vertices > MAX_GRAPH_VERTICES:
             raise PreconditionError(
@@ -43,7 +42,7 @@ class SimpleGraph(Frozen):
         normalized = []
         seen = set()
         for u, v in edges:
-            if any(isinstance(w, bool) or not isinstance(w, int) for w in (u, v)):
+            if type(u) is not int or type(v) is not int:
                 raise PreconditionError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
@@ -140,7 +139,7 @@ RANDOM_FORMULA_TRIES = 200
 
 def random_navigable_relation(arity: int, seed: int) -> Relation:
     """Rejection-sample a NAND-free and dual-Horn-free relation."""
-    if not 1 <= arity <= 4:
+    if type(arity) is not int or not 1 <= arity <= 4:
         raise PreconditionError(f"arity must be in 1..4, got {arity}")
     rng = random.Random(seed)
     for _ in range(RANDOM_RELATION_TRIES):
@@ -165,11 +164,11 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int):
     solution table is then narrowed clause by clause, and the draw is
     refused at the first clause that empties it.
     """
-    if not 1 <= num_vars <= 16:
+    if type(num_vars) is not int or not 1 <= num_vars <= 16:
         raise PreconditionError(
             f"num_vars must be in 1..16 for explicit endpoint sampling, got {num_vars}"
         )
-    if num_clauses < 0:
+    if type(num_clauses) is not int or num_clauses < 0:
         raise PreconditionError(f"num_clauses must be at least 0, got {num_clauses}")
     named = tuple((f"r{i}", rel) for i, rel in enumerate(relations, 1))
     if not named:

@@ -77,8 +77,8 @@ def shortest_path_navigable(
     prefix and suffix stack, so deep instances cannot exhaust the call
     stack. Each side keeps one FlipState for the whole solve: its
     endpoint is checked in full once, and every later flip only against
-    the clauses of its variable. The result's `stats` counts the levels
-    and, as `dag_builds`, the walks: two per level. The assembled
+    the clauses of its variable. The result's `stats` counts the levels;
+    its `dag_builds`, the walks, is two per level. The assembled
     sequence is not replayed here: :func:`solve` replays it once, on the
     formula's own compiled form.
 
@@ -108,9 +108,7 @@ def shortest_path_navigable(
         seq_s = lower_set_sequence(side_s, want_s)
         seq_t = lower_set_sequence(side_t, want_t)
         if seq_s is None or seq_t is None:
-            return SolveResult(
-                Outcome.NOT_CONNECTED, stats=SolveStats(levels, eta_entry, 2 * levels)
-            )
+            return SolveResult(Outcome.NOT_CONNECTED, stats=SolveStats(levels, eta_entry))
         eta_old = zeros(cur_s, n) + zeros(cur_t, n)
         if trace is not None:
             trace(
@@ -139,9 +137,7 @@ def shortest_path_navigable(
     flips = tuple(prefix)
     for tail in reversed(tails):
         flips += invert_sequence(tail)
-    return SolveResult(
-        Outcome.PATH, flips=flips, stats=SolveStats(levels, eta_entry, 2 * levels)
-    )
+    return SolveResult(Outcome.PATH, flips=flips, stats=SolveStats(levels, eta_entry))
 
 
 def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:

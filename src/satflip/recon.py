@@ -13,16 +13,16 @@ set iff assignment ``a`` satisfies the formula, the ``Relation.table``
 convention at arity n. Every set of assignments below is such an int,
 so a set operation over all 2^n assignments is one big-int operation.
 Flipping variable v, of weight w = 2^(n-v), moves a set by w bits: up
-from the assignments where v is 0 (its low mask, :func:`_low_masks`),
-down from the others. Nothing here needs numpy; only the
-:func:`sat_mask` view loads it.
+from the assignments where v is 0 (its low mask, from
+:func:`~satflip.bits.low_masks`), down from the others. Nothing here
+needs numpy; only the :func:`sat_mask` view loads it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bits import to_bitstring, var_bit
+from .bits import low_masks, to_bitstring, var_bit
 from .errors import PreconditionError, TheoryError
 from .flip_order import Flip, Outcome, SolveResult
 from .formula import CompiledFormula, satisfying_state
@@ -52,9 +52,9 @@ BLOCK_BITS = 16
 
 
 def check_cap(cap: int) -> None:
-    """Reject a cap that is a bool, no int or negative, and one whose full
+    """Reject a cap that is no plain int or is negative, and one whose full
     search would not fit the byte budget, before anything is allocated."""
-    if isinstance(cap, bool) or not isinstance(cap, int):
+    if type(cap) is not int:
         raise PreconditionError(f"state cap {cap!r} is not an int")
     if cap < 0:
         raise PreconditionError(f"state cap {cap} is negative")
@@ -63,17 +63,6 @@ def check_cap(cap: int) -> None:
             f"state cap {cap} is above the largest supported cap {MAX_STATE_CAP}"
             f" ({BYTES_PER_STATE} bytes for each of 2^cap states)"
         )
-
-
-def _low_masks(n: int):
-    """Yield, for v = 1..n, the set of assignments in which variable v is
-    0. Each comes from the previous one in two operations: halving the
-    block width w of a mask m is ``m ^ (m << w/2)``."""
-    m = (1 << (1 << (n - 1))) - 1
-    yield m
-    for v in range(2, n + 1):
-        m ^= m << (1 << (n - v))
-        yield m
 
 
 def solution_table(compiled: CompiledFormula) -> int:
@@ -94,7 +83,7 @@ def clause_table(n: int, clauses) -> int:
     whole. Returns 0 as soon as the table is 0, without reading the
     remaining clauses.
     """
-    masks = [0, *_low_masks(n)]  # masks[v] for variable v
+    masks = [0, *low_masks(n)]  # masks[v] for variable v
     table = (1 << (1 << n)) - 1
     for variables, accept in clauses:
         k = len(variables)
@@ -153,7 +142,7 @@ class ReconGraph(NamedTuple):
 def _edge_ends(table: int, n: int):
     """Yield (w, lower) for v = 1..n: the flips of variable v are the
     edges (u, u + w), and `lower` is the set of their ends u."""
-    for v, low in enumerate(_low_masks(n), 1):
+    for v, low in enumerate(low_masks(n), 1):
         w = 1 << (n - v)
         yield w, table & low & (table >> w)
 
@@ -237,7 +226,7 @@ def bfs_shortest(
     unvisited = [int.from_bytes(data[i:i + width], "little")
                  for i in range(0, len(data), width)]
     del data
-    shifts = [(low, 1 << (bits - v)) for v, low in enumerate(_low_masks(bits), 1)]
+    shifts = [(low, 1 << (bits - v)) for v, low in enumerate(low_masks(bits), 1)]
     moves = [1 << v for v in range(n - bits)]
     frontier = {t >> bits: 1 << (t & inside)}
     unvisited[t >> bits] ^= frontier[t >> bits]

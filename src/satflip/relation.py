@@ -30,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bits import from_bitstring, to_bitstring
+from .bits import from_bitstring, index_masks, to_bitstring
 from .errors import ParseError, PreconditionError, content_lines, read_decimal
 from .records import Frozen, set_field
 
@@ -75,8 +75,7 @@ class Relation(Frozen):
     _fields = ("arity", "tuples")
 
     def __init__(self, arity: int, tuples):
-        if (isinstance(arity, bool) or not isinstance(arity, int)
-                or not 1 <= arity <= MAX_ARITY):
+        if type(arity) is not int or not 1 <= arity <= MAX_ARITY:
             raise PreconditionError(
                 f"relation arity must be an integer in 1..{MAX_ARITY}, got {arity!r}"
             )
@@ -85,7 +84,7 @@ class Relation(Frozen):
         top = 1 << arity
         table = 0
         for t in tuples:
-            if not isinstance(t, int) or not 0 <= t < top:
+            if type(t) is not int or not 0 <= t < top:
                 raise PreconditionError(f"tuple {t!r} out of range for arity {arity}")
             table |= 1 << t
         set_field(self, "arity", arity)
@@ -158,7 +157,7 @@ class RestrictionMap(Frozen):
 
     def __init__(self, source_arity: int, target_arity: int, entries: tuple):
         for label, arity in (("source", source_arity), ("target", target_arity)):
-            if isinstance(arity, bool) or not isinstance(arity, int):
+            if type(arity) is not int:
                 raise PreconditionError(f"{label} arity must be an integer, got {arity!r}")
         if not 1 <= target_arity <= source_arity <= MAX_ARITY:
             raise PreconditionError(
@@ -168,10 +167,7 @@ class RestrictionMap(Frozen):
         if len(entries) != source_arity:
             raise PreconditionError(f"expected {source_arity} entries, got {len(entries)}")
         for e in entries:
-            if e in (CONST0, CONST1):
-                continue
-            if (isinstance(e, bool) or not isinstance(e, int)
-                    or not 1 <= e <= target_arity):
+            if e not in (CONST0, CONST1) and not (type(e) is int and 1 <= e <= target_arity):
                 raise PreconditionError(f"bad restriction entry {e!r}")
         set_field(self, "source_arity", source_arity)
         set_field(self, "target_arity", target_arity)
@@ -210,17 +206,9 @@ def restrict(relation: Relation, rmap: RestrictionMap) -> Relation:
     return Relation(k, frozenset(keep))
 
 
-@lru_cache(maxsize=None)
-def _index_masks(arity: int) -> tuple[int, ...]:
-    """Entry i is the truth table of the tuples whose bit i is 1."""
-    return tuple(
-        sum(1 << t for t in range(1 << arity) if t >> i & 1) for i in range(arity)
-    )
-
-
 def _steps(masks, table: int) -> list[int]:
     """The truth table of every elementary step on the positions that
-    ``masks`` (see :func:`_index_masks`) index: fix tuple bit b to 0 or 1,
+    ``masks`` (see :func:`index_masks`) index: fix tuple bit b to 0 or 1,
     or identify it with a higher bit (keep the tuples whose two bits
     agree), and then drop bit b. Every operation moves a bit only within
     the table's own 2^arity-bit span, so ``table`` and ``masks`` may hold
@@ -272,9 +260,9 @@ def _unpack(arity: int, packed, count: int):
 
 
 def _packed_masks(arity: int, count: int) -> list[int]:
-    """:func:`_index_masks` repeated in each of ``count`` slots."""
+    """:func:`index_masks` repeated in each of ``count`` slots."""
     ones = _pack(arity, [1] * count)
-    return [m * ones for m in _index_masks(arity)]
+    return [m * ones for m in index_masks(arity)]
 
 
 def _level_steps(arity: int, tables) -> frozenset[int]:
@@ -350,7 +338,7 @@ def _bijunctive_table(arity: int, table: int) -> bool:
     that the table touches; the join is their intersection over all pairs."""
     if arity <= 2:
         return True
-    masks = _index_masks(arity)
+    masks = index_masks(arity)
     full = (1 << (1 << arity)) - 1
     join = full
     for i, j in itertools.combinations(range(arity), 2):

@@ -1,0 +1,23 @@
+"""The per-position masks of a truth table: one doubling builder,
+`low_masks`, and the cached tuple of their complements, `index_masks`,
+that the relation layer, the flip orders and the exact search share."""
+
+from satflip.bits import index_masks, low_masks, var_bit
+from satflip.recon import members
+
+
+def test_low_masks():
+    for n in range(1, 7):
+        masks = list(low_masks(n))
+        assert len(masks) == n
+        for v, mask in enumerate(masks, 1):
+            assert members(mask) == [a for a in range(1 << n) if var_bit(a, v, n) == 0]
+
+
+def test_index_masks_equal_the_sum_definition():
+    for arity in range(1, 9):
+        want = tuple(
+            sum(1 << t for t in range(1 << arity) if t >> i & 1) for i in range(arity)
+        )
+        assert index_masks(arity) == want
+        assert index_masks(arity) is index_masks(arity)

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,12 +15,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from satflip import MAX_STATE_CAP
+from satflip import MAX_STATE_CAP, SolveResult, TheoryError
+from satflip import cli
 from satflip.cli import main
+from satflip.navigate import Outcome
 
 from helpers import NON_DECIMAL_TOKENS, mutated
 
-DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 PATH_CNFS = str(DATA / "path.cnfs")
 EQ_CNFS = str(DATA / "equality.cnfs")
@@ -541,6 +546,86 @@ class TestUsage:
         assert results[2][1] == results[5][1] == "NOTCONNECTED\n"
         assert results[3][1].startswith("HARD ")
         assert results[7][1].startswith("states ")
+
+
+class TestErrorPaths:
+    def test_missing_file_exit_1(self, capsys, tmp_path):
+        missing = tmp_path / "missing.cnfs"
+        assert run(capsys, "solve", str(missing)) == (
+            1, "", f"satflip: error: cannot read {missing}: {os.strerror(errno.ENOENT)}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_no_target_exit_1(self, capsys, tmp_path, command):
+        source_only = tmp_path / "source_only.cnfs"
+        source_only.write_text(pathlib.Path(PATH_CNFS).read_text().replace("# t=110\n", ""))
+        assert run(capsys, command, str(source_only)) == (
+            1, "", "satflip: error: no target assignment: pass --to or embed a '# t=' comment\n")
+
+    def test_fliporder_without_source_exit_1(self, capsys, tmp_path):
+        no_source = tmp_path / "no_source.cnfs"
+        no_source.write_text(pathlib.Path(PATH_CNFS).read_text().replace("# s=000\n", ""))
+        assert run(capsys, "dot", "--what", "fliporder", str(no_source)) == (
+            1, "", "satflip: error: no assignment: pass --from or embed a '# s=' comment\n")
+
+    def test_verify_disagreement_exit_3(self, capsys, monkeypatch):
+        # an exact search that disagrees with the solver
+        monkeypatch.setattr(cli, "bfs_shortest",
+                            lambda *args, **kwargs: SolveResult(Outcome.NOT_CONNECTED))
+        assert run(capsys, "solve", PATH_CNFS, "--verify") == (
+            3,
+            "PATH 4 x3+ x1+ x2+ x3-\n",
+            "verify: solver said 'PATH 4 x3+ x1+ x2+ x3-', exact search said 'NOTCONNECTED'\n",
+        )
+
+    def test_theory_error_exit_3(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TheoryError("level made no progress on the zero count")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        assert run(capsys, "solve", PATH_CNFS) == (
+            3, "", "satflip: internal error: level made no progress on the zero count\n")
+
+
+def run_module(*argv, prefix=("-m", "satflip")):
+    """`python -m satflip ARGV` with PYTHONPATH=src, as README runs it:
+    (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, *prefix, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestModuleEntryPoint:
+    """src/satflip/__main__.py, which the README and the benchmark's cli
+    workload run, prints what cli.main prints in-process."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", PATH_CNFS),
+        ("solve", PATH_CNFS),
+        ("solve", PATH_CNFS, "--verify", "--verbose"),
+        ("solve", PATH_CNFS, "--from", "111"),
+    ], ids=["classify", "solve", "solve-verbose", "solve-bad-endpoint"])
+    def test_matches_main_in_process(self, capsys, argv):
+        assert run_module(*argv) == run(capsys, *argv)
+
+    def test_usage_error_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["classify"])
+        captured = capsys.readouterr()
+        assert err.value.code == 1
+        assert run_module("classify") == (1, captured.out, captured.err)
+        assert "the following arguments are required: formula" in captured.err
+
+    def test_project_script_runs_cli_main(self, capsys):
+        # `pip install .` writes a `satflip` script that imports the
+        # [project.scripts] entry and exits with what it returns
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        entry = re.search(r'^\[project\.scripts\]\nsatflip = "([\w.]+):(\w+)"$', text, re.M)
+        assert entry.groups() == ("satflip.cli", "main")
+        script = "import sys; from satflip.cli import main; sys.exit(main())"
+        for argv in (("classify", PATH_CNFS), ("solve", PATH_CNFS)):
+            assert run_module(*argv, prefix=("-c", script)) == run_module(*argv)
 
 
 def gen_random_digest(*extra):

@@ -319,6 +319,12 @@ class TestOrderRespectingSequence:
         dag = FlipOrderDag(frozenset({1}), frozenset())
         assert order_respecting_sequence(dag, set()) == ()
 
+    def test_rejects_flips_outside_the_dag(self):
+        dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
+        with pytest.raises(PreconditionError) as err:
+            order_respecting_sequence(dag, {1, 5, 4})
+        assert str(err.value) == "flips not in the DAG: [4, 5]"
+
     def test_rejects_non_lower_sets(self):
         dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
         with pytest.raises(PreconditionError, match="downward"):

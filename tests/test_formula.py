@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from satflip import (
     parse_instance,
     serialize_formula,
 )
+from satflip.errors import read_decimal
 from satflip.formula import FlipState, _effective, first_violated_clause
 
 from helpers import (
@@ -317,6 +319,42 @@ class TestCnfsFormat:
             parse_formula(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("vars 2\nvars 2\n", "line 2: duplicate 'vars' line"),
+        ("vars\n", "line 1: expected 'vars <n>'"),
+        ("vars 2 3\n", "line 1: expected 'vars <n>'"),
+        ("vars 0\n", "line 1: variable count must be >= 1"),
+        ("# c\nclause r x1\n", "line 2: 'vars' must come before 'clause'"),
+        ("vars 1\nrelation r\n", "line 2: expected 'relation <name> <arity>'"),
+        ("vars 1\nclause\n", "line 2: expected 'clause <name> <args...>'"),
+        ("vars 2\nrelation r 2\n01\nend\nclause r x1\n",
+         "line 5: relation 'r' has arity 2, got 1 arguments"),
+        ("vars 1\nrelation r 1\n1\nend\nclause r y1\n",
+         "line 5: bad argument 'y1' (expected x<i>, T, or F)"),
+        ("", "missing 'vars' line"),
+        ("# s=0\n# only comments\n", "missing 'vars' line"),
+    ])
+    def test_directive_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
+    def test_token_past_the_int_digit_limit(self):
+        # Python 3.11 and later refuse int() of more digits than
+        # sys.get_int_max_str_digits(); 3.10 has no such limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            assert read_decimal("7" * 5000, "too long") == int("7" * 5000)
+            return
+        token = "7" * (limit + 1)
+        with pytest.raises(ParseError) as err:
+            read_decimal(token, "too long", 4)
+        assert str(err.value) == "line 4: too long"
+        with pytest.raises(ParseError) as err:
+            parse_formula(f"vars {token}\n")
+        assert str(err.value) == f"line 1: bad variable count '{token}'"
+        assert read_decimal("7" * limit, "too long") == int("7" * limit)
+
     def test_leading_zeros(self):
         phi = parse_formula("vars 03\nrelation r 01\n1\nend\nclause r x003\n")
         assert phi == Formula(3, (("r", Relation(1, {1})),), (Clause("r", (3,)),))
@@ -366,6 +404,19 @@ class TestDimacs2Cnf:
     def test_non_integer_clause_count(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_dimacs_2cnf("p cnf 2 y\n1 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 2 -1\n", "line 1: clause count must be >= 0"),
+        ("p cnf 2\n", "line 1: expected 'p cnf <vars> <clauses>'"),
+        ("c\n1 0\np cnf 2 1\n", "line 2: missing 'p cnf' header"),
+        ("c only a comment\n", "missing 'p cnf' header"),
+        ("p cnf 2 1\n1 2\n", "line 2: clause line must end with 0"),
+        ("p cnf 2 1\n-3 0\n", "line 2: literal -3 out of range"),
+    ])
+    def test_malformed_lines(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_2cnf(text)
+        assert str(err.value) == message
 
     def test_duplicate_header(self):
         with pytest.raises(ParseError, match="line 3.*duplicate 'p cnf' header"):

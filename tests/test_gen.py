@@ -93,6 +93,18 @@ class TestParseGraph:
         with pytest.raises(ParseError, match="line 1"):
             parse_graph("edge 1 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("graph 2\n# c\ngraph 2\n", "line 3: duplicate 'graph' line"),
+        ("graph\n", "line 1: expected 'graph <num_vertices>'"),
+        ("graph 2 3\n", "line 1: expected 'graph <num_vertices>'"),
+        ("", "missing 'graph' line"),
+        ("# no graph\n", "missing 'graph' line"),
+    ])
+    def test_bad_graph_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
     def test_invalid_edge_reported_as_parse_error(self):
         with pytest.raises(ParseError, match="self-loop"):
             parse_graph("graph 2\nedge 1 1\n")
@@ -177,6 +189,14 @@ class TestRandomNavigableRelation:
     def test_deterministic(self):
         assert random_navigable_relation(3, 42) == random_navigable_relation(3, 42)
 
+    def test_draws_run_out(self, monkeypatch):
+        monkeypatch.setattr(gen, "is_nand_free", lambda rel: False)
+        with pytest.raises(GenerationError) as err:
+            random_navigable_relation(3, 0)
+        assert str(err.value) == (
+            "no NAND-free and dual-Horn-free relation of arity 3 after 1000 draws"
+        )
+
     def test_arity_one_any_nonempty(self):
         rel = random_navigable_relation(1, 0)
         assert rel.arity == 1 and rel.tuples
@@ -212,6 +232,11 @@ class TestRandomFormula:
             rels = [random_navigable_relation(seed % 4 + 1, seed * 3 + 1)]
             phi, _, _ = random_formula(rels, 6, 3, seed)
             assert classify_formula(phi).verdict is Verdict.NAVIGABLE
+
+    def test_needs_a_relation(self):
+        with pytest.raises(PreconditionError) as err:
+            random_formula([], 4, 1, 0)
+        assert str(err.value) == "need at least one relation"
 
     def test_unsatisfiable_relations_exhaust(self):
         empty = Relation(2, frozenset())

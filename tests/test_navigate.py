@@ -348,7 +348,8 @@ class TestSolveDispatch:
     def test_stats_of_a_path5_solve(self):
         # the counts the benchmark's tracer reads: two levels, four walks
         res = solve(PATH_PHI, 0b000, 0b110)
-        assert res.stats == SolveStats(levels=2, eta_entry=4, dag_builds=4)
+        assert res.stats == SolveStats(levels=2, eta_entry=4)
+        assert res.stats.dag_builds == 4
 
     def test_hard_with_oracle(self):
         k3 = SimpleGraph(3, ((1, 2), (1, 3), (2, 3)))

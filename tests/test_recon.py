@@ -23,7 +23,7 @@ from satflip import (
     sat_mask,
     solution_table,
 )
-from satflip.bits import hamming, var_bit
+from satflip.bits import hamming
 from satflip import recon
 from satflip.recon import graph_size, graph_to_dot, members
 
@@ -83,13 +83,6 @@ class TestSolutionTable:
             (Clause("one", (1,)), Clause("one", (CONST0,)), Clause("one", (2,))),
         )
         assert solution_table(phi.compiled) == 0
-
-    def test_low_masks(self):
-        for n in range(1, 7):
-            masks = list(recon._low_masks(n))
-            assert len(masks) == n
-            for v, mask in enumerate(masks, 1):
-                assert members(mask) == [a for a in range(1 << n) if var_bit(a, v, n) == 0]
 
     def test_members(self):
         rng = random.Random(4)

@@ -32,8 +32,8 @@ def build_records():
         (Formula(3, (("p", PATH5),), (Clause("p", (1, 2, 3)),)), "num_vars"),
         (SimpleGraph(3, ((2, 1), (3, 2))), "edges"),
         (Clause("p", (1, 2, 3)), "args"),
-        (SolveResult(Outcome.PATH, (Flip(3, True),), stats=SolveStats(1, 2, 2)), "flips"),
-        (SolveStats(2, 4, 4), "levels"),
+        (SolveResult(Outcome.PATH, (Flip(3, True),), stats=SolveStats(1, 2)), "flips"),
+        (SolveStats(2, 4), "levels"),
     ]
 
 
@@ -97,7 +97,7 @@ def test_reprs_name_the_fields():
     assert repr(RestrictionMap(2, 1, (1, "c0"))) == (
         "RestrictionMap(source_arity=2, target_arity=1, entries=(1, 'c0'))"
     )
-    assert repr(SolveStats(levels=2)) == "SolveStats(levels=2, eta_entry=0, dag_builds=0)"
+    assert repr(SolveStats(levels=2)) == "SolveStats(levels=2, eta_entry=0)"
 
 
 def test_formula_keeps_its_compiled_form():
@@ -111,7 +111,7 @@ def test_formula_keeps_its_compiled_form():
 def test_solve_results_share_no_mutable_stats():
     first, second = SolveResult(Outcome.PATH), SolveResult(Outcome.PATH)
     assert first == second
-    assert first.stats == SolveStats(levels=0, eta_entry=0, dag_builds=0)
+    assert first.stats == SolveStats(levels=0, eta_entry=0)
     with pytest.raises(AttributeError):
         first.stats.levels += 1
     assert (first.stats.levels, second.stats.levels) == (0, 0)
@@ -123,7 +123,19 @@ def test_solve_records_are_immutable_values():
         result.flips = ()
     assert result.flips is None and result.length is None
     assert result == SolveResult(Outcome.HARD, flips=None)
-    assert SolveStats(1, 2, 3) == SolveStats(levels=1, eta_entry=2, dag_builds=3)
+    assert SolveStats(1, 2) == SolveStats(levels=1, eta_entry=2)
+
+
+def test_walk_count_is_derived_from_the_levels():
+    # two backward walks per level; the record stores no third count
+    # that could disagree with its levels
+    stats = SolveStats(levels=3, eta_entry=7)
+    assert stats.dag_builds == 6 and SolveStats().dag_builds == 0
+    assert SolveStats._fields == ("levels", "eta_entry")
+    with pytest.raises(AttributeError):
+        stats.dag_builds = 6
+    with pytest.raises(TypeError):
+        SolveStats(1, 2, 2)
 
 
 def test_solve_and_exact_search_return_one_type():

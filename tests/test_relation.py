@@ -704,6 +704,27 @@ class TestValidation:
         with pytest.raises(PreconditionError, match="arity must be an integer"):
             RestrictionMap(source, target, (1,) * int(source))
 
+    def test_from_bitstrings(self):
+        with pytest.raises(PreconditionError) as err:
+            Relation.from_bitstrings([])
+        assert str(err.value) == "cannot infer arity from an empty tuple list"
+        with pytest.raises(PreconditionError) as err:
+            Relation.from_bitstrings(["01", "1"])
+        assert str(err.value) == "bad tuple '1' for arity 2"
+
+    def test_map_entry_count(self):
+        with pytest.raises(PreconditionError) as err:
+            RestrictionMap(2, 2, (1,))
+        assert str(err.value) == "expected 2 entries, got 1"
+
+    def test_then_needs_matching_arities(self):
+        inner, outer = RestrictionMap(3, 2, (1, 2, 2)), RestrictionMap(3, 1, (1, 1, 1))
+        with pytest.raises(PreconditionError) as err:
+            inner.then(outer)
+        assert str(err.value) == (
+            "cannot compose: inner target arity 2 != outer source arity 3"
+        )
+
     @pytest.mark.parametrize("entry", [True, False])
     def test_map_bool_entry(self, entry):
         # bool is an int subclass; True would otherwise pass as position 1
@@ -723,6 +744,18 @@ class TestRelFormat:
     def test_missing_arity(self):
         with pytest.raises(ParseError):
             parse_relation("01\n")
+
+    @pytest.mark.parametrize("arity", ["0", "9"])
+    def test_arity_out_of_range(self, arity):
+        with pytest.raises(ParseError) as err:
+            parse_relation(f"# c\narity {arity}\n")
+        assert str(err.value) == "line 2: arity must be in 1..8"
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    def test_no_arity_line(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_relation(text)
+        assert str(err.value) == "missing 'arity' line"
 
     def test_bad_row_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
