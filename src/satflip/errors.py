@@ -1,18 +1,33 @@
-"""Exception hierarchy shared by the whole package, and the two readers
-every input format shares.
+"""Exception hierarchy shared by the whole package, and the token rule
+every input format is read by.
 
 The CLI maps these onto exit codes: ParseError -> 1, PreconditionError
 (and subclasses) -> 2, TheoryError -> 3.
 
 The four text formats (.cnfs, .rel, .graph and DIMACS) read their lines
-through :func:`content_lines` and every count, index and literal
-through :func:`read_decimal`, so one token rule holds for all of them:
-ASCII digits 0-9 after at most one leading ``-``. Python's ``int()``
-would also take ``+``, ``_`` and non-ASCII digits. Every count, index,
-tuple and flip variable that a Python caller passes in follows one
-integer rule, ``type(x) is int``: a bool, an int subclass, a float or a
-str raises PreconditionError (FlipSequenceError for a flip).
+through :func:`content_lines`, and one token rule holds for every count,
+index and literal in them: ASCII digits 0-9 after at most one leading
+``-``. Python's ``int()`` would also take ``+``, ``_`` and non-ASCII
+digits. The rule is written once, here, as the pattern ``DECIMAL``, and
+each reader applies it through this module: :func:`read_decimal` reads
+one token, :func:`read_decimals` a whole DIMACS clause line in one
+match, and ``ARGUMENTS`` matches the arguments of a .cnfs clause line
+in one match. The line patterns split tokens on exactly the whitespace
+``str.split()`` splits on. Every count, index, tuple and flip variable
+that a Python caller passes in follows one integer rule,
+``type(x) is int``: a bool, an int subclass, a float or a str raises
+PreconditionError (FlipSequenceError for a flip).
 """
+
+import re
+
+# The token rule. A line pattern joins its tokens with \s+, and \s is
+# exactly the whitespace that str.split() splits on.
+DECIMAL = "-?[0-9]+"
+_decimal = re.compile(DECIMAL).fullmatch
+_decimals = re.compile(rf"{DECIMAL}(?:\s+{DECIMAL})*").fullmatch
+# The arguments of a .cnfs clause line: x<i>, T or F, at least one.
+ARGUMENTS = re.compile(rf"(?:x{DECIMAL}|[TF])(?:\s+(?:x{DECIMAL}|[TF]))*")
 
 
 class SatFlipError(Exception):
@@ -41,13 +56,23 @@ def content_lines(text: str, comment: str | None = None):
 def read_decimal(token: str, message: str, line: int | None = None) -> int:
     """The int `token` spells in ASCII digits after at most one ``-``;
     anything else, or more digits than int() takes, raises ParseError."""
-    digits = token[1:] if token[:1] == "-" else token
-    if digits.isascii() and digits.isdigit():
+    if _decimal(token):
         try:
             return int(token)
         except ValueError:
             pass
     raise ParseError(message, line)
+
+
+def read_decimals(text: str) -> list[int] | None:
+    """The ints of `text`, tokens split on whitespace, when every token
+    follows the token rule and int() takes it; otherwise None."""
+    if _decimals(text):
+        try:
+            return list(map(int, text.split()))
+        except ValueError:
+            pass
+    return None
 
 
 class PreconditionError(SatFlipError):

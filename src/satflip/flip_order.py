@@ -358,15 +358,22 @@ def formula_flip_dag(compiled: CompiledFormula, assignment: int) -> FlipOrderDag
     return FlipOrderDag(frozenset(nodes), edges)
 
 
+def _dag_flips(dag: FlipOrderDag, flips: Iterable[int]) -> set[int]:
+    """The flips as a set. Each must be an int (the integer rule) and a
+    node of the DAG; the message lists the ints that are not nodes,
+    ascending, then every value that is not an int."""
+    flips = list(flips)
+    others = [v for v in flips if type(v) is not int]
+    extra = sorted({v for v in flips if type(v) is int} - dag.nodes)
+    if extra or others:
+        raise PreconditionError(f"flips not in the DAG: {extra + others}")
+    return set(flips)
+
+
 def smallest_lower_set(dag: FlipOrderDag, flips: Iterable[int]) -> frozenset[int]:
     """Close a set of flips under predecessors: the smallest superset that
     is downward closed in the DAG's reachability order."""
-    want = set(flips)
-    extra = want - dag.nodes
-    if extra:
-        raise PreconditionError(
-            f"flips not in the DAG: {sorted(extra)}"
-        )
+    want = _dag_flips(dag, flips)
     preds = dag.predecessor_map()
     stack = list(want)
     closed = set(want)
@@ -383,10 +390,7 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
     """A topological ordering of a downward-closed flip set of the DAG,
     by :func:`_kahn` over the set's predecessors, so ties go to the
     lowest variable index."""
-    chosen = set(flips)
-    extra = chosen - dag.nodes
-    if extra:
-        raise PreconditionError(f"flips not in the DAG: {sorted(extra)}")
+    chosen = _dag_flips(dag, flips)
     for u, v in dag.edges:
         if v in chosen and u not in chosen:
             raise PreconditionError(

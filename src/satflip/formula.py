@@ -13,17 +13,24 @@ over one byte per variable, and checked against every clause in one
 pass. The solvers, flip orders and exact search read only the compiled
 form; each walker holds its tables in locals, so a flip is checked
 against the clauses of its variable only.
+
+The .cnfs and DIMACS readers read each clause line in one match of a
+token-rule pattern (:mod:`satflip.errors`); a refused .cnfs clause line
+is read again, token by token, only to name its first bad argument. The
+readers check every field as they read it, so they build the
+:class:`Formula` without running its constructor's checks again.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from operator import and_, itemgetter, rshift
 from typing import NamedTuple
 
 from .bits import from_bitstring, to_bitstring
-from .errors import ParseError, PreconditionError, content_lines, read_decimal
+from .errors import ARGUMENTS, ParseError, PreconditionError, TheoryError
+from .errors import content_lines, read_decimal, read_decimals
 from .records import Frozen, set_field
 from .relation import CONST0, CONST1, Relation, RestrictionMap, restrict
 from .relation import pack_tuple, read_arity
@@ -35,6 +42,11 @@ class Clause(NamedTuple):
 
     relation_name: str
     args: tuple
+
+
+# A Clause from a (name, args) pair through tuple.__new__, which skips the
+# NamedTuple's Python-level __new__: the parsers build clauses in bulk.
+_make_clause = partial(tuple.__new__, Clause)
 
 
 class Formula(Frozen):
@@ -68,10 +80,7 @@ class Formula(Frozen):
                     raise PreconditionError(
                         f"clause {i} argument {a!r} out of range 1..{num_vars}"
                     )
-        set_field(self, "num_vars", num_vars)
-        set_field(self, "relations", relations)
-        set_field(self, "clauses", clauses)
-        set_field(self, "_by_name", by_name)
+        _fill(self, num_vars, relations, clauses, by_name)
 
     def relation(self, name: str) -> Relation:
         return self._by_name[name]
@@ -88,6 +97,16 @@ class Formula(Frozen):
         from .navigate import formula_route
 
         return formula_route(self)
+
+
+def _fill(phi: Formula, num_vars, relations, clauses, by_name) -> Formula:
+    """Set a formula's fields. The parsers call it on a bare instance,
+    since they check each field as :class:`Formula` does while reading it."""
+    set_field(phi, "num_vars", num_vars)
+    set_field(phi, "relations", relations)
+    set_field(phi, "clauses", clauses)
+    set_field(phi, "_by_name", by_name)
+    return phi
 
 
 class CompiledFormula(NamedTuple):
@@ -343,7 +362,7 @@ def parse_instance(text: str):
     endpoint_raw = {}
 
     for lineno, line in content_lines(text):
-        if line.startswith("#"):
+        if line[0] == "#":
             body = line[1:].strip()
             for key in ("s", "t"):
                 if body.startswith(f"{key}="):
@@ -364,6 +383,22 @@ def parse_instance(text: str):
             else:
                 tuples.add(t)
             continue
+        parts = line.split(None, 2)
+        if parts[0] == "clause":
+            if num_vars is None:
+                raise ParseError("'vars' must come before 'clause'", lineno)
+            if len(parts) < 2:
+                raise ParseError("expected 'clause <name> <args...>'", lineno)
+            name = parts[1]
+            rel = relations.get(name)
+            if rel is None:
+                raise ParseError(f"undefined relation {name!r}", lineno)
+            rest = parts[2] if len(parts) == 3 else ""
+            args = _arguments(rest, num_vars)
+            if args is None or len(args) != rel.arity:
+                _refuse_arguments(rest.split(), name, rel.arity, num_vars, lineno)
+            clauses.append(_make_clause((name, args)))
+            continue
         parts = line.split()
         directive = parts[0]
         if directive == "vars":
@@ -383,41 +418,6 @@ def parse_instance(text: str):
             if name in relations:
                 raise ParseError(f"duplicate relation name {name!r}", lineno)
             pending = (name, read_arity(parts[2], lineno), set(), lineno)
-        elif directive == "clause":
-            if num_vars is None:
-                raise ParseError("'vars' must come before 'clause'", lineno)
-            if len(parts) < 2:
-                raise ParseError("expected 'clause <name> <args...>'", lineno)
-            name = parts[1]
-            rel = relations.get(name)
-            if rel is None:
-                raise ParseError(f"undefined relation {name!r}", lineno)
-            raw_args = parts[2:]
-            if len(raw_args) != rel.arity:
-                raise ParseError(
-                    f"relation {name!r} has arity {rel.arity}, got "
-                    f"{len(raw_args)} arguments",
-                    lineno,
-                )
-            args = []
-            for tok in raw_args:
-                if tok == "T":
-                    args.append(CONST1)
-                elif tok == "F":
-                    args.append(CONST0)
-                elif tok.startswith("x"):
-                    idx = read_decimal(tok[1:], f"bad argument {tok!r}", lineno)
-                    if not 1 <= idx <= num_vars:
-                        raise ParseError(
-                            f"variable index {tok!r} out of range 1..{num_vars}",
-                            lineno,
-                        )
-                    args.append(idx)
-                else:
-                    raise ParseError(
-                        f"bad argument {tok!r} (expected x<i>, T, or F)", lineno
-                    )
-            clauses.append(Clause(name, tuple(args)))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
@@ -425,11 +425,49 @@ def parse_instance(text: str):
         raise ParseError(f"relation {pending[0]!r} not terminated by 'end'", pending[3])
     if num_vars is None:
         raise ParseError("missing 'vars' line")
-    phi = Formula(num_vars, tuple(relations.items()), tuple(clauses))
+    phi = _fill(object.__new__(Formula), num_vars, tuple(relations.items()),
+                tuple(clauses), relations)
 
     endpoints = {key: parse_assignment(bits, num_vars, lineno)
                  for key, (bits, lineno) in endpoint_raw.items()}
     return phi, endpoints.get("s"), endpoints.get("t")
+
+
+_CONSTANTS = {"T": CONST1, "F": CONST0}
+
+
+def _arguments(rest: str, num_vars: int) -> tuple | None:
+    """The arguments of a .cnfs clause line, `rest` being the line after
+    its relation name, read in one match; None when a token is not
+    x<i>, T or F, or names a variable outside 1..num_vars."""
+    if ARGUMENTS.fullmatch(rest):
+        try:
+            args = tuple([_CONSTANTS.get(tok) or int(tok[1:]) for tok in rest.split()])
+        except ValueError:  # more digits than int() takes
+            return None
+        for a in args:
+            if type(a) is int and not 0 < a <= num_vars:
+                return None
+        return args
+    return None
+
+
+def _refuse_arguments(tokens, name, arity, num_vars, lineno) -> None:
+    """Raise the ParseError of a clause line whose arguments were refused:
+    the argument count, or the first bad argument."""
+    if len(tokens) != arity:
+        raise ParseError(
+            f"relation {name!r} has arity {arity}, got {len(tokens)} arguments", lineno
+        )
+    for tok in tokens:
+        if tok in _CONSTANTS:
+            continue
+        if not tok.startswith("x"):
+            raise ParseError(f"bad argument {tok!r} (expected x<i>, T, or F)", lineno)
+        idx = read_decimal(tok[1:], f"bad argument {tok!r}", lineno)
+        if not 1 <= idx <= num_vars:
+            raise ParseError(f"variable index {tok!r} out of range 1..{num_vars}", lineno)
+    raise TheoryError(f"clause arguments {tokens} refused, but none is bad")
 
 
 def serialize_formula(phi: Formula) -> str:
@@ -451,15 +489,16 @@ def serialize_formula(phi: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DIMACS_RELATIONS = (
-    ("or2_pp", Relation(2, frozenset({0b01, 0b10, 0b11}))),
-    ("or2_pn", Relation(2, frozenset({0b00, 0b10, 0b11}))),
-    ("or2_np", Relation(2, frozenset({0b00, 0b01, 0b11}))),
-    ("or2_nn", Relation(2, frozenset({0b00, 0b01, 0b10}))),
-    ("or1_p", Relation(1, frozenset({0b1}))),
-    ("or1_n", Relation(1, frozenset({0b0}))),
-)
-
+# The named relation of a clause, by its literal count and whether its
+# first and last literals are positive.
+_DIMACS_RELATIONS = {
+    (2, True, True): ("or2_pp", Relation(2, frozenset({0b01, 0b10, 0b11}))),
+    (2, True, False): ("or2_pn", Relation(2, frozenset({0b00, 0b10, 0b11}))),
+    (2, False, True): ("or2_np", Relation(2, frozenset({0b00, 0b01, 0b11}))),
+    (2, False, False): ("or2_nn", Relation(2, frozenset({0b00, 0b01, 0b10}))),
+    (1, True, True): ("or1_p", Relation(1, frozenset({0b1}))),
+    (1, False, False): ("or1_n", Relation(1, frozenset({0b0}))),
+}
 
 def parse_dimacs_2cnf(text: str) -> Formula:
     """Convenience converter for DIMACS files whose clauses all have one
@@ -469,7 +508,7 @@ def parse_dimacs_2cnf(text: str) -> Formula:
     clauses = []
     used = set()
     for lineno, line in content_lines(text, "c"):
-        if line.startswith("p"):
+        if line[0] == "p":
             if num_vars is not None:
                 raise ParseError("duplicate 'p cnf' header", lineno)
             parts = line.split()
@@ -486,26 +525,25 @@ def parse_dimacs_2cnf(text: str) -> Formula:
             continue
         if num_vars is None:
             raise ParseError("missing 'p cnf' header", lineno)
-        message = f"bad clause line {line!r}"
-        lits = [read_decimal(tok, message, lineno) for tok in line.split()]
-        if not lits or lits[-1] != 0:
+        lits = read_decimals(line)
+        if lits is None:
+            raise ParseError(f"bad clause line {line!r}", lineno)
+        if lits.pop() != 0:
             raise ParseError("clause line must end with 0", lineno)
-        lits = lits[:-1]
         if not 1 <= len(lits) <= 2:
             raise ParseError("only 1- and 2-literal clauses are supported", lineno)
-        for lit in lits:
-            if not 1 <= abs(lit) <= num_vars:
-                raise ParseError(f"literal {lit} out of range", lineno)
-        if len(lits) == 1:
-            name = "or1_p" if lits[0] > 0 else "or1_n"
-        else:
-            name = "or2_" + "".join("p" if lit > 0 else "n" for lit in lits)
+        args = tuple(map(abs, lits))
+        if 0 in args or max(args) > num_vars:
+            bad = next(lit for lit in lits if not 1 <= abs(lit) <= num_vars)
+            raise ParseError(f"literal {bad} out of range", lineno)
+        name = _DIMACS_RELATIONS[len(lits), lits[0] > 0, lits[-1] > 0][0]
         used.add(name)
-        clauses.append(Clause(name, tuple(abs(lit) for lit in lits)))
+        clauses.append(_make_clause((name, args)))
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
     if len(clauses) != num_clauses:
         raise ParseError(f"header declares {num_clauses} clauses, "
                          f"the file has {len(clauses)}", header)
-    relations = tuple(pair for pair in _DIMACS_RELATIONS if pair[0] in used)
-    return Formula(num_vars, relations, tuple(clauses))
+    relations = tuple(pair for pair in _DIMACS_RELATIONS.values() if pair[0] in used)
+    return _fill(object.__new__(Formula), num_vars, relations, tuple(clauses),
+                 dict(relations))

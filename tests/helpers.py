@@ -16,6 +16,7 @@ from satflip import (
     CONST0,
     CONST1,
     Clause,
+    ParseError,
     Flip,
     FlipSequenceError,
     Formula,
@@ -32,7 +33,9 @@ from satflip import (
     random_formula,
     random_navigable_relation,
 )
-from satflip.bits import var_bit
+from satflip.bits import from_bitstring, var_bit
+from satflip.errors import content_lines, read_decimal
+from satflip.formula import parse_assignment
 from satflip.recon import members, solution_table
 from satflip.relation import (
     DUAL_HORN_PLACEMENTS,
@@ -44,6 +47,7 @@ from satflip.relation import (
     _table_components,
     is_dual_horn_free,
     is_nand_free,
+    read_arity,
 )
 
 
@@ -845,3 +849,166 @@ def non_decimal_cases(sites, tokens=NON_DECIMAL_TOKENS):
     message its parser raises, each with `{tok}` where the token goes."""
     return [(text.format(tok=tok), message.format(tok=tok))
             for text, message in sites for tok in tokens]
+
+
+# ------------------------------------------------------- reference readers
+#
+# The library's .cnfs and DIMACS readers read each clause line in one
+# match and build the Formula without re-checking it. These references
+# read every token through read_decimal and build it through the checking
+# constructor; both must give the same result or the same ParseError.
+
+def reference_parse_instance(text):
+    """`satflip.parse_instance`, token by token."""
+    num_vars = None
+    relations = {}
+    clauses = []
+    pending = None  # (name, arity, tuples, start_line) of an open relation block
+    endpoint_raw = {}
+
+    for lineno, line in content_lines(text):
+        if line.startswith("#"):
+            body = line[1:].strip()
+            for key in ("s", "t"):
+                if body.startswith(f"{key}="):
+                    if key in endpoint_raw:
+                        raise ParseError(f"duplicate '{key}=' endpoint", lineno)
+                    endpoint_raw[key] = (body[2:].strip(), lineno)
+            continue
+        if pending is not None:
+            name, arity, tuples, start = pending
+            if line == "end":
+                relations[name] = Relation(arity, frozenset(tuples))
+                pending = None
+            elif (t := from_bitstring(line, arity)) is None:
+                raise ParseError(
+                    f"expected a {arity}-bit tuple or 'end' in relation {name!r}",
+                    lineno,
+                )
+            else:
+                tuples.add(t)
+            continue
+        parts = line.split()
+        directive = parts[0]
+        if directive == "vars":
+            if num_vars is not None:
+                raise ParseError("duplicate 'vars' line", lineno)
+            if len(parts) != 2:
+                raise ParseError("expected 'vars <n>'", lineno)
+            num_vars = read_decimal(parts[1], f"bad variable count {parts[1]!r}", lineno)
+            if num_vars < 1:
+                raise ParseError("variable count must be >= 1", lineno)
+        elif directive == "relation":
+            if num_vars is None:
+                raise ParseError("'vars' must come before 'relation'", lineno)
+            if len(parts) != 3:
+                raise ParseError("expected 'relation <name> <arity>'", lineno)
+            name = parts[1]
+            if name in relations:
+                raise ParseError(f"duplicate relation name {name!r}", lineno)
+            pending = (name, read_arity(parts[2], lineno), set(), lineno)
+        elif directive == "clause":
+            if num_vars is None:
+                raise ParseError("'vars' must come before 'clause'", lineno)
+            if len(parts) < 2:
+                raise ParseError("expected 'clause <name> <args...>'", lineno)
+            name = parts[1]
+            rel = relations.get(name)
+            if rel is None:
+                raise ParseError(f"undefined relation {name!r}", lineno)
+            raw_args = parts[2:]
+            if len(raw_args) != rel.arity:
+                raise ParseError(
+                    f"relation {name!r} has arity {rel.arity}, got "
+                    f"{len(raw_args)} arguments",
+                    lineno,
+                )
+            args = []
+            for tok in raw_args:
+                if tok == "T":
+                    args.append(CONST1)
+                elif tok == "F":
+                    args.append(CONST0)
+                elif tok.startswith("x"):
+                    idx = read_decimal(tok[1:], f"bad argument {tok!r}", lineno)
+                    if not 1 <= idx <= num_vars:
+                        raise ParseError(
+                            f"variable index {tok!r} out of range 1..{num_vars}",
+                            lineno,
+                        )
+                    args.append(idx)
+                else:
+                    raise ParseError(
+                        f"bad argument {tok!r} (expected x<i>, T, or F)", lineno
+                    )
+            clauses.append(Clause(name, tuple(args)))
+        else:
+            raise ParseError(f"unknown directive {directive!r}", lineno)
+
+    if pending is not None:
+        raise ParseError(f"relation {pending[0]!r} not terminated by 'end'", pending[3])
+    if num_vars is None:
+        raise ParseError("missing 'vars' line")
+    phi = Formula(num_vars, tuple(relations.items()), tuple(clauses))
+
+    endpoints = {key: parse_assignment(bits, num_vars, lineno)
+                 for key, (bits, lineno) in endpoint_raw.items()}
+    return phi, endpoints.get("s"), endpoints.get("t")
+
+
+DIMACS_RELATIONS = {
+    "or2_pp": Relation(2, frozenset({0b01, 0b10, 0b11})),
+    "or2_pn": Relation(2, frozenset({0b00, 0b10, 0b11})),
+    "or2_np": Relation(2, frozenset({0b00, 0b01, 0b11})),
+    "or2_nn": Relation(2, frozenset({0b00, 0b01, 0b10})),
+    "or1_p": Relation(1, frozenset({0b1})),
+    "or1_n": Relation(1, frozenset({0b0})),
+}
+
+
+def reference_parse_dimacs_2cnf(text):
+    """`satflip.parse_dimacs_2cnf`, token by token."""
+    num_vars = None
+    clauses = []
+    used = set()
+    for lineno, line in content_lines(text, "c"):
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError("duplicate 'p cnf' header", lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
+            message = f"bad header counts in {line!r}"
+            num_vars = read_decimal(parts[2], message, lineno)
+            num_clauses = read_decimal(parts[3], message, lineno)
+            header = lineno
+            if num_vars < 1:
+                raise ParseError("variable count must be >= 1", lineno)
+            if num_clauses < 0:
+                raise ParseError("clause count must be >= 0", lineno)
+            continue
+        if num_vars is None:
+            raise ParseError("missing 'p cnf' header", lineno)
+        message = f"bad clause line {line!r}"
+        lits = [read_decimal(tok, message, lineno) for tok in line.split()]
+        if not lits or lits[-1] != 0:
+            raise ParseError("clause line must end with 0", lineno)
+        lits = lits[:-1]
+        if not 1 <= len(lits) <= 2:
+            raise ParseError("only 1- and 2-literal clauses are supported", lineno)
+        for lit in lits:
+            if not 1 <= abs(lit) <= num_vars:
+                raise ParseError(f"literal {lit} out of range", lineno)
+        if len(lits) == 1:
+            name = "or1_p" if lits[0] > 0 else "or1_n"
+        else:
+            name = "or2_" + "".join("p" if lit > 0 else "n" for lit in lits)
+        used.add(name)
+        clauses.append(Clause(name, tuple(abs(lit) for lit in lits)))
+    if num_vars is None:
+        raise ParseError("missing 'p cnf' header")
+    if len(clauses) != num_clauses:
+        raise ParseError(f"header declares {num_clauses} clauses, "
+                         f"the file has {len(clauses)}", header)
+    relations = tuple((name, rel) for name, rel in DIMACS_RELATIONS.items() if name in used)
+    return Formula(num_vars, relations, tuple(clauses))

@@ -24,10 +24,13 @@ from satflip import (
     bfs_shortest,
     evaluate,
     lower_set_sequence,
+    order_respecting_sequence,
     random_formula,
     random_navigable_relation,
     relation_partial_order,
+    smallest_lower_set,
 )
+from satflip.flip_order import formula_flip_dag
 from satflip.formula import FlipState
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "satflip"
@@ -45,6 +48,8 @@ BAD_IDS = ["bool", "float", "IntEnum", "str"]
 IMP = Relation.from_bitstrings(["00", "01", "11"])
 OR = Relation.from_bitstrings(["01", "10", "11"])
 IMP_PHI = Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)),))
+# raising x1 needs x2 raised first, so {2} is a lower set
+IMP_DAG = formula_flip_dag(IMP_PHI.compiled, 0)
 
 # site -> (call with the value, the message the call raises for a refused
 # value, the index of the refused flip or None)
@@ -100,6 +105,12 @@ SITES = {
     "random_formula-num_clauses": (
         lambda x: random_formula([IMP], 4, x, 0),
         lambda x: f"num_clauses must be at least 0, got {x}", None),
+    "smallest_lower_set": (
+        lambda x: smallest_lower_set(IMP_DAG, [x]),
+        lambda x: f"flips not in the DAG: [{x!r}]", None),
+    "order_respecting_sequence": (
+        lambda x: order_respecting_sequence(IMP_DAG, [x]),
+        lambda x: f"flips not in the DAG: [{x!r}]", None),
     "lower_set_sequence": (
         lambda x: lower_set_sequence(FlipState(IMP_PHI.compiled, 0), [x]),
         lambda x: f"x{x} names no variable in 1..2", None),
@@ -116,6 +127,20 @@ def test_every_site_refuses_what_is_not_an_int(site, value):
     assert str(err.value) == message(value)
     if index is not None:
         assert type(err.value) is FlipSequenceError and err.value.index == index
+
+
+@pytest.mark.parametrize("call", [smallest_lower_set, order_respecting_sequence])
+def test_dag_flip_sets_name_every_refused_value(call):
+    # True == 1 and 3.0 == 3 are nodes by set membership, yet are refused;
+    # the ints outside the DAG come first, ascending, then the rest in order
+    path5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
+    dag = formula_flip_dag(Formula(3, (("p", path5),), (Clause("p", (1, 2, 3)),)).compiled, 0)
+    for flips, shown in [({True, 2, 3}, "[True]"), ({3.0}, "[3.0]"), ([3, 1, True], "[True]"),
+                         ([1, "x", 5, 4, 5, [2]], "[4, 5, 'x', [2]]")]:
+        with pytest.raises(PreconditionError) as err:
+            call(dag, flips)
+        assert str(err.value) == f"flips not in the DAG: {shown}"
+    assert call(dag, iter([1, 2, 3, 3])) == call(dag, {1, 2, 3})
 
 
 def outcome(call):
