@@ -5,7 +5,8 @@ The CLI maps these onto exit codes: ParseError -> 1, PreconditionError
 (and subclasses) -> 2, TheoryError -> 3.
 
 The four text formats (.cnfs, .rel, .graph and DIMACS) read their lines
-through :func:`content_lines`, and one token rule holds for every count,
+through :func:`content_lines`, which ends a line only at ``\n``,
+``\r\n`` or ``\r``, and one token rule holds for every count,
 index and literal in them: ASCII digits 0-9 after at most one leading
 ``-``. Python's ``int()`` would also take ``+``, ``_`` and non-ASCII
 digits. The rule is written once, here, as the pattern ``DECIMAL``, and
@@ -46,8 +47,13 @@ class ParseError(SatFlipError):
 
 def content_lines(text: str, comment: str | None = None):
     """Yield (1-based line number, stripped line) for each line of `text`
-    that is neither blank nor starts with `comment`."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    that is neither blank nor starts with `comment`. A line ends only at
+    ``\n``, ``\r\n`` or ``\r``. ``str.splitlines()`` would also end one
+    at ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``, U+2028 and
+    U+2029, which are whitespace between the tokens of a line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if line and not (comment and line.startswith(comment)):
             yield lineno, line

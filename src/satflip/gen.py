@@ -15,7 +15,6 @@ import random
 from .errors import GenerationError, ParseError, PreconditionError
 from .errors import content_lines, read_decimal
 from .formula import Clause, Formula, restricted_clause
-from .recon import clause_table, members
 from .records import Frozen, set_field
 from .relation import Relation, is_dual_horn_free, is_nand_free
 
@@ -164,6 +163,10 @@ def random_formula(relations, num_vars: int, num_clauses: int, seed: int):
     solution table is then narrowed clause by clause, and the draw is
     refused at the first clause that empties it.
     """
+    # Only this builder needs the exact search's table, so reading a
+    # graph or building a reduction loads neither it nor the solvers.
+    from .recon import clause_table, members
+
     if type(num_vars) is not int or not 1 <= num_vars <= 16:
         raise PreconditionError(
             f"num_vars must be in 1..16 for explicit endpoint sampling, got {num_vars}"

@@ -8,14 +8,21 @@ solver. Like the solvers, it reads a formula's compiled form,
 solvers' :class:`~satflip.flip_order.SolveResult`, so the two compare
 by ``(outcome, length)``.
 
-The solution set is one Python int, :func:`solution_table`: bit ``a`` is
-set iff assignment ``a`` satisfies the formula, the ``Relation.table``
-convention at arity n. Every set of assignments below is such an int,
-so a set operation over all 2^n assignments is one big-int operation.
-Flipping variable v, of weight w = 2^(n-v), moves a set by w bits: up
-from the assignments where v is 0 (its low mask, from
-:func:`~satflip.bits.low_masks`), down from the others. Nothing here
-needs numpy; only the :func:`sat_mask` view loads it.
+The solution set is one table, cut into blocks: with bits = min(n,
+BLOCK_BITS), it is a list of 2^(n - bits) ints, and bit p of block i is
+set iff assignment ``(i << bits) + p`` satisfies the formula, the
+``Relation.table`` convention at arity n read block by block.
+:func:`clause_blocks` builds it; :func:`bfs_shortest`,
+:func:`graph_size` and :func:`build_graph` read it, and
+:func:`solution_table` joins it into one int. A set operation over all
+2^n assignments is one big-int operation per block. Flipping variable v,
+of weight w = 2^(n-v), moves a block's set by w bits when w is below
+2^bits: up from the assignments where v is 0 (its low mask, from
+:func:`~satflip.bits.low_masks` at the block's width), down from the
+others. A variable of weight 2^bits or more is a bit of the block
+number, so its flip moves whole blocks. No table of 2^n bits is built
+on the way. Nothing here needs numpy; only the :func:`sat_mask` view
+loads it.
 """
 
 from __future__ import annotations
@@ -31,23 +38,27 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_STATE_CAP = 20
-# Peak bytes of a search per assignment. The peak is building the
-# solution table: the n low masks (n/8 bytes), the table, and up to k + 1
-# parts of it while a clause of arity k is split. tracemalloc measured
-# 2.80 / 3.07 bytes at n = 20 / 22 on the clause-free formula, and 3.40 /
-# 3.66 with one arity-8 clause; each variable adds about 0.13, so about
-# 4.2 at n = 26. A cap is accepted while 2^cap states fit in the budget.
-BYTES_PER_STATE = 5
+# Peak bytes of a search per assignment. The search holds the solution
+# blocks, its distance planes, the layer it expands, what that reaches and
+# the next layer, each at most one bit per assignment, plus the low masks
+# of one block (128 KiB). Its tracemalloc peak measured 0.97 / 0.85 / 0.82
+# bytes at n = 20 / 22 / 24, on the clause-free formula and with one
+# arity-8 clause alike, so it does not grow with n; counting the graph
+# peaks below 0.3. Rounded up to an int with headroom. A cap is accepted
+# while 2^cap states fit the budget.
+BYTES_PER_STATE = 2
 STATE_BYTE_BUDGET = 1 << 29  # 512 MiB
-MAX_STATE_CAP = (STATE_BYTE_BUDGET // BYTES_PER_STATE).bit_length() - 1  # 26
+MAX_STATE_CAP = (STATE_BYTE_BUDGET // BYTES_PER_STATE).bit_length() - 1  # 28
 # Peak bytes of graph_to_dot(build_graph(...)) per state and per edge:
-# tracemalloc measured 186 per state at n = 24 (no edges) and 339 per edge
-# at n = 20 (17 free variables); the DOT text adds about 6 bytes per edge
-# for each further variable. Both values cover n = 26.
-GRAPH_BYTES_PER_STATE = 190
-GRAPH_BYTES_PER_EDGE = 380
-# bfs_shortest cuts the table into blocks of 2^BLOCK_BITS assignments
-# (8 KiB each), so that an operation skips empty blocks and stays small.
+# tracemalloc measured 187 / 199 per state at n = 24 / 28 (no edges), and
+# 337 / 376 / 389 per edge at n = 20 / 26 / 28 (14 free variables); the
+# DOT text adds about 6 bytes per edge for each further variable. Both
+# values cover n = MAX_STATE_CAP.
+GRAPH_BYTES_PER_STATE = 200
+GRAPH_BYTES_PER_EDGE = 400
+# The solution table is cut into blocks of 2^BLOCK_BITS assignments (8 KiB
+# each), so that an operation skips empty blocks and stays small. At least
+# 3, so that a block is whole bytes.
 BLOCK_BITS = 16
 
 
@@ -65,43 +76,69 @@ def check_cap(cap: int) -> None:
         )
 
 
+def clause_blocks(n: int, clauses) -> list[int]:
+    """The assignments of n variables that satisfy every clause, given as
+    (variables, accept) pairs in the :class:`CompiledFormula` layout, as
+    the blocks of the module docstring.
+
+    Starts from all 2^n assignments and clears, clause by clause and block
+    by block, the subcube of each falsifying local tuple. The subcubes of
+    one clause come from splitting the block position by position: on the
+    low mask of the position's variable, or, for a variable that is a bit
+    of the block number, by taking that bit's branch alone. So tuples
+    sharing a prefix share its splits, and a prefix all of whose tuples
+    falsify the clause is cleared whole. Reads the clauses one at a time
+    and stops as soon as every block is 0, without reading the rest.
+    """
+    bits = min(n, BLOCK_BITS)
+    outer = n - bits  # variables 1..outer are bits of the block number
+    masks = [0] * (outer + 1) + list(low_masks(bits))  # masks[v] for v > outer
+    blocks = [(1 << (1 << bits)) - 1] * (1 << outer)
+    for variables, accept in clauses:
+        k = len(variables)
+        reject = accept ^ ((1 << (1 << k)) - 1)
+        for i, table in enumerate(blocks):
+            if not table:
+                continue
+            parts = [(table, 0, 0)]  # (assignments of the prefix, its length, prefix)
+            while parts:
+                part, depth, prefix = parts.pop()
+                width = 1 << (k - depth)  # local tuples that extend the prefix
+                rejected = (reject >> (prefix * width)) & ((1 << width) - 1)
+                if rejected == (1 << width) - 1:
+                    table ^= part
+                elif rejected and part:
+                    v = variables[depth]
+                    if v <= outer:
+                        parts.append((part, depth + 1, 2 * prefix + (i >> (outer - v) & 1)))
+                    else:
+                        zero = part & masks[v]
+                        parts.append((part ^ zero, depth + 1, 2 * prefix + 1))
+                        parts.append((zero, depth + 1, 2 * prefix))
+            blocks[i] = table
+        if not any(blocks):
+            break
+    return blocks
+
+
+def clause_table(n: int, clauses) -> int:
+    """:func:`clause_blocks` joined into one int: bit a is set iff
+    assignment a satisfies every clause."""
+    blocks = clause_blocks(n, clauses)
+    if len(blocks) == 1:
+        return blocks[0]
+    width = 1 << (min(n, BLOCK_BITS) - 3)  # bytes per block
+    return int.from_bytes(b"".join(b.to_bytes(width, "little") for b in blocks), "little")
+
+
 def solution_table(compiled: CompiledFormula) -> int:
     """The formula's solution set as one int: bit a is set iff assignment
     a satisfies every clause."""
     return clause_table(compiled.num_vars, zip(compiled.variables, compiled.accept))
 
 
-def clause_table(n: int, clauses) -> int:
-    """The assignments of n variables that satisfy every clause, given as
-    (variables, accept) pairs in the :class:`CompiledFormula` layout.
-
-    Starts from all 2^n assignments and clears, clause by clause, the
-    subcube of each falsifying local tuple. The subcubes of one clause
-    come from splitting the table position by position on the low mask
-    of the position's variable, so tuples sharing a prefix share its
-    splits, and a prefix all of whose tuples falsify the clause is cleared
-    whole. Returns 0 as soon as the table is 0, without reading the
-    remaining clauses.
-    """
-    masks = [0, *low_masks(n)]  # masks[v] for variable v
-    table = (1 << (1 << n)) - 1
-    for variables, accept in clauses:
-        k = len(variables)
-        reject = accept ^ ((1 << (1 << k)) - 1)
-        parts = [(table, 0, 0)]  # (assignments of the prefix, its length, prefix)
-        while parts:
-            part, depth, prefix = parts.pop()
-            width = 1 << (k - depth)  # local tuples that extend the prefix
-            rejected = (reject >> (prefix * width)) & ((1 << width) - 1)
-            if rejected == (1 << width) - 1:
-                table ^= part
-            elif rejected and part:
-                zero = part & masks[variables[depth]]
-                parts.append((part ^ zero, depth + 1, 2 * prefix + 1))
-                parts.append((zero, depth + 1, 2 * prefix))
-        if not table:
-            return 0
-    return table
+def _solution_blocks(compiled: CompiledFormula) -> list[int]:
+    return clause_blocks(compiled.num_vars, zip(compiled.variables, compiled.accept))
 
 
 def sat_mask(compiled: CompiledFormula) -> np.ndarray:
@@ -139,12 +176,23 @@ class ReconGraph(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
 
-def _edge_ends(table: int, n: int):
-    """Yield (w, lower) for v = 1..n: the flips of variable v are the
-    edges (u, u + w), and `lower` is the set of their ends u."""
-    for v, low in enumerate(low_masks(n), 1):
+def _edge_ends(blocks: list[int], n: int):
+    """Yield (base, w, lower) for v = 1..n and each block: the flips of
+    variable v, of weight w, inside the block that starts at assignment
+    `base` are the edges (base + u, base + u + w) for the set bits u of
+    `lower`. A variable that is a bit of the block number pairs the
+    blocks where it is 0 with those where it is 1."""
+    bits = min(n, BLOCK_BITS)
+    outer = n - bits
+    for v in range(1, outer + 1):
+        move = 1 << (outer - v)
+        for i, table in enumerate(blocks):
+            if not i & move:
+                yield i << bits, move << bits, table & blocks[i | move]
+    for v, low in enumerate(low_masks(bits), outer + 1):
         w = 1 << (n - v)
-        yield w, table & low & (table >> w)
+        for i, table in enumerate(blocks):
+            yield i << bits, w, table & low & (table >> w)
 
 
 def check_graph_vars(num_vars: int, cap: int) -> None:
@@ -155,26 +203,26 @@ def check_graph_vars(num_vars: int, cap: int) -> None:
         )
 
 
-def _counted_table(compiled: CompiledFormula, cap: int) -> tuple[int, int, int]:
-    """The solution table with the graph's state and edge counts."""
+def _counted_blocks(compiled: CompiledFormula, cap: int) -> tuple[list[int], int, int]:
+    """The solution blocks with the graph's state and edge counts."""
     check_cap(cap)
     n = compiled.num_vars
     check_graph_vars(n, cap)
-    table = solution_table(compiled)
-    edges = sum(lower.bit_count() for _, lower in _edge_ends(table, n))
-    return table, table.bit_count(), edges
+    blocks = _solution_blocks(compiled)
+    edges = sum(lower.bit_count() for _, _, lower in _edge_ends(blocks, n))
+    return blocks, sum(table.bit_count() for table in blocks), edges
 
 
 def graph_size(compiled: CompiledFormula, cap: int = DEFAULT_STATE_CAP) -> tuple[int, int]:
     """The number of states and of edges of the reconfiguration graph,
-    counted on the solution table without building either."""
-    return _counted_table(compiled, cap)[1:]
+    counted on the solution blocks without building either."""
+    return _counted_blocks(compiled, cap)[1:]
 
 
 def build_graph(compiled: CompiledFormula, cap: int = DEFAULT_STATE_CAP) -> ReconGraph:
     """The explicit graph. It is refused before any node or edge is built
     when it and its DOT text would not fit the byte budget."""
-    table, num_states, num_edges = _counted_table(compiled, cap)
+    blocks, num_states, num_edges = _counted_blocks(compiled, cap)
     n = compiled.num_vars
     need = num_states * GRAPH_BYTES_PER_STATE + num_edges * GRAPH_BYTES_PER_EDGE
     if need > STATE_BYTE_BUDGET:
@@ -183,11 +231,16 @@ def build_graph(compiled: CompiledFormula, cap: int = DEFAULT_STATE_CAP) -> Reco
             f" edges; with its DOT text that is about {need >> 20} MiB, above"
             f" the {STATE_BYTE_BUDGET >> 20} MiB budget"
         )
+    bits = min(n, BLOCK_BITS)
+    states: list[int] = []
+    for i, table in enumerate(blocks):
+        base = i << bits
+        states.extend([base + u for u in members(table)])
     edges: list[tuple[int, int]] = []
-    for w, lower in _edge_ends(table, n):
-        edges.extend([(u, u + w) for u in members(lower)])
+    for base, w, lower in _edge_ends(blocks, n):
+        edges.extend([(base + u, base + w + u) for u in members(lower)])
     edges.sort()
-    return ReconGraph(n, tuple(members(table)), tuple(edges))
+    return ReconGraph(n, tuple(states), tuple(edges))
 
 
 def bfs_shortest(
@@ -197,9 +250,9 @@ def bfs_shortest(
     a PATH answer (with ``()`` when s = t) or NOT_CONNECTED.
 
     The search runs from the target, one whole layer per step, on the
-    solution table cut into blocks of 2^BLOCK_BITS assignments (a dict
-    from block number to a table int; empty blocks are absent). Within a
-    block the neighbours of a layer F across variable v are
+    solution blocks; its layers are dicts from block number to a block
+    int, where empty blocks are absent. Within a block the neighbours of
+    a layer F across variable v are
     ``((F & low) << w) | ((F >> w) & low)``; a variable whose weight is a
     block or more moves whole blocks, so its flips only renumber them.
     Neighbours are kept where they satisfy the formula and were not
@@ -221,11 +274,7 @@ def bfs_shortest(
 
     bits = min(n, BLOCK_BITS)  # assignment a is bit a & inside of block a >> bits
     inside = (1 << bits) - 1
-    width = ((1 << bits) + 7) // 8
-    data = solution_table(compiled).to_bytes(width << (n - bits), "little")
-    unvisited = [int.from_bytes(data[i:i + width], "little")
-                 for i in range(0, len(data), width)]
-    del data
+    unvisited = _solution_blocks(compiled)
     shifts = [(low, 1 << (bits - v)) for v, low in enumerate(low_masks(bits), 1)]
     moves = [1 << v for v in range(n - bits)]
     frontier = {t >> bits: 1 << (t & inside)}

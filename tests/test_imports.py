@@ -91,6 +91,16 @@ def test_import_loads_no_module_and_classify_set_only_relation():
     ]
 
 
+def test_parse_graph_loads_neither_the_search_nor_the_solvers():
+    # gen imports recon inside random_formula, the one builder that needs
+    # the exact search's table, so reading a .graph file stays cheap
+    assert loaded_after("import satflip", "import satflip; satflip.parse_graph") == [
+        ["satflip"],
+        ["satflip.bits", "satflip.errors", "satflip.formula", "satflip.gen",
+         "satflip.records", "satflip.relation"],
+    ]
+
+
 def test_cli_still_loads_every_traced_module():
     # perfbench/worker.py's tracer looks `satflip.formula`, `.flip_order`,
     # `.navigate`, `.recon` and `.relation` up in `sys.modules` right

@@ -10,6 +10,7 @@ raise ParseErrors with the same message and line.
 
 import io
 import pathlib
+import re
 import sys
 from contextlib import redirect_stdout
 
@@ -22,7 +23,9 @@ from satflip import (
     Formula,
     ParseError,
     parse_dimacs_2cnf,
+    parse_graph,
     parse_instance,
+    parse_relation,
     serialize_formula,
 )
 from satflip.cli import main
@@ -41,8 +44,11 @@ DATA = pathlib.Path(__file__).parent / "data"
 # 3.10 has no limit, and there the token is read like any other.
 LONG = "7" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
 # Whitespace that str.split() splits on and that no base text uses;
-# str.splitlines() also ends a line at "\x1c", but not at "\x1f".
+# str.splitlines() would also end a line at "\x1c", the readers do not.
 UNICODE_SPACES = ("\u2003", "\x1c", "\x1f")
+# The line ends of str.splitlines() that are not "\n", "\r\n" or "\r":
+# inside a line they are whitespace between tokens.
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 CNFS_BASES = [path.read_text() for path in sorted(DATA.glob("*.cnfs"))] + [
     "# s=1010\n# t=0011\nvars 4\nrelation r 3\n000\n011\n101\n110\nend\n"
@@ -106,7 +112,7 @@ class TestCnfsReader:
     def test_pinned(self, text):
         assert_agree(parse_instance, reference_parse_instance, text)
 
-    @pytest.mark.parametrize("space", ["\u2003", "\x1f"])
+    @pytest.mark.parametrize("space", UNICODE_SPACES)
     def test_unicode_whitespace_separates_tokens(self, space):
         text = f"vars 3\nrelation r 2\n11\nend\nclause{space}r{space}x1{space}T\n"
         phi = assert_agree(parse_instance, reference_parse_instance, text)[0]
@@ -147,7 +153,7 @@ class TestDimacsReader:
     def test_pinned(self, text):
         assert_agree(parse_dimacs_2cnf, reference_parse_dimacs_2cnf, text)
 
-    @pytest.mark.parametrize("space", ["\u2003", "\x1f"])
+    @pytest.mark.parametrize("space", UNICODE_SPACES)
     def test_unicode_whitespace_separates_tokens(self, space):
         text = f"p cnf 3 1\n1{space}-2{space}0\n"
         phi = assert_agree(parse_dimacs_2cnf, reference_parse_dimacs_2cnf, text)
@@ -162,6 +168,48 @@ def test_line_patterns_split_on_the_whitespace_str_split_splits_on():
     assert len(spaces) == 29
     assert {c for c in chars if read_decimals(f"1{c}2") == [1, 2]} == spaces
     assert {c for c in chars if ARGUMENTS.fullmatch(f"x1{c}T")} == spaces
+
+
+class TestLineEnds:
+    """Every reader ends a line at "\n", "\r\n" and "\r" alone."""
+
+    def test_duplicate_vars_on_one_line_is_refused_on_line_1(self):
+        with pytest.raises(ParseError, match="^line 1: expected 'vars <n>'$"):
+            parse_instance("vars 3\x1cvars 3\n")
+
+    def test_next_line_character_separates_tokens(self):
+        phi = parse_instance("vars 3\nrelation r 1\n1\nend\nclause r\x85x1\n")[0]
+        assert phi.clauses == (Clause("r", (1,)),)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
+    def test_no_other_line_end(self, char):
+        # each text is refused on the line that holds the character
+        cases = [
+            (parse_instance, f"vars 3\nrelation r 2\n11\nend\nclause{char}r{char}x1{char}x4\n",
+             "line 5: variable index 'x4' out of range 1..3"),
+            (parse_dimacs_2cnf, f"p cnf 3 2\n1 2 0{char}-1 0\n", "line 2: only 1- and 2-literal clauses"),
+            (parse_relation, f"arity 2\n00{char}11\n", "line 2: expected a 2-bit tuple"),
+            (parse_graph, f"graph 3\nedge 1 2{char}edge 2 3\n", "line 2: expected 'edge <u> <v>'"),
+        ]
+        for reader, text, message in cases:
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+                reader(text)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_keep_results_and_line_numbers(self, newline):
+        texts = {
+            parse_instance: CNFS_BASES + [
+                "vars 3\nrelation r 2\n11\nend\n\n# a comment\nclause r x1 x4\n",
+            ],
+            parse_dimacs_2cnf: DIMACS_BASES + ["c\n\np cnf 3 1\n1 4 0\n"],
+            parse_relation: ["# PATH5\narity 3\n000\n001\n\n101\n111\n110\n",
+                             "arity 2\n00\n\n012\n"],
+            parse_graph: [path.read_text() for path in sorted(DATA.glob("*.graph"))]
+            + ["graph 3\n\n# comment\nedge 1 4\n"],
+        }
+        for reader, cases in texts.items():
+            for text in cases:
+                assert outcome(reader, text.replace("\n", newline)) == outcome(reader, text)
 
 
 def parsed_formulas():

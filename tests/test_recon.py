@@ -105,9 +105,10 @@ def small_gadgets():
 
 
 class TestAgainstDictSearch:
-    """The table search gives the same protocol lines and graphs as a
-    plain dict BFS over naively evaluated assignments, with the search's
-    blocks as large as the table and with blocks of 8 assignments."""
+    """The block search gives the same protocol lines and graphs as a
+    plain dict BFS over naively evaluated assignments, and its blocks join
+    into the solution table, with blocks as large as the table and with
+    blocks of 8 assignments."""
 
     @pytest.fixture(autouse=True, params=[recon.BLOCK_BITS, 3], ids=["one-block", "8-per-block"])
     def block_bits(self, request, monkeypatch):
@@ -144,9 +145,7 @@ class TestAgainstDictSearch:
         assert sum(line == "NOTCONNECTED" for line in lines) >= 10
         assert sum(line.startswith("PATH") for line in lines) >= 100
 
-
-class TestBuildGraph:
-    def test_matches_dict_graph(self):
+    def test_graph_matches_dict_graph(self):
         instances = [phi for phi, _, _ in navigable_corpus(30, seed=17, max_vars=10)]
         instances += [phi for phi, _, _ in small_gadgets()][::9]
         for phi in instances:
@@ -154,6 +153,36 @@ class TestBuildGraph:
             assert (g.states, g.edges) == dict_graph(phi)
             assert graph_size(phi.compiled) == (len(g.states), len(g.edges))
 
+    def test_solution_table_joins_the_blocks(self):
+        instances = [phi for phi, _, _ in navigable_corpus(30, seed=5, max_vars=12)]
+        instances += [phi for phi, _, _ in small_gadgets()][::9]
+        for phi in instances:
+            c = phi.compiled
+            n = c.num_vars
+            blocks = recon.clause_blocks(n, zip(c.variables, c.accept))
+            bits = min(n, recon.BLOCK_BITS)
+            assert len(blocks) == 1 << (n - bits)
+            assert all(b >> (1 << bits) == 0 for b in blocks)
+            joined = sum(b << (i << bits) for i, b in enumerate(blocks))
+            assert solution_table(c) == joined
+            assert members(joined) == naive_solutions(phi)
+
+    def test_clauses_read_until_every_block_is_empty(self):
+        # x1 = 0, then x6 = 1, then x1 = 1: the third clause empties every
+        # block, whether x1 is a bit of the block number or of the block
+        reads = []
+
+        def clauses():
+            for variables, accept in [((1,), 0b01), ((6,), 0b10), ((1,), 0b10),
+                                      ((2,), 0b01)]:
+                reads.append(variables)
+                yield variables, accept
+
+        assert recon.clause_blocks(6, clauses()) == [0] * (1 << (6 - min(6, recon.BLOCK_BITS)))
+        assert reads == [(1,), (6,), (1,)]
+
+
+class TestBuildGraph:
     def test_path_relation_is_a_path(self):
         g = build_graph(PATH_PHI.compiled)
         assert len(g.states) == 5
@@ -269,7 +298,7 @@ class TestSearchMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            result = bfs_shortest(phi.compiled, 0, t)
+            result = bfs_shortest(phi.compiled, 0, t, cap=n)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -280,22 +309,22 @@ class TestSearchMemory:
         (), (Clause("r", (1, 3, 5, 7, 9, 11, 13, 15)),),
     ], ids=["clause-free", "arity-8-clause"])
     def test_peak_per_state_fits_at_the_ceiling(self, clauses):
-        # The peak grows with n by the low masks (1/8 byte per state and
-        # variable); extrapolated from n = 18 and 20 to the largest cap,
-        # it stays within BYTES_PER_STATE.
-        at18, at20 = self.peak_per_state(18, clauses), self.peak_per_state(20, clauses)
-        slope = (at20 - at18) / 2
-        assert 0 < slope < 0.2
-        assert at20 + (MAX_STATE_CAP - 20) * slope <= recon.BYTES_PER_STATE
+        # The search holds a few bits per state (the blocks, the planes and
+        # the layers) plus the masks of one block, a fixed 128 KiB that
+        # weighs less per state as n grows. Nothing of it holds n bits per
+        # state, so the peak per state does not grow with n, and the
+        # ceiling's 2^MAX_STATE_CAP states fit the byte budget.
+        at20, at22 = self.peak_per_state(20, clauses), self.peak_per_state(22, clauses)
+        assert at22 <= at20 <= recon.BYTES_PER_STATE
 
 
 class TestStateCapCeiling:
     @pytest.fixture
     def no_allocation(self, monkeypatch):
-        def refuse(phi):
-            raise AssertionError("solution_table ran for a rejected cap")
+        def refuse(n, clauses):
+            raise AssertionError("clause_blocks ran for a rejected cap")
 
-        monkeypatch.setattr(recon, "solution_table", refuse)
+        monkeypatch.setattr(recon, "clause_blocks", refuse)
 
     def test_ceiling_fits_the_byte_budget(self):
         assert (1 << MAX_STATE_CAP) * recon.BYTES_PER_STATE <= recon.STATE_BYTE_BUDGET
