@@ -16,9 +16,10 @@ it precedes, as it leaves out a cycle. :func:`lower_set_sequence`, the
 solver's route, walks from the flips it wants, so its cost follows their
 lower set, not the formula. :func:`formula_flip_dag` walks from every
 variable at 0; its DAG serves the DOT export, :func:`dag_to_dot`, which
-the CLI draws on the formula's route (for an OR-free + Horn-free formula,
-the DAG of its complemented form, whose raises are the formula's lowering
-flips), and :func:`order_respecting_sequence` orders its lower sets.
+the CLI draws on the formula's route (for a formula that the solver
+complements, the DAG of its complemented form, whose raises are the
+formula's lowering flips), and :func:`order_respecting_sequence` orders
+its lower sets.
 Functions that read a formula take its compiled form, ``phi.compiled``.
 
 :class:`SolveResult` is the one immutable answer record that the solvers
@@ -207,18 +208,24 @@ def relation_partial_order(relation: Relation, state: int):
     return frozenset(raised), prec
 
 
+# Bounded: one entry per (accept mask, arity, local tuple) that a walk
+# meets. The benchmark's navigate stream (seed 1, 331 solves) fills 4
+# entries, and a solve of one of the cli stream's 22 `gen random`
+# instances at most 16. tests/navigable_arity4.py meets 5,806 keys over
+# 29,464 relations; under this bound it misses 5,859 times, not 5,806.
 @lru_cache(maxsize=4096)
-def _local_order(relation: Relation, state: int) -> tuple[tuple[int, ...] | None, ...]:
-    """`relation_partial_order` at `state`, per 0-based position: the
-    ascending positions that must be raised before it, or None where no
-    valid positive sequence raises it (it is 1 already, or stuck at 0).
-    :func:`_walk` reads every clause through this, once per walk for
-    each distinct key; a formula has few distinct (effective relation,
-    local tuple) pairs."""
+def _local_order(mask: int, arity: int, state: int) -> tuple[tuple[int, ...] | None, ...]:
+    """`relation_partial_order` at `state` of the relation whose truth
+    table is `mask`, per 0-based position: the ascending positions that
+    must be raised before it, or None where no valid positive sequence
+    raises it (it is 1 already, or stuck at 0). The key is a clause's
+    accept mask, arity and local tuple, so :func:`_walk` asks this cache
+    directly; a formula has few distinct keys."""
+    relation = Relation(arity, [t for t in range(1 << arity) if mask >> t & 1])
     members, prec = relation_partial_order(relation, state)
     return tuple(
         tuple(sorted(p - 1 for p, r in prec if r == q)) if q in members else None
-        for q in range(1, relation.arity + 1)
+        for q in range(1, arity + 1)
     )
 
 
@@ -234,18 +241,13 @@ def _walk(state: FlipState, roots: Iterable[int]) -> dict[int, set[int]]:
     """The roots and every variable they need raised first, at a
     satisfying state, each with the set of variables that must be raised
     before it. Each variable reached reads the local order of its own
-    clauses only. One stuck in a clause (no valid positive sequence of it
-    raises the variable) is its own predecessor, so no order raises it.
-
-    The walk keeps each local order it reads in a dict keyed by ints: the
-    clause's accept mask and arity, which fix its effective relation, its
-    local tuple and the variable's bit. So :func:`_local_order`, whose
-    cache hashes the relation in Python, is asked once per distinct key
-    the walk meets."""
+    clauses only, from :func:`_local_order` at the clause's accept mask,
+    arity and local tuple. One stuck in a clause (no valid positive
+    sequence of it raises the variable) is its own predecessor, so no
+    order raises it."""
     compiled = state.compiled
-    variables, relations, accept = compiled.variables, compiled.relations, compiled.accept
+    variables, accept = compiled.variables, compiled.accept
     occurrences, local = compiled.occurrences, state.local
-    orders = {}
     preds = {v: set() for v in roots}
     stack = list(preds)
     while stack:
@@ -253,12 +255,8 @@ def _walk(state: FlipState, roots: Iterable[int]) -> dict[int, set[int]]:
         before = preds[v]
         for j, bit in occurrences[v]:
             clause_vars = variables[j]
-            key = (accept[j], len(clause_vars), local[j], bit)
-            try:
-                order = orders[key]
-            except KeyError:
-                order = orders[key] = _local_order(relations[j], local[j])[
-                    len(clause_vars) - bit.bit_length()]
+            k = len(clause_vars)
+            order = _local_order(accept[j], k, local[j])[k - bit.bit_length()]
             if order is None:
                 before.add(v)
                 continue

@@ -113,24 +113,24 @@ class CompiledFormula(NamedTuple):
     """Clause tables of a formula, in clause order.
 
     Clause j (0-based) constrains the distinct variables `variables[j]`
-    (ascending) through its effective relation `relations[j]`. Its local
-    tuple packs their values, the first variable in the highest bit, and
-    `accept[j]` is that relation's truth table (`Relation.table`): bit
-    `local` is set iff the tuple satisfies the clause. A clause without
-    variables has k = 0, relation None, and bit 0 set iff it holds.
-    `occurrences[v]` lists the (clause, bit) pairs of variable v: flipping
-    v xors `bit` into that clause's local tuple. `distinct` lists each
-    distinct relation of `relations` once, in order of first use, with
-    the 1-based index of the first clause that uses it. `columns` holds
-    `variables` by position: with w the widest clause's variable count,
-    `columns[p][j]` is clause j's variable at position p of its tuple
-    right-aligned to width w, and 0 where the clause is narrower, so
-    column p feeds bit w - 1 - p of every local tuple.
+    (ascending) through its effective relation. Its local tuple packs
+    their values, the first variable in the highest bit, and `accept[j]`
+    is that relation's truth table (`Relation.table`): bit `local` is
+    set iff the tuple satisfies the clause. A clause without variables
+    has k = 0 and bit 0 set iff it holds. `occurrences[v]` lists the
+    (clause, bit) pairs of variable v: flipping v xors `bit` into that
+    clause's local tuple. `distinct` lists each distinct effective
+    relation once, as a `Relation`, in order of first use, with the
+    1-based index of the first clause that uses it; clause j's relation
+    is the one of arity ``len(variables[j])`` whose table is `accept[j]`.
+    `columns` holds `variables` by position: with w the widest clause's
+    variable count, `columns[p][j]` is clause j's variable at position p
+    of its tuple right-aligned to width w, and 0 where the clause is
+    narrower, so column p feeds bit w - 1 - p of every local tuple.
     """
 
     num_vars: int
     variables: tuple[tuple[int, ...], ...]
-    relations: tuple[Relation | None, ...]
     accept: tuple[int, ...]
     occurrences: tuple[tuple[tuple[int, int], ...], ...]
     distinct: tuple[tuple[Relation, int], ...]
@@ -143,32 +143,24 @@ class CompiledFormula(NamedTuple):
         Restricting a complemented relation with swapped constants gives
         the complement of the restriction, so the image keeps the
         variables, columns and occurrences, complements each distinct
-        effective relation once, and so mirrors each accept mask (bit x
-        moves to bit x ^ (2^k - 1)). A constant-only clause keeps its
-        mask: it holds in the image iff it holds here.
+        effective relation once, and maps each accept mask to the table
+        of its relation's complement (bit x moves to bit x ^ (2^k - 1)).
+        A constant-only clause keeps its mask: it holds in the image iff
+        it holds here.
         """
-        images = {}
-        relations, accept = [], []
-        for eff, mask in zip(self.relations, self.accept):
-            if eff is not None:
-                if eff not in images:
-                    images[eff] = eff.complemented()
-                eff = images[eff]
-                mask = eff.table
-            relations.append(eff)
-            accept.append(mask)
-        distinct = tuple((images[eff], j) for eff, j in self.distinct)
-        return self._replace(
-            relations=tuple(relations), accept=tuple(accept), distinct=distinct
-        )
+        images = {(eff.arity, eff.table): eff.complemented() for eff, _ in self.distinct}
+        accept = tuple([images[len(vs), mask].table if vs else mask
+                        for vs, mask in zip(self.variables, self.accept)])
+        distinct = tuple((images[eff.arity, eff.table], j) for eff, j in self.distinct)
+        return self._replace(accept=accept, distinct=distinct)
 
 
 def _compile(phi: Formula) -> CompiledFormula:
-    variables, relations, accept = [], [], []
+    variables, accept = [], []
     occurrences = [[] for _ in range(phi.num_vars + 1)]
     first_clause = {}
-    # (relation name, pattern) -> (effective relation, accept mask,
-    # occurrence bits); the pattern is None for distinct ascending variables
+    # (relation name, pattern) -> (accept mask, occurrence bits); the
+    # pattern is None for distinct ascending variables
     shapes = {}
     for j, clause in enumerate(phi.clauses):
         name, args = clause
@@ -183,12 +175,11 @@ def _compile(phi: Formula) -> CompiledFormula:
                 mask = eff.table
                 first_clause.setdefault(eff, j + 1)
             k = len(clause_vars)
-            shape = shapes[key] = (eff, mask, tuple(1 << (k - 1 - p) for p in range(k)))
-        eff, mask, bits = shape
+            shape = shapes[key] = (mask, tuple(1 << (k - 1 - p) for p in range(k)))
+        mask, bits = shape
         for v, bit in zip(clause_vars, bits):
             occurrences[v].append((j, bit))
         variables.append(clause_vars)
-        relations.append(eff)
         accept.append(mask)
     # the occurrence lists are freed before the columns are built, so the
     # columns do not raise the compile's memory peak
@@ -198,7 +189,6 @@ def _compile(phi: Formula) -> CompiledFormula:
     return CompiledFormula(
         phi.num_vars,
         tuple(variables),
-        tuple(relations),
         tuple(accept),
         occurrences,
         tuple(first_clause.items()),

@@ -363,6 +363,26 @@ class TestDot:
         ))
 
     @pytest.mark.parametrize("form", [(), ("--format", "text")], ids=["dot", "text"])
+    def test_fliporder_refuses_a_route_outside_the_order_class(self, capsys, tmp_path, form):
+        # NAND is OR-free + Horn-free and also bijunctive: solve takes the
+        # greedy walk, not the complement, so there is no flip order to draw
+        f = tmp_path / "nand.cnfs"
+        f.write_text(
+            "vars 3\n"
+            "relation nand 2\n00\n01\n10\nend\n"
+            "clause nand x1 x2\n"
+            "clause nand x2 x3\n"
+            "# s=000\n"
+        )
+        code, out, _ = run(capsys, "classify", str(f))
+        assert (code, out.splitlines()[-1]) == (0, "NAVIGABLE (componentwise bijunctive)")
+        code, out, err = run(capsys, "dot", str(f), "--what", "fliporder", *form)
+        assert (code, out) == (2, "")
+        assert err == (
+            "satflip: error: the relation of clause 1 is not NAND-free and dual-Horn-free\n"
+        )
+
+    @pytest.mark.parametrize("form", [(), ("--format", "text")], ids=["dot", "text"])
     def test_cap_checked_before_compiling(self, capsys, tmp_path, form):
         f = tmp_path / "huge.cnfs"
         f.write_text("vars 2000000\n")

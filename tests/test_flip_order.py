@@ -184,6 +184,61 @@ class TestRelationPartialOrder:
                 )
 
 
+class TestLocalOrderCache:
+    """`_local_order` is the one cache of local orders, keyed by a
+    clause's accept mask, arity and local tuple."""
+
+    def test_cache_is_bounded(self):
+        assert flip_order._local_order.cache_info().maxsize == 4096
+
+    def test_equals_the_partial_order_on_every_small_relation(self):
+        flip_order._local_order.cache_clear()  # every key is a miss
+        checked = 0
+        for arity in (1, 2, 3):
+            for table in range(1, 1 << (1 << arity)):
+                rel = Relation(arity, frozenset(
+                    t for t in range(1 << arity) if table >> t & 1
+                ))
+                if not (is_nand_free(rel) and is_dual_horn_free(rel)):
+                    continue
+                for state in sorted(rel.tuples):
+                    members, prec = relation_partial_order(rel, state)
+                    want = [None] * arity
+                    for q in members:
+                        want[q - 1] = tuple(sorted(p - 1 for p, r in prec if r == q))
+                    assert flip_order._local_order(table, arity, state) == tuple(want)
+                    checked += 1
+        assert checked > 260
+
+    def test_window_chain_reads_each_key_once(self, monkeypatch):
+        # solving two pairs twice asks relation_partial_order once per
+        # distinct (accept mask, local tuple) the walks meet, and the
+        # second round asks nothing
+        calls = []
+
+        def counting(relation, state):
+            calls.append((relation.table, state))
+            return relation_partial_order(relation, state)
+
+        monkeypatch.setattr(flip_order, "relation_partial_order", counting)
+        flip_order._local_order.cache_clear()
+        n = 41
+        phi = stride2_window(n)
+        rng = random.Random(2)
+        s, t = (random_walk(phi, 0, 60, rng)[1] for _ in range(2))
+        pairs = [(0, (1 << n) - 1), (s, t)]
+        answers = [solve(phi, *pair) for pair in pairs]
+        assert [(r.length, r.stats.levels) for r in answers] == [(n, 1), (10, 2)]
+        assert len(calls) > 2 and len(set(calls)) == len(calls)
+        assert {mask for mask, _ in calls} == {PATH5.table}
+        before = list(calls)
+        assert [solve(phi, *pair) for pair in pairs] == answers
+        assert calls == before
+        info = flip_order._local_order.cache_info()
+        assert (info.misses, info.currsize) == (len(calls), len(calls))
+        assert info.hits > info.misses
+
+
 class TestFormulaFlipDag:
     def test_single_clause_chain(self):
         dag = formula_flip_dag(PATH_PHI.compiled, 0b000)

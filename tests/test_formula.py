@@ -23,7 +23,7 @@ from satflip import (
     serialize_formula,
 )
 from satflip.errors import read_decimal
-from satflip.formula import FlipState, _effective, first_violated_clause
+from satflip.formula import CompiledFormula, FlipState, _effective, first_violated_clause
 
 from helpers import (
     NON_DECIMAL_TOKENS,
@@ -164,14 +164,18 @@ class TestEffectiveClause:
         after = _effective.cache_info()
         # a compile looks the cache up once per shape, not once per clause
         assert (after.misses, after.hits) == (before.misses + 1, before.hits)
-        assert len({id(r) for r in compiled.relations}) == 1
+        # one effective relation for all 500 clauses, named by the first
+        (eff, first), = compiled.distinct
+        assert first == 1
         # (r1, 1, r2, r1) hits 0110 and 1111 -> {01, 11}
-        assert compiled.relations[0].tuples == frozenset({0b01, 0b11})
-        assert compiled.distinct == ((compiled.relations[0], 1),)
+        assert eff.tuples == frozenset({0b01, 0b11})
+        assert [clause_relation(compiled, j) for j in range(500)] == [eff] * 500
         # another formula of the same shape, on other variables, hits it once
         other = Formula(9, (("q", rel),), (Clause("q", (7, CONST1, 9, 7)),) * 3)
         before = _effective.cache_info()
-        assert other.compiled.relations == compiled.relations[:3]
+        assert other.compiled.distinct == ((eff, 1),)
+        assert other.compiled.distinct[0][0] is eff
+        assert other.compiled.accept == compiled.accept[:3]
         after = _effective.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
@@ -184,14 +188,21 @@ class TestEffectiveClause:
             Clause("path5", (3, 3, 4)),
         ))
         compiled = phi.compiled
-        assert compiled.distinct == (
-            (compiled.relations[1], 2), (compiled.relations[2], 3),
-        )
-        assert compiled.relations[3] is compiled.relations[1]
-        assert compiled.relations[4] is compiled.relations[2]
+        (whole, first), (merged, second) = compiled.distinct
+        assert (first, second) == (2, 3)
+        assert whole == PATH5 and merged.arity == 2
+        # the constant clause (000 is in PATH5) has no relation
+        assert compiled.variables[0] == () and compiled.accept[0] == 1
+        assert [clause_relation(compiled, j) for j in range(1, 5)] == [
+            whole, merged, whole, merged,
+        ]
         image = compiled.complemented()
-        assert image.distinct == ((image.relations[1], 2), (image.relations[2], 3))
-        assert image.relations[1] == compiled.relations[1].complemented()
+        assert image.distinct == ((whole.complemented(), 2), (merged.complemented(), 3))
+        assert image.accept[0] == compiled.accept[0]
+        assert [clause_relation(image, j) for j in range(1, 5)] == [
+            whole.complemented(), merged.complemented(),
+            whole.complemented(), merged.complemented(),
+        ]
         # one relation under two names: two shapes, one effective relation
         phi = Formula(3, (("a", PATH5), ("b", PATH5)), (
             Clause("a", (1, 1, 2)),
@@ -199,8 +210,25 @@ class TestEffectiveClause:
             Clause("a", (1, 2, 3)),
         ))
         compiled = phi.compiled
-        assert compiled.relations[2] is compiled.relations[1] == PATH5
-        assert compiled.distinct == ((compiled.relations[0], 1), (compiled.relations[1], 2))
+        (merged, first), (whole, second) = compiled.distinct
+        assert (first, second) == (1, 2)
+        assert whole == PATH5 and merged.arity == 2
+        assert [clause_relation(compiled, j) for j in range(3)] == [merged, whole, whole]
+
+    def test_compiled_fields(self):
+        assert CompiledFormula._fields == (
+            "num_vars", "variables", "accept", "occurrences", "distinct", "columns",
+        )
+
+
+def clause_relation(compiled, j):
+    """The one entry of `compiled.distinct` that is clause j's effective
+    relation: its arity is the clause's variable count and its table the
+    clause's accept mask."""
+    arity, mask = len(compiled.variables[j]), compiled.accept[j]
+    found = [eff for eff, _ in compiled.distinct if (eff.arity, eff.table) == (arity, mask)]
+    assert len(found) == 1, (j, found)
+    return found[0]
 
 
 class TestFormulaValidation:

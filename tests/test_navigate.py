@@ -482,7 +482,7 @@ class TestRoute:
         phi = Formula(3, (("p", relation),), (Clause("p", (1, 2, 3)),))
         route = phi.route
         empty = route.compiled._replace(
-            variables=(), relations=(), accept=(), occurrences=((),) * 4, distinct=(),
+            variables=(), accept=(), occurrences=((),) * 4, distinct=(),
             columns=(),
         )
         phi.__dict__["route"] = navigate.Route(route.classification, empty, route.mask)
