@@ -8,28 +8,31 @@ formats and the CLI.
 
 Importing the package loads none of its modules. Each exported name is
 resolved on first use (PEP 562): ``satflip.classify_set`` loads
-``relation`` and the three small modules it imports, and only a name
-from ``navigate``, ``recon``, ``gen`` or ``flip_order`` loads the
-solvers. ``from satflip import *`` loads every module.
+``relation`` and the three small modules it imports, and
+``classify_formula`` adds ``formula``. The answer records
+(``SolveResult`` and the rest) add ``answer``, and only a name from
+``navigate``, ``recon``, ``gen`` or ``flip_order`` loads the solvers.
+``from satflip import *`` loads every module.
 """
 
 from importlib import import_module
 
 _EXPORTS = {
+    "answer": ("Flip", "Outcome", "SolveResult", "SolveStats"),
     "errors": (
         "FlipSequenceError", "GenerationError", "ParseError",
         "PreconditionError", "SatFlipError", "TheoryError",
     ),
     "flip_order": (
-        "Flip", "FlipOrderDag", "Outcome", "SolveResult", "SolveStats",
-        "apply_sequence", "formula_flip_dag", "invert_sequence",
+        "FlipOrderDag", "apply_sequence", "formula_flip_dag", "invert_sequence",
         "lower_set_sequence", "order_respecting_sequence",
         "relation_partial_order", "smallest_lower_set",
     ),
     "formula": (
-        "Clause", "CompiledFormula", "Formula", "effective_clause", "evaluate",
-        "format_assignment", "induced", "parse_assignment", "parse_dimacs_2cnf",
-        "parse_formula", "parse_instance", "serialize_formula",
+        "Clause", "CompiledFormula", "Formula", "classify_formula",
+        "effective_clause", "evaluate", "format_assignment", "induced",
+        "parse_assignment", "parse_dimacs_2cnf", "parse_formula",
+        "parse_instance", "serialize_formula",
     ),
     "gen": (
         "SimpleGraph", "gen_independent_set_instance",
@@ -37,8 +40,8 @@ _EXPORTS = {
         "random_navigable_relation",
     ),
     "navigate": (
-        "Route", "classify_formula", "dualize", "shortest_path_cwb",
-        "shortest_path_navigable", "solve",
+        "Route", "dualize", "shortest_path_cwb", "shortest_path_navigable",
+        "solve",
     ),
     "recon": (
         "DEFAULT_STATE_CAP", "MAX_STATE_CAP", "ReconGraph", "bfs_shortest",

@@ -7,36 +7,43 @@ Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import random
 import sys
 
 from .errors import ParseError, PreconditionError, TheoryError, read_decimal
-from .flip_order import dag_to_dot, formula_flip_dag
 from .formula import (
+    classify_formula,
     format_assignment,
     parse_assignment,
     parse_instance,
     serialize_formula,
 )
-from .gen import (
-    MAX_RANDOM_COUNT,
-    gen_independent_set_instance,
-    gen_vertex_cover_instance,
-    parse_graph,
-    random_formula,
-    random_navigable_relation,
-)
-from .navigate import Outcome, classify_formula, solve
-from .recon import (
-    DEFAULT_STATE_CAP,
-    bfs_shortest,
-    build_graph,
-    check_cap,
-    check_graph_vars,
-    graph_size,
-    graph_to_dot,
-)
 from .relation import Verdict, classify_set, parse_relation
+
+
+def _lazy(name: str):
+    """The package's module `name`, bound in `sys.modules` and on the
+    package as an import binds it, but run only when a command first
+    reads one of its attributes (importlib's LazyLoader), so a command
+    compiles only the modules it uses. A module imported already is
+    returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+flip_order = _lazy("flip_order")
+gen = _lazy("gen")
+navigate = _lazy("navigate")
+recon = _lazy("recon")
 
 _VERDICT_LINES = {
     Verdict.TIGHT_NOT_NAVIGABLE: "NP-COMPLETE CLASS (tight, not navigable)",
@@ -93,6 +100,11 @@ def _load_instance(args):
     return phi, s, t
 
 
+def _cap(args) -> int:
+    """The --cap value, or the exact search's default cap."""
+    return recon.DEFAULT_STATE_CAP if args.cap is None else args.cap
+
+
 def _require_endpoints(s, t):
     if s is None:
         raise ParseError("no source assignment: pass --from or embed a '# s=' comment")
@@ -138,18 +150,19 @@ def cmd_solve(args) -> int:
     phi, s, t = _load_instance(args)
     _require_endpoints(s, t)
     trace = _make_trace(phi.num_vars) if args.verbose else None
-    result = solve(
-        phi, s, t, allow_oracle=args.allow_oracle, cap=args.cap, trace=trace
+    cap = _cap(args)
+    result = navigate.solve(
+        phi, s, t, allow_oracle=args.allow_oracle, cap=cap, trace=trace
     )
     print(result.protocol_line())
-    if result.outcome is Outcome.HARD and result.oracle is not None:
+    if result.outcome is navigate.Outcome.HARD and result.oracle is not None:
         print(result.oracle.protocol_line())
-    if args.verify and result.outcome is not Outcome.HARD:
-        if phi.num_vars > args.cap:
-            print(f"verify: skipped, n = {phi.num_vars} is above --cap {args.cap}",
+    if args.verify and result.outcome is not navigate.Outcome.HARD:
+        if phi.num_vars > cap:
+            print(f"verify: skipped, n = {phi.num_vars} is above --cap {cap}",
                   file=sys.stderr)
         else:
-            reference = bfs_shortest(phi.compiled, s, t, cap=args.cap)
+            reference = recon.bfs_shortest(phi.compiled, s, t, cap=cap)
             if (reference.outcome, reference.length) != (result.outcome, result.length):
                 print(
                     f"verify: solver said {result.protocol_line()!r}, exact search "
@@ -163,7 +176,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     phi, s, t = _load_instance(args)
     _require_endpoints(s, t)
-    result = bfs_shortest(phi.compiled, s, t, cap=args.cap)
+    result = recon.bfs_shortest(phi.compiled, s, t, cap=_cap(args))
     print(result.protocol_line())
     return 0
 
@@ -176,20 +189,20 @@ def _emit_instance(phi, s, t) -> int:
 
 
 def cmd_gen_reduction(args) -> int:
-    graph = parse_graph(_read(args.graph))
-    return _emit_instance(*args.reduction(graph))
+    graph = gen.parse_graph(_read(args.graph))
+    return _emit_instance(*getattr(gen, args.reduction)(graph))
 
 
 def cmd_gen_random(args) -> int:
     for flag, count in (("--clauses", args.clauses), ("--relations", args.relations)):
-        if count > MAX_RANDOM_COUNT:
-            raise PreconditionError(f"{flag} must be at most {MAX_RANDOM_COUNT}, got {count}")
+        if count > gen.MAX_RANDOM_COUNT:
+            raise PreconditionError(f"{flag} must be at most {gen.MAX_RANDOM_COUNT}, got {count}")
     rng = random.Random(args.seed)
     relations = [
-        random_navigable_relation(args.arity, rng.randrange(2**32))
+        gen.random_navigable_relation(args.arity, rng.randrange(2**32))
         for _ in range(args.relations)
     ]
-    phi, s, t = random_formula(
+    phi, s, t = gen.random_formula(
         relations, args.vars, args.clauses, rng.randrange(2**32)
     )
     return _emit_instance(phi, s, t)
@@ -197,26 +210,27 @@ def cmd_gen_random(args) -> int:
 
 def cmd_dot(args) -> int:
     phi, s, _ = _load_instance(args)
-    check_cap(args.cap)
+    cap = _cap(args)
+    recon.check_cap(cap)
     if args.what == "recon":
         # before phi.compiled, whose size grows with the variable count
-        check_graph_vars(phi.num_vars, args.cap)
+        recon.check_graph_vars(phi.num_vars, cap)
         if args.format == "text":
-            states, edges = graph_size(phi.compiled, cap=args.cap)
+            states, edges = recon.graph_size(phi.compiled, cap=cap)
             print(f"states {states}")
             print(f"edges {edges}")
         else:
-            sys.stdout.write(graph_to_dot(build_graph(phi.compiled, cap=args.cap)))
+            sys.stdout.write(recon.graph_to_dot(recon.build_graph(phi.compiled, cap=cap)))
         return 0
     if s is None:
         raise ParseError("no assignment: pass --from or embed a '# s=' comment")
     route = phi.route
-    dag = formula_flip_dag(route.compiled, s ^ route.mask)
+    dag = flip_order.formula_flip_dag(route.compiled, s ^ route.mask)
     if args.format == "text":
         print(f"nodes {len(dag.nodes)}")
         print(f"edges {len(dag.edges)}")
     else:
-        sys.stdout.write(dag_to_dot(dag, up=not route.mask))
+        sys.stdout.write(flip_order.dag_to_dot(dag, up=not route.mask))
     return 0
 
 
@@ -231,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     def endpoint_flags(p):
         p.add_argument("--from", dest="source", metavar="BITS")
         p.add_argument("--to", dest="target", metavar="BITS")
-        p.add_argument("--cap", type=_decimal, default=DEFAULT_STATE_CAP,
+        p.add_argument("--cap", type=_decimal,
                        help="exact-search state cap (number of variables)")
 
     p = sub.add_parser("solve", help="shortest flip sequence via the class dispatcher")
@@ -253,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit instances on stdout")
     gensub = p.add_subparsers(dest="kind", required=True)
     for kind, problem, reduction in (
-        ("vc", "vertex-cover", gen_vertex_cover_instance),
-        ("is", "independent-set", gen_independent_set_instance),
+        ("vc", "vertex-cover", "gen_vertex_cover_instance"),
+        ("is", "independent-set", "gen_independent_set_instance"),
     ):
         g = gensub.add_parser(kind, help=f"{problem} reduction instance")
         g.add_argument("graph", help="graph file or -")
@@ -271,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--what", choices=("recon", "fliporder"), default="recon")
     p.add_argument("--from", dest="source", metavar="BITS")
-    p.add_argument("--cap", type=_decimal, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_decimal)
     p.add_argument("--format", choices=("dot", "text"), default="dot")
     p.set_defaults(func=cmd_dot)
 

@@ -22,84 +22,27 @@ formula's lowering flips), and :func:`order_respecting_sequence` orders
 its lower sets.
 Functions that read a formula take its compiled form, ``phi.compiled``.
 
-:class:`SolveResult` is the one immutable answer record that the solvers
-and the exact search both return; it prints the protocol line.
+The flips it returns are :class:`~satflip.answer.Flip` records; the
+answer that the solvers and the exact search both return,
+:class:`~satflip.answer.SolveResult`, lives in :mod:`satflip.answer`
+too, so the exact search loads none of this module.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
+from .answer import Flip, _make_flip
 from .bits import index_masks, set_vars
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .formula import CompiledFormula, FlipState
 from .formula import require_relations, satisfying_state
-from .relation import Classification, Relation
+from .relation import Relation
 from .relation import is_dual_horn_free, is_nand_free
-
-
-class Flip(NamedTuple):
-    var: int
-    up: bool
-
-    def token(self) -> str:
-        """`x<var>+` or `x<var>-`; it reads a plain (var, up) pair too."""
-        var, up = self
-        return f"x{var}{'+' if up else '-'}"
-
-
-class Outcome(Enum):
-    PATH = "path"
-    NOT_CONNECTED = "not-connected"
-    HARD = "hard"
-
-
-class SolveStats(NamedTuple):
-    """What one solve counted: the order-based solver's levels and the
-    endpoints' zero count on entry."""
-
-    levels: int = 0
-    eta_entry: int = 0
-
-    @property
-    def dag_builds(self) -> int:
-        """The backward walks made: two per level."""
-        return 2 * self.levels
-
-
-class SolveResult(NamedTuple):
-    """An answer to an instance, from a solver or the exact search: a
-    shortest flip sequence (PATH, with `flips`), NOT_CONNECTED (`flips`
-    None), or HARD with the formula's `classification` and, when asked
-    for, the exact search's answer as `oracle`."""
-
-    outcome: Outcome
-    flips: tuple[Flip, ...] | None = None
-    classification: Classification | None = None
-    stats: SolveStats = SolveStats()
-    oracle: SolveResult | None = None
-
-    @property
-    def length(self) -> int | None:
-        return None if self.flips is None else len(self.flips)
-
-    def protocol_line(self) -> str:
-        """`PATH <length> <flips>`, `NOTCONNECTED` or `HARD <verdict>`."""
-        if self.outcome is Outcome.HARD:
-            return f"HARD {self.classification.verdict.name}"
-        if self.flips is None:
-            return "NOTCONNECTED"
-        return " ".join(["PATH", str(len(self.flips)), *(f.token() for f in self.flips)])
-
-
-# A Flip from a (var, up) pair through tuple.__new__, which skips the
-# NamedTuple's Python-level __new__: the solvers build flips in bulk.
-_make_flip = partial(tuple.__new__, Flip)
 
 
 def _raises(variables) -> tuple[Flip, ...]:

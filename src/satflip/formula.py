@@ -12,7 +12,9 @@ clause's local tuple, built with one big-int pass per clause position
 over one byte per variable, and checked against every clause in one
 pass. The solvers, flip orders and exact search read only the compiled
 form; each walker holds its tables in locals, so a flip is checked
-against the clauses of its variable only.
+against the clauses of its variable only. :func:`classify_formula`
+classifies a formula's declared relation set here, so classifying a
+formula loads no solver.
 
 The .cnfs and DIMACS readers read each clause line in one match of a
 token-rule pattern (:mod:`satflip.errors`); a refused .cnfs clause line
@@ -32,8 +34,9 @@ from .bits import from_bitstring, to_bitstring
 from .errors import ARGUMENTS, ParseError, PreconditionError, TheoryError
 from .errors import content_lines, read_decimal, read_decimals
 from .records import Frozen, set_field
-from .relation import CONST0, CONST1, Relation, RestrictionMap, restrict
-from .relation import pack_tuple, read_arity
+from .relation import CONST0, CONST1, Classification, NavigableKind, Relation
+from .relation import RestrictionMap, Verdict, classify_set, pack_tuple, read_arity
+from .relation import restrict
 
 
 class Clause(NamedTuple):
@@ -97,6 +100,15 @@ class Formula(Frozen):
         from .navigate import formula_route
 
         return formula_route(self)
+
+
+def classify_formula(phi: Formula) -> Classification:
+    """Classify the formula's declared relation set; a formula declaring
+    no relations constrains nothing and counts as navigable."""
+    rels = [rel for _, rel in phi.relations]
+    if rels:
+        return classify_set(rels)
+    return Classification(Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE, ())
 
 
 def _fill(phi: Formula, num_vars, relations, clauses, by_name) -> Formula:

@@ -15,8 +15,9 @@ as ``phi.route`` (:class:`Route`): the classification, the compiled form
 the solver runs on, and the xor mask from the formula's assignments to
 that form's. :func:`solve` and the CLI's flip-order export both read it.
 
-Every answer is an immutable :class:`SolveResult`, the exact search's
-type too; :func:`solve` builds its answer once from the solver's parts.
+Every answer is an immutable :class:`~satflip.answer.SolveResult`, the
+exact search's type too; :func:`solve` builds its answer once from the
+solver's parts.
 """
 
 from __future__ import annotations
@@ -24,14 +25,10 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
+from .answer import Flip, Outcome, SolveResult, SolveStats, _make_flip
 from .bits import hamming, set_vars, zeros
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .flip_order import (
-    Flip,
-    Outcome,
-    SolveResult,
-    SolveStats,
-    _make_flip,
     _require_order_class,
     advance,
     apply_sequence,
@@ -40,7 +37,7 @@ from .flip_order import (
     swap_signs,
 )
 from .formula import Clause, CompiledFormula, Formula, _check_assignment
-from .formula import require_relations, satisfying_state
+from .formula import classify_formula, require_relations, satisfying_state
 from .recon import DEFAULT_STATE_CAP, bfs_shortest, check_cap
 from .relation import (
     CONST0,
@@ -48,18 +45,8 @@ from .relation import (
     Classification,
     NavigableKind,
     Verdict,
-    classify_set,
     is_componentwise_bijunctive,
 )
-
-
-def classify_formula(phi: Formula) -> Classification:
-    """Classify the formula's declared relation set; a formula declaring
-    no relations constrains nothing and counts as navigable."""
-    rels = [rel for _, rel in phi.relations]
-    if rels:
-        return classify_set(rels)
-    return Classification(Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE, ())
 
 
 def shortest_path_navigable(

@@ -3,10 +3,10 @@
 This is the brute-force reference every solver in the package is
 validated against: it covers the full assignment space (capped) and runs
 plain breadth-first search, sharing no machinery with the order-based
-solver. Like the solvers, it reads a formula's compiled form,
-``phi.compiled``, and its answer, :func:`bfs_shortest`, is the
-solvers' :class:`~satflip.flip_order.SolveResult`, so the two compare
-by ``(outcome, length)``.
+solver, and importing none. Like the solvers, it reads a formula's
+compiled form, ``phi.compiled``, and its answer, :func:`bfs_shortest`,
+is the solvers' :class:`~satflip.answer.SolveResult`, so the two
+compare by ``(outcome, length)``.
 
 The solution set is one table, cut into blocks: with bits = min(n,
 BLOCK_BITS), it is a list of 2^(n - bits) ints, and bit p of block i is
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
+from .answer import Flip, Outcome, SolveResult
 from .bits import low_masks, to_bitstring, var_bit
 from .errors import PreconditionError, TheoryError
-from .flip_order import Flip, Outcome, SolveResult
 from .formula import CompiledFormula, satisfying_state
 
 if TYPE_CHECKING:

@@ -589,7 +589,7 @@ class TestErrorPaths:
 
     def test_verify_disagreement_exit_3(self, capsys, monkeypatch):
         # an exact search that disagrees with the solver
-        monkeypatch.setattr(cli, "bfs_shortest",
+        monkeypatch.setattr(cli.recon, "bfs_shortest",
                             lambda *args, **kwargs: SolveResult(Outcome.NOT_CONNECTED))
         assert run(capsys, "solve", PATH_CNFS, "--verify") == (
             3,
@@ -601,7 +601,7 @@ class TestErrorPaths:
         def broken(*args, **kwargs):
             raise TheoryError("level made no progress on the zero count")
 
-        monkeypatch.setattr(cli, "solve", broken)
+        monkeypatch.setattr(cli.navigate, "solve", broken)
         assert run(capsys, "solve", PATH_CNFS) == (
             3, "", "satflip: internal error: level made no progress on the zero count\n")
 

@@ -104,13 +104,115 @@ def test_parse_graph_loads_neither_the_search_nor_the_solvers():
 def test_cli_still_loads_every_traced_module():
     # perfbench/worker.py's tracer looks `satflip.formula`, `.flip_order`,
     # `.navigate`, `.recon` and `.relation` up in `sys.modules` right
-    # after `import satflip.cli`, to wrap their functions by name. So the
-    # CLI keeps its module-level imports until the library reports its
-    # own counters (ROADMAP item 13) and the tracer no longer needs them.
+    # after `import satflip.cli`, to wrap their functions by name. The CLI
+    # registers the solver modules lazily: they are in `sys.modules` from
+    # its import on, but run only when a command (or the tracer's lookup)
+    # first reads one of their attributes.
     traced = {"satflip.relation", "satflip.formula", "satflip.flip_order",
               "satflip.navigate", "satflip.recon"}
     [loaded] = loaded_after("import satflip.cli")
     assert traced <= set(loaded)
+
+
+def test_answer_records_load_no_solver():
+    assert loaded_after("import satflip", "import satflip; satflip.SolveResult") == [
+        ["satflip"],
+        ["satflip.answer", "satflip.bits", "satflip.errors", "satflip.records",
+         "satflip.relation"],
+    ]
+
+
+def test_classify_formula_loads_no_solver():
+    assert loaded_after("import satflip", "import satflip; satflip.classify_formula") == [
+        ["satflip"],
+        ["satflip.bits", "satflip.errors", "satflip.formula", "satflip.records",
+         "satflip.relation"],
+    ]
+
+
+# ------------------------------------------------------- per-command modules
+
+DATA = pathlib.Path(__file__).parent / "data"
+CLASSIFY = {"bits", "cli", "errors", "formula", "records", "relation"}
+SEARCH = CLASSIFY | {"answer", "recon"}
+SOLVERS = SEARCH | {"flip_order", "navigate"}
+
+
+def ran_after(script):
+    """In a fresh interpreter, run `script`, then return the satflip
+    modules that ran: those whose type is a plain module, not the
+    LazyLoader's stand-in for a module registered but not yet run."""
+    return set(json.loads(fresh(textwrap.dedent(script) + textwrap.dedent("""
+        import json, sys, types
+        print(json.dumps([name.partition(".")[2] for name, module in sys.modules.items()
+                          if name.startswith("satflip.")
+                          and type(module) is types.ModuleType]))
+    """))))
+
+
+COMMAND_MODULES = [
+    ("classify path.cnfs", CLASSIFY),
+    ("classify path5.rel", CLASSIFY),
+    ("gen vc k3.graph", CLASSIFY | {"gen"}),
+    ("gen is k3.graph", CLASSIFY | {"gen"}),
+    ("gen random", SEARCH | {"gen"}),
+    ("oracle path.cnfs", SEARCH),
+    ("dot --format text path.cnfs", SEARCH),
+    ("dot --what fliporder path.cnfs", SOLVERS),
+    ("solve path.cnfs", SOLVERS),
+]
+
+
+@pytest.mark.parametrize("command, modules", COMMAND_MODULES,
+                         ids=[command for command, _ in COMMAND_MODULES])
+def test_each_command_runs_only_its_modules(tmp_path, command, modules):
+    (tmp_path / "path5.rel").write_text("arity 3\n000\n001\n101\n111\n110\n")
+    argv = [str(tmp_path / a) if a.endswith(".rel") else
+            str(DATA / a) if "." in a else a for a in command.split()]
+    assert ran_after(f"""
+        import contextlib, io
+        import satflip.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert satflip.cli.main({argv!r}) == 0
+    """) == modules
+
+
+def test_parser_and_help_run_no_lazy_module():
+    assert ran_after("""
+        import contextlib, io
+        import satflip.cli
+        satflip.cli.build_parser()
+        for argv in (["--help"], ["solve", "--help"], ["gen", "vc", "--help"],
+                     ["dot", "--help"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    satflip.cli.main(argv)
+                except SystemExit:
+                    pass
+    """) == CLASSIFY
+
+
+def test_lazy_modules_import_as_usual():
+    assert json.loads(fresh("""
+        import json, sys, types
+        import satflip.cli
+        lazy = sys.modules["satflip.navigate"]
+        registered = type(lazy) is not types.ModuleType
+        import satflip.navigate
+        solve = satflip.navigate.solve
+        from satflip.recon import bfs_shortest
+        print(json.dumps([
+            registered,
+            satflip.navigate is lazy and satflip.cli.navigate is lazy,
+            type(lazy) is types.ModuleType,
+            (solve.__module__, solve.__name__, type(solve) is types.FunctionType),
+            bfs_shortest is sys.modules["satflip.recon"].bfs_shortest,
+            (bfs_shortest.__module__, bfs_shortest.__name__),
+        ]))
+    """)) == [
+        True, True, True, ["satflip.navigate", "solve", True], True,
+        ["satflip.recon", "bfs_shortest"],
+    ]
 
 
 EXPORTS = [
@@ -119,7 +221,7 @@ EXPORTS = [
     "GenerationError", "MAX_ARITY", "MAX_STATE_CAP", "NavigableKind", "Outcome",
     "ParseError", "PreconditionError", "ReconGraph", "Relation", "RelationFlags",
     "RestrictionMap", "Route", "SatFlipError", "SimpleGraph", "SolveResult",
-    "SolveStats", "TheoryError", "Verdict", "apply_sequence", "bfs_shortest",
+    "SolveStats", "TheoryError", "Verdict", "answer", "apply_sequence", "bfs_shortest",
     "bits", "build_graph", "classify_formula", "classify_set", "dualize",
     "effective_clause", "errors", "evaluate", "flip_order", "format_assignment",
     "formula", "formula_flip_dag", "gen", "gen_independent_set_instance",

@@ -3,11 +3,13 @@ and one immutable answer record for the solvers and the exact search."""
 
 import copy
 import pickle
+import typing
 
 import pytest
 
 from satflip import (
     CONST1,
+    Classification,
     Clause,
     Flip,
     Formula,
@@ -124,6 +126,14 @@ def test_solve_records_are_immutable_values():
     assert result.flips is None and result.length is None
     assert result == SolveResult(Outcome.HARD, flips=None)
     assert SolveStats(1, 2) == SolveStats(levels=1, eta_entry=2)
+
+
+def test_answer_annotations_resolve():
+    # the answer records name their field types by what their module
+    # binds, so tools that read the annotations resolve them
+    hints = typing.get_type_hints(SolveResult)
+    assert hints["classification"] == Classification | None
+    assert hints["stats"] is SolveStats and hints["flips"] == tuple[Flip, ...] | None
 
 
 def test_walk_count_is_derived_from_the_levels():
