@@ -2,10 +2,12 @@
 
 :class:`SolveResult` is the one immutable answer to an instance: an
 :class:`Outcome`, the :class:`Flip` sequence of a PATH answer and the
-solver's :class:`SolveStats`; it prints the protocol line. Of the
-package it imports only the relation layer, for the classification a
-HARD answer carries, so the exact search, and the CLI commands that run
-only it, build answers without compiling the order-based solver.
+solver's :class:`SolveStats`; it prints the protocol line. No answer
+holds another: the exact search's answer to a HARD instance is its own
+record. Of the package it imports only the relation layer, for the
+classification a HARD answer carries, so the exact search, and the CLI
+commands that run only it, build answers without compiling the
+order-based solver.
 """
 
 from __future__ import annotations
@@ -49,14 +51,12 @@ class SolveStats(NamedTuple):
 class SolveResult(NamedTuple):
     """An answer to an instance, from a solver or the exact search: a
     shortest flip sequence (PATH, with `flips`), NOT_CONNECTED (`flips`
-    None), or HARD with the formula's `classification` and, when asked
-    for, the exact search's answer as `oracle`."""
+    None), or HARD with the formula's `classification`."""
 
     outcome: Outcome
     flips: tuple[Flip, ...] | None = None
     classification: Classification | None = None
     stats: SolveStats = SolveStats()
-    oracle: SolveResult | None = None
 
     @property
     def length(self) -> int | None:

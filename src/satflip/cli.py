@@ -151,13 +151,13 @@ def cmd_solve(args) -> int:
     _require_endpoints(s, t)
     trace = _make_trace(phi.num_vars) if args.verbose else None
     cap = _cap(args)
-    result = navigate.solve(
-        phi, s, t, allow_oracle=args.allow_oracle, cap=cap, trace=trace
-    )
+    recon.check_cap(cap)
+    result = navigate.solve(phi, s, t, trace=trace)
     print(result.protocol_line())
-    if result.outcome is navigate.Outcome.HARD and result.oracle is not None:
-        print(result.oracle.protocol_line())
-    if args.verify and result.outcome is not navigate.Outcome.HARD:
+    if result.outcome is navigate.Outcome.HARD:
+        if args.allow_oracle and phi.num_vars <= cap:
+            print(recon.bfs_shortest(phi.compiled, s, t, cap=cap).protocol_line())
+    elif args.verify:
         if phi.num_vars > cap:
             print(f"verify: skipped, n = {phi.num_vars} is above --cap {cap}",
                   file=sys.stderr)

@@ -7,8 +7,10 @@ backwards from the flips the other side wants, so a level costs the
 clauses of the flips it makes rather than the whole formula. OR-free +
 Horn-free instances are handled through the complementing transform;
 componentwise bijunctive ones by a greedy walk over the symmetric
-difference. Everything else is reported hard, optionally falling back to
-the capped exact search.
+difference. Everything else is reported hard. The exact search
+(:mod:`satflip.recon`), the reference these solvers are checked against,
+is not imported here: a caller that wants its answer on a hard instance
+runs it beside :func:`solve`, as ``satflip solve --allow-oracle`` does.
 
 Which of these answers a formula is decided once per formula and cached
 as ``phi.route`` (:class:`Route`): the classification, the compiled form
@@ -38,7 +40,6 @@ from .flip_order import (
 )
 from .formula import Clause, CompiledFormula, Formula, _check_assignment
 from .formula import classify_formula, require_relations, satisfying_state
-from .recon import DEFAULT_STATE_CAP, bfs_shortest, check_cap
 from .relation import (
     CONST0,
     CONST1,
@@ -249,15 +250,7 @@ def _mirrored(trace, mask: int):
     return mirrored
 
 
-def solve(
-    phi: Formula,
-    s: int,
-    t: int,
-    *,
-    allow_oracle: bool = False,
-    cap: int = DEFAULT_STATE_CAP,
-    trace=None,
-) -> SolveResult:
+def solve(phi: Formula, s: int, t: int, *, trace=None) -> SolveResult:
     """Answer the instance on the formula's route (``phi.route``).
 
     Componentwise bijunctive sets take the greedy walk; NAND-free +
@@ -267,16 +260,15 @@ def solve(
     replayed once, on ``phi.compiled``, and a replay that fails or ends
     off the target is a TheoryError; the greedy walk's answer is not
     replayed, since it checks each flip on one live state.
-    Non-navigable sets return HARD, with the exact search attached when
-    `allow_oracle` holds and the variable count is within `cap`. A cap
-    above `MAX_STATE_CAP` is rejected up front, whichever route runs.
-    Navigable routes range-check the endpoints before mapping them, so
-    an error names the endpoint given; the solvers check that they
-    satisfy the formula. `trace` receives the order-based solver's
-    levels (see :func:`shortest_path_navigable`) in the formula's own
-    terms on either route.
+    Non-navigable sets return HARD with the classification, once both
+    endpoints are checked to satisfy the formula; a caller that wants
+    the exact answer runs :func:`~satflip.recon.bfs_shortest` on
+    ``phi.compiled`` itself. Navigable routes range-check the endpoints
+    before mapping them, so an error names the endpoint given; the
+    solvers check that they satisfy the formula. `trace` receives the
+    order-based solver's levels (see :func:`shortest_path_navigable`) in
+    the formula's own terms on either route.
     """
-    check_cap(cap)
     route = phi.route
     cls, n = route.classification, phi.num_vars
     if cls.verdict is Verdict.NAVIGABLE:
@@ -304,15 +296,10 @@ def solve(
                     raise TheoryError("order-based answer does not reach the target")
         return SolveResult(part.outcome, flips, cls, part.stats)
 
-    compiled = phi.compiled
-    satisfying_state(compiled, s, "source")
-    satisfying_state(compiled, t, "target")
-    oracle = None
-    if allow_oracle and n <= cap:
-        oracle = bfs_shortest(compiled, s, t, cap=cap)
+    satisfying_state(phi.compiled, s, "source")
+    satisfying_state(phi.compiled, t, "target")
     return SolveResult(
         Outcome.HARD,
         classification=cls,
         stats=SolveStats(eta_entry=zeros(s, n) + zeros(t, n)),
-        oracle=oracle,
     )

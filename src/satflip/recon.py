@@ -3,10 +3,12 @@
 This is the brute-force reference every solver in the package is
 validated against: it covers the full assignment space (capped) and runs
 plain breadth-first search, sharing no machinery with the order-based
-solver, and importing none. Like the solvers, it reads a formula's
-compiled form, ``phi.compiled``, and its answer, :func:`bfs_shortest`,
-is the solvers' :class:`~satflip.answer.SolveResult`, so the two
-compare by ``(outcome, length)``.
+solver: it imports no solver module, and no solver module imports it.
+A caller that wants both answers runs both, as the CLI's ``solve
+--verify`` and ``--allow-oracle`` do. Like the solvers, it reads a
+formula's compiled form, ``phi.compiled``, and its answer,
+:func:`bfs_shortest`, is the solvers' :class:`~satflip.answer.SolveResult`,
+so the two compare by ``(outcome, length)``.
 
 The solution set is one table, cut into blocks: with bits = min(n,
 BLOCK_BITS), it is a list of 2^(n - bits) ints, and bit p of block i is

@@ -164,6 +164,20 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(instance))
         assert (code, out) == (0, "HARD TIGHT_NOT_NAVIGABLE\n")
 
+    def test_hard_with_oracle_within_and_above_cap(self, capsys, tmp_path):
+        # K3's vertex-cover instance has n = 9: --cap 8 skips the exact
+        # search, and --cap 9 prints the line that `oracle --cap 9` prints
+        _, text, _ = run(capsys, "gen", "vc", K3_GRAPH)
+        instance = tmp_path / "k3.cnfs"
+        instance.write_text(text)
+        assert text.splitlines()[2] == "vars 9"
+        code, out, err = run(capsys, "solve", str(instance), "--allow-oracle", "--cap", "8")
+        assert (code, out, err) == (0, "HARD TIGHT_NOT_NAVIGABLE\n", "")
+        _, oracle_out, _ = run(capsys, "oracle", str(instance), "--cap", "9")
+        assert oracle_out.startswith("PATH ")
+        code, out, err = run(capsys, "solve", str(instance), "--allow-oracle", "--cap", "9")
+        assert (code, out, err) == (0, "HARD TIGHT_NOT_NAVIGABLE\n" + oracle_out, "")
+
     def test_missing_endpoints(self, capsys):
         code, _, err = run(capsys, "solve", THREECNF)
         assert code == 1

@@ -598,9 +598,7 @@ class TestBoolInputs:
         (lambda: solve(PATH_PHI, 0b000, False), "assignment False out of range"),
         (lambda: apply_sequence(PATH_PHI.compiled, False, ()), "assignment False out of"),
         (lambda: bfs_shortest(PATH_PHI.compiled, 0b000, 0b110, cap=True), "cap True is not an int"),
-        (lambda: solve(PATH_PHI, 0b000, 0b110, cap=False), "cap False is not an int"),
-    ], ids=["wanted-True", "solve-s", "solve-t", "apply_sequence",
-            "bfs_shortest-cap", "solve-cap"])
+    ], ids=["wanted-True", "solve-s", "solve-t", "apply_sequence", "bfs_shortest-cap"])
     def test_refused(self, call, message):
         with pytest.raises(PreconditionError, match=message):
             call()

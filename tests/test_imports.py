@@ -130,6 +130,15 @@ def test_classify_formula_loads_no_solver():
     ]
 
 
+def test_solve_loads_no_exact_search():
+    # recon, the reference the solvers are checked against, is no import of theirs
+    assert loaded_after("import satflip", "import satflip; satflip.solve") == [
+        ["satflip"],
+        ["satflip.answer", "satflip.bits", "satflip.errors", "satflip.flip_order",
+         "satflip.formula", "satflip.navigate", "satflip.records", "satflip.relation"],
+    ]
+
+
 # ------------------------------------------------------- per-command modules
 
 DATA = pathlib.Path(__file__).parent / "data"
