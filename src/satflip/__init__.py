@@ -31,8 +31,8 @@ _EXPORTS = {
     "formula": (
         "Clause", "CompiledFormula", "Formula", "classify_formula",
         "effective_clause", "evaluate", "format_assignment", "induced",
-        "parse_assignment", "parse_dimacs_2cnf", "parse_formula",
-        "parse_instance", "serialize_formula",
+        "parse_assignment", "parse_dimacs_2cnf", "parse_instance",
+        "serialize_formula",
     ),
     "gen": (
         "SimpleGraph", "gen_independent_set_instance",
@@ -53,7 +53,7 @@ _EXPORTS = {
         "classify_set", "is_affine", "is_bijunctive",
         "is_componentwise_bijunctive", "is_dual_horn", "is_dual_horn_free",
         "is_horn", "is_horn_free", "is_nand_free", "is_or_free",
-        "parse_relation", "relation_flags", "restrict", "serialize_relation",
+        "parse_relation", "relation_flags", "restrict",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -36,11 +36,15 @@ class Outcome(Enum):
 
 
 class SolveStats(NamedTuple):
-    """What one solve counted: the order-based solver's levels and the
-    endpoints' zero count on entry."""
+    """What one solve counted: the order-based solver's levels, the
+    endpoints' zero count on entry, and one `(seq_s, seq_t)` pair of
+    raises per completed level, the flips each side made in order. Like
+    `eta_entry`, the lower sets are in the terms of the form the solver
+    ran on."""
 
     levels: int = 0
     eta_entry: int = 0
+    lower_sets: tuple[tuple[tuple[Flip, ...], tuple[Flip, ...]], ...] = ()
 
     @property
     def dag_builds(self) -> int:

@@ -133,26 +133,38 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _make_trace(num_vars):
-    def trace(level, s, t, lower_s, lower_t, eta):
-        fmt = lambda flips: "{" + " ".join(f.token() for f in sorted(flips)) + "}"
+def _print_levels(phi, s, t, stats) -> None:
+    """`--verbose`: one stderr line per level of the order-based solver,
+    read from `stats.lower_sets`. Each level's pair is rebuilt by xor
+    from the formula's own endpoints. The solver's raises are signed `-`
+    on the complement route, as `dot --what fliporder` signs its nodes;
+    `eta`, the pair's zero count on the solver's form, drops by one per
+    flip."""
+    n = phi.num_vars
+    sign = "-" if phi.route.mask else "+"
+    fmt = lambda vs: "{" + " ".join(f"x{v}{sign}" for v in vs) + "}"
+    eta = stats.eta_entry
+    for level, sides in enumerate(stats.lower_sets, 1):
+        lower_s, lower_t = (sorted(v for v, _ in seq) for seq in sides)
         print(
-            f"# level {level}: s={format_assignment(s, num_vars)}"
-            f" t={format_assignment(t, num_vars)}"
+            f"# level {level}: s={format_assignment(s, n)}"
+            f" t={format_assignment(t, n)}"
             f" S'={fmt(lower_s)} T'={fmt(lower_t)} eta={eta}",
             file=sys.stderr,
         )
-
-    return trace
+        s ^= sum(1 << n - v for v in lower_s)
+        t ^= sum(1 << n - v for v in lower_t)
+        eta -= len(lower_s) + len(lower_t)
 
 
 def cmd_solve(args) -> int:
     phi, s, t = _load_instance(args)
     _require_endpoints(s, t)
-    trace = _make_trace(phi.num_vars) if args.verbose else None
     cap = _cap(args)
     recon.check_cap(cap)
-    result = navigate.solve(phi, s, t, trace=trace)
+    result = navigate.solve(phi, s, t)
+    if args.verbose:
+        _print_levels(phi, s, t, result.stats)
     print(result.protocol_line())
     if result.outcome is navigate.Outcome.HARD:
         if args.allow_oracle and phi.num_vars <= cap:

@@ -349,14 +349,10 @@ def format_assignment(assignment: int, num_vars: int) -> str:
     return to_bitstring(assignment, num_vars)
 
 
-def parse_formula(text: str) -> Formula:
-    """Read the .cnfs format; see `serialize_formula` for the layout."""
-    return parse_instance(text)[0]
-
-
 def parse_instance(text: str):
-    """Like `parse_formula` but also returns endpoints embedded as
-    `# s=<bits>` / `# t=<bits>` comments (None when absent)."""
+    """Read the .cnfs format (see `serialize_formula` for the layout): the
+    formula, and the endpoints embedded as `# s=<bits>` / `# t=<bits>`
+    comments (None when absent)."""
     num_vars = None
     relations: dict[str, Relation] = {}
     clauses: list[Clause] = []

@@ -19,7 +19,9 @@ that form's. :func:`solve` and the CLI's flip-order export both read it.
 
 Every answer is an immutable :class:`~satflip.answer.SolveResult`, the
 exact search's type too; :func:`solve` builds its answer once from the
-solver's parts.
+solver's parts. No solver takes a callback: the order-based solver
+returns its levels' lower sets in its stats, in the terms of the form it
+ran on, and ``satflip solve --verbose`` prints them from the answer.
 """
 
 from __future__ import annotations
@@ -50,9 +52,7 @@ from .relation import (
 )
 
 
-def shortest_path_navigable(
-    compiled: CompiledFormula, s: int, t: int, trace=None
-) -> SolveResult:
+def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     """Shortest flip sequence for NAND-free + dual-Horn-free formulas.
 
     Each level raises, on both endpoints, the smallest lower set of the
@@ -61,19 +61,16 @@ def shortest_path_navigable(
     lower set and its order come from one backward walk per side
     (:func:`lower_set_sequence`), which reads only the clauses of the
     flips it reaches; a wanted flip that can never happen makes the
-    endpoints NOTCONNECTED. Implemented as a loop with an accumulated
-    prefix and suffix stack, so deep instances cannot exhaust the call
-    stack. Each side keeps one FlipState for the whole solve: its
-    endpoint is checked in full once, and every later flip only against
-    the clauses of its variable. The result's `stats` counts the levels;
-    its `dag_builds`, the walks, is two per level. The assembled
-    sequence is not replayed here: :func:`solve` replays it once, on the
-    formula's own compiled form.
-
-    `trace`, when given, is called once per level with keywords `level`,
-    `s` and `t` (the pair entering the level), `lower_s` and `lower_t`
-    (the flips each side makes, as `Flip` tuples in order) and `eta`
-    (the pair's zero count entering the level).
+    endpoints NOTCONNECTED. Implemented as a loop, so deep instances
+    cannot exhaust the call stack. Each side keeps one FlipState for the
+    whole solve: its endpoint is checked in full once, and every later
+    flip only against the clauses of its variable. The result's `stats`
+    counts the levels (its `dag_builds`, the walks, is two per level)
+    and keeps each completed level's `(seq_s, seq_t)` pair of raises as
+    `lower_sets`; the path is every `seq_s` in order, then every
+    `seq_t` inverted, in reverse level order. The assembled sequence is
+    not replayed here: :func:`solve` replays it once, on the formula's
+    own compiled form.
     """
     side_s = satisfying_state(compiled, s, "source")
     side_t = satisfying_state(compiled, t, "target")
@@ -82,8 +79,7 @@ def shortest_path_navigable(
     n = compiled.num_vars
     eta_entry = zeros(s, n) + zeros(t, n)
     levels = 0
-    prefix: list[Flip] = []
-    tails: list[tuple[Flip, ...]] = []
+    lower_sets: list[tuple[tuple[Flip, ...], tuple[Flip, ...]]] = []
 
     while side_s.assignment != side_t.assignment:
         cur_s, cur_t = side_s.assignment, side_t.assignment
@@ -96,17 +92,9 @@ def shortest_path_navigable(
         seq_s = lower_set_sequence(side_s, want_s)
         seq_t = lower_set_sequence(side_t, want_t)
         if seq_s is None or seq_t is None:
-            return SolveResult(Outcome.NOT_CONNECTED, stats=SolveStats(levels, eta_entry))
+            stats = SolveStats(levels, eta_entry, tuple(lower_sets))
+            return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
         eta_old = zeros(cur_s, n) + zeros(cur_t, n)
-        if trace is not None:
-            trace(
-                level=levels,
-                s=cur_s,
-                t=cur_t,
-                lower_s=seq_s,
-                lower_t=seq_t,
-                eta=eta_old,
-            )
         try:
             advance(side_s, seq_s)
             advance(side_t, seq_t)
@@ -119,13 +107,15 @@ def shortest_path_navigable(
             raise TheoryError("level made no progress on the zero count")
         if want_s and want_t and eta_new > eta_old - 2:
             raise TheoryError("level with both sides active dropped fewer than 2 zeros")
-        prefix.extend(seq_s)
-        tails.append(seq_t)
+        lower_sets.append((seq_s, seq_t))
 
-    flips = tuple(prefix)
-    for tail in reversed(tails):
-        flips += invert_sequence(tail)
-    return SolveResult(Outcome.PATH, flips=flips, stats=SolveStats(levels, eta_entry))
+    flips: tuple[Flip, ...] = ()
+    for seq_s, _ in lower_sets:
+        flips += seq_s
+    for _, seq_t in reversed(lower_sets):
+        flips += invert_sequence(seq_t)
+    stats = SolveStats(levels, eta_entry, tuple(lower_sets))
+    return SolveResult(Outcome.PATH, flips=flips, stats=stats)
 
 
 def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
@@ -233,24 +223,7 @@ def formula_route(phi: Formula) -> Route:
     return Route(cls, phi.compiled, 0)
 
 
-def _mirrored(trace, mask: int):
-    """A solver trace on the complement route, reported in the formula's
-    own terms: states xor `mask`, and each lower set's flips inverted."""
-
-    def mirrored(level, s, t, lower_s, lower_t, eta):
-        trace(
-            level=level,
-            s=s ^ mask,
-            t=t ^ mask,
-            lower_s=swap_signs(lower_s),
-            lower_t=swap_signs(lower_t),
-            eta=eta,
-        )
-
-    return mirrored
-
-
-def solve(phi: Formula, s: int, t: int, *, trace=None) -> SolveResult:
+def solve(phi: Formula, s: int, t: int) -> SolveResult:
     """Answer the instance on the formula's route (``phi.route``).
 
     Componentwise bijunctive sets take the greedy walk; NAND-free +
@@ -265,9 +238,10 @@ def solve(phi: Formula, s: int, t: int, *, trace=None) -> SolveResult:
     the exact answer runs :func:`~satflip.recon.bfs_shortest` on
     ``phi.compiled`` itself. Navigable routes range-check the endpoints
     before mapping them, so an error names the endpoint given; the
-    solvers check that they satisfy the formula. `trace` receives the
-    order-based solver's levels (see :func:`shortest_path_navigable`) in
-    the formula's own terms on either route.
+    solvers check that they satisfy the formula. The answer's `stats`
+    are the solver's own, in the terms of the form it ran on
+    (``phi.route.compiled``): on the complement route, `eta_entry` and
+    the raises in `lower_sets` are those of the complemented endpoints.
     """
     route = phi.route
     cls, n = route.classification, phi.num_vars
@@ -279,11 +253,7 @@ def solve(phi: Formula, s: int, t: int, *, trace=None) -> SolveResult:
             part = shortest_path_cwb(route.compiled, s ^ mask, t ^ mask)
             flips = part.flips
         else:
-            if trace is not None and mask:
-                trace = _mirrored(trace, mask)
-            part = shortest_path_navigable(
-                route.compiled, s ^ mask, t ^ mask, trace=trace
-            )
+            part = shortest_path_navigable(route.compiled, s ^ mask, t ^ mask)
             flips = part.flips
             if flips is not None:
                 if mask:

@@ -569,9 +569,3 @@ def parse_relation(text: str) -> Relation:
     if arity is None:
         raise ParseError("missing 'arity' line")
     return Relation(arity, frozenset(tuples))
-
-
-def serialize_relation(relation: Relation) -> str:
-    lines = [f"arity {relation.arity}"]
-    lines.extend(relation.bitstrings())
-    return "\n".join(lines) + "\n"

@@ -147,6 +147,20 @@ class TestSolve:
             "# level 2: s=000 t=001 S'={} T'={x3-} eta=1\n"
         )
 
+    def test_verbose_is_silent_off_the_order_routes(self, capsys, tmp_path):
+        # only the order-based solver has levels to print: a HARD
+        # instance and componentwise bijunctive ones leave stderr empty
+        _, text, _ = run(capsys, "gen", "vc", K3_GRAPH)
+        (tmp_path / "k3.cnfs").write_text(text)
+        (tmp_path / "or2.cnfs").write_text(
+            "# s=01\n# t=10\nvars 2\nrelation or2 2\n01\n10\n11\nend\nclause or2 x1 x2\n")
+        for path, line in ((tmp_path / "k3.cnfs", "HARD TIGHT_NOT_NAVIGABLE"),
+                           (tmp_path / "or2.cnfs", "PATH 2 x1+ x2-"),
+                           (EQ_CNFS, "NOTCONNECTED")):
+            assert run(capsys, "solve", str(path), "--verbose") == (0, line + "\n", "")
+        _, out, _ = run(capsys, "classify", str(tmp_path / "or2.cnfs"))
+        assert out.endswith("NAVIGABLE (componentwise bijunctive)\n")
+
     def test_hard_with_oracle(self, capsys, tmp_path):
         _, text, _ = run(capsys, "gen", "vc", SINGLE_EDGE_GRAPH)
         instance = tmp_path / "vc.cnfs"

@@ -18,7 +18,6 @@ from satflip import (
     induced,
     parse_assignment,
     parse_dimacs_2cnf,
-    parse_formula,
     parse_instance,
     serialize_formula,
 )
@@ -261,23 +260,23 @@ class TestFormulaValidation:
 
 class TestCnfsFormat:
     def test_minimal_file(self):
-        phi = parse_formula("vars 1\n")
+        phi = parse_instance("vars 1\n")[0]
         assert phi == Formula(1, (), ())
 
     def test_undefined_relation_diagnostic(self):
         text = "vars 2\nclause nope x1 x2\n"
         with pytest.raises(ParseError, match="line 2.*undefined relation"):
-            parse_formula(text)
+            parse_instance(text)
 
     def test_variable_out_of_range_diagnostic(self):
         text = "vars 1\nrelation imp 2\n00\nend\nclause imp x1 x9\n"
         with pytest.raises(ParseError, match="line 5.*out of range"):
-            parse_formula(text)
+            parse_instance(text)
 
     def test_duplicate_relation_name_diagnostic(self):
         text = "vars 1\nrelation r 1\n0\nend\nrelation r 1\n1\nend\n"
         with pytest.raises(ParseError, match="line 5.*duplicate relation name 'r'"):
-            parse_formula(text)
+            parse_instance(text)
 
     def test_many_relations_keep_their_order(self):
         rng = random.Random(5)
@@ -287,26 +286,26 @@ class TestCnfsFormat:
             lines += [f"relation r{i} 1", str(i % 2), "end"]
         uses = [rng.randrange(count) for _ in range(4000)]
         lines += [f"clause r{i} x{i % 3 + 1}" for i in uses]
-        phi = parse_formula("\n".join(lines) + "\n")
+        phi = parse_instance("\n".join(lines) + "\n")[0]
         assert [name for name, _ in phi.relations] == [f"r{i}" for i in range(count)]
         assert [c.relation_name for c in phi.clauses] == [f"r{i}" for i in uses]
         assert all(rel.tuples == {i % 2} for i, (_, rel) in enumerate(phi.relations))
 
     def test_unterminated_relation(self):
         with pytest.raises(ParseError, match="not terminated"):
-            parse_formula("vars 1\nrelation r 1\n0\n")
+            parse_instance("vars 1\nrelation r 1\n0\n")
 
     def test_missing_vars(self):
         with pytest.raises(ParseError, match="vars"):
-            parse_formula("relation r 1\n0\nend\n")
+            parse_instance("relation r 1\n0\nend\n")
 
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="line 2.*unknown directive"):
-            parse_formula("vars 1\nfrobnicate\n")
+            parse_instance("vars 1\nfrobnicate\n")
 
     def test_bad_tuple_row(self):
         with pytest.raises(ParseError, match="line 3"):
-            parse_formula("vars 1\nrelation r 2\n0\nend\n")
+            parse_instance("vars 1\nrelation r 2\n0\nend\n")
 
     def test_embedded_endpoints(self):
         phi, s, t = parse_instance("# s=01\n# t=10\nvars 2\n")
@@ -325,13 +324,13 @@ class TestCnfsFormat:
 
     def test_constants_round_trip(self):
         text = "vars 2\nrelation p 3\n011\n111\nend\nclause p T x2 F\n"
-        phi = parse_formula(text)
+        phi = parse_instance(text)[0]
         assert phi.clauses[0].args == (CONST1, 2, CONST0)
-        assert parse_formula(serialize_formula(phi)) == phi
+        assert parse_instance(serialize_formula(phi))[0] == phi
 
     def test_round_trip_on_random_instances(self):
         for phi, _, _ in navigable_corpus(25, seed=99, max_vars=16, max_clauses=10):
-            assert parse_formula(serialize_formula(phi)) == phi
+            assert parse_instance(serialize_formula(phi))[0] == phi
 
     def test_serialized_tuples_sorted(self):
         text = serialize_formula(PATH_PHI)
@@ -344,7 +343,7 @@ class TestCnfsFormat:
     ]))
     def test_non_decimal_number(self, text, message):
         with pytest.raises(ParseError) as err:
-            parse_formula(text)
+            parse_instance(text)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("text, message", [
@@ -364,7 +363,7 @@ class TestCnfsFormat:
     ])
     def test_directive_errors(self, text, message):
         with pytest.raises(ParseError) as err:
-            parse_formula(text)
+            parse_instance(text)
         assert str(err.value) == message
 
     def test_token_past_the_int_digit_limit(self):
@@ -379,12 +378,12 @@ class TestCnfsFormat:
             read_decimal(token, "too long", 4)
         assert str(err.value) == "line 4: too long"
         with pytest.raises(ParseError) as err:
-            parse_formula(f"vars {token}\n")
+            parse_instance(f"vars {token}\n")
         assert str(err.value) == f"line 1: bad variable count '{token}'"
         assert read_decimal("7" * limit, "too long") == int("7" * limit)
 
     def test_leading_zeros(self):
-        phi = parse_formula("vars 03\nrelation r 01\n1\nend\nclause r x003\n")
+        phi = parse_instance("vars 03\nrelation r 01\n1\nend\nclause r x003\n")[0]
         assert phi == Formula(3, (("r", Relation(1, {1})),), (Clause("r", (3,)),))
 
 

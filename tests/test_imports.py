@@ -238,12 +238,11 @@ EXPORTS = [
     "is_affine", "is_bijunctive", "is_componentwise_bijunctive", "is_dual_horn",
     "is_dual_horn_free", "is_horn", "is_horn_free", "is_nand_free", "is_or_free",
     "lower_set_sequence", "navigate", "order_respecting_sequence",
-    "parse_assignment", "parse_dimacs_2cnf", "parse_formula", "parse_graph",
-    "parse_instance", "parse_relation", "random_formula",
-    "random_navigable_relation", "recon", "records", "relation", "relation_flags",
-    "relation_partial_order", "restrict", "sat_mask", "serialize_formula",
-    "serialize_relation", "shortest_path_cwb", "shortest_path_navigable",
-    "smallest_lower_set", "solution_table", "solve",
+    "parse_assignment", "parse_dimacs_2cnf", "parse_graph", "parse_instance",
+    "parse_relation", "random_formula", "random_navigable_relation", "recon",
+    "records", "relation", "relation_flags", "relation_partial_order",
+    "restrict", "sat_mask", "serialize_formula", "shortest_path_cwb",
+    "shortest_path_navigable", "smallest_lower_set", "solution_table", "solve",
 ]
 
 

@@ -21,6 +21,7 @@ from satflip import (
     classify_formula,
     dualize,
     evaluate,
+    invert_sequence,
     relation_flags,
     shortest_path_cwb,
     shortest_path_navigable,
@@ -41,7 +42,7 @@ from satflip.bits import hamming, zeros
 from satflip.recon import members, solution_table
 
 from satflip import navigate
-from satflip.flip_order import lower_set_sequence
+from satflip.flip_order import lower_set_sequence, swap_signs
 from satflip.formula import _compile
 
 from helpers import (
@@ -121,11 +122,74 @@ class TestNavigableSolver:
                 assert res.stats.levels <= res.stats.eta_entry + 1
 
     def test_trace_levels_decrease_eta(self):
-        seen = []
-        shortest_path_navigable(
-            PATH_PHI.compiled, 0b000, 0b110, trace=lambda **kw: seen.append(kw["eta"])
-        )
-        assert seen == sorted(seen, reverse=True)
+        # the pair entering each level, rebuilt from the level's raises:
+        # its zero count starts at eta_entry and falls level by level
+        stats = shortest_path_navigable(PATH_PHI.compiled, 0b000, 0b110).stats
+        cur_s, cur_t, seen = 0b000, 0b110, []
+        for seq_s, seq_t in stats.lower_sets:
+            seen.append(zeros(cur_s, 3) + zeros(cur_t, 3))
+            cur_s = apply_sequence(PATH_PHI.compiled, cur_s, seq_s)
+            cur_t = apply_sequence(PATH_PHI.compiled, cur_t, seq_t)
+        assert seen == [stats.eta_entry, 1] and cur_s == cur_t
+
+
+def check_lower_sets(res, route_flips):
+    """An order-based answer's `stats.lower_sets`: only raises, one pair
+    per completed level, and for a PATH the answer on the solver's form,
+    `route_flips`, is each level's `seq_s` in order, then each `seq_t`
+    inverted, last level first. The level that finds NOTCONNECTED
+    completes no pair."""
+    stats = res.stats
+    assert all(flip.up for level in stats.lower_sets for seq in level for flip in seq)
+    if res.outcome is Outcome.NOT_CONNECTED:
+        assert len(stats.lower_sets) == stats.levels - 1
+        return
+    assert len(stats.lower_sets) == stats.levels
+    want = [flip for seq_s, _ in stats.lower_sets for flip in seq_s]
+    for _, seq_t in reversed(stats.lower_sets):
+        want += invert_sequence(seq_t)
+    assert route_flips == tuple(want)
+
+
+def lower_set_corpus():
+    """`navigable_corpus`, then PATH5 windows at n = 7, 11 and 15 with
+    seeded endpoints, 21 of which take two levels."""
+    rng = random.Random(2801)
+    out = navigable_corpus(400, seed=2801, max_vars=14, max_clauses=10)
+    for n in (7, 11, 15):
+        phi = windows(PATH5, n)
+        sats = members(solution_table(phi.compiled))
+        out += [(phi, rng.choice(sats), rng.choice(sats)) for _ in range(20)]
+    return out
+
+
+class TestLowerSets:
+    def test_levels_spell_the_path(self):
+        outcomes = Counter()
+        for phi, s, t in lower_set_corpus():
+            res = shortest_path_navigable(phi.compiled, s, t)
+            check_lower_sets(res, res.flips)
+            outcomes[res.outcome, res.stats.levels] += 1
+        assert outcomes[Outcome.PATH, 2] >= 20
+        assert outcomes[Outcome.NOT_CONNECTED, 1] >= 20
+
+    def test_levels_spell_the_path_on_the_complement_route(self):
+        # solve passes the solver's stats through: the lower sets are the
+        # complement image's raises, and the answer is their sign swap
+        outcomes = Counter()
+        for phi, s, t in lower_set_corpus():
+            res = solve(*dualize(phi, s, t))
+            if res.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
+                continue
+            check_lower_sets(res, swap_signs(res.flips or ()))
+            outcomes[res.outcome, res.stats.levels] += 1
+        assert outcomes[Outcome.PATH, 2] >= 20
+        assert outcomes[Outcome.NOT_CONNECTED, 1] >= 5
+
+    def test_not_connected_completes_no_level(self):
+        res = shortest_path_navigable(EQ_PHI.compiled, 0b00, 0b11)
+        assert res.outcome is Outcome.NOT_CONNECTED
+        assert res.stats == SolveStats(levels=1, eta_entry=2, lower_sets=())
 
 
 class TestCwbSolver:
@@ -348,7 +412,10 @@ class TestSolveDispatch:
     def test_stats_of_a_path5_solve(self):
         # the counts the benchmark's tracer reads: two levels, four walks
         res = solve(PATH_PHI, 0b000, 0b110)
-        assert res.stats == SolveStats(levels=2, eta_entry=4)
+        assert res.stats == SolveStats(levels=2, eta_entry=4, lower_sets=(
+            ((Flip(3, True), Flip(1, True), Flip(2, True)), ()),
+            ((), (Flip(3, True),)),
+        ))
         assert res.stats.dag_builds == 4
 
     def test_hard_with_oracle(self):
@@ -488,15 +555,15 @@ class TestRoute:
         with pytest.raises(TheoryError, match="order-based answer fails its replay"):
             solve(phi, s, t)
 
-    def test_trace_in_the_formulas_terms(self):
-        seen = []
-        solve(PATH5_COMPLEMENT, 0b111, 0b001, trace=lambda **kw: seen.append(kw))
-        assert seen == [
-            dict(level=1, s=0b111, t=0b001, eta=4, lower_t=(),
-                 lower_s=(Flip(3, False), Flip(1, False), Flip(2, False))),
-            dict(level=2, s=0b000, t=0b001, eta=1, lower_s=(),
-                 lower_t=(Flip(3, False),)),
-        ]
+    def test_stats_in_the_routes_terms(self):
+        # the solver ran on the complement image, from 000 to 110: its
+        # raises, not the formula's lowering flips
+        res = solve(PATH5_COMPLEMENT, 0b111, 0b001)
+        assert res.protocol_line() == "PATH 4 x3- x1- x2- x3+"
+        assert res.stats == SolveStats(2, 4, (
+            ((Flip(3, True), Flip(1, True), Flip(2, True)), ()),
+            ((), (Flip(3, True),)),
+        ))
 
 
 def cwb_population():

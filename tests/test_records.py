@@ -99,7 +99,7 @@ def test_reprs_name_the_fields():
     assert repr(RestrictionMap(2, 1, (1, "c0"))) == (
         "RestrictionMap(source_arity=2, target_arity=1, entries=(1, 'c0'))"
     )
-    assert repr(SolveStats(levels=2)) == "SolveStats(levels=2, eta_entry=0)"
+    assert repr(SolveStats(levels=2)) == "SolveStats(levels=2, eta_entry=0, lower_sets=())"
 
 
 def test_formula_keeps_its_compiled_form():
@@ -137,15 +137,15 @@ def test_answer_annotations_resolve():
 
 
 def test_walk_count_is_derived_from_the_levels():
-    # two backward walks per level; the record stores no third count
+    # two backward walks per level; the record stores no walk count
     # that could disagree with its levels
     stats = SolveStats(levels=3, eta_entry=7)
     assert stats.dag_builds == 6 and SolveStats().dag_builds == 0
-    assert SolveStats._fields == ("levels", "eta_entry")
+    assert SolveStats._fields == ("levels", "eta_entry", "lower_sets")
     with pytest.raises(AttributeError):
         stats.dag_builds = 6
     with pytest.raises(TypeError):
-        SolveStats(1, 2, 2)
+        SolveStats(1, 2, (), 2)
 
 
 def test_solve_and_exact_search_return_one_type():
