@@ -2,12 +2,13 @@
 
 :class:`SolveResult` is the one immutable answer to an instance: an
 :class:`Outcome`, the :class:`Flip` sequence of a PATH answer and the
-solver's :class:`SolveStats`; it prints the protocol line. No answer
+solver's :class:`SolveStats`; it prints the protocol line. An answer
+holds only what its solve decided: only a HARD answer carries a
+classification, since there the class is the answer, and no answer
 holds another: the exact search's answer to a HARD instance is its own
-record. Of the package it imports only the relation layer, for the
-classification a HARD answer carries, so the exact search, and the CLI
-commands that run only it, build answers without compiling the
-order-based solver.
+record. Of the package it imports only the relation layer, for that
+classification, so the exact search, and the CLI commands that run only
+it, build answers without compiling the order-based solver.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ class Outcome(Enum):
 
 
 class SolveStats(NamedTuple):
-    """What one solve counted: the order-based solver's levels, the
-    endpoints' zero count on entry, and one `(seq_s, seq_t)` pair of
-    raises per completed level, the flips each side made in order. Like
-    `eta_entry`, the lower sets are in the terms of the form the solver
-    ran on."""
+    """What one solve counted: the order-based solver's levels, and one
+    `(seq_s, seq_t)` pair of raises per completed level, the flips each
+    side made in order, in the terms of the form the solver ran on.
+    Every other solve leaves both empty."""
 
     levels: int = 0
-    eta_entry: int = 0
     lower_sets: tuple[tuple[tuple[Flip, ...], tuple[Flip, ...]], ...] = ()
 
     @property
@@ -55,7 +54,8 @@ class SolveStats(NamedTuple):
 class SolveResult(NamedTuple):
     """An answer to an instance, from a solver or the exact search: a
     shortest flip sequence (PATH, with `flips`), NOT_CONNECTED (`flips`
-    None), or HARD with the formula's `classification`."""
+    None), or HARD with the formula's `classification`, which no other
+    outcome carries."""
 
     outcome: Outcome
     flips: tuple[Flip, ...] | None = None

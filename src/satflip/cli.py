@@ -11,6 +11,7 @@ import importlib.util
 import random
 import sys
 
+from .bits import zeros
 from .errors import ParseError, PreconditionError, TheoryError, read_decimal
 from .formula import (
     classify_formula,
@@ -136,16 +137,15 @@ def cmd_classify(args) -> int:
 def _print_levels(phi, s, t, stats) -> None:
     """`--verbose`: one stderr line per level of the order-based solver,
     read from `stats.lower_sets`. Each level's pair is rebuilt by xor
-    from the formula's own endpoints. The solver's raises are signed `-`
-    on the complement route, as `dot --what fliporder` signs its nodes;
-    `eta`, the pair's zero count on the solver's form, drops by one per
-    flip."""
-    n = phi.num_vars
-    sign = "-" if phi.route.mask else "+"
-    fmt = lambda vs: "{" + " ".join(f"x{v}{sign}" for v in vs) + "}"
-    eta = stats.eta_entry
+    from the formula's own endpoints, and `eta` is that pair's zero
+    count on the solver's form (``phi.route.compiled``). The solver's
+    raises are spelled by `Flip.token`, lowering on the complement
+    route, as `dot --what fliporder` spells its nodes."""
+    n, mask = phi.num_vars, phi.route.mask
+    fmt = lambda vs: "{" + " ".join(navigate.Flip.token((v, not mask)) for v in vs) + "}"
     for level, sides in enumerate(stats.lower_sets, 1):
         lower_s, lower_t = (sorted(v for v, _ in seq) for seq in sides)
+        eta = zeros(s ^ mask, n) + zeros(t ^ mask, n)
         print(
             f"# level {level}: s={format_assignment(s, n)}"
             f" t={format_assignment(t, n)}"
@@ -154,7 +154,6 @@ def _print_levels(phi, s, t, stats) -> None:
         )
         s ^= sum(1 << n - v for v in lower_s)
         t ^= sum(1 << n - v for v in lower_t)
-        eta -= len(lower_s) + len(lower_t)
 
 
 def cmd_solve(args) -> int:
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-oracle", action="store_true",
                    help="fall back to exact search on hard instances")
     p.add_argument("--verbose", action="store_true",
-                   help="stream per-level solver state to stderr")
+                   help="print each level's lower sets to stderr")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="exact BFS shortest flip sequence")

@@ -335,7 +335,8 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
     for u, v in dag.edges:
         if v in chosen and u not in chosen:
             raise PreconditionError(
-                f"flip set is not downward closed: x{v}+ requires x{u}+"
+                f"flip set is not downward closed: {Flip.token((v, True))}"
+                f" requires {Flip.token((u, True))}"
             )
     preds = dag.predecessor_map()
     order = _kahn({v: preds[v] for v in chosen})
@@ -365,11 +366,11 @@ def dag_to_dot(dag: FlipOrderDag, up: bool = True) -> str:
             via |= above[u]
         reduced += ((u, v) for u in preds[v] if not via >> u & 1)
         above[v] = via | sum(1 << u for u in preds[v])
-    sign = "+" if up else "-"
+    token = lambda v: Flip.token((v, up))
     lines = ["digraph fliporder {"]
     for v in sorted(dag.nodes):
-        lines.append(f'  "x{v}{sign}";')
+        lines.append(f'  "{token(v)}";')
     for u, v in sorted(reduced):
-        lines.append(f'  "x{u}{sign}" -> "x{v}{sign}";')
+        lines.append(f'  "{token(u)}" -> "{token(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,10 +18,11 @@ the solver runs on, and the xor mask from the formula's assignments to
 that form's. :func:`solve` and the CLI's flip-order export both read it.
 
 Every answer is an immutable :class:`~satflip.answer.SolveResult`, the
-exact search's type too; :func:`solve` builds its answer once from the
-solver's parts. No solver takes a callback: the order-based solver
-returns its levels' lower sets in its stats, in the terms of the form it
-ran on, and ``satflip solve --verbose`` prints them from the answer.
+exact search's type too, and :func:`solve` returns the solver's own
+answer; only a HARD answer carries the classification. No solver takes
+a callback: the order-based solver returns its levels' lower sets in
+its stats, in the terms of the form it ran on, and ``satflip solve
+--verbose`` prints them from the answer.
 """
 
 from __future__ import annotations
@@ -77,14 +78,14 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
     if s != t:
         _require_order_class(compiled)
     n = compiled.num_vars
-    eta_entry = zeros(s, n) + zeros(t, n)
+    eta_start = zeros(s, n) + zeros(t, n)
     levels = 0
     lower_sets: list[tuple[tuple[Flip, ...], tuple[Flip, ...]]] = []
 
     while side_s.assignment != side_t.assignment:
         cur_s, cur_t = side_s.assignment, side_t.assignment
         levels += 1
-        if levels > eta_entry + 1:
+        if levels > eta_start + 1:
             raise TheoryError("level count exceeded the zero-count measure")
         diff = cur_s ^ cur_t
         want_s = tuple(set_vars(diff & cur_t, n))
@@ -92,7 +93,7 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
         seq_s = lower_set_sequence(side_s, want_s)
         seq_t = lower_set_sequence(side_t, want_t)
         if seq_s is None or seq_t is None:
-            stats = SolveStats(levels, eta_entry, tuple(lower_sets))
+            stats = SolveStats(levels, tuple(lower_sets))
             return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
         eta_old = zeros(cur_s, n) + zeros(cur_t, n)
         try:
@@ -114,7 +115,7 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
         flips += seq_s
     for _, seq_t in reversed(lower_sets):
         flips += invert_sequence(seq_t)
-    stats = SolveStats(levels, eta_entry, tuple(lower_sets))
+    stats = SolveStats(levels, tuple(lower_sets))
     return SolveResult(Outcome.PATH, flips=flips, stats=stats)
 
 
@@ -141,7 +142,6 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     n = compiled.num_vars
     accept, occurrences, variables = compiled.accept, compiled.occurrences, compiled.variables
     assignment = s
-    stats = SolveStats(eta_entry=zeros(s, n) + zeros(t, n))
 
     heap = list(set_vars(s ^ t, n))
     heap.reverse()  # ascending, so already a heap
@@ -167,10 +167,10 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
                         queued.add(w)
                         heapq.heappush(heap, w)
     if assignment != t:
-        return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
+        return SolveResult(Outcome.NOT_CONNECTED)
     if len(flips) != hamming(s, t):
         raise TheoryError("greedy walk left the symmetric difference")
-    return SolveResult(Outcome.PATH, flips=tuple(flips), stats=stats)
+    return SolveResult(Outcome.PATH, flips=tuple(flips))
 
 
 def dualize(phi: Formula, s: int, t: int):
@@ -224,7 +224,8 @@ def formula_route(phi: Formula) -> Route:
 
 
 def solve(phi: Formula, s: int, t: int) -> SolveResult:
-    """Answer the instance on the formula's route (``phi.route``).
+    """Answer the instance on the formula's route (``phi.route``), with
+    the solver's own answer.
 
     Componentwise bijunctive sets take the greedy walk; NAND-free +
     dual-Horn-free sets the order-based solver; OR-free + Horn-free sets
@@ -236,40 +237,35 @@ def solve(phi: Formula, s: int, t: int) -> SolveResult:
     Non-navigable sets return HARD with the classification, once both
     endpoints are checked to satisfy the formula; a caller that wants
     the exact answer runs :func:`~satflip.recon.bfs_shortest` on
-    ``phi.compiled`` itself. Navigable routes range-check the endpoints
-    before mapping them, so an error names the endpoint given; the
-    solvers check that they satisfy the formula. The answer's `stats`
-    are the solver's own, in the terms of the form it ran on
-    (``phi.route.compiled``): on the complement route, `eta_entry` and
-    the raises in `lower_sets` are those of the complemented endpoints.
+    ``phi.compiled`` itself. Only a HARD answer carries the
+    classification; a caller that wants the route of another reads
+    ``phi.route.classification``. Navigable routes range-check the
+    endpoints before mapping them, so an error names the endpoint given;
+    the solvers check that they satisfy the formula. The answer's
+    `stats` are the solver's own, in the terms of the form it ran on
+    (``phi.route.compiled``): on the complement route, the raises in
+    `lower_sets` are those of the complemented endpoints.
     """
     route = phi.route
     cls, n = route.classification, phi.num_vars
-    if cls.verdict is Verdict.NAVIGABLE:
-        _check_assignment(n, s)
-        _check_assignment(n, t)
-        mask = route.mask
-        if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:
-            part = shortest_path_cwb(route.compiled, s ^ mask, t ^ mask)
-            flips = part.flips
-        else:
-            part = shortest_path_navigable(route.compiled, s ^ mask, t ^ mask)
-            flips = part.flips
-            if flips is not None:
-                if mask:
-                    flips = swap_signs(flips)
-                try:
-                    end = apply_sequence(phi.compiled, s, flips)
-                except PreconditionError as exc:
-                    raise TheoryError(f"order-based answer fails its replay: {exc}") from exc
-                if end != t:
-                    raise TheoryError("order-based answer does not reach the target")
-        return SolveResult(part.outcome, flips, cls, part.stats)
-
-    satisfying_state(phi.compiled, s, "source")
-    satisfying_state(phi.compiled, t, "target")
-    return SolveResult(
-        Outcome.HARD,
-        classification=cls,
-        stats=SolveStats(eta_entry=zeros(s, n) + zeros(t, n)),
-    )
+    if cls.verdict is not Verdict.NAVIGABLE:
+        satisfying_state(phi.compiled, s, "source")
+        satisfying_state(phi.compiled, t, "target")
+        return SolveResult(Outcome.HARD, classification=cls)
+    _check_assignment(n, s)
+    _check_assignment(n, t)
+    if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:
+        return shortest_path_cwb(route.compiled, s, t)
+    mask = route.mask
+    result = shortest_path_navigable(route.compiled, s ^ mask, t ^ mask)
+    if result.flips is None:
+        return result
+    if mask:
+        result = result._replace(flips=swap_signs(result.flips))
+    try:
+        end = apply_sequence(phi.compiled, s, result.flips)
+    except PreconditionError as exc:
+        raise TheoryError(f"order-based answer fails its replay: {exc}") from exc
+    if end != t:
+        raise TheoryError("order-based answer does not reach the target")
+    return result

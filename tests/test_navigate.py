@@ -1,3 +1,4 @@
+import pathlib
 import random
 from collections import Counter
 
@@ -32,9 +33,11 @@ from satflip import (
     GenerationError,
     SimpleGraph,
     formula_flip_dag,
+    gen_independent_set_instance,
     gen_vertex_cover_instance,
     is_bijunctive,
     is_componentwise_bijunctive,
+    parse_graph,
     random_formula,
     random_navigable_relation,
 )
@@ -56,6 +59,8 @@ from helpers import (
     rescan_cwb_walk,
     two_cnf_relation,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
 PATH_PHI = Formula(3, (("path5", PATH5),), (Clause("path5", (1, 2, 3)),))
@@ -119,18 +124,19 @@ class TestNavigableSolver:
                 assert apply_sequence(phi.compiled, s, res.flips) == t
                 assert res.length >= hamming(s, t)
                 assert res.length % 2 == hamming(s, t) % 2
-                assert res.stats.levels <= res.stats.eta_entry + 1
+                n = phi.num_vars
+                assert res.stats.levels <= zeros(s, n) + zeros(t, n) + 1
 
     def test_trace_levels_decrease_eta(self):
         # the pair entering each level, rebuilt from the level's raises:
-        # its zero count starts at eta_entry and falls level by level
+        # its zero count starts at the endpoints' and falls level by level
         stats = shortest_path_navigable(PATH_PHI.compiled, 0b000, 0b110).stats
         cur_s, cur_t, seen = 0b000, 0b110, []
         for seq_s, seq_t in stats.lower_sets:
             seen.append(zeros(cur_s, 3) + zeros(cur_t, 3))
             cur_s = apply_sequence(PATH_PHI.compiled, cur_s, seq_s)
             cur_t = apply_sequence(PATH_PHI.compiled, cur_t, seq_t)
-        assert seen == [stats.eta_entry, 1] and cur_s == cur_t
+        assert seen == [zeros(0b000, 3) + zeros(0b110, 3), 1] and cur_s == cur_t
 
 
 def check_lower_sets(res, route_flips):
@@ -178,9 +184,10 @@ class TestLowerSets:
         # complement image's raises, and the answer is their sign swap
         outcomes = Counter()
         for phi, s, t in lower_set_corpus():
-            res = solve(*dualize(phi, s, t))
-            if res.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
+            dphi, ds, dt = dualize(phi, s, t)
+            if dphi.route.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
                 continue
+            res = solve(dphi, ds, dt)
             check_lower_sets(res, swap_signs(res.flips or ()))
             outcomes[res.outcome, res.stats.levels] += 1
         assert outcomes[Outcome.PATH, 2] >= 20
@@ -189,7 +196,7 @@ class TestLowerSets:
     def test_not_connected_completes_no_level(self):
         res = shortest_path_navigable(EQ_PHI.compiled, 0b00, 0b11)
         assert res.outcome is Outcome.NOT_CONNECTED
-        assert res.stats == SolveStats(levels=1, eta_entry=2, lower_sets=())
+        assert res.stats == SolveStats(levels=1, lower_sets=())
 
 
 class TestCwbSolver:
@@ -336,9 +343,9 @@ class TestDualize:
         outcomes = []
         for phi, s, t in navigable_corpus(200, seed=88):
             dphi, ds, dt = dualize(phi, s, t)
-            res = solve(dphi, ds, dt)
-            if res.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
+            if dphi.route.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
                 continue
+            res = solve(dphi, ds, dt)
             primal = shortest_path_navigable(dualize(dphi, ds, dt)[0].compiled, s, t)
             want = None if primal.flips is None else tuple(
                 Flip(f.var, not f.up) for f in primal.flips)
@@ -407,12 +414,13 @@ class TestSolveDispatch:
     def test_navigable_instance(self):
         res = solve(PATH_PHI, 0b000, 0b110)
         assert res.outcome is Outcome.PATH and res.length == 4
-        assert res.classification.kind is NavigableKind.NAND_AND_DUAL_HORN_FREE
+        assert PATH_PHI.route.classification.kind is NavigableKind.NAND_AND_DUAL_HORN_FREE
+        assert res.classification is None
 
     def test_stats_of_a_path5_solve(self):
         # the counts the benchmark's tracer reads: two levels, four walks
         res = solve(PATH_PHI, 0b000, 0b110)
-        assert res.stats == SolveStats(levels=2, eta_entry=4, lower_sets=(
+        assert res.stats == SolveStats(levels=2, lower_sets=(
             ((Flip(3, True), Flip(1, True), Flip(2, True)), ()),
             ((), (Flip(3, True),)),
         ))
@@ -441,12 +449,13 @@ class TestSolveDispatch:
         phi = Formula(4, (), ())
         res = solve(phi, 0b0101, 0b1010)
         assert res.outcome is Outcome.PATH and res.length == 4
-        assert res.classification.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE
+        assert phi.route.classification.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE
+        assert res.classification is None
 
     def test_cwb_dispatch(self):
         phi = Formula(2, (("or2", OR2),), (Clause("or2", (1, 2)),))
         res = solve(phi, 0b01, 0b10)
-        assert res.classification.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE
+        assert phi.route.classification.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE
         assert res.length == 2
 
     def test_classify_formula_matches_relations(self):
@@ -560,7 +569,7 @@ class TestRoute:
         # raises, not the formula's lowering flips
         res = solve(PATH5_COMPLEMENT, 0b111, 0b001)
         assert res.protocol_line() == "PATH 4 x3- x1- x2- x3+"
-        assert res.stats == SolveStats(2, 4, (
+        assert res.stats == SolveStats(2, (
             ((Flip(3, True), Flip(1, True), Flip(2, True)), ()),
             ((), (Flip(3, True),)),
         ))
@@ -708,6 +717,50 @@ class TestRoutesAgainstExactSearch:
                 )
             checked += bool(dag.edges)
         assert checked >= 8
+
+
+class TestSolveReturnsTheSolversAnswer:
+    """`solve` returns the answer of the solver its route picks, with
+    only the flips' signs swapped back on the complement route; only a
+    HARD answer carries a classification."""
+
+    def test_cwb_route(self):
+        for phi, s, t in routed_corpus(NavigableKind.COMPONENTWISE_BIJUNCTIVE, 40, seed=2901):
+            assert solve(phi, s, t) == shortest_path_cwb(phi.compiled, s, t)
+
+    def test_primal_order_route(self):
+        for phi, s, t in routed_corpus(NavigableKind.NAND_AND_DUAL_HORN_FREE, 40, seed=2902):
+            assert solve(phi, s, t) == shortest_path_navigable(phi.compiled, s, t)
+
+    def test_complement_route(self):
+        # the dual halves of the lower-set corpus, some of two levels
+        outcomes = Counter()
+        for phi, s, t in (dualize(*instance) for instance in lower_set_corpus()):
+            route = phi.route
+            if route.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
+                continue
+            want = shortest_path_navigable(route.compiled, s ^ route.mask, t ^ route.mask)
+            if want.flips is not None:
+                want = want._replace(flips=swap_signs(want.flips))
+            assert solve(phi, s, t) == want
+            outcomes[want.outcome, want.stats.levels] += 1
+        assert outcomes[Outcome.PATH, 2] >= 20
+        assert outcomes[Outcome.NOT_CONNECTED, 1] >= 5
+
+    def test_only_a_hard_answer_is_classified(self):
+        answers = []
+        for phi, s, t in navigable_corpus(150, seed=2904):
+            answers += [solve(phi, s, t), solve(*dualize(phi, s, t))]
+        for path in sorted(DATA.glob("*.graph")):
+            graph = parse_graph(path.read_text())
+            for reduction in (gen_vertex_cover_instance, gen_independent_set_instance):
+                phi, s, t = reduction(graph)
+                answers += [solve(phi, s, t), bfs_shortest(phi.compiled, s, t)]
+        for phi, s, t in routed_corpus(None, 20, seed=2905):
+            answers.append(bfs_shortest(phi.compiled, s, t, cap=12))
+        for res in answers:
+            assert (res.classification is not None) is (res.outcome is Outcome.HARD)
+        assert {res.outcome for res in answers} == set(Outcome)
 
 
 class TestProtocolLines:

@@ -24,6 +24,7 @@ from satflip import (
 from satflip.navigate import Outcome
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
+LEVEL = (((Flip(3, True),), ()),)  # one level's lower sets: x3+ on the source side
 
 
 def build_records():
@@ -34,8 +35,8 @@ def build_records():
         (Formula(3, (("p", PATH5),), (Clause("p", (1, 2, 3)),)), "num_vars"),
         (SimpleGraph(3, ((2, 1), (3, 2))), "edges"),
         (Clause("p", (1, 2, 3)), "args"),
-        (SolveResult(Outcome.PATH, (Flip(3, True),), stats=SolveStats(1, 2)), "flips"),
-        (SolveStats(2, 4), "levels"),
+        (SolveResult(Outcome.PATH, (Flip(3, True),), stats=SolveStats(1, LEVEL)), "flips"),
+        (SolveStats(2, LEVEL * 2), "levels"),
     ]
 
 
@@ -99,7 +100,7 @@ def test_reprs_name_the_fields():
     assert repr(RestrictionMap(2, 1, (1, "c0"))) == (
         "RestrictionMap(source_arity=2, target_arity=1, entries=(1, 'c0'))"
     )
-    assert repr(SolveStats(levels=2)) == "SolveStats(levels=2, eta_entry=0, lower_sets=())"
+    assert repr(SolveStats(levels=2)) == "SolveStats(levels=2, lower_sets=())"
 
 
 def test_formula_keeps_its_compiled_form():
@@ -113,7 +114,7 @@ def test_formula_keeps_its_compiled_form():
 def test_solve_results_share_no_mutable_stats():
     first, second = SolveResult(Outcome.PATH), SolveResult(Outcome.PATH)
     assert first == second
-    assert first.stats == SolveStats(levels=0, eta_entry=0)
+    assert first.stats == SolveStats(levels=0, lower_sets=())
     with pytest.raises(AttributeError):
         first.stats.levels += 1
     assert (first.stats.levels, second.stats.levels) == (0, 0)
@@ -125,7 +126,7 @@ def test_solve_records_are_immutable_values():
         result.flips = ()
     assert result.flips is None and result.length is None
     assert result == SolveResult(Outcome.HARD, flips=None)
-    assert SolveStats(1, 2) == SolveStats(levels=1, eta_entry=2)
+    assert SolveStats(1, ()) == SolveStats(levels=1, lower_sets=())
 
 
 def test_answer_annotations_resolve():
@@ -139,13 +140,13 @@ def test_answer_annotations_resolve():
 def test_walk_count_is_derived_from_the_levels():
     # two backward walks per level; the record stores no walk count
     # that could disagree with its levels
-    stats = SolveStats(levels=3, eta_entry=7)
+    stats = SolveStats(levels=3)
     assert stats.dag_builds == 6 and SolveStats().dag_builds == 0
-    assert SolveStats._fields == ("levels", "eta_entry", "lower_sets")
+    assert SolveStats._fields == ("levels", "lower_sets")
     with pytest.raises(AttributeError):
         stats.dag_builds = 6
     with pytest.raises(TypeError):
-        SolveStats(1, 2, (), 2)
+        SolveStats(1, (), 2)
 
 
 def test_solve_and_exact_search_return_one_type():
