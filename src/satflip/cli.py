@@ -187,7 +187,9 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     phi, s, t = _load_instance(args)
     _require_endpoints(s, t)
-    result = recon.bfs_shortest(phi.compiled, s, t, cap=_cap(args))
+    cap = _cap(args)
+    recon.check_search(phi.num_vars, cap, "oracle")  # before phi.compiled
+    result = recon.bfs_shortest(phi.compiled, s, t, cap=cap)
     print(result.protocol_line())
     return 0
 
@@ -222,10 +224,9 @@ def cmd_gen_random(args) -> int:
 def cmd_dot(args) -> int:
     phi, s, _ = _load_instance(args)
     cap = _cap(args)
-    recon.check_cap(cap)
     if args.what == "recon":
         # before phi.compiled, whose size grows with the variable count
-        recon.check_graph_vars(phi.num_vars, cap)
+        recon.check_search(phi.num_vars, cap, "explicit-graph")
         if args.format == "text":
             states, edges = recon.graph_size(phi.compiled, cap=cap)
             print(f"states {states}")
@@ -233,6 +234,7 @@ def cmd_dot(args) -> int:
         else:
             sys.stdout.write(recon.graph_to_dot(recon.build_graph(phi.compiled, cap=cap)))
         return 0
+    recon.check_cap(cap)
     if s is None:
         raise ParseError("no assignment: pass --from or embed a '# s=' comment")
     route = phi.route

@@ -15,7 +15,9 @@ BLOCK_BITS), it is a list of 2^(n - bits) ints, and bit p of block i is
 set iff assignment ``(i << bits) + p`` satisfies the formula, the
 ``Relation.table`` convention at arity n read block by block.
 :func:`clause_blocks` builds it; :func:`bfs_shortest`,
-:func:`graph_size` and :func:`build_graph` read it, and
+:func:`graph_size` and :func:`build_graph` read it, each after
+:func:`check_search`, the search's one gate on the cap and the variable
+count, which the CLI runs before it compiles a formula; and
 :func:`solution_table` joins it into one int. A set operation over all
 2^n assignments is one big-int operation per block. Flipping variable v,
 of weight w = 2^(n-v), moves a block's set by w bits when w is below
@@ -66,7 +68,9 @@ BLOCK_BITS = 16
 
 def check_cap(cap: int) -> None:
     """Reject a cap that is no plain int or is negative, and one whose full
-    search would not fit the byte budget, before anything is allocated."""
+    search would not fit the byte budget, before anything is allocated.
+    :func:`check_search` runs it first; ``solve`` and ``dot --what
+    fliporder``, which may not search, run it alone."""
     if type(cap) is not int:
         raise PreconditionError(f"state cap {cap!r} is not an int")
     if cap < 0:
@@ -76,6 +80,16 @@ def check_cap(cap: int) -> None:
             f"state cap {cap} is above the largest supported cap {MAX_STATE_CAP}"
             f" ({BYTES_PER_STATE} bytes for each of 2^cap states)"
         )
+
+
+def check_search(num_vars: int, cap: int, use: str) -> None:
+    """The exact search's one gate: refuse a bad cap (:func:`check_cap`),
+    then a formula of more than `cap` variables, named by its `use`
+    (``"oracle"`` or ``"explicit-graph"``). It reads only the variable
+    count, so a caller can run it before the formula is compiled."""
+    check_cap(cap)
+    if num_vars > cap:
+        raise PreconditionError(f"formula has {num_vars} variables, above the {use} cap {cap}")
 
 
 def clause_blocks(n: int, clauses) -> list[int]:
@@ -197,19 +211,10 @@ def _edge_ends(blocks: list[int], n: int):
             yield i << bits, w, table & low & (table >> w)
 
 
-def check_graph_vars(num_vars: int, cap: int) -> None:
-    """Reject an explicit graph of more than `cap` variables."""
-    if num_vars > cap:
-        raise PreconditionError(
-            f"formula has {num_vars} variables, above the explicit-graph cap {cap}"
-        )
-
-
 def _counted_blocks(compiled: CompiledFormula, cap: int) -> tuple[list[int], int, int]:
     """The solution blocks with the graph's state and edge counts."""
-    check_cap(cap)
     n = compiled.num_vars
-    check_graph_vars(n, cap)
+    check_search(n, cap, "explicit-graph")
     blocks = _solution_blocks(compiled)
     edges = sum(lower.bit_count() for _, _, lower in _edge_ends(blocks, n))
     return blocks, sum(table.bit_count() for table in blocks), edges
@@ -265,10 +270,8 @@ def bfs_shortest(
     plane, so ties break deterministically toward the lexicographically
     first shortest sequence.
     """
-    check_cap(cap)
     n = compiled.num_vars
-    if n > cap:
-        raise PreconditionError(f"formula has {n} variables, above the oracle cap {cap}")
+    check_search(n, cap, "oracle")
     satisfying_state(compiled, s, "source")
     satisfying_state(compiled, t, "target")
     if s == t:

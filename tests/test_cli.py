@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from satflip import MAX_STATE_CAP, SolveResult, TheoryError
-from satflip import cli
+from satflip import cli, formula
 from satflip.cli import main
 from satflip.navigate import Outcome
 
@@ -238,6 +238,34 @@ class TestOracle:
         code, out, err = run(capsys, argv[0], PATH_CNFS, *argv[1:], "--cap", "-5")
         assert (code, out) == (2, "")
         assert "state cap -5 is negative" in err
+
+
+CAP_99 = (
+    f"state cap 99 is above the largest supported cap {MAX_STATE_CAP}"
+    " (2 bytes for each of 2^cap states)"
+)
+
+
+class TestSearchGate:
+    @pytest.mark.parametrize("argv, message", [
+        (("oracle", "WIDE"), "formula has 21 variables, above the oracle cap 20"),
+        (("oracle", PATH_CNFS, "--cap", "99"), CAP_99),
+        (("dot", "WIDE"), "formula has 21 variables, above the explicit-graph cap 20"),
+        (("dot", "--format", "text", "WIDE"),
+         "formula has 21 variables, above the explicit-graph cap 20"),
+        (("dot", PATH_CNFS, "--cap", "99"), CAP_99),
+        (("dot", "--what", "fliporder", PATH_CNFS, "--cap", "99"), CAP_99),
+    ], ids=["oracle", "oracle-cap-99", "dot", "dot-text", "dot-cap-99", "fliporder-cap-99"])
+    def test_refused_before_compiling(self, capsys, monkeypatch, tmp_path, argv, message):
+        wide = tmp_path / "wide.cnfs"
+        wide.write_text(f"# s={'0' * 21}\n# t={'1' * 21}\nvars 21\n")
+
+        def compile_nothing(phi):
+            pytest.fail("the formula was compiled before the refusal")
+
+        monkeypatch.setattr(formula, "_compile", compile_nothing)
+        argv = [str(wide) if arg == "WIDE" else arg for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"satflip: error: {message}\n")
 
 
 class TestGen:

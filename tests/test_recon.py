@@ -345,6 +345,37 @@ class TestStateCapCeiling:
         assert len(build_graph(PATH_PHI.compiled, cap=MAX_STATE_CAP).states) == 5
 
 
+class TestCheckSearch:
+    @pytest.mark.parametrize("use", ["oracle", "explicit-graph"])
+    def test_refuses_a_formula_above_the_cap(self, use):
+        recon.check_search(20, 20, use)
+        with pytest.raises(PreconditionError) as info:
+            recon.check_search(21, 20, use)
+        assert str(info.value) == f"formula has 21 variables, above the {use} cap 20"
+
+    @pytest.mark.parametrize("search, use", [
+        # 010 satisfies no PATH5 clause: the variable count is refused first
+        (lambda cap: bfs_shortest(PATH_PHI.compiled, 0b010, 0b010, cap=cap), "oracle"),
+        (lambda cap: graph_size(PATH_PHI.compiled, cap=cap), "explicit-graph"),
+        (lambda cap: build_graph(PATH_PHI.compiled, cap=cap), "explicit-graph"),
+    ], ids=["bfs_shortest", "graph_size", "build_graph"])
+    def test_each_search_names_its_use(self, search, use):
+        with pytest.raises(PreconditionError) as info:
+            search(2)
+        assert str(info.value) == f"formula has 3 variables, above the {use} cap 2"
+
+    @pytest.mark.parametrize("cap, message", [
+        (True, "state cap True is not an int"),
+        (False, "state cap False is not an int"),
+        (-1, "state cap -1 is negative"),
+    ])
+    def test_checks_the_cap_first(self, cap, message):
+        # a million variables are above any cap; the cap is refused first
+        with pytest.raises(PreconditionError) as info:
+            recon.check_search(10**6, cap, "oracle")
+        assert str(info.value) == message
+
+
 class TestComponents:
     def test_xor_two_singletons(self):
         assert components(Relation.from_bitstrings(["01", "10"])) == ((1,), (2,))

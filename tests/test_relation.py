@@ -603,6 +603,26 @@ class TestClassify:
             cls = classify_set(rels)
             assert (cls.kind is not None) == (cls.verdict is Verdict.NAVIGABLE)
 
+    @pytest.mark.parametrize("k, p", [(k, p) for k in range(1, 7) for p in range(k + 1)])
+    def test_single_cnf_clause(self, k, p):
+        # One clause of k literals, p of them negated (here x1..xp), holds
+        # on every tuple but the one with 1 at the negated positions and 0
+        # at the others. Which positions are negated does not change the
+        # class, since the classes are closed under permuting positions.
+        bad = ((1 << p) - 1) << (k - p)
+        cls = classify_set([Relation(k, frozenset(range(1 << k)) - {bad})])
+        if k <= 2:
+            want = (Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE)
+        elif p == 0:
+            want = (Verdict.NAVIGABLE, NavigableKind.NAND_AND_DUAL_HORN_FREE)
+        elif p == k:
+            want = (Verdict.NAVIGABLE, NavigableKind.OR_AND_HORN_FREE)
+        elif p in (1, k - 1):
+            want = (Verdict.TIGHT_NOT_NAVIGABLE, None)
+        else:
+            want = (Verdict.NOT_TIGHT, None)
+        assert (cls.verdict, cls.kind) == want
+
 
 def gaussian_binomial_2(k, d):
     """The number of d-dimensional subspaces of GF(2)^k."""
