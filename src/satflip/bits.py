@@ -36,12 +36,13 @@ def hamming(a: int, b: int) -> int:
 
 
 def set_vars(value: int, width: int):
-    """Yield the variables whose bit is 1 in `value`, highest index first;
-    costs one step per set bit, not per variable."""
-    while value:
-        low = value & -value
-        yield width + 1 - low.bit_length()
-        value ^= low
+    """Yield the variables whose bit is 1 in `value`, highest index first,
+    in time linear in `width`: one format, then a scan from the right."""
+    text = to_bitstring(value, width)
+    i = text.rfind("1")
+    while i >= 0:
+        yield i + 1
+        i = text.rfind("1", 0, i)
 
 
 def low_masks(n: int):

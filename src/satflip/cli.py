@@ -12,7 +12,7 @@ import random
 import sys
 
 from .bits import zeros
-from .errors import ParseError, PreconditionError, TheoryError, read_decimal
+from .errors import ParseError, PreconditionError, TheoryError, content_lines, read_decimal
 from .formula import (
     classify_formula,
     format_assignment,
@@ -102,8 +102,10 @@ def _load_instance(args):
 
 
 def _cap(args) -> int:
-    """The --cap value, or the exact search's default cap."""
-    return recon.DEFAULT_STATE_CAP if args.cap is None else args.cap
+    """The --cap value or the default cap, checked before any file is read."""
+    cap = recon.DEFAULT_STATE_CAP if args.cap is None else args.cap
+    recon.check_cap(cap)
+    return cap
 
 
 def _require_endpoints(s, t):
@@ -115,7 +117,8 @@ def _require_endpoints(s, t):
 
 def cmd_classify(args) -> int:
     text = _read(args.formula)
-    if args.formula.endswith(".rel"):
+    first = next((line for _, line in content_lines(text, "#")), "")
+    if first.split()[:1] == ["arity"]:  # a .rel relation, whatever the file's name
         named = (("r1", parse_relation(text)),)
         cls = classify_set([rel for _, rel in named])
     else:
@@ -157,10 +160,9 @@ def _print_levels(phi, s, t, stats) -> None:
 
 
 def cmd_solve(args) -> int:
+    cap = _cap(args)
     phi, s, t = _load_instance(args)
     _require_endpoints(s, t)
-    cap = _cap(args)
-    recon.check_cap(cap)
     result = navigate.solve(phi, s, t)
     if args.verbose:
         _print_levels(phi, s, t, result.stats)
@@ -185,9 +187,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    cap = _cap(args)
     phi, s, t = _load_instance(args)
     _require_endpoints(s, t)
-    cap = _cap(args)
     recon.check_search(phi.num_vars, cap, "oracle")  # before phi.compiled
     result = recon.bfs_shortest(phi.compiled, s, t, cap=cap)
     print(result.protocol_line())
@@ -222,8 +224,8 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    phi, s, _ = _load_instance(args)
     cap = _cap(args)
+    phi, s, _ = _load_instance(args)
     if args.what == "recon":
         # before phi.compiled, whose size grows with the variable count
         recon.check_search(phi.num_vars, cap, "explicit-graph")
@@ -234,7 +236,6 @@ def cmd_dot(args) -> int:
         else:
             sys.stdout.write(recon.graph_to_dot(recon.build_graph(phi.compiled, cap=cap)))
         return 0
-    recon.check_cap(cap)
     if s is None:
         raise ParseError("no assignment: pass --from or embed a '# s=' comment")
     route = phi.route

@@ -81,34 +81,30 @@ def advance(state: FlipState, flips) -> None:
     index, and the state keeps the flips before it.
 
     One loop checks every flip on the compiled form's tables, held in
-    locals: a flip reads the accept masks of its variable's clauses
-    before it changes any local tuple, so a refused flip changes nothing.
+    locals: a flip reads ``values[v]`` and its clauses' accept masks
+    before it changes anything, so a refused flip changes nothing.
     """
     compiled = state.compiled
     n, accept, occurrences = compiled.num_vars, compiled.accept, compiled.occurrences
-    local, assignment = state.local, state.assignment
-    try:
-        for i, f in enumerate(flips):
-            v, up = f
-            if type(v) is not int or not 1 <= v <= n:
-                raise FlipSequenceError(i, f"{Flip.token(f)} names no variable in 1..{n}")
-            shift = n - v
-            if assignment >> shift & 1:
-                if up:
-                    raise FlipSequenceError(i, f"{Flip.token(f)} raises a variable already 1")
-            elif not up:
-                raise FlipSequenceError(i, f"{Flip.token(f)} lowers a variable already 0")
-            clauses = occurrences[v]
-            for j, bit in clauses:
-                if not accept[j] >> (local[j] ^ bit) & 1:
-                    raise FlipSequenceError(
-                        i, f"prefix ending at {Flip.token(f)} falsifies the formula"
-                    )
-            for j, bit in clauses:
-                local[j] ^= bit
-            assignment ^= 1 << shift
-    finally:
-        state.assignment = assignment
+    values, local = state.values, state.local
+    for i, f in enumerate(flips):
+        v, up = f
+        if type(v) is not int or not 1 <= v <= n:
+            raise FlipSequenceError(i, f"{Flip.token(f)} names no variable in 1..{n}")
+        if values[v]:
+            if up:
+                raise FlipSequenceError(i, f"{Flip.token(f)} raises a variable already 1")
+        elif not up:
+            raise FlipSequenceError(i, f"{Flip.token(f)} lowers a variable already 0")
+        clauses = occurrences[v]
+        for j, bit in clauses:
+            if not accept[j] >> (local[j] ^ bit) & 1:
+                raise FlipSequenceError(
+                    i, f"prefix ending at {Flip.token(f)} falsifies the formula"
+                )
+        for j, bit in clauses:
+            local[j] ^= bit
+        values[v] ^= 1
 
 
 def relation_partial_order(relation: Relation, state: int):
@@ -252,12 +248,12 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
     smallest_lower_set(dag, wanted))`` on the state's flip DAG when the
     wanted flips are its nodes, and None exactly when they are not.
     """
-    n, assignment = state.compiled.num_vars, state.assignment
+    n, values = state.compiled.num_vars, state.values
     roots = []
     for v in wanted:
         if type(v) is not int or not 1 <= v <= n:
             raise PreconditionError(f"x{v} names no variable in 1..{n}")
-        if assignment >> (n - v) & 1:
+        if values[v]:
             return None
         roots.append(v)
     preds = _walk(state, roots)

@@ -7,12 +7,12 @@ compiled once, on first use, into per-clause accept masks, the clauses'
 variables by position and per-variable occurrence lists
 (:class:`CompiledFormula`); the compile resolves each clause shape
 (relation and pattern of repeats and constants) once. A
-:class:`FlipState` is a range-checked assignment of that form plus each
-clause's local tuple, built with one big-int pass per clause position
-over one byte per variable, and checked against every clause in one
-pass. The solvers, flip orders and exact search read only the compiled
-form; each walker holds its tables in locals, so a flip is checked
-against the clauses of its variable only. :func:`classify_formula`
+:class:`FlipState` is a range-checked assignment of that form, one byte
+per variable, plus each clause's local tuple, one byte per clause, built
+with one big-int pass per clause position and checked against every
+clause in one pass. The solvers, flip orders and exact search read only
+the compiled form; each walker holds its tables in locals, so a flip
+costs O(1) plus the clauses of its variable. :func:`classify_formula`
 classifies a formula's declared relation set here, so classifying a
 formula loads no solver.
 
@@ -208,41 +208,46 @@ def _compile(phi: Formula) -> CompiledFormula:
     )
 
 
-# bytes.translate table from the characters "0" and "1" to bytes 0 and 1
+# bytes.translate tables between the characters "0" and "1" and bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class FlipState:
-    """An assignment of a compiled formula plus each clause's local tuple.
+    """An assignment of a compiled formula and its clauses' local tuples.
 
-    The constructor refuses an assignment outside 0..2^n - 1, a bool
-    included: a wider one would shift every byte of the view below. The
-    tuples are read off one byte per variable: the assignment's
-    bitstring, one character wider than n, so that byte v is variable
-    v's value and byte 0 is always 0. One big int holds every clause's
-    tuple, one byte per clause; each column of `compiled.columns` shifts
-    it left by one bit and adds the column's bytes, the padding reading
-    byte 0. `violated` tests every clause's accept mask in one pass. The
-    walkers (:func:`~satflip.flip_order.advance` and the greedy walk)
-    hold the compiled tables and `local` in locals: a flip of v xors v's
-    bits into its clauses' tuples and `assignment`.
+    `values` is the assignment's bitstring one character wider than n,
+    as bytes 0 and 1: byte v is variable v's value, byte 0 is always 0,
+    and `assignment` reads the int back in O(n). The constructor refuses
+    an assignment outside 0..2^n - 1, a bool included: a wider one would
+    shift every byte. `local` holds one byte per clause, cut from one big
+    int: each column of `compiled.columns` shifts it left by one bit and
+    adds the column's bytes of `values`, the padding reading byte 0.
+    `violated` tests every clause's accept mask in one pass. The walkers
+    (:func:`~satflip.flip_order.advance` and the greedy walk) hold the
+    tables, `values` and `local` in locals: a flip of v xors ``values[v]``
+    and v's bits in its clauses' tuples, in O(1) besides those clauses.
     """
 
-    __slots__ = ("compiled", "assignment", "local")
+    __slots__ = ("compiled", "values", "local")
 
     def __init__(self, compiled: CompiledFormula, assignment: int):
-        _check_assignment(compiled.num_vars, assignment)
-        bit = format(assignment, f"0{compiled.num_vars + 1}b").encode().translate(_BIT_BYTES)
-        m = len(compiled.accept)
+        n, m = compiled.num_vars, len(compiled.accept)
+        _check_assignment(n, assignment)
+        values = bytearray(to_bitstring(assignment, n + 1).encode()).translate(_BIT_BYTES)
         x = 0
         for col in compiled.columns:
             # No carry crosses a byte: MAX_ARITY = 8 keeps every tuple
             # <= 255. itemgetter of one index returns the byte, not a tuple.
-            picked = itemgetter(*col)(bit) if m > 1 else (bit[col[0]],)
+            picked = itemgetter(*col)(values) if m > 1 else (values[col[0]],)
             x = (x << 1) + int.from_bytes(bytes(picked), "big")
         self.compiled = compiled
-        self.assignment = assignment
+        self.values = values
         self.local = list(x.to_bytes(m, "big"))
+
+    @property
+    def assignment(self) -> int:
+        return int(self.values.translate(_BYTE_BITS), 2)
 
     def violated(self) -> int | None:
         """1-based index of the first falsified clause, or None."""

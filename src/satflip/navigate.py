@@ -79,11 +79,10 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
         _require_order_class(compiled)
     n = compiled.num_vars
     eta_start = zeros(s, n) + zeros(t, n)
-    levels = 0
+    levels, cur_s, cur_t = 0, s, t
     lower_sets: list[tuple[tuple[Flip, ...], tuple[Flip, ...]]] = []
 
-    while side_s.assignment != side_t.assignment:
-        cur_s, cur_t = side_s.assignment, side_t.assignment
+    while cur_s != cur_t:
         levels += 1
         if levels > eta_start + 1:
             raise TheoryError("level count exceeded the zero-count measure")
@@ -103,7 +102,8 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
             raise TheoryError(
                 f"order-respecting sequence falsified the formula: {exc}"
             ) from exc
-        eta_new = zeros(side_s.assignment, n) + zeros(side_t.assignment, n)
+        cur_s, cur_t = side_s.assignment, side_t.assignment
+        eta_new = zeros(cur_s, n) + zeros(cur_t, n)
         if eta_new >= eta_old:
             raise TheoryError("level made no progress on the zero count")
         if want_s and want_t and eta_new > eta_old - 2:
@@ -133,17 +133,16 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     variable, so after each flip the differing variables sharing a
     clause with it are queued again. The heap thus holds every differing
     variable that can be flipped, and each flip is the lowest-index one,
-    as a full rescan would pick. The tables, local tuples and assignment
-    are locals.
+    as a full rescan would pick. The tables and both states' `values`
+    are locals, so a flip and a test against the target cost O(1).
     """
     require_relations(compiled, is_componentwise_bijunctive, "componentwise bijunctive")
-    local = satisfying_state(compiled, s, "source").local
-    satisfying_state(compiled, t, "target")
-    n = compiled.num_vars
+    state = satisfying_state(compiled, s, "source")
+    target = satisfying_state(compiled, t, "target").values
     accept, occurrences, variables = compiled.accept, compiled.occurrences, compiled.variables
-    assignment = s
+    values, local = state.values, state.local
 
-    heap = list(set_vars(s ^ t, n))
+    heap = list(set_vars(s ^ t, compiled.num_vars))
     heap.reverse()  # ascending, so already a heap
     queued = set(heap)
     flips: list[Flip] = []
@@ -155,18 +154,16 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
             if not accept[j] >> (local[j] ^ bit) & 1:
                 break
         else:
-            shift = n - v
-            flips.append(_make_flip((v, not assignment >> shift & 1)))
+            flips.append(_make_flip((v, not values[v])))
             for j, bit in clauses:
                 local[j] ^= bit
-            assignment ^= 1 << shift
-            diff = assignment ^ t
+            values[v] ^= 1
             for j, _ in clauses:
                 for w in variables[j]:
-                    if w not in queued and diff >> (n - w) & 1:
+                    if w not in queued and values[w] != target[w]:
                         queued.add(w)
                         heapq.heappush(heap, w)
-    if assignment != t:
+    if values != target:
         return SolveResult(Outcome.NOT_CONNECTED)
     if len(flips) != hamming(s, t):
         raise TheoryError("greedy walk left the symmetric difference")

@@ -69,8 +69,8 @@ BLOCK_BITS = 16
 def check_cap(cap: int) -> None:
     """Reject a cap that is no plain int or is negative, and one whose full
     search would not fit the byte budget, before anything is allocated.
-    :func:`check_search` runs it first; ``solve`` and ``dot --what
-    fliporder``, which may not search, run it alone."""
+    :func:`check_search` runs it first, and the CLI runs it on every
+    ``--cap`` before it reads the formula file."""
     if type(cap) is not int:
         raise PreconditionError(f"state cap {cap!r} is not an int")
     if cap < 0:

@@ -1,23 +1,34 @@
-"""Reading, compiling and solving grow linearly with the instance (ROADMAP item 17).
+"""Reading, compiling and solving grow linearly with the instance (ROADMAP items 17 and 25).
 
     PYTHONPATH=src python tests/ingest_scale.py
 
 Builds stride-2 PATH5 windows, the clauses PATH5(x_i, x_i+1, x_i+2) for
 i = 1, 3, 5, ..., as .cnfs text at n = 24,001 and n = 240,001. On each
 it times `parse_instance`, then `phi.compiled`, then `solve` with s = t
-= all zeros, which must answer ``PATH 0``. The two sizes alternate, run
-by run, and each step's time is the best of five runs, measured as this
-process's CPU time (`time.process_time`), so that load from other
-processes on the machine counts in neither size. The larger instance
-has ten times the clauses, so linear growth takes about 10 times as
-long. Exits 1 if the three steps together take more than 20 times as
-long on the larger instance as on the smaller, or if an answer is not
-``PATH 0``. The bound is a ratio, so the machine's speed does not move
-it. It takes about 5 s, so it runs as a CI step rather than in tier-1;
-pytest does not collect it, since its name does not start with
+= all zeros, which must answer ``PATH 0``. Two dense solves follow, each
+a path of n flips: the window from all zeros to all ones on the
+order-based route, and an implication chain, the clauses (x_v, x_v+1)
+over {00, 01, 11}, from all ones to all zeros on the greedy route; each
+must answer ``PATH n``. Only the dense solves themselves are timed, not
+the chain's parse and compile, and they run with the cyclic garbage
+collector paused, as `timeit` times a statement: between these two sizes
+its full collections grow faster than n (none in the window's solve at
+n = 24,001, five at n = 240,001, a quarter of that solve's time), a cost
+of the solver's allocations that ROADMAP item 17 keeps, while this step
+checks the cost of the flips. The two sizes alternate, run by run, and
+each step's time is the best of five runs, measured as this process's
+CPU time (`time.process_time`), so that load from other processes on
+the machine counts in neither size. The larger instance has ten times
+the clauses, so linear growth takes about 10 times as long. Exits 1 if
+the three ingest steps together, or either dense solve, take more than
+20 times as long on the larger instance as on the smaller, or if an
+answer is wrong. The bound is a ratio, so the machine's speed does not
+move it. It takes about 40 s, so it runs as a CI step rather than in
+tier-1; pytest does not collect it, since its name does not start with
 ``test_``.
 """
 
+import gc
 import sys
 from time import process_time
 
@@ -27,6 +38,7 @@ SIZES = (24_001, 240_001)
 MAX_RATIO = 20
 RUNS = 5
 PATH5 = ("000", "001", "101", "111", "110")
+IMPLIES = ("00", "01", "11")
 
 
 def windows_text(n):
@@ -35,41 +47,75 @@ def windows_text(n):
     return "\n".join(lines) + "\n"
 
 
-def timed(text):
-    """Seconds of parse, compile and solve on `text`, and the solve's
-    protocol line."""
+def chain_text(n):
+    lines = [f"vars {n}", "relation implies 2", *IMPLIES, "end"]
+    lines += [f"clause implies x{v} x{v + 1}" for v in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def answer(result):
+    """The protocol line's first two tokens: a dense path's whole line
+    would spell n flips."""
+    return " ".join(result.protocol_line().split(" ", 2)[:2])
+
+
+def dense(phi, s, t):
+    """CPU seconds of one solve with the collector paused, and its answer."""
+    gc.disable()
+    try:
+        t0 = process_time()
+        result = solve(phi, s, t)
+        seconds = process_time() - t0
+    finally:
+        gc.enable()
+    return seconds, answer(result)
+
+
+def timed(n, window, chain):
+    """Seconds of parse, compile and solve (s = t) on the window, of its
+    dense solve and of the chain's dense solve, and the three answers."""
+    ones = (1 << n) - 1
     t0 = process_time()
-    phi = parse_instance(text)[0]
+    phi = parse_instance(window)[0]
     t1 = process_time()
     phi.compiled
     t2 = process_time()
-    line = solve(phi, 0, 0).protocol_line()
+    same = answer(solve(phi, 0, 0))
     t3 = process_time()
-    return (t1 - t0, t2 - t1, t3 - t2), line
+    up_s, up = dense(phi, 0, ones)
+    del phi
+    psi = parse_instance(chain)[0]
+    psi.route  # classified and compiled before the clock starts
+    down_s, down = dense(psi, ones, 0)
+    return (t1 - t0, t2 - t1, t3 - t2, up_s, down_s), (same, up, down)
 
 
 def main():
-    texts = [windows_text(n) for n in SIZES]
-    best = [[float("inf")] * 3 for _ in SIZES]
-    lines = [set() for _ in SIZES]
+    texts = [(windows_text(n), chain_text(n)) for n in SIZES]
+    best = [[float("inf")] * 5 for _ in SIZES]
+    answers = [set() for _ in SIZES]
     for _ in range(RUNS):
-        for i, text in enumerate(texts):  # the sizes alternate run by run
-            times, line = timed(text)
+        for i, n in enumerate(SIZES):  # the sizes alternate run by run
+            times, got = timed(n, *texts[i])
             best[i] = [min(b, t) for b, t in zip(best[i], times)]
-            lines[i].add(line)
+            answers[i].add(got)
     ok = True
-    for n, (parse, compile_, solve_), got in zip(SIZES, best, lines):
-        good = got == {"PATH 0"}
+    for n, (parse, compile_, solve_, up, down), got in zip(SIZES, best, answers):
+        good = got == {("PATH 0", f"PATH {n}", f"PATH {n}")}
         ok &= good
         print(f"{'ok  ' if good else 'FAIL'} n = {n}: parse {parse * 1e3:.0f} ms, "
               f"compile {compile_ * 1e3:.0f} ms, solve {solve_ * 1e3:.0f} ms, "
-              f"{' / '.join(sorted(got))}")
-    small, large = (sum(steps) for steps in best)
-    ratio = large / small
-    good = ratio <= MAX_RATIO
-    ok &= good
-    print(f"{'ok  ' if good else 'FAIL'} n = {SIZES[1]} takes {ratio:.1f} times "
-          f"as long as n = {SIZES[0]} (at most {MAX_RATIO}, best of {RUNS} CPU times)")
+              f"window up {up * 1e3:.0f} ms, chain down {down * 1e3:.0f} ms, "
+              f"{' / '.join(map(' / '.join, sorted(got)))}")
+    small, large = best
+    for what, a, b in (("ingest", sum(small[:3]), sum(large[:3])),
+                       ("window dense solve", small[3], large[3]),
+                       ("chain dense solve", small[4], large[4])):
+        ratio = b / a
+        good = ratio <= MAX_RATIO
+        ok &= good
+        print(f"{'ok  ' if good else 'FAIL'} {what}: n = {SIZES[1]} takes {ratio:.1f} times "
+              f"as long as n = {SIZES[0]} (at most {MAX_RATIO}, best of {RUNS} CPU times)")
     return 0 if ok else 1
 
 

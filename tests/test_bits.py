@@ -1,8 +1,11 @@
 """The per-position masks of a truth table: one doubling builder,
 `low_masks`, and the cached tuple of their complements, `index_masks`,
-that the relation layer, the flip orders and the exact search share."""
+that the relation layer, the flip orders and the exact search share;
+and `set_vars`, the lister of a value's set variables."""
 
-from satflip.bits import index_masks, low_masks, var_bit
+import random
+
+from satflip.bits import index_masks, low_masks, set_vars, var_bit
 from satflip.recon import members
 
 
@@ -21,3 +24,14 @@ def test_index_masks_equal_the_sum_definition():
         )
         assert index_masks(arity) == want
         assert index_masks(arity) is index_masks(arity)
+
+
+def test_set_vars_lists_the_set_variables_highest_first():
+    rng = random.Random(31)
+    for n in (1, 2, 7, 8, 9, 64, 65, 300):
+        values = [0, 1, 1 << (n - 1), (1 << n) - 1]
+        values += [rng.getrandbits(n) for _ in range(10)]  # dense
+        values += [(1 << rng.randrange(n)) | (1 << rng.randrange(n)) for _ in range(10)]  # sparse
+        for value in values:
+            want = [v for v in range(n, 0, -1) if var_bit(value, v, n)]
+            assert list(set_vars(value, n)) == want

@@ -53,6 +53,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+OR_REL = "arity 2\n01\n10\n11\n"
+
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
 class TestClassify:
     def test_navigable_golden(self, capsys):
         code, out, _ = run(capsys, "classify", PATH_CNFS)
@@ -94,6 +102,24 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", str(rel))
         assert code == 0
         assert out.endswith("NAVIGABLE (componentwise bijunctive)\n")
+
+    def test_relation_read_by_content_not_name(self, capsys, monkeypatch, tmp_path):
+        want = run(capsys, "classify", str(write(tmp_path / "or.rel", OR_REL)))
+        assert want[0] == 0 and want[1].startswith("relation r1: ")
+        assert run(capsys, "classify", str(write(tmp_path / "or.txt", OR_REL))) == want
+        assert run(capsys, "classify", str(write(tmp_path / "or.cnfs", OR_REL))) == want
+        commented = "# the OR relation\n\n" + OR_REL
+        assert run(capsys, "classify", str(write(tmp_path / "c.cnfs", commented))) == want
+        assert run_stdin(capsys, monkeypatch, OR_REL.encode(), "classify", "-") == want
+
+    def test_formula_read_by_content_not_name(self, capsys, tmp_path):
+        want = run(capsys, "classify", PATH_CNFS)
+        path_text = pathlib.Path(PATH_CNFS).read_text()
+        assert run(capsys, "classify", str(write(tmp_path / "p.rel", path_text))) == want
+        # a malformed file named .rel whose first line is not `arity` gets
+        # the .cnfs reader's message
+        code, out, err = run(capsys, "classify", str(write(tmp_path / "bad.rel", "01\n")))
+        assert (code, out, err) == (1, "", "satflip: error: line 1: unknown directive '01'\n")
 
 
 class TestSolve:
@@ -244,6 +270,28 @@ CAP_99 = (
     f"state cap 99 is above the largest supported cap {MAX_STATE_CAP}"
     " (2 bytes for each of 2^cap states)"
 )
+
+
+class TestCapBeforeFile:
+    """A bad --cap is refused before the formula file is read."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("oracle", "--cap", "99"), CAP_99),
+        (("solve", "--cap", "-1"), "state cap -1 is negative"),
+        (("solve", "--verify", "--cap", "99"), CAP_99),
+        (("dot", "--cap", "-1"), "state cap -1 is negative"),
+        (("dot", "--what", "fliporder", "--cap", "99"), CAP_99),
+    ], ids=["oracle", "solve", "solve-verify", "dot", "dot-fliporder"])
+    def test_missing_file_gets_the_cap_message(self, capsys, tmp_path, argv, message):
+        missing = str(tmp_path / "missing.cnfs")
+        assert run(capsys, argv[0], missing, *argv[1:]) == (2, "", f"satflip: error: {message}\n")
+
+    def test_malformed_file_gets_the_cap_message(self, capsys, tmp_path):
+        bad = write(tmp_path / "bad.cnfs", "vars 3\nclause nope x1\n")
+        assert run(capsys, "oracle", str(bad), "--cap", "-1") == (
+            2, "", "satflip: error: state cap -1 is negative\n")
+        code, _, err = run(capsys, "oracle", str(bad), "--cap", "3")
+        assert (code, err) == (1, "satflip: error: line 2: undefined relation 'nope'\n")
 
 
 class TestSearchGate:

@@ -775,6 +775,55 @@ class TestAdvanceAgainstReference:
         assert (255 in FlipState(compiled, (1 << n) - 1).local) == (n >= 8)
 
 
+def spelled(assignment, n):
+    """The byte view of an assignment: byte 0 unused and 0, byte v
+    variable v's value, read bit by bit with `var_bit`."""
+    return bytearray([0] + [var_bit(assignment, v, n) for v in range(1, n + 1)])
+
+
+class TestStateByteView:
+    """A FlipState stores its variables once, as `values`, one byte per
+    variable; `assignment` is read back from it."""
+
+    def test_one_stored_form(self):
+        assert FlipState.__slots__ == ("compiled", "values", "local")
+        state = FlipState(PATH_PHI.compiled, 0b001)
+        with pytest.raises(AttributeError):
+            state.assignment = 0b000
+        assert state.assignment == 0b001 and state.values == bytearray([0, 0, 0, 1])
+
+    def test_values_spell_the_assignment(self):
+        rng = random.Random(3101)
+        for phi, s, t in navigable_corpus(60, seed=3102):
+            n = phi.num_vars
+            for a in [0, (1 << n) - 1, s, t] + [rng.getrandbits(n) for _ in range(8)]:
+                state = FlipState(phi.compiled, a)
+                assert state.values == spelled(a, n)
+                assert state.assignment == a
+
+    def test_advance_keeps_values_and_local_in_step(self):
+        rng = random.Random(3103)
+        refused = 0
+        for phi, s, _ in navigable_corpus(60, seed=3104):
+            n = phi.num_vars
+            state = FlipState(phi.compiled, s)
+            for _ in range(4):  # runs go on from where the last one stopped
+                start = state.assignment
+                flips, _ = random_walk(phi, start, rng.randint(0, 8), rng)
+                flips = junk_flips(flips, n, rng)
+                end, bad = reference_advance(phi, start, flips)
+                try:
+                    advance(state, flips)
+                    assert bad is None
+                except FlipSequenceError:
+                    assert bad is not None
+                    refused += 1
+                assert state.values == spelled(end, n)
+                assert state.assignment == end
+                assert state.local == FlipState(phi.compiled, end).local
+        assert refused >= 40
+
+
 class TestCanonicalize:
     def test_already_canonical(self):
         seq = (Flip(3, True), Flip(1, True), Flip(2, True), Flip(3, False))
