@@ -8,18 +8,19 @@ downward-closed flip sets under an explicit partial order.
 table, from the tuples a flood by single raises reaches, without
 enumerating the sequences, whose number grows factorially with the arity.
 
-A formula's flip order is read by one backward walk, :func:`_walk`, and
-one topological order, :func:`_kahn` (Kahn, CACM 1962). The walk reads
-only the clauses of the variables it reaches; a variable stuck in one of
-its clauses is its own predecessor, so the order leaves it out, and all
-it precedes, as it leaves out a cycle. :func:`lower_set_sequence`, the
-solver's route, walks from the flips it wants, so its cost follows their
-lower set, not the formula. :func:`formula_flip_dag` walks from every
-variable at 0; its DAG serves the DOT export, :func:`dag_to_dot`, which
-the CLI draws on the formula's route (for a formula that the solver
-complements, the DAG of its complemented form, whose raises are the
-formula's lowering flips), and :func:`order_respecting_sequence` orders
-its lower sets.
+A formula's flip order is stored one way, as precedence pairs (u, v),
+"raise u before v". One backward walk, :func:`_walk`, reads them off
+the clauses of the variables it reaches, and one topological order,
+:func:`_kahn` (Kahn, CACM 1962), orders any nodes under them. A variable
+stuck in one of its clauses gives the pair (v, v), so the order leaves
+it out, and all it precedes, as it leaves out a cycle.
+:func:`lower_set_sequence`, the solver's route, walks from the flips it
+wants, so its cost follows their lower set, not the formula.
+:func:`formula_flip_dag` walks from every variable at 0; its DAG serves
+the DOT export, :func:`dag_to_dot`, which the CLI draws on the
+formula's route (for a formula that the solver complements, the DAG of
+its complemented form, whose raises are the formula's lowering flips),
+and :func:`order_respecting_sequence` orders its lower sets.
 Functions that read a formula take its compiled form, ``phi.compiled``.
 
 The flips it returns are :class:`~satflip.answer.Flip` records; the
@@ -176,55 +177,52 @@ def _require_order_class(compiled: CompiledFormula) -> None:
     require_relations(compiled, _in_order_class, "NAND-free and dual-Horn-free")
 
 
-def _walk(state: FlipState, roots: Iterable[int]) -> dict[int, set[int]]:
+def _walk(state: FlipState, roots: Iterable[int]) -> tuple[set[int], list[tuple[int, int]]]:
     """The roots and every variable they need raised first, at a
-    satisfying state, each with the set of variables that must be raised
-    before it. Each variable reached reads the local order of its own
-    clauses only, from :func:`_local_order` at the clause's accept mask,
-    arity and local tuple. One stuck in a clause (no valid positive
-    sequence of it raises the variable) is its own predecessor, so no
-    order raises it."""
+    satisfying state, and the pairs (u, v), u raised before v, that the
+    local orders of their own clauses give (:func:`_local_order`, at a
+    clause's accept mask, arity and local tuple), a pair as often as a
+    clause gives it. A variable stuck in a clause (no valid positive
+    sequence of it raises the variable) gives (v, v), so no order
+    raises it."""
     compiled = state.compiled
     variables, accept = compiled.variables, compiled.accept
     occurrences, local = compiled.occurrences, state.local
-    preds = {v: set() for v in roots}
-    stack = list(preds)
+    reached = set(roots)
+    stack, pairs = list(reached), []
     while stack:
         v = stack.pop()
-        before = preds[v]
         for j, bit in occurrences[v]:
             clause_vars = variables[j]
             k = len(clause_vars)
             order = _local_order(accept[j], k, local[j])[k - bit.bit_length()]
             if order is None:
-                before.add(v)
+                pairs.append((v, v))
                 continue
             for p in order:
                 u = clause_vars[p]
-                before.add(u)
-                if u not in preds:
-                    preds[u] = set()
+                pairs.append((u, v))
+                if u not in reached:
+                    reached.add(u)
                     stack.append(u)
-    return preds
+    return reached, pairs
 
 
-def _kahn(preds: dict[int, set[int]]) -> list[int]:
-    """Kahn's topological order (Kahn, CACM 1962) of the keys of `preds`,
-    each after its predecessors, ties going to the lowest index. A
-    variable left out lies on a precedence cycle (a stuck variable's
-    self-loop included) or after one. One pass over `preds` finds the
-    in-degrees, the successors and the variables ready at the start."""
-    indeg, succs, ready = {}, {}, []
-    for v, before in preds.items():
-        if not before:
-            ready.append(v)
+def _kahn(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Kahn's order of `nodes` under the pairs (u, v) of `edges` that end
+    in them, u first, ties going to the lowest index. A node left out
+    lies on a precedence cycle, a pair (v, v) included, or after one."""
+    indeg, succs = dict.fromkeys(nodes, 0), {}
+    for u, v in edges:
+        try:
+            indeg[v] += 1
+        except KeyError:  # the pair ends outside `nodes`
             continue
-        indeg[v] = len(before)
-        for u in before:
-            if u in succs:
-                succs[u].append(v)
-            else:
-                succs[u] = [v]
+        if u in succs:
+            succs[u].append(v)
+        else:
+            succs[u] = [v]
+    ready = [v for v, d in indeg.items() if not d]
     heapq.heapify(ready)
     out = []
     while ready:
@@ -241,9 +239,10 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
     """Raise the smallest lower set of the wanted flips, in order.
 
     `state` is taken as the satisfying state its caller has kept by
-    checked flips. The lower set is :func:`_walk` from the wanted flips,
-    in :func:`_kahn`'s order. Returns None when some wanted flip can
-    never happen: it is 1 already, or the order leaves a variable out.
+    checked flips. The lower set is what :func:`_walk` reaches from the
+    wanted flips, in :func:`_kahn`'s order under the walk's pairs.
+    Returns None when some wanted flip can never happen: it is 1
+    already, or the order leaves a variable out.
     The result equals ``order_respecting_sequence(dag,
     smallest_lower_set(dag, wanted))`` on the state's flip DAG when the
     wanted flips are its nodes, and None exactly when they are not.
@@ -256,9 +255,9 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
         if values[v]:
             return None
         roots.append(v)
-    preds = _walk(state, roots)
-    order = _kahn(preds)
-    if len(order) != len(preds):
+    reached, pairs = _walk(state, roots)
+    order = _kahn(reached, pairs)
+    if len(order) != len(reached):
         return None
     return _raises(order)
 
@@ -274,6 +273,7 @@ class FlipOrderDag(NamedTuple):
     edges: frozenset[tuple[int, int]]
 
     def predecessor_map(self) -> dict[int, set[int]]:
+        """Each node's predecessors, for the walks backward over ancestors."""
         preds = defaultdict(set)
         for u, v in self.edges:
             preds[v].add(u)
@@ -283,16 +283,16 @@ class FlipOrderDag(NamedTuple):
 def formula_flip_dag(compiled: CompiledFormula, assignment: int) -> FlipOrderDag:
     """The precedence DAG of every positive flip at a satisfying assignment:
     :func:`_walk` from every variable at 0, whose nodes are the variables
-    :func:`_kahn` can order and whose edges are their predecessors. A
-    variable in no clause is an isolated node; a flip stuck in a clause,
-    on a precedence cycle or forced after such a flip can never happen."""
+    :func:`_kahn` can order and whose edges are the walk's pairs that
+    end in them. A variable in no clause is an isolated node; a flip
+    stuck in a clause, on a precedence cycle or forced after such a flip
+    can never happen."""
     _require_order_class(compiled)
     state = satisfying_state(compiled, assignment, "start")
     n = compiled.num_vars
-    preds = _walk(state, set_vars(state.assignment ^ ((1 << n) - 1), n))
-    nodes = _kahn(preds)
-    edges = frozenset((u, v) for v in nodes for u in preds[v])
-    return FlipOrderDag(frozenset(nodes), edges)
+    reached, pairs = _walk(state, set_vars(state.assignment ^ ((1 << n) - 1), n))
+    nodes = frozenset(_kahn(reached, pairs))
+    return FlipOrderDag(nodes, frozenset((u, v) for u, v in pairs if v in nodes))
 
 
 def _dag_flips(dag: FlipOrderDag, flips: Iterable[int]) -> set[int]:
@@ -325,8 +325,8 @@ def smallest_lower_set(dag: FlipOrderDag, flips: Iterable[int]) -> frozenset[int
 
 def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[Flip, ...]:
     """A topological ordering of a downward-closed flip set of the DAG,
-    by :func:`_kahn` over the set's predecessors, so ties go to the
-    lowest variable index."""
+    by :func:`_kahn` over the DAG's edges, so ties go to the lowest
+    variable index."""
     chosen = _dag_flips(dag, flips)
     for u, v in dag.edges:
         if v in chosen and u not in chosen:
@@ -334,8 +334,7 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
                 f"flip set is not downward closed: {Flip.token((v, True))}"
                 f" requires {Flip.token((u, True))}"
             )
-    preds = dag.predecessor_map()
-    order = _kahn({v: preds[v] for v in chosen})
+    order = _kahn(chosen, dag.edges)
     if len(order) != len(chosen):
         raise TheoryError("cycle survived pruning in the flip DAG")
     return _raises(order)
@@ -350,10 +349,10 @@ def dag_to_dot(dag: FlipOrderDag, up: bool = True) -> str:
     Every edge of the reduction is an edge of the DAG: (u, v) is kept
     unless u reaches v through another predecessor of v. The ancestors
     of each node are one bitset int, filled in :func:`_kahn`'s order."""
-    preds = dag.predecessor_map()
-    order = _kahn({v: preds[v] for v in dag.nodes})
+    order = _kahn(dag.nodes, dag.edges)
     if len(order) != len(dag.nodes):
         raise TheoryError("cycle survived pruning in the flip DAG")
+    preds = dag.predecessor_map()
     above = {}  # node -> bitset of the nodes that reach it
     reduced = []
     for v in order:

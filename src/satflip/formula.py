@@ -243,7 +243,7 @@ class FlipState:
             x = (x << 1) + int.from_bytes(bytes(picked), "big")
         self.compiled = compiled
         self.values = values
-        self.local = list(x.to_bytes(m, "big"))
+        self.local = bytearray(x.to_bytes(m, "big"))
 
     @property
     def assignment(self) -> int:

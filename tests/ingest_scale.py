@@ -10,12 +10,16 @@ a path of n flips: the window from all zeros to all ones on the
 order-based route, and an implication chain, the clauses (x_v, x_v+1)
 over {00, 01, 11}, from all ones to all zeros on the greedy route; each
 must answer ``PATH n``. Only the dense solves themselves are timed, not
-the chain's parse and compile, and they run with the cyclic garbage
-collector paused, as `timeit` times a statement: between these two sizes
-its full collections grow faster than n (none in the window's solve at
-n = 24,001, five at n = 240,001, a quarter of that solve's time), a cost
-of the solver's allocations that ROADMAP item 17 keeps, while this step
-checks the cost of the flips. The two sizes alternate, run by run, and
+the chain's parse and compile. The window's solve runs with the cyclic
+garbage collector, as a caller runs it: its backward walk keeps its
+precedence pairs in one list and builds no set per variable. The
+chain's solve runs with the collector paused, as `timeit` times a
+statement: the greedy walk's n flip records stay tracked while
+it runs, so between these two sizes its full collections grow faster
+than n (none or one at n = 24,001, two or three at n = 240,001, for a
+ratio of 15 to 18 with the collector running), a cost of its
+allocations that ROADMAP item 17 keeps, while this step checks the cost
+of its flips. The two sizes alternate, run by run, and
 each step's time is the best of five runs, measured as this process's
 CPU time (`time.process_time`), so that load from other processes on
 the machine counts in neither size. The larger instance has ten times
@@ -59,9 +63,11 @@ def answer(result):
     return " ".join(result.protocol_line().split(" ", 2)[:2])
 
 
-def dense(phi, s, t):
-    """CPU seconds of one solve with the collector paused, and its answer."""
-    gc.disable()
+def dense(phi, s, t, collector):
+    """CPU seconds of one solve, with the collector running or paused,
+    and its answer."""
+    if not collector:
+        gc.disable()
     try:
         t0 = process_time()
         result = solve(phi, s, t)
@@ -82,11 +88,11 @@ def timed(n, window, chain):
     t2 = process_time()
     same = answer(solve(phi, 0, 0))
     t3 = process_time()
-    up_s, up = dense(phi, 0, ones)
+    up_s, up = dense(phi, 0, ones, collector=True)
     del phi
     psi = parse_instance(chain)[0]
     psi.route  # classified and compiled before the clock starts
-    down_s, down = dense(psi, ones, 0)
+    down_s, down = dense(psi, ones, 0, collector=False)
     return (t1 - t0, t2 - t1, t3 - t2, up_s, down_s), (same, up, down)
 
 

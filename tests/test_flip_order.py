@@ -613,13 +613,58 @@ class TestWalkAndKahn:
             (("imp", IMP), ("zero", zero)),
             (Clause("zero", (1,)), Clause("imp", (1, 2)), Clause("imp", (2, 3))),
         )
-        preds = flip_order._walk(FlipState(phi.compiled, 0b000), [3])
-        assert preds == {3: {2}, 2: {1}, 1: {1}}
-        assert flip_order._kahn(preds) == []
+        reached, pairs = flip_order._walk(FlipState(phi.compiled, 0b000), [3])
+        assert reached == {1, 2, 3}
+        assert sorted(pairs) == [(1, 1), (1, 2), (2, 3)]
+        assert flip_order._kahn(reached, pairs) == []
 
     def test_kahn_leaves_out_cycles_and_what_follows(self):
-        preds = {5: {1}, 4: {3}, 3: {2}, 2: {3}, 1: set(), 6: set()}
-        assert flip_order._kahn(preds) == [1, 5, 6]
+        edges = [(1, 5), (3, 4), (2, 3), (3, 2)]
+        assert flip_order._kahn([5, 4, 3, 2, 1, 6], edges) == [1, 5, 6]
+
+    def test_a_pair_two_clauses_give_counts_twice(self):
+        # imp(x1, x2) and PATH5(x2, x3, x1) both put x1 before x2; PATH5
+        # also puts x2, and so x1, before x3
+        phi = Formula(
+            3,
+            (("imp", IMP), ("path5", PATH5)),
+            (Clause("imp", (1, 2)), Clause("path5", (2, 3, 1))),
+        )
+        reached, pairs = flip_order._walk(FlipState(phi.compiled, 0b000), [3])
+        assert reached == {1, 2, 3}
+        assert Counter(pairs) == {(1, 2): 2, (2, 3): 1, (1, 3): 1}
+        assert flip_order._kahn(reached, pairs) == [1, 2, 3]
+        assert flip_order._kahn([2, 1], [(1, 2), (1, 2)]) == [1, 2]
+
+    def test_kahn_follows_the_reference_order_on_corpus(self):
+        rng = random.Random(109)
+        outcomes = {True: 0, False: 0}
+        for phi, s, _ in navigable_corpus(80, seed=113, max_vars=10, max_clauses=7):
+            state = FlipState(phi.compiled, s)
+            for _ in range(4):
+                for _ in range(rng.randint(0, phi.num_vars)):
+                    try_flip(state, rng.randint(1, phi.num_vars))
+                reached, pairs = flip_order._walk(state, zero_vars(state))
+                assert set(pairs) <= {(u, v) for u in reached for v in reached}
+                got = flip_order._kahn(reached, pairs)
+                want = lowest_index_order(reached, set(pairs))
+                if want is None:
+                    assert len(got) < len(reached)
+                else:
+                    assert got == want
+                outcomes[want is None] += 1
+        assert min(outcomes.values()) >= 50
+
+    def test_dag_edges_are_the_walks_pairs_among_its_nodes(self):
+        rng = random.Random(127)
+        for phi, s, _ in navigable_corpus(80, seed=131, max_vars=10, max_clauses=7):
+            state = FlipState(phi.compiled, s)
+            for _ in range(rng.randint(0, phi.num_vars)):
+                try_flip(state, rng.randint(1, phi.num_vars))
+            dag = formula_flip_dag(phi.compiled, state.assignment)
+            reached, pairs = flip_order._walk(state, zero_vars(state))
+            assert dag.nodes == frozenset(flip_order._kahn(reached, pairs))
+            assert dag.edges == {(u, v) for u, v in pairs if v in dag.nodes}
 
 
 class TestApplySequence:
@@ -771,7 +816,7 @@ class TestAdvanceAgainstReference:
         for form in (compiled, one, constants):
             for a in assignments:
                 want = [pack_tuple(clause_vars, a, n) for clause_vars in form.variables]
-                assert FlipState(form, a).local == want
+                assert list(FlipState(form, a).local) == want
         assert (255 in FlipState(compiled, (1 << n) - 1).local) == (n >= 8)
 
 
