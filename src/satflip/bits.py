@@ -9,6 +9,12 @@ per-position masks of a truth table.
 """
 
 from functools import lru_cache
+from itertools import accumulate, compress, repeat
+from operator import add
+
+# bytes.translate tables between the characters "0" and "1" and bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def to_bitstring(value: int, width: int) -> str:
@@ -35,14 +41,18 @@ def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-def set_vars(value: int, width: int):
-    """Yield the variables whose bit is 1 in `value`, highest index first,
-    in time linear in `width`: one format, then a scan from the right."""
+def set_vars(value: int, width: int) -> list[int]:
+    """The variables whose bit is 1 in `value`, ascending, in time linear
+    in `width`, from one format and C-level passes. A value with fewer
+    than one set bit in eight is split at its ones, and the pieces'
+    lengths accumulate to the variables; any other is read as bytes 0
+    and 1 by one ``itertools.compress`` over the variables 1..width."""
     text = to_bitstring(value, width)
-    i = text.rfind("1")
-    while i >= 0:
-        yield i + 1
-        i = text.rfind("1", 0, i)
+    if value.bit_count() * 8 < width:
+        pieces = text.split("1")
+        pieces.pop()
+        return list(accumulate(map(add, map(len, pieces), repeat(1))))
+    return list(compress(range(1, width + 1), text.encode().translate(_BIT_BYTES)))
 
 
 def low_masks(n: int):

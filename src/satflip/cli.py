@@ -87,8 +87,8 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _load_instance(args):
-    phi, embedded_s, embedded_t = parse_instance(_read(args.formula))
+def _load_instance(args, text: str):
+    phi, embedded_s, embedded_t = parse_instance(text)
     s = t = None
     if getattr(args, "source", None) is not None:
         s = parse_assignment(args.source, phi.num_vars)
@@ -106,6 +106,23 @@ def _cap(args) -> int:
     cap = recon.DEFAULT_STATE_CAP if args.cap is None else args.cap
     recon.check_cap(cap)
     return cap
+
+
+def _search_gate(text: str, cap: int, use: str) -> None:
+    """The exact search's gate (:func:`recon.check_search`) on a .cnfs
+    text, before anything else of it is parsed: when its first content
+    line is a well-formed `vars N`, a count above the cap is refused
+    there. Every other text is parsed as before, and its own errors
+    decide. A text that parses starts with that line, so the gate reads
+    the count of every formula the exact search gets."""
+    first = next((line for _, line in content_lines(text, "#")), "")
+    parts = first.split()
+    if len(parts) == 2 and parts[0] == "vars":
+        try:
+            num_vars = read_decimal(parts[1], "")
+        except ParseError:
+            return
+        recon.check_search(num_vars, cap, use)
 
 
 def _require_endpoints(s, t):
@@ -161,7 +178,7 @@ def _print_levels(phi, s, t, stats) -> None:
 
 def cmd_solve(args) -> int:
     cap = _cap(args)
-    phi, s, t = _load_instance(args)
+    phi, s, t = _load_instance(args, _read(args.formula))
     _require_endpoints(s, t)
     result = navigate.solve(phi, s, t)
     if args.verbose:
@@ -188,9 +205,10 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     cap = _cap(args)
-    phi, s, t = _load_instance(args)
+    text = _read(args.formula)
+    _search_gate(text, cap, "oracle")  # before the parse and phi.compiled
+    phi, s, t = _load_instance(args, text)
     _require_endpoints(s, t)
-    recon.check_search(phi.num_vars, cap, "oracle")  # before phi.compiled
     result = recon.bfs_shortest(phi.compiled, s, t, cap=cap)
     print(result.protocol_line())
     return 0
@@ -225,10 +243,12 @@ def cmd_gen_random(args) -> int:
 
 def cmd_dot(args) -> int:
     cap = _cap(args)
-    phi, s, _ = _load_instance(args)
+    text = _read(args.formula)
     if args.what == "recon":
-        # before phi.compiled, whose size grows with the variable count
-        recon.check_search(phi.num_vars, cap, "explicit-graph")
+        # before the parse and phi.compiled, whose sizes grow with the file
+        _search_gate(text, cap, "explicit-graph")
+    phi, s, _ = _load_instance(args, text)
+    if args.what == "recon":
         if args.format == "text":
             states, edges = recon.graph_size(phi.compiled, cap=cap)
             print(f"states {states}")

@@ -35,6 +35,7 @@ import heapq
 from collections import defaultdict
 from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .answer import Flip, _make_flip
@@ -82,8 +83,10 @@ def advance(state: FlipState, flips) -> None:
     index, and the state keeps the flips before it.
 
     One loop checks every flip on the compiled form's tables, held in
-    locals: a flip reads ``values[v]`` and its clauses' accept masks
-    before it changes anything, so a refused flip changes nothing.
+    locals: a flip reads ``values[v]`` before it changes anything, then
+    moves each of its clauses' tuples once its accept mask holds the
+    moved tuple. A clause that refuses it undoes the clauses before, so
+    a refused flip changes nothing.
     """
     compiled = state.compiled
     n, accept, occurrences = compiled.num_vars, compiled.accept, compiled.occurrences
@@ -99,13 +102,18 @@ def advance(state: FlipState, flips) -> None:
             raise FlipSequenceError(i, f"{Flip.token(f)} lowers a variable already 0")
         clauses = occurrences[v]
         for j, bit in clauses:
-            if not accept[j] >> (local[j] ^ bit) & 1:
-                raise FlipSequenceError(
-                    i, f"prefix ending at {Flip.token(f)} falsifies the formula"
-                )
-        for j, bit in clauses:
-            local[j] ^= bit
-        values[v] ^= 1
+            tup = local[j] ^ bit
+            if not accept[j] >> tup & 1:
+                break
+            local[j] = tup
+        else:
+            values[v] ^= 1
+            continue
+        for done, bit in clauses:  # undo the clauses before the refusing one
+            if done == j:
+                break
+            local[done] ^= bit
+        raise FlipSequenceError(i, f"prefix ending at {Flip.token(f)} falsifies the formula")
 
 
 def relation_partial_order(relation: Relation, state: int):
@@ -242,20 +250,27 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
     checked flips. The lower set is what :func:`_walk` reaches from the
     wanted flips, in :func:`_kahn`'s order under the walk's pairs.
     Returns None when some wanted flip can never happen: it is 1
-    already, or the order leaves a variable out.
+    already, or the order leaves a variable out. When every variable
+    reached ends some pair, no flip can start, and None comes before
+    :func:`_kahn` builds anything.
     The result equals ``order_respecting_sequence(dag,
     smallest_lower_set(dag, wanted))`` on the state's flip DAG when the
     wanted flips are its nodes, and None exactly when they are not.
+
+    The wanted flips are listed once and read in order: the first that
+    is not an int in 1..n raises PreconditionError, unless one before it
+    is 1 already, which makes the answer None.
     """
     n, values = state.compiled.num_vars, state.values
-    roots = []
-    for v in wanted:
+    roots = list(wanted)
+    for v in roots:
         if type(v) is not int or not 1 <= v <= n:
             raise PreconditionError(f"x{v} names no variable in 1..{n}")
         if values[v]:
             return None
-        roots.append(v)
     reached, pairs = _walk(state, roots)
+    if pairs and len(pairs) >= len(reached) and reached.issubset(map(itemgetter(1), pairs)):
+        return None  # no variable reached is free to go first
     order = _kahn(reached, pairs)
     if len(order) != len(reached):
         return None

@@ -28,19 +28,14 @@ its stats, in the terms of the form it ran on, and ``satflip solve
 from __future__ import annotations
 
 import heapq
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .answer import Flip, Outcome, SolveResult, SolveStats, _make_flip
 from .bits import hamming, set_vars, zeros
 from .errors import FlipSequenceError, PreconditionError, TheoryError
-from .flip_order import (
-    _require_order_class,
-    advance,
-    apply_sequence,
-    invert_sequence,
-    lower_set_sequence,
-    swap_signs,
-)
+from .flip_order import _require_order_class, advance, apply_sequence, lower_set_sequence
 from .formula import Clause, CompiledFormula, Formula, _check_assignment
 from .formula import classify_formula, require_relations, satisfying_state
 from .relation import (
@@ -53,7 +48,8 @@ from .relation import (
 )
 
 
-def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
+def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int,
+                            up: bool = True) -> SolveResult:
     """Shortest flip sequence for NAND-free + dual-Horn-free formulas.
 
     Each level raises, on both endpoints, the smallest lower set of the
@@ -68,10 +64,16 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
     flip only against the clauses of its variable. The result's `stats`
     counts the levels (its `dag_builds`, the walks, is two per level)
     and keeps each completed level's `(seq_s, seq_t)` pair of raises as
-    `lower_sets`; the path is every `seq_s` in order, then every
-    `seq_t` inverted, in reverse level order. The assembled sequence is
-    not replayed here: :func:`solve` replays it once, on the formula's
-    own compiled form.
+    `lower_sets`.
+
+    The path is every `seq_s` in order, then every `seq_t` reversed, in
+    reverse level order, with `up` the sign of the first part and
+    ``not up`` that of the second. With `up` true these are the raises
+    and lowerings of `compiled`; the complement route passes false, so
+    the path is spelled in the formula's own signs. Whichever part
+    already has its raises' sign reuses their records, and the other is
+    built once. The assembled sequence is not replayed here:
+    :func:`solve` replays it once, on the formula's own compiled form.
     """
     side_s = satisfying_state(compiled, s, "source")
     side_t = satisfying_state(compiled, t, "target")
@@ -87,8 +89,8 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
         if levels > eta_start + 1:
             raise TheoryError("level count exceeded the zero-count measure")
         diff = cur_s ^ cur_t
-        want_s = tuple(set_vars(diff & cur_t, n))
-        want_t = tuple(set_vars(diff & cur_s, n))
+        want_s = set_vars(diff & cur_t, n)
+        want_t = set_vars(diff & cur_s, n)
         seq_s = lower_set_sequence(side_s, want_s)
         seq_t = lower_set_sequence(side_t, want_t)
         if seq_s is None or seq_t is None:
@@ -110,13 +112,19 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int) -> SolveR
             raise TheoryError("level with both sides active dropped fewer than 2 zeros")
         lower_sets.append((seq_s, seq_t))
 
-    flips: tuple[Flip, ...] = ()
-    for seq_s, _ in lower_sets:
-        flips += seq_s
-    for _, seq_t in reversed(lower_sets):
-        flips += invert_sequence(seq_t)
+    ahead = chain.from_iterable(map(itemgetter(0), lower_sets))
+    back = chain.from_iterable(map(reversed, map(itemgetter(1), reversed(lower_sets))))
+    if up:
+        back = _signed(back, False)
+    else:
+        ahead = _signed(ahead, False)
     stats = SolveStats(levels, tuple(lower_sets))
-    return SolveResult(Outcome.PATH, flips=flips, stats=stats)
+    return SolveResult(Outcome.PATH, flips=(*ahead, *back), stats=stats)
+
+
+def _signed(flips, up: bool):
+    """The flips' variables, in order, each with the sign `up`."""
+    return map(_make_flip, zip(map(itemgetter(0), flips), repeat(up)))
 
 
 def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
@@ -142,8 +150,7 @@ def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
     accept, occurrences, variables = compiled.accept, compiled.occurrences, compiled.variables
     values, local = state.values, state.local
 
-    heap = list(set_vars(s ^ t, compiled.num_vars))
-    heap.reverse()  # ascending, so already a heap
+    heap = set_vars(s ^ t, compiled.num_vars)  # ascending, so already a heap
     queued = set(heap)
     flips: list[Flip] = []
     while heap:
@@ -202,7 +209,8 @@ class Route(NamedTuple):
     an assignment of the formula maps onto it by xor with `mask`. On the
     complement route (OR-free + Horn-free sets) that is
     ``phi.compiled.complemented()`` with mask 2^n - 1, solved as
-    NAND-free + dual-Horn-free with the flips' signs swapped back; on
+    NAND-free + dual-Horn-free with the path spelled in the formula's
+    signs (lowering flips for the complement's raises); on
     every other route it is ``phi.compiled`` with mask 0.
     """
 
@@ -226,8 +234,10 @@ def solve(phi: Formula, s: int, t: int) -> SolveResult:
 
     Componentwise bijunctive sets take the greedy walk; NAND-free +
     dual-Horn-free sets the order-based solver; OR-free + Horn-free sets
-    take the order-based solver on the complement, and the flips' signs
-    are swapped back in the same order. Each order-based answer is
+    take the order-based solver on the complement, which is passed
+    ``up=False`` and so spells its path in the formula's signs: each
+    raise of the complement is a lowering flip of the formula, in the
+    same order. Each order-based answer is
     replayed once, on ``phi.compiled``, and a replay that fails or ends
     off the target is a TheoryError; the greedy walk's answer is not
     replayed, since it checks each flip on one live state.
@@ -254,11 +264,9 @@ def solve(phi: Formula, s: int, t: int) -> SolveResult:
     if cls.kind is NavigableKind.COMPONENTWISE_BIJUNCTIVE:
         return shortest_path_cwb(route.compiled, s, t)
     mask = route.mask
-    result = shortest_path_navigable(route.compiled, s ^ mask, t ^ mask)
+    result = shortest_path_navigable(route.compiled, s ^ mask, t ^ mask, up=not mask)
     if result.flips is None:
         return result
-    if mask:
-        result = result._replace(flips=swap_signs(result.flips))
     try:
         end = apply_sequence(phi.compiled, s, result.flips)
     except PreconditionError as exc:

@@ -26,12 +26,16 @@ def test_index_masks_equal_the_sum_definition():
         assert index_masks(arity) is index_masks(arity)
 
 
-def test_set_vars_lists_the_set_variables_highest_first():
+def test_set_vars_lists_the_set_variables_ascending():
     rng = random.Random(31)
     for n in (1, 2, 7, 8, 9, 64, 65, 300):
         values = [0, 1, 1 << (n - 1), (1 << n) - 1]
         values += [rng.getrandbits(n) for _ in range(10)]  # dense
         values += [(1 << rng.randrange(n)) | (1 << rng.randrange(n)) for _ in range(10)]  # sparse
+        # either side of one set bit in eight, where the lister changes method
+        values += [sum(1 << v for v in rng.sample(range(n), k))
+                   for k in sorted({max(n // 8 - 1, 0), n // 8, n // 8 + 1}) if k <= n]
         for value in values:
-            want = [v for v in range(n, 0, -1) if var_bit(value, v, n)]
-            assert list(set_vars(value, n)) == want
+            want = [v for v in range(1, n + 1) if var_bit(value, v, n)]
+            got = set_vars(value, n)
+            assert type(got) is list and got == want

@@ -315,6 +315,51 @@ class TestSearchGate:
         argv = [str(wide) if arg == "WIDE" else arg for arg in argv]
         assert run(capsys, *argv) == (2, "", f"satflip: error: {message}\n")
 
+    # Far above the cap: a malformed third line, or no endpoints at all.
+    # The gate reads the `vars` line and refuses before the parse.
+    FAR = "vars 240001\nrelation r 1\nnot-a-tuple\nend\n"
+    NO_ENDPOINTS = "# a comment\n\n  vars 240001\nrelation r 1\n1\nend\nclause r x1\n"
+
+    @pytest.mark.parametrize("text", [FAR, "# s=0\n" + FAR, NO_ENDPOINTS],
+                             ids=["malformed", "malformed-one-endpoint", "no-endpoints"])
+    @pytest.mark.parametrize("argv, use", [
+        (("oracle", "--cap", "2"), "oracle"),
+        (("dot", "--cap", "2"), "explicit-graph"),
+        (("dot", "--format", "text"), "explicit-graph"),
+        (("oracle", "--from", "bad", "--cap", "2"), "oracle"),
+    ], ids=["oracle", "dot", "dot-text-default-cap", "oracle-bad-from"])
+    def test_refused_at_the_vars_line(self, capsys, monkeypatch, tmp_path, text, argv, use):
+        def spy(*args):
+            pytest.fail("the formula was parsed or compiled before the refusal")
+
+        monkeypatch.setattr(cli, "parse_instance", spy)
+        monkeypatch.setattr(formula, "_compile", spy)
+        cap = argv[argv.index("--cap") + 1] if "--cap" in argv else "20"
+        path = write(tmp_path / "far.cnfs", text)
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (
+            2, "", f"satflip: error: formula has 240001 variables, above the {use} cap {cap}\n")
+
+    @pytest.mark.parametrize("text, err", [
+        # not a well-formed `vars N` first: parsed as before
+        ("vars 240001 extra\n", "line 1: expected 'vars <n>'"),
+        ("vars 2_40001\n", "line 1: bad variable count '2_40001'"),
+        ("relation r 1\nvars 240001\n", "line 1: 'vars' must come before 'relation'"),
+        # within the cap: the parse decides, as before
+        ("vars 2\nrelation r 1\nnot-a-tuple\n", "line 3: expected a 1-bit tuple or 'end' in relation 'r'"),
+        ("vars -3\n", "line 1: variable count must be >= 1"),
+    ], ids=["extra-token", "non-decimal", "relation-first", "within-cap", "negative"])
+    @pytest.mark.parametrize("command", ["oracle", "dot"])
+    def test_other_files_are_parsed_as_before(self, capsys, tmp_path, command, text, err):
+        path = write(tmp_path / "f.cnfs", text)
+        assert run(capsys, command, str(path), "--cap", "2") == (1, "", f"satflip: error: {err}\n")
+
+    def test_solve_and_fliporder_are_not_gated(self, capsys, tmp_path):
+        path = write(tmp_path / "far.cnfs", self.FAR)
+        for argv in (("solve",), ("dot", "--what", "fliporder")):
+            code, _, err = run(capsys, *argv, str(path), "--cap", "2")
+            assert (code, err) == (
+                1, "satflip: error: line 3: expected a 1-bit tuple or 'end' in relation 'r'\n")
+
 
 class TestGen:
     def test_vc_k3_golden(self, capsys):

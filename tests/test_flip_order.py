@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from contextlib import suppress
 
@@ -508,6 +509,46 @@ class TestLowerSetSequence:
     def test_rejects_variable_out_of_range(self):
         with pytest.raises(PreconditionError, match="x4 names no variable"):
             lower_set_sequence(FlipState(PATH_PHI.compiled, 0b000), {4})
+
+    # x3 is 1 at 0b001, so a wanted x3 makes the answer None; the other
+    # entry is refused. Whichever comes first in the wanted order decides.
+    REFUSAL_ORDER = [
+        ((3, 4), None), ((4, 3), "x4 names no variable in 1..3"),
+        ((3, 0), None), ((0, 3), "x0 names no variable in 1..3"),
+        ((3, -1), None), ((-1, 3), "x-1 names no variable in 1..3"),
+        ((3, True), None), ((True, 3), "xTrue names no variable in 1..3"),
+        ((3, 2.5), None), ((2.5, 3), "x2.5 names no variable in 1..3"),
+        ((3, "x1"), None), (("x1", 3), "xx1 names no variable in 1..3"),
+        ((1, 3, 4), None), ((1, 4, 3), "x4 names no variable in 1..3"),
+    ]
+
+    @pytest.mark.parametrize("wanted, expected", REFUSAL_ORDER)
+    @pytest.mark.parametrize("form", [tuple, list, lambda w: (v for v in w)],
+                             ids=["tuple", "list", "generator"])
+    def test_refusal_order_with_a_raised_variable(self, wanted, expected, form):
+        state = FlipState(PATH_PHI.compiled, 0b001)
+        if expected is None:
+            assert lower_set_sequence(state, form(wanted)) is None
+        else:
+            with pytest.raises(PreconditionError, match=f"^{re.escape(expected)}$"):
+                lower_set_sequence(state, form(wanted))
+        assert state.values == bytearray([0, 0, 0, 1])
+
+    @pytest.mark.parametrize("wanted", [
+        {3, 4}, {3, 8}, {3, 0}, {3, -1}, {3, 2.5}, {3, True, 2}, {4, 1}, {1, 3, 2.5},
+    ], ids=str)
+    def test_refusal_order_of_a_set_is_its_iteration_order(self, wanted):
+        state = FlipState(PATH_PHI.compiled, 0b001)
+        for v in wanted:  # the first entry that is refused or raised decides
+            if type(v) is not int or not 1 <= v <= 3:
+                with pytest.raises(PreconditionError, match=f"^x{re.escape(str(v))} names no"):
+                    lower_set_sequence(state, wanted)
+                break
+            if state.values[v]:
+                assert lower_set_sequence(state, wanted) is None
+                break
+        else:
+            pytest.fail(f"{wanted} has neither a refused nor a raised entry")
 
     def test_matches_dag_route_on_corpus(self):
         rng = random.Random(97)

@@ -13,6 +13,7 @@ from satflip import (
     ParseError,
     PreconditionError,
     Relation,
+    dualize,
     effective_clause,
     evaluate,
     induced,
@@ -106,6 +107,99 @@ class TestEvaluate:
         assert phi.compiled.variables[:2] == ((), ())
         assert phi.compiled.accept[:2] == (0b1, 0b0)
         assert [first_violated_clause(phi, a) for a in range(4)] == [2, 2, 2, 2]
+
+
+def _dense_relation(arity, rng):
+    """A relation holding most tuples, so a clause is falsified rarely
+    and the first falsified clause of a long formula lies anywhere."""
+    tuples = [x for x in range(1 << arity) if rng.random() < 0.85]
+    return Relation(arity, frozenset(tuples or [0]))
+
+
+def _check_first_violated(phi, rng, samples=64):
+    """`first_violated_clause` against the clause-by-clause reference on
+    every assignment of a small formula, or on seeded samples."""
+    n = phi.num_vars
+    assignments = range(1 << n) if n <= 8 else [rng.getrandbits(n) for _ in range(samples)]
+    seen = set()
+    for a in assignments:
+        got = first_violated_clause(phi, a)
+        assert got == naive_first_violated_clause(phi, a)
+        seen.add(got)
+    return seen
+
+
+class TestFirstViolatedClauseKinds:
+    """`FlipState.violated` reads one acceptance table when every clause
+    has one accept mask, and shifts each clause's mask otherwise; both
+    must name the clause-by-clause reference's first falsified clause."""
+
+    def test_one_mask_many_clauses(self):
+        rng = random.Random(4101)
+        found = set()
+        for _ in range(30):
+            n, arity = rng.randint(4, 40), rng.randint(1, 4)
+            rel = _dense_relation(arity, rng)
+            clauses = tuple(Clause("r", tuple(sorted(rng.sample(range(1, n + 1), arity))))
+                            for _ in range(rng.randint(20, 200)))
+            phi = Formula(n, (("r", rel),), clauses)
+            assert len(set(phi.compiled.accept)) == 1
+            found |= _check_first_violated(phi, rng)
+        assert None in found and len(found) >= 10
+
+    def test_complemented_forms_match_the_dualized_formula(self):
+        rng = random.Random(4102)
+        for _ in range(40):
+            n = rng.randint(3, 9)
+            rels = [(f"r{i}", _dense_relation(rng.randint(1, 3), rng)) for i in range(rng.randint(1, 3))]
+            clauses = []
+            for _ in range(rng.randint(1, 40)):
+                name, rel = rng.choice(rels)
+                clauses.append(Clause(name, tuple(
+                    rng.choice((CONST0, CONST1)) if rng.random() < 0.15 else rng.randint(1, n)
+                    for _ in range(rel.arity))))
+            phi = Formula(n, tuple(rels), tuple(clauses))
+            image = dualize(phi, 0, 0)[0]
+            compiled = phi.compiled.complemented()
+            for a in range(1 << n):
+                got = FlipState(compiled, a).violated()
+                assert got == naive_first_violated_clause(image, a)
+
+    def test_constant_only_clauses_among_variable_clauses(self):
+        rng = random.Random(4103)
+        only_000 = Relation(3, frozenset({0}))  # accept mask 1, as a holding constant clause
+        for trial in range(40):
+            n = rng.randint(3, 8)
+            rel = only_000 if trial % 4 == 0 else _dense_relation(3, rng)
+            clauses = []
+            for _ in range(rng.randint(1, 30)):
+                if rng.random() < 0.4:
+                    args = tuple(rng.choice((CONST0, CONST1)) for _ in range(3))
+                else:
+                    args = tuple(sorted(rng.sample(range(1, n + 1), 3)))
+                clauses.append(Clause("r", args))
+            phi = Formula(n, (("r", rel),), tuple(clauses))
+            _check_first_violated(phi, rng)
+        # one mask shared by constant-only and variable clauses
+        phi = Formula(4, (("r", only_000),),
+                      (Clause("r", (CONST0,) * 3), Clause("r", (1, 2, 3)), Clause("r", (2, 3, 4))))
+        assert set(phi.compiled.accept) == {1}
+        assert [first_violated_clause(phi, a) for a in (0b0000, 0b0001, 0b1000, 0b0100)] == [None, 3, 2, 2]
+
+    def test_several_masks(self):
+        rng = random.Random(4104)
+        masks = []
+        for _ in range(40):
+            n = rng.randint(4, 12)
+            rels = [(f"r{i}", _dense_relation(rng.randint(1, 4), rng)) for i in range(rng.randint(2, 5))]
+            clauses = []
+            for _ in range(rng.randint(10, 120)):
+                name, rel = rng.choice(rels)
+                clauses.append(Clause(name, tuple(sorted(rng.sample(range(1, n + 1), rel.arity)))))
+            phi = Formula(n, tuple(rels), tuple(clauses))
+            masks.append(len(set(phi.compiled.accept)))
+            _check_first_violated(phi, rng, samples=256)
+        assert sum(k >= 2 for k in masks) >= 30 and max(masks) >= 4
 
 
 class TestFlipState:

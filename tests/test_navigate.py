@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 from collections import Counter
@@ -45,8 +46,9 @@ from satflip.bits import hamming, zeros
 from satflip.recon import members, solution_table
 
 from satflip import navigate
-from satflip.flip_order import lower_set_sequence, swap_signs
-from satflip.formula import _compile
+from satflip.errors import FlipSequenceError
+from satflip.flip_order import advance, lower_set_sequence, swap_signs
+from satflip.formula import FlipState, _compile
 
 from helpers import (
     closure,
@@ -774,9 +776,10 @@ class TestProtocolLines:
         assert solve(EQ_PHI, 0b00, 0b11).protocol_line() == "NOTCONNECTED"
 
 
-def windows(rel, n):
-    """An arity-3 relation on every window (x_i, x_i+1, x_i+2) with odd i."""
-    clauses = tuple(Clause("w", (i, i + 1, i + 2)) for i in range(1, n - 1, 2))
+def windows(rel, n, stride=2):
+    """An arity-3 relation on every window (x_i, x_i+1, x_i+2) with
+    i = 1, 1 + stride, ...: odd i by default."""
+    clauses = tuple(Clause("w", (i, i + 1, i + 2)) for i in range(1, n - 1, stride))
     return Formula(n, (("w", rel),), clauses)
 
 
@@ -862,3 +865,99 @@ class TestPinnedTieBreaks:
             "NAND_AND_DUAL_HORN_FREE", "OR_AND_HORN_FREE", "COMPONENTWISE_BIJUNCTIVE"}
         got = tuple(solve(phi, s, t).protocol_line() for phi, s, t in corpus)
         assert got == PINNED_LINES
+
+
+def gadgets(n):
+    """Disjoint PATH5 gadgets on (x_3i+1, x_3i+2, x_3i+3)."""
+    clauses = tuple(Clause("p", (i, i + 1, i + 2)) for i in range(1, n, 3))
+    return Formula(n, (("p", PATH5),), clauses)
+
+
+def implication_chain(n):
+    """x_v -> x_v+1 for v < n: its solutions are 0^j 1^(n - j)."""
+    return Formula(n, (("imp", IMP),), tuple(Clause("imp", (v + 1, v)) for v in range(1, n)))
+
+
+def walk_from(phi, start, steps, rng):
+    """A seeded walk of checked single flips from a satisfying start:
+    each step proposes a random variable, and `advance` keeps its flip
+    when the state stays satisfying."""
+    state = FlipState(phi.compiled, start)
+    for _ in range(steps):
+        v = rng.randrange(1, phi.num_vars + 1)
+        try:
+            advance(state, [(v, not state.values[v])])
+        except FlipSequenceError:
+            pass
+    return state.assignment
+
+
+def digest_corpus(seed):
+    """Seeded instances up to n = 601 on both order-based routes and the
+    greedy one: PATH5 gadget chains with per-gadget tuples as endpoints;
+    stride-1 windows between the solutions 0^n, 0^(n-1)1, 1^n, 1^(n-1)0
+    and 1^(n-2)01, which lie in several components; stride-2 windows
+    with endpoints walked from 0^n or 1^n; each of these also
+    complemented through `dualize`; and implication chains between two
+    of their solutions."""
+    rng = random.Random(seed)
+    tuples = sorted(PATH5.tuples)
+    out = []
+    for n in (30, 300, 600):
+        phi = gadgets(n)
+        for _ in range(3):
+            s, t = (sum(rng.choice(tuples) << (n - i - 2) for i in range(1, n, 3))
+                    for _ in range(2))
+            out += [(phi, s, t), dualize(phi, s, t)]
+    for n in (31, 301, 601):
+        phi = windows(PATH5, n, 1)
+        full = (1 << n) - 1
+        sols = [0, 1, full, full - 1, full - 2]
+        for _ in range(4):
+            s, t = rng.choice(sols), rng.choice(sols)
+            out += [(phi, s, t), dualize(phi, s, t)]
+    for n in (31, 301, 601):
+        phi = windows(PATH5, n)
+        full = (1 << n) - 1
+        for _ in range(3):
+            s = walk_from(phi, rng.choice((0, full)), 4 * n, rng)
+            t = walk_from(phi, rng.choice((0, full, s)), 4 * n, rng)
+            out += [(phi, s, t), dualize(phi, s, t)]
+    for n in (40, 200, 600):
+        phi = implication_chain(n)
+        for _ in range(3):
+            i, j = rng.randrange(n + 1), rng.randrange(n + 1)
+            out.append((phi, (1 << (n - i)) - 1, (1 << (n - j)) - 1))
+    return out
+
+
+def answer_text(result) -> str:
+    """The protocol line, then the stats: the level count and each
+    level's raises, spelled by `Flip.token`."""
+    lines = [result.protocol_line(), f"levels {result.stats.levels}"]
+    for seq_s, seq_t in result.stats.lower_sets:
+        lines.append(" ".join(map(Flip.token, seq_s)) + " / " + " ".join(map(Flip.token, seq_t)))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of every `answer_text` of `digest_corpus(3301)`, in order,
+# recorded before the solver assembled its paths in the route's signs;
+# a change here moves a flip, a sign or a tie-break of some answer.
+ANSWER_DIGEST = "524bf783b5493417baae3bc4b0265f3e602d022aef9f569b874769060c16ea63"
+
+
+class TestAnswerDigest:
+    def test_answers_match_the_recorded_digest(self):
+        corpus = digest_corpus(3301)
+        digest = hashlib.sha256()
+        outcomes = Counter()
+        for phi, s, t in corpus:
+            result = solve(phi, s, t)
+            digest.update(answer_text(result).encode())
+            outcomes[phi.route.classification.kind.name, result.outcome.name] += 1
+        assert outcomes[("NAND_AND_DUAL_HORN_FREE", "PATH")] >= 10
+        assert outcomes[("OR_AND_HORN_FREE", "PATH")] >= 10
+        assert outcomes[("NAND_AND_DUAL_HORN_FREE", "NOT_CONNECTED")] >= 2
+        assert outcomes[("OR_AND_HORN_FREE", "NOT_CONNECTED")] >= 2
+        assert outcomes[("COMPONENTWISE_BIJUNCTIVE", "PATH")] == 9
+        assert digest.hexdigest() == ANSWER_DIGEST
