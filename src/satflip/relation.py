@@ -15,9 +15,12 @@ Otherwise they read one memoized closure of the relation's table under
 elementary steps: fix one position, or identify two. Each step is a few
 mask-and-shift operations, run once for a whole level of the closure
 with its tables packed side by side into one int; components and
-bijunctivity are read off the tables the same way. The closure holds
-every covering restriction up to a permutation of its positions, so the
-predicates never walk the (k'+2)^k restriction maps one by one.
+bijunctivity are read off the tables the same way. A table of arity 3
+or less fits in one byte, so those levels are deduplicated as bytes
+(two ``bytes.translate`` calls), not as one int per step output. The
+closure holds every covering restriction up to a permutation of its
+positions, so the predicates never walk the (k'+2)^k restriction maps
+one by one.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ from .records import Frozen, set_field
 
 # The restriction closure grows quickly with arity. Measured cold on
 # CPython 3.11, best of 3, five seeded random relations per arity: all
-# nine flags take 0.4-1.9 ms at arity 6, 2-8 ms at arity 7 and 5-22 ms
-# at arity 8, where one closure holds up to about 1.6 MiB (15,000 arity-4
-# members). A relation in a Schaefer class skips the closure for every
-# flag its class implies: all nine flags of the full arity-8 relation
-# build none. At arity 9 (measured with the bound raised, 3 seeds) the
-# nine flags take 130-230 ms, one closure has 41,000-95,000 members with
-# a tracemalloc peak of 9-18 MiB, and the 4-entry closure cache could
-# hold about 70 MiB: a tenfold step per arity that no workload needs, so
-# the bound stays 8.
+# nine flags take 0.2-1.0 ms at arity 6, 1.1-4.6 ms at arity 7 and
+# 12-18 ms at arity 8, where one closure holds up to about 21,000
+# members with a tracemalloc peak of 2.8 MiB. A relation in a Schaefer
+# class skips the closure for every flag its class implies: all nine
+# flags of the full arity-8 relation build none. At arity 9 (measured
+# with the bound raised, 3 seeds) the nine flags take 110-140 ms, one
+# closure has 41,000-95,000 members with a tracemalloc peak of 9-18 MiB,
+# and the 4-entry closure cache could hold about 70 MiB: a tenfold step
+# per arity that no workload needs, so the bound stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
@@ -80,7 +83,12 @@ class Relation(Frozen):
                 f"relation arity must be an integer in 1..{MAX_ARITY}, got {arity!r}"
             )
         if not isinstance(tuples, frozenset):
-            tuples = frozenset(tuples)
+            try:
+                tuples = frozenset(tuples)
+            except TypeError:
+                raise PreconditionError(
+                    f"relation tuples must be an iterable of ints, got {tuples!r}"
+                ) from None
         top = 1 << arity
         table = 0
         for t in tuples:
@@ -164,6 +172,8 @@ class RestrictionMap(Frozen):
                 f"need 1 <= target ({target_arity}) <= source "
                 f"({source_arity}) <= {MAX_ARITY}"
             )
+        if type(entries) is not tuple:
+            raise PreconditionError(f"restriction entries must be a tuple, got {entries!r}")
         if len(entries) != source_arity:
             raise PreconditionError(f"expected {source_arity} entries, got {len(entries)}")
         for e in entries:
@@ -260,17 +270,46 @@ def _unpack(arity: int, packed, count: int):
 
 
 def _packed_masks(arity: int, count: int) -> list[int]:
-    """:func:`index_masks` repeated in each of ``count`` slots."""
-    ones = _pack(arity, [1] * count)
+    """:func:`index_masks` repeated in each of ``count`` slots: each mask
+    times the int whose slots each hold 1, one bytes repetition."""
+    ones = int.from_bytes((1).to_bytes(_SLOTS[arity][0], "little") * count, "little")
     return [m * ones for m in index_masks(arity)]
+
+
+# A table of arity 3 or less fits in one byte, so a level of such tables
+# can be a bytes object.
+_BYTES = bytes(range(256))
+
+
+def _distinct(data: bytes) -> bytes:
+    """The distinct bytes of ``data``, ascending: deleting from all 256
+    the bytes that ``data`` lacks leaves the ones it holds."""
+    return _BYTES.translate(None, _BYTES.translate(None, data))
 
 
 def _level_steps(arity: int, tables) -> frozenset[int]:
     """The distinct steps of every table of one closure level, each step
-    taken once for the whole packed level."""
+    taken once for the whole packed level. Up to arity 4 a step's table
+    fits the low byte of its slot: the distinct low bytes are found with
+    no int per slot."""
     count = len(tables)
     steps = _steps(_packed_masks(arity, count), _pack(arity, tables))
-    return frozenset(_unpack(arity, steps, count))
+    if arity > 4:
+        return frozenset(_unpack(arity, steps, count))
+    width = _SLOTS[arity][0]
+    return frozenset(_distinct(b"".join(p.to_bytes(width * count, "little")
+                                        for p in steps)[::width]))
+
+
+@lru_cache(maxsize=None)
+def _step_bytes(arity: int) -> list[bytes]:
+    """Entry t holds the steps of the arity-``arity`` table t (arity 2 or
+    3) as bytes, repeats included. All 16 or 256 tables of the arity are
+    stepped at once, packed one per byte, on first use (about 0.06 ms)."""
+    count = 1 << (1 << arity)
+    steps = _steps(_packed_masks(arity, count), int.from_bytes(_BYTES[:count], "little"))
+    data = b"".join(p.to_bytes(count, "little") for p in steps)
+    return [data[t::count] for t in range(count)]
 
 
 @lru_cache(maxsize=4)
@@ -287,13 +326,22 @@ def _restriction_closure(relation: Relation) -> tuple[frozenset[int], ...]:
     never equal one of the forbidden patterns, and its components are
     bijunctive exactly when the smaller one's are.
 
+    Levels above arity 3 are built by :func:`_level_steps`, whose last
+    step (arity 4 to 3) already deduplicates bytes. Below that, each
+    level is the distinct bytes of its tables' :func:`_step_bytes`
+    entries, joined: no packing, no steps, no int per step output.
+
     One closure of a random arity-8 relation holds about 20,000 small
     ints, 1.7 MiB, so only the last few are kept: enough for the five
     predicates of one relation, which :func:`relation_flags` asks in a row.
     """
     levels = [frozenset({relation.table})]
-    for arity in range(relation.arity, 1, -1):
+    for arity in range(relation.arity, 3, -1):
         levels.append(_level_steps(arity, levels[-1]))
+    data = bytes(levels[-1])  # tables of arity 3 or less
+    for arity in range(min(relation.arity, 3), 1, -1):
+        data = _distinct(b"".join(map(_step_bytes(arity).__getitem__, data)))
+        levels.append(frozenset(data))
     return tuple(reversed(levels))
 
 
@@ -525,9 +573,17 @@ def classify_set(relations) -> Classification:
     When several navigable kinds apply, componentwise bijunctive wins,
     then nand-free + dual-horn-free.
     """
-    rels = tuple(relations)
+    try:
+        rels = tuple(relations)
+    except TypeError:
+        raise PreconditionError(
+            f"classify_set needs an iterable of relations, got {relations!r}"
+        ) from None
     if not rels:
         raise PreconditionError("classify_set needs at least one relation")
+    for rel in rels:
+        if not isinstance(rel, Relation):
+            raise PreconditionError(f"classify_set needs Relation objects, got {rel!r}")
     flags = tuple(relation_flags(r) for r in rels)
     if all(f.componentwise_bijunctive for f in flags):
         return Classification(

@@ -7,9 +7,11 @@ Classifies each of the 65,536 relations of arity 4 alone with
 componentwise bijunctive relations that are not bijunctive, the affine
 relations, and that complementing swaps the two order kinds. It also
 checks each of the five restriction-based flags against the closure read
-without the Schaefer shortcut (`helpers.closure_relation_flags`), and
+without the Schaefer shortcut (`helpers.closure_relation_flags`),
+compares every level of each relation's closure with the one
+`helpers.reference_closure` builds a table at a time over strings, and
 counts the relations whose flags build no closure at all. It takes
-about 10-13 s, so it runs as a CI step rather than in tier-1; pytest
+about 15-20 s, so it runs as a CI step rather than in tier-1; pytest
 does not collect it, since its name does not start with ``test_``. Exits
 1 and names each count that differs.
 """
@@ -19,7 +21,9 @@ from collections import Counter
 
 from satflip import NavigableKind, Relation, Verdict, classify_set, is_affine, is_bijunctive
 
-from helpers import closure_calls, closure_relation_flags
+from satflip.relation import _restriction_closure
+
+from helpers import closure_calls, closure_relation_flags, reference_closure
 
 ARITY = 4
 CWB = (Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE)
@@ -48,13 +52,14 @@ def main():
     size = 1 << ARITY
     verdicts = {}
     census = Counter()
-    not_bijunctive = affine = no_closure = closure_mismatches = 0
+    not_bijunctive = affine = no_closure = closure_mismatches = reference_mismatches = 0
     for mask in range(1 << size):
         rel = Relation(ARITY, frozenset(t for t in range(size) if mask >> t & 1))
         before = closure_calls()
         cls = classify_set([rel])
         no_closure += closure_calls() == before
         closure_mismatches += cls.per_relation[0][4:] != closure_relation_flags(rel)
+        reference_mismatches += _restriction_closure(rel) != reference_closure(rel)
         key = verdicts[mask] = (cls.verdict, cls.kind)
         census[key] += 1
         not_bijunctive += key == CWB and not is_bijunctive(rel)
@@ -76,6 +81,7 @@ def main():
         ("cosets by Gaussian binomials", cosets, [16, 120, 140, 30, 1]),
         ("affine: the empty set plus every coset", affine, 1 + sum(cosets)),
         ("closure flags that differ from the closure read in full", closure_mismatches, 0),
+        ("closures that differ from the reference build", reference_mismatches, 0),
         # the 308 affine relations, plus 580 that are Horn and dual Horn
         # and either bijunctive or refused by the components of the
         # relation itself

@@ -107,6 +107,36 @@ def naive_all_restriction_values(rel, target_arity):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _step_getters(arity):
+    """One getter per elementary step on arity-`arity` tables as strings
+    (char t is "1" iff tuple t is accepted): fix position p to 0 or 1, or
+    give it the value of an earlier position q, then drop position p.
+    Each getter reads, for every target tuple, the source tuple's char."""
+    getters = []
+    for p in range(arity):
+        for value in ["0", "1", *range(p)]:
+            index = []
+            for r in range(1 << (arity - 1)):
+                bits = format(r, f"0{arity - 1}b")
+                bit = value if isinstance(value, str) else bits[value]
+                index.append(int(bits[:p] + bit + bits[p:], 2))
+            getters.append(operator.itemgetter(*index))
+    return getters
+
+
+def reference_closure(rel):
+    """`relation._restriction_closure` rebuilt one table at a time over
+    strings, with no packing: entry a - 1 holds the distinct truth tables
+    of arity a that elementary steps reach from the relation."""
+    level = {"".join("1" if t in rel.tuples else "0" for t in range(1 << rel.arity))}
+    levels = [level]
+    for arity in range(rel.arity, 1, -1):
+        level = {"".join(get(s)) for s in level for get in _step_getters(arity)}
+        levels.append(level)
+    return tuple(frozenset(int(s[::-1], 2) for s in level) for level in reversed(levels))
+
+
 def naive_is_free(rel, forbidden_tuples, target_arity):
     if rel.arity < target_arity:
         return True

@@ -2,7 +2,8 @@
 caller passes in: ``type(x) is int``. A bool, an int subclass such as an
 IntEnum member, a float and a str are each refused with the site's own
 PreconditionError and message, never a TypeError or AttributeError; the
-int 2 is accepted at every site, so the refusal comes from the type."""
+int 2 is accepted at every site, so the refusal comes from the type.
+A value where a collection belongs is refused the same way."""
 
 import itertools
 import pathlib
@@ -22,6 +23,7 @@ from satflip import (
     SimpleGraph,
     apply_sequence,
     bfs_shortest,
+    classify_set,
     evaluate,
     lower_set_sequence,
     order_respecting_sequence,
@@ -127,6 +129,30 @@ def test_every_site_refuses_what_is_not_an_int(site, value):
     assert str(err.value) == message(value)
     if index is not None:
         assert type(err.value) is FlipSequenceError and err.value.index == index
+
+
+# a value where a collection is expected: a wrong container, an int, a
+# generator or None is refused with the site's PreconditionError, never a
+# TypeError or AttributeError from iterating, hashing or reading it
+CONTAINER_CASES = [
+    (lambda: RestrictionMap(2, 1, [1, 1]), "restriction entries must be a tuple, got [1, 1]"),
+    (lambda: RestrictionMap(2, 1, (e for e in (1, 1))),
+     "restriction entries must be a tuple, got <generator object "),
+    (lambda: RestrictionMap(2, 1, None), "restriction entries must be a tuple, got None"),
+    (lambda: Relation(2, 5), "relation tuples must be an iterable of ints, got 5"),
+    (lambda: Relation(2, [[1]]), "relation tuples must be an iterable of ints, got [[1]]"),
+    (lambda: classify_set([1]), "classify_set needs Relation objects, got 1"),
+    (lambda: classify_set([IMP, "imp"]), "classify_set needs Relation objects, got 'imp'"),
+    (lambda: classify_set(5), "classify_set needs an iterable of relations, got 5"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CONTAINER_CASES)))
+def test_containers_are_refused_with_the_site_message(case):
+    call, message = CONTAINER_CASES[case]
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value).startswith(message)
 
 
 @pytest.mark.parametrize("call", [smallest_lower_set, order_respecting_sequence])

@@ -51,6 +51,8 @@ from helpers import (
     naive_relation_flags,
     naive_restrict_tuples,
     non_decimal_cases,
+    random_relation,
+    reference_closure,
     relation_strategy,
     restriction_entries,
     set_rule,
@@ -428,6 +430,23 @@ class TestRestrictionClosure:
                     tuples = [t for t in range(1 << target) if table >> t & 1]
                     reached |= self.permuted(target, tuples)
                 assert reached == covering
+
+    @pytest.mark.parametrize("arity", [4, 5, 6, 7, 8])
+    def test_closure_equals_the_reference_build(self, arity):
+        # every level, as the same tuple of frozensets; seeded random
+        # relations, then full, empty, staircase, product and complemented
+        rng = random.Random(arity)
+        rels = [random_relation(arity, rng) for _ in range({4: 40, 5: 20, 6: 10}.get(arity, 3))]
+        left, right = random_relation(2, rng), random_relation(arity - 2, rng)
+        product = Relation(arity, frozenset(
+            a << (arity - 2) | b for a in left.tuples for b in right.tuples))
+        rels += [Relation.full(arity), Relation(arity, frozenset()), staircase(arity), product,
+                 staircase(arity).complemented(), rels[0].complemented(),
+                 product.complemented()]
+        for rel in rels:
+            closure = _restriction_closure(rel)
+            assert all(type(level) is frozenset for level in closure)
+            assert closure == reference_closure(rel), rel
 
     @given(relation_strategy(min_arity=2, max_arity=8))
     @settings(max_examples=100, deadline=None)
