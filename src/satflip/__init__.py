@@ -24,7 +24,7 @@ _EXPORTS = {
         "PreconditionError", "SatFlipError", "TheoryError",
     ),
     "flip_order": (
-        "FlipOrderDag", "apply_sequence", "formula_flip_dag", "invert_sequence",
+        "FlipOrderDag", "apply_sequence", "formula_flip_dag",
         "lower_set_sequence", "order_respecting_sequence",
         "relation_partial_order", "smallest_lower_set",
     ),

@@ -38,12 +38,12 @@ class Outcome(Enum):
 
 class SolveStats(NamedTuple):
     """What one solve counted: the order-based solver's levels, and one
-    `(seq_s, seq_t)` pair of raises per completed level, the flips each
-    side made in order, in the terms of the form the solver ran on.
-    Every other solve leaves both empty."""
+    `(vars_s, vars_t)` pair per completed level, the variables each side
+    raised, in order, in the terms of the form the solver ran on. Every
+    other solve leaves both empty."""
 
     levels: int = 0
-    lower_sets: tuple[tuple[tuple[Flip, ...], tuple[Flip, ...]], ...] = ()
+    lower_sets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
     @property
     def dag_builds(self) -> int:

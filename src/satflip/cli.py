@@ -108,6 +108,11 @@ def _cap(args) -> int:
     return cap
 
 
+def _first_line(text: str) -> str:
+    """The text's first content line (`#` comments skipped), or ""."""
+    return next((line for _, line in content_lines(text, "#")), "")
+
+
 def _search_gate(text: str, cap: int, use: str) -> None:
     """The exact search's gate (:func:`recon.check_search`) on a .cnfs
     text, before anything else of it is parsed: when its first content
@@ -115,8 +120,7 @@ def _search_gate(text: str, cap: int, use: str) -> None:
     there. Every other text is parsed as before, and its own errors
     decide. A text that parses starts with that line, so the gate reads
     the count of every formula the exact search gets."""
-    first = next((line for _, line in content_lines(text, "#")), "")
-    parts = first.split()
+    parts = _first_line(text).split()
     if len(parts) == 2 and parts[0] == "vars":
         try:
             num_vars = read_decimal(parts[1], "")
@@ -134,8 +138,7 @@ def _require_endpoints(s, t):
 
 def cmd_classify(args) -> int:
     text = _read(args.formula)
-    first = next((line for _, line in content_lines(text, "#")), "")
-    if first.split()[:1] == ["arity"]:  # a .rel relation, whatever the file's name
+    if _first_line(text).split()[:1] == ["arity"]:  # a .rel relation, whatever the file's name
         named = (("r1", parse_relation(text)),)
         cls = classify_set([rel for _, rel in named])
     else:
@@ -158,13 +161,13 @@ def _print_levels(phi, s, t, stats) -> None:
     """`--verbose`: one stderr line per level of the order-based solver,
     read from `stats.lower_sets`. Each level's pair is rebuilt by xor
     from the formula's own endpoints, and `eta` is that pair's zero
-    count on the solver's form (``phi.route.compiled``). The solver's
-    raises are spelled by `Flip.token`, lowering on the complement
+    count on the solver's form (``phi.route.compiled``). The raised
+    variables are spelled by `Flip.token`, lowering on the complement
     route, as `dot --what fliporder` spells its nodes."""
     n, mask = phi.num_vars, phi.route.mask
     fmt = lambda vs: "{" + " ".join(navigate.Flip.token((v, not mask)) for v in vs) + "}"
     for level, sides in enumerate(stats.lower_sets, 1):
-        lower_s, lower_t = (sorted(v for v, _ in seq) for seq in sides)
+        lower_s, lower_t = map(sorted, sides)
         eta = zeros(s ^ mask, n) + zeros(t ^ mask, n)
         print(
             f"# level {level}: s={format_assignment(s, n)}"

@@ -23,10 +23,10 @@ its complemented form, whose raises are the formula's lowering flips),
 and :func:`order_respecting_sequence` orders its lower sets.
 Functions that read a formula take its compiled form, ``phi.compiled``.
 
-The flips it returns are :class:`~satflip.answer.Flip` records; the
+Its orders are the raised variables, as ints, with no sign. The
 answer that the solvers and the exact search both return,
-:class:`~satflip.answer.SolveResult`, lives in :mod:`satflip.answer`
-too, so the exact search loads none of this module.
+:class:`~satflip.answer.SolveResult`, lives in :mod:`satflip.answer`,
+so the exact search loads none of this module.
 """
 
 from __future__ import annotations
@@ -34,32 +34,15 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from functools import lru_cache
-from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .answer import Flip, _make_flip
+from .answer import Flip
 from .bits import index_masks, set_vars
 from .errors import FlipSequenceError, PreconditionError, TheoryError
 from .formula import CompiledFormula, FlipState
 from .formula import require_relations, satisfying_state
 from .relation import Relation
 from .relation import is_dual_horn_free, is_nand_free
-
-
-def _raises(variables) -> tuple[Flip, ...]:
-    """The raising flips of `variables`, in order."""
-    return tuple(map(_make_flip, zip(variables, repeat(True))))
-
-
-def swap_signs(flips) -> tuple[Flip, ...]:
-    """The flips in the same order, each with its sign swapped."""
-    return tuple(map(_make_flip, [(v, not up) for v, up in flips]))
-
-
-def invert_sequence(flips) -> tuple[Flip, ...]:
-    """Reverse the order and the sign of every flip."""
-    return swap_signs(reversed(flips))
 
 
 def apply_sequence(compiled: CompiledFormula, assignment: int, flips) -> int:
@@ -77,10 +60,10 @@ def apply_sequence(compiled: CompiledFormula, assignment: int, flips) -> int:
 
 
 def advance(state: FlipState, flips) -> None:
-    """Make the flips on a satisfying state, in order. Each must name a
-    variable in 1..n, move it in the right direction and keep the formula
-    satisfied; the first that does not raises FlipSequenceError at its
-    index, and the state keeps the flips before it.
+    """Make the flips, `(var, up)` pairs, on a satisfying state, in order.
+    Each must name a variable in 1..n, move it in the right direction and
+    keep the formula satisfied; the first that does not raises
+    FlipSequenceError at its index, and the state keeps the flips before it.
 
     One loop checks every flip on the compiled form's tables, held in
     locals: a flip reads ``values[v]`` before it changes anything, then
@@ -92,7 +75,10 @@ def advance(state: FlipState, flips) -> None:
     n, accept, occurrences = compiled.num_vars, compiled.accept, compiled.occurrences
     values, local = state.values, state.local
     for i, f in enumerate(flips):
-        v, up = f
+        try:
+            v, up = f
+        except (TypeError, ValueError):
+            raise FlipSequenceError(i, f"{f!r} is not a (var, up) pair") from None
         if type(v) is not int or not 1 <= v <= n:
             raise FlipSequenceError(i, f"{Flip.token(f)} names no variable in 1..{n}")
         if values[v]:
@@ -243,16 +229,15 @@ def _kahn(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> list[int]:
     return out
 
 
-def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, ...] | None:
-    """Raise the smallest lower set of the wanted flips, in order.
+def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[int, ...] | None:
+    """The variables of the smallest lower set of the wanted flips, in
+    the order they are raised.
 
     `state` is taken as the satisfying state its caller has kept by
     checked flips. The lower set is what :func:`_walk` reaches from the
     wanted flips, in :func:`_kahn`'s order under the walk's pairs.
     Returns None when some wanted flip can never happen: it is 1
-    already, or the order leaves a variable out. When every variable
-    reached ends some pair, no flip can start, and None comes before
-    :func:`_kahn` builds anything.
+    already, or the order leaves a variable out.
     The result equals ``order_respecting_sequence(dag,
     smallest_lower_set(dag, wanted))`` on the state's flip DAG when the
     wanted flips are its nodes, and None exactly when they are not.
@@ -269,12 +254,10 @@ def lower_set_sequence(state: FlipState, wanted: Iterable[int]) -> tuple[Flip, .
         if values[v]:
             return None
     reached, pairs = _walk(state, roots)
-    if pairs and len(pairs) >= len(reached) and reached.issubset(map(itemgetter(1), pairs)):
-        return None  # no variable reached is free to go first
     order = _kahn(reached, pairs)
     if len(order) != len(reached):
         return None
-    return _raises(order)
+    return tuple(order)
 
 
 class FlipOrderDag(NamedTuple):
@@ -338,10 +321,10 @@ def smallest_lower_set(dag: FlipOrderDag, flips: Iterable[int]) -> frozenset[int
     return frozenset(closed)
 
 
-def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[Flip, ...]:
+def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[int, ...]:
     """A topological ordering of a downward-closed flip set of the DAG,
-    by :func:`_kahn` over the DAG's edges, so ties go to the lowest
-    variable index."""
+    as its variables, by :func:`_kahn` over the DAG's edges, so ties go
+    to the lowest variable index."""
     chosen = _dag_flips(dag, flips)
     for u, v in dag.edges:
         if v in chosen and u not in chosen:
@@ -352,7 +335,7 @@ def order_respecting_sequence(dag: FlipOrderDag, flips: Iterable[int]) -> tuple[
     order = _kahn(chosen, dag.edges)
     if len(order) != len(chosen):
         raise TheoryError("cycle survived pruning in the flip DAG")
-    return _raises(order)
+    return tuple(order)
 
 
 def dag_to_dot(dag: FlipOrderDag, up: bool = True) -> str:

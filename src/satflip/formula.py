@@ -62,23 +62,32 @@ class Formula(Frozen):
                  clauses: tuple[Clause, ...]):
         if type(num_vars) is not int or num_vars < 1:
             raise PreconditionError(f"num_vars must be >= 1, got {num_vars!r}")
+        for field, value in (("relations", relations), ("clauses", clauses)):
+            if type(value) is not tuple:
+                raise PreconditionError(f"formula {field} must be a tuple, got {value!r}")
         by_name = {}
-        for name, rel in relations:
+        for entry in relations:
+            name, rel = entry if type(entry) is tuple and len(entry) == 2 else (None, None)
+            if type(name) is not str or not isinstance(rel, Relation):
+                raise PreconditionError(
+                    f"formula relations must be (name, Relation) pairs, got {entry!r}")
             if name in by_name:
                 raise PreconditionError(f"duplicate relation name {name!r}")
             by_name[name] = rel
         for i, clause in enumerate(clauses, 1):
-            rel = by_name.get(clause.relation_name)
+            if type(clause) is not Clause:
+                raise PreconditionError(
+                    f"clause {i} must be a Clause(relation_name, args), got {clause!r}")
+            name, args = clause
+            if type(args) is not tuple:
+                raise PreconditionError(f"clause {i} args must be a tuple, got {args!r}")
+            rel = by_name.get(name) if type(name) is str else None
             if rel is None:
+                raise PreconditionError(f"clause {i} uses undefined relation {name!r}")
+            if len(args) != rel.arity:
                 raise PreconditionError(
-                    f"clause {i} uses undefined relation {clause.relation_name!r}"
-                )
-            if len(clause.args) != rel.arity:
-                raise PreconditionError(
-                    f"clause {i} has {len(clause.args)} args, relation "
-                    f"{clause.relation_name!r} has arity {rel.arity}"
-                )
-            for a in clause.args:
+                    f"clause {i} has {len(args)} args, relation {name!r} has arity {rel.arity}")
+            for a in args:
                 if a not in (CONST0, CONST1) and not (type(a) is int and 1 <= a <= num_vars):
                     raise PreconditionError(
                         f"clause {i} argument {a!r} out of range 1..{num_vars}"

@@ -38,9 +38,15 @@ class SimpleGraph(Frozen):
             raise PreconditionError(
                 f"graph has {num_vertices} vertices, above the ceiling {MAX_GRAPH_VERTICES}"
             )
+        if type(edges) is not tuple:
+            raise PreconditionError(f"graph edges must be a tuple, got {edges!r}")
         normalized = []
         seen = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise PreconditionError(f"edge {edge!r} is not a (u, v) pair") from None
             if type(u) is not int or type(v) is not int:
                 raise PreconditionError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:

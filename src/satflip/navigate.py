@@ -63,17 +63,17 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int,
     whole solve: its endpoint is checked in full once, and every later
     flip only against the clauses of its variable. The result's `stats`
     counts the levels (its `dag_builds`, the walks, is two per level)
-    and keeps each completed level's `(seq_s, seq_t)` pair of raises as
-    `lower_sets`.
+    and keeps each completed level's `(vars_s, vars_t)` pair, the
+    variables each side raised, in order, as `lower_sets`.
 
-    The path is every `seq_s` in order, then every `seq_t` reversed, in
+    The path is every `vars_s` in order, then every `vars_t` reversed, in
     reverse level order, with `up` the sign of the first part and
-    ``not up`` that of the second. With `up` true these are the raises
-    and lowerings of `compiled`; the complement route passes false, so
-    the path is spelled in the formula's own signs. Whichever part
-    already has its raises' sign reuses their records, and the other is
-    built once. The assembled sequence is not replayed here:
-    :func:`solve` replays it once, on the formula's own compiled form.
+    ``not up`` that of the second: each of its flips is built once,
+    here. With `up` true these are the raises and lowerings of
+    `compiled`; the complement route passes false, so the path is
+    spelled in the formula's own signs. The assembled sequence is not
+    replayed here: :func:`solve` replays it once, on the formula's own
+    compiled form.
     """
     side_s = satisfying_state(compiled, s, "source")
     side_t = satisfying_state(compiled, t, "target")
@@ -82,7 +82,7 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int,
     n = compiled.num_vars
     eta_start = zeros(s, n) + zeros(t, n)
     levels, cur_s, cur_t = 0, s, t
-    lower_sets: list[tuple[tuple[Flip, ...], tuple[Flip, ...]]] = []
+    lower_sets: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     while cur_s != cur_t:
         levels += 1
@@ -91,15 +91,15 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int,
         diff = cur_s ^ cur_t
         want_s = set_vars(diff & cur_t, n)
         want_t = set_vars(diff & cur_s, n)
-        seq_s = lower_set_sequence(side_s, want_s)
-        seq_t = lower_set_sequence(side_t, want_t)
-        if seq_s is None or seq_t is None:
+        vars_s = lower_set_sequence(side_s, want_s)
+        vars_t = lower_set_sequence(side_t, want_t)
+        if vars_s is None or vars_t is None:
             stats = SolveStats(levels, tuple(lower_sets))
             return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
         eta_old = zeros(cur_s, n) + zeros(cur_t, n)
         try:
-            advance(side_s, seq_s)
-            advance(side_t, seq_t)
+            advance(side_s, zip(vars_s, repeat(True)))
+            advance(side_t, zip(vars_t, repeat(True)))
         except FlipSequenceError as exc:
             raise TheoryError(
                 f"order-respecting sequence falsified the formula: {exc}"
@@ -110,21 +110,14 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int,
             raise TheoryError("level made no progress on the zero count")
         if want_s and want_t and eta_new > eta_old - 2:
             raise TheoryError("level with both sides active dropped fewer than 2 zeros")
-        lower_sets.append((seq_s, seq_t))
+        lower_sets.append((vars_s, vars_t))
 
     ahead = chain.from_iterable(map(itemgetter(0), lower_sets))
     back = chain.from_iterable(map(reversed, map(itemgetter(1), reversed(lower_sets))))
-    if up:
-        back = _signed(back, False)
-    else:
-        ahead = _signed(ahead, False)
+    flips = (*map(_make_flip, zip(ahead, repeat(up))),
+             *map(_make_flip, zip(back, repeat(not up))))
     stats = SolveStats(levels, tuple(lower_sets))
-    return SolveResult(Outcome.PATH, flips=(*ahead, *back), stats=stats)
-
-
-def _signed(flips, up: bool):
-    """The flips' variables, in order, each with the sign `up`."""
-    return map(_make_flip, zip(map(itemgetter(0), flips), repeat(up)))
+    return SolveResult(Outcome.PATH, flips=flips, stats=stats)
 
 
 def shortest_path_cwb(compiled: CompiledFormula, s: int, t: int) -> SolveResult:
@@ -250,8 +243,8 @@ def solve(phi: Formula, s: int, t: int) -> SolveResult:
     endpoints before mapping them, so an error names the endpoint given;
     the solvers check that they satisfy the formula. The answer's
     `stats` are the solver's own, in the terms of the form it ran on
-    (``phi.route.compiled``): on the complement route, the raises in
-    `lower_sets` are those of the complemented endpoints.
+    (``phi.route.compiled``): on the complement route, the variables in
+    `lower_sets` are those raised from the complemented endpoints.
     """
     route = phi.route
     cls, n = route.classification, phi.num_vars

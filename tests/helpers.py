@@ -553,13 +553,24 @@ def lowest_index_order(chosen, prec):
 
 
 def reference_lower_set_sequence(phi, start, want):
-    """What `lower_set_sequence` must return at `start`, from
-    `reached_precedence` and `lowest_index_order` alone."""
+    """What `lower_set_sequence` must return at `start`, the variables in
+    the order they are raised, from `reached_precedence` and
+    `lowest_index_order` alone."""
     members, prec = reached_precedence(phi, start)
     if not set(want) <= members:
         return None
     lower = set(want) | {u for u, v in prec if v in want}
-    return tuple(Flip(v, True) for v in lowest_index_order(lower, prec))
+    return tuple(lowest_index_order(lower, prec))
+
+
+def raises(variables):
+    """The raising flips of `variables`, in order."""
+    return tuple(Flip(v, True) for v in variables)
+
+
+def swap_signs(flips):
+    """The flips in the same order, each with its sign swapped."""
+    return tuple(Flip(v, not up) for v, up in flips)
 
 
 def order_obeying_sequences(members, prec):

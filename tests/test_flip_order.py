@@ -22,7 +22,6 @@ from satflip import (
     bfs_shortest,
     evaluate,
     formula_flip_dag,
-    invert_sequence,
     lower_set_sequence,
     order_respecting_sequence,
     relation_partial_order,
@@ -30,7 +29,7 @@ from satflip import (
     solve,
 )
 from satflip import flip_order
-from satflip.flip_order import advance, dag_to_dot, swap_signs
+from satflip.flip_order import advance, dag_to_dot
 from satflip.bits import var_bit
 from satflip.formula import FlipState
 from satflip.relation import is_dual_horn_free, is_nand_free, pack_tuple
@@ -47,12 +46,14 @@ from helpers import (
     navigable_corpus,
     order_obeying_sequences,
     positive_flip_variables,
+    raises,
     random_relation,
     random_walk,
     reached_precedence,
     reference_advance,
     reference_lower_set_sequence,
     sequence_partial_order,
+    swap_signs,
     valid_positive_sequences,
 )
 from satflip import random_navigable_relation
@@ -66,11 +67,6 @@ class TestFlipTokens:
     def test_round_trip(self):
         assert Flip(3, True).token() == "x3+"
         assert Flip(12, False).token() == "x12-"
-
-    def test_inverse_sequence(self):
-        seq = (Flip(1, True), Flip(2, False))
-        assert invert_sequence(seq) == (Flip(2, True), Flip(1, False))
-        assert invert_sequence(invert_sequence(seq)) == seq
 
     def test_swap_signs_keeps_the_order_and_the_type(self):
         seq = (Flip(1, True), Flip(2, False), Flip(1, False))
@@ -364,12 +360,11 @@ class TestLowerSets:
 class TestOrderRespectingSequence:
     def test_chain_unique(self):
         dag = formula_flip_dag(PATH_PHI.compiled, 0b000)
-        seq = order_respecting_sequence(dag, {1, 2, 3})
-        assert seq == (Flip(3, True), Flip(1, True), Flip(2, True))
+        assert order_respecting_sequence(dag, {1, 2, 3}) == (3, 1, 2)
 
     def test_antichain_tiebreak(self):
         dag = FlipOrderDag(frozenset({2, 1}), frozenset())
-        assert order_respecting_sequence(dag, {1, 2}) == (Flip(1, True), Flip(2, True))
+        assert order_respecting_sequence(dag, {1, 2}) == (1, 2)
 
     def test_empty(self):
         dag = FlipOrderDag(frozenset({1}), frozenset())
@@ -401,7 +396,7 @@ class TestOrderRespectingSequence:
                 want = set(rng.sample(nodes, rng.randint(0, len(nodes))))
                 lower = smallest_lower_set(dag, want)
                 got = order_respecting_sequence(dag, lower)
-                assert [f.var for f in got] == lowest_index_order(lower, dag.edges)
+                assert list(got) == lowest_index_order(lower, dag.edges)
                 assert got == reference_lower_set_sequence(phi, s, want)
                 checked += len(got) >= 2
         assert checked >= 50
@@ -417,7 +412,7 @@ class TestOrderRespectingSequence:
             )
             dag = FlipOrderDag(frozenset(rank), edges)
             got = order_respecting_sequence(dag, dag.nodes)
-            assert [f.var for f in got] == lowest_index_order(dag.nodes, edges)
+            assert list(got) == lowest_index_order(dag.nodes, edges)
 
 
 def dag_route(state, want):
@@ -454,8 +449,8 @@ def stride2_window(n):
 class TestLowerSetSequence:
     def test_chain(self):
         state = FlipState(PATH_PHI.compiled, 0b000)
-        assert lower_set_sequence(state, {2}) == (Flip(3, True), Flip(1, True), Flip(2, True))
-        assert lower_set_sequence(state, {1}) == (Flip(3, True), Flip(1, True))
+        assert lower_set_sequence(state, {2}) == (3, 1, 2)
+        assert lower_set_sequence(state, {1}) == (3, 1)
 
     def test_empty_wanted_set(self):
         assert lower_set_sequence(FlipState(PATH_PHI.compiled, 0b000), ()) == ()
@@ -464,18 +459,16 @@ class TestLowerSetSequence:
         # x4 is free: it needs nothing, and ties break by lowest index
         phi = Formula(4, PATH_PHI.relations, PATH_PHI.clauses)
         state = FlipState(phi.compiled, 0b0000)
-        assert lower_set_sequence(state, {4}) == (Flip(4, True),)
-        assert lower_set_sequence(state, {4, 2}) == (
-            Flip(3, True), Flip(1, True), Flip(2, True), Flip(4, True)
-        )
-        assert lower_set_sequence(FlipState(Formula(2, (), ()).compiled, 0b00), {2}) == (Flip(2, True),)
+        assert lower_set_sequence(state, {4}) == (4,)
+        assert lower_set_sequence(state, {4, 2}) == (3, 1, 2, 4)
+        assert lower_set_sequence(FlipState(Formula(2, (), ()).compiled, 0b00), {2}) == (2,)
 
     @pytest.mark.parametrize("pinned, want, expected", [
         (1, {3}, None),  # x1 is blocked, and x3 needs x2 needs x1
         (1, {2}, None),
         (2, {3}, None),
-        (2, {1}, (Flip(1, True),)),  # x1 needs nothing of the blocked x2
-        (1, {4}, (Flip(4, True),)),
+        (2, {1}, (1,)),  # x1 needs nothing of the blocked x2
+        (1, {4}, (4,)),
     ])
     def test_blocked_ancestor(self, pinned, want, expected):
         zero = Relation(1, frozenset({0}))
@@ -490,7 +483,7 @@ class TestLowerSetSequence:
     @pytest.mark.parametrize("want, expected", [
         ({3}, None),  # x3 needs x2, which sits on the cycle x1 <-> x2
         ({1}, None),
-        ({4}, (Flip(4, True),)),
+        ({4}, (4,)),
         ({3, 4}, None),
     ])
     def test_cycle_among_ancestors(self, want, expected):
@@ -621,12 +614,12 @@ class TestLowerSetSequence:
         state = FlipState(compiled, a)
         assert state.violated() is None
         got = lower_set_sequence(state, {2400})
-        assert got == (Flip(2403, True), Flip(2401, True), Flip(2399, True), Flip(2400, True))
+        assert got == (2403, 2401, 2399, 2400)
         assert len(reads) <= 8  # the clauses of each variable reached
         del reads[:]
         assert got == dag_route(state, {2400})
         assert len(reads) > n // 2  # the DAG route reads every clause
-        advance(state, got)
+        advance(state, raises(got))
 
 
 class TestBoolInputs:

@@ -234,7 +234,7 @@ EXPORTS = [
     "bits", "build_graph", "classify_formula", "classify_set", "dualize",
     "effective_clause", "errors", "evaluate", "flip_order", "format_assignment",
     "formula", "formula_flip_dag", "gen", "gen_independent_set_instance",
-    "gen_vertex_cover_instance", "graph_size", "induced", "invert_sequence",
+    "gen_vertex_cover_instance", "graph_size", "induced",
     "is_affine", "is_bijunctive", "is_componentwise_bijunctive", "is_dual_horn",
     "is_dual_horn_free", "is_horn", "is_horn_free", "is_nand_free", "is_or_free",
     "lower_set_sequence", "navigate", "order_respecting_sequence",

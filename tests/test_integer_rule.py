@@ -32,7 +32,7 @@ from satflip import (
     relation_partial_order,
     smallest_lower_set,
 )
-from satflip.flip_order import formula_flip_dag
+from satflip.flip_order import advance, formula_flip_dag
 from satflip.formula import FlipState
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "satflip"
@@ -144,6 +144,33 @@ CONTAINER_CASES = [
     (lambda: classify_set([1]), "classify_set needs Relation objects, got 1"),
     (lambda: classify_set([IMP, "imp"]), "classify_set needs Relation objects, got 'imp'"),
     (lambda: classify_set(5), "classify_set needs an iterable of relations, got 5"),
+    (lambda: Formula(2, [("imp", IMP)], ()), "formula relations must be a tuple, got ["),
+    (lambda: Formula(2, (("imp",),), ()),
+     "formula relations must be (name, Relation) pairs, got ('imp',)"),
+    (lambda: Formula(2, (("imp", IMP, 1),), ()),
+     "formula relations must be (name, Relation) pairs, got ('imp', "),
+    (lambda: Formula(2, (("imp", "IMP"),), ()),
+     "formula relations must be (name, Relation) pairs, got ('imp', 'IMP')"),
+    (lambda: Formula(2, ((["imp"], IMP),), ()),
+     "formula relations must be (name, Relation) pairs, got (['imp'], "),
+    (lambda: Formula(2, (IMP,), ()), "formula relations must be (name, Relation) pairs, got "),
+    (lambda: Formula(2, (("imp", IMP),), [Clause("imp", (1, 2))]),
+     "formula clauses must be a tuple, got [Clause("),
+    (lambda: Formula(2, (("imp", IMP),), (("imp", (1, 2)),)),
+     "clause 1 must be a Clause(relation_name, args), got ('imp', (1, 2))"),
+    (lambda: Formula(2, (("imp", IMP),), (Clause("imp", (1, 2)), 5)),
+     "clause 2 must be a Clause(relation_name, args), got 5"),
+    (lambda: Formula(2, (("imp", IMP),), (Clause("imp", [1, 2]),)),
+     "clause 1 args must be a tuple, got [1, 2]"),
+    (lambda: Formula(2, (("imp", IMP),), (Clause("imp", None),)),
+     "clause 1 args must be a tuple, got None"),
+    (lambda: Formula(2, (("imp", IMP),), (Clause(["imp"], (1, 2)),)),
+     "clause 1 uses undefined relation ['imp']"),
+    (lambda: SimpleGraph(3, [(1, 2)]), "graph edges must be a tuple, got [(1, 2)]"),
+    (lambda: SimpleGraph(3, 5), "graph edges must be a tuple, got 5"),
+    (lambda: SimpleGraph(3, (3,)), "edge 3 is not a (u, v) pair"),
+    (lambda: SimpleGraph(3, ((1, 2, 3),)), "edge (1, 2, 3) is not a (u, v) pair"),
+    (lambda: SimpleGraph(3, ((1, 2), None)), "edge None is not a (u, v) pair"),
 ]
 
 
@@ -175,6 +202,21 @@ def outcome(call):
         return call()
     except FlipSequenceError as exc:
         return exc.index, str(exc)
+
+
+@pytest.mark.parametrize("flip", [3, (3, True, 1), (3,), None, True],
+                         ids=["int", "triple", "single", "None", "bool"])
+def test_advance_refuses_a_flip_that_is_not_a_pair(flip):
+    # the flip before it stays made; the refused one raises at its index
+    state = FlipState(IMP_PHI.compiled, 0)
+    with pytest.raises(FlipSequenceError) as err:
+        advance(state, [(2, True), flip])
+    assert err.value.index == 1
+    assert str(err.value) == f"flip 2: {flip!r} is not a (var, up) pair"
+    assert state.assignment == 0b01
+    with pytest.raises(FlipSequenceError) as err:
+        apply_sequence(IMP_PHI.compiled, 0, [flip])
+    assert err.value.index == 0
 
 
 def test_apply_sequence_reads_a_pair_as_the_equal_flip():

@@ -23,7 +23,6 @@ from satflip import (
     classify_formula,
     dualize,
     evaluate,
-    invert_sequence,
     relation_flags,
     shortest_path_cwb,
     shortest_path_navigable,
@@ -47,7 +46,7 @@ from satflip.recon import members, solution_table
 
 from satflip import navigate
 from satflip.errors import FlipSequenceError
-from satflip.flip_order import advance, lower_set_sequence, swap_signs
+from satflip.flip_order import advance, lower_set_sequence
 from satflip.formula import FlipState, _compile
 
 from helpers import (
@@ -57,8 +56,10 @@ from helpers import (
     navigable_corpus,
     navigable_population,
     order_obeying_sequences,
+    raises,
     random_relation,
     rescan_cwb_walk,
+    swap_signs,
     two_cnf_relation,
 )
 
@@ -93,8 +94,8 @@ class TestNavigableSolver:
             shortest_path_navigable(PATH_PHI.compiled, 0b010, 0b110)
 
     @pytest.mark.parametrize("side, bad, message", [
-        (0, Flip(2, True), "flip 1: prefix ending at x2\\+ falsifies"),  # 000 -> 010
-        (1, Flip(1, True), "flip 1: x1\\+ raises a variable already 1"),  # t = 110
+        (0, 2, "flip 1: prefix ending at x2\\+ falsifies"),  # 000 -> 010
+        (1, 1, "flip 1: x1\\+ raises a variable already 1"),  # t = 110
     ], ids=["source", "target"])
     def test_level_flips_are_checked(self, monkeypatch, side, bad, message):
         # a level whose order-respecting sequence is wrong is a bug, not an answer
@@ -134,28 +135,28 @@ class TestNavigableSolver:
         # its zero count starts at the endpoints' and falls level by level
         stats = shortest_path_navigable(PATH_PHI.compiled, 0b000, 0b110).stats
         cur_s, cur_t, seen = 0b000, 0b110, []
-        for seq_s, seq_t in stats.lower_sets:
+        for vars_s, vars_t in stats.lower_sets:
             seen.append(zeros(cur_s, 3) + zeros(cur_t, 3))
-            cur_s = apply_sequence(PATH_PHI.compiled, cur_s, seq_s)
-            cur_t = apply_sequence(PATH_PHI.compiled, cur_t, seq_t)
+            cur_s = apply_sequence(PATH_PHI.compiled, cur_s, raises(vars_s))
+            cur_t = apply_sequence(PATH_PHI.compiled, cur_t, raises(vars_t))
         assert seen == [zeros(0b000, 3) + zeros(0b110, 3), 1] and cur_s == cur_t
 
 
 def check_lower_sets(res, route_flips):
-    """An order-based answer's `stats.lower_sets`: only raises, one pair
-    per completed level, and for a PATH the answer on the solver's form,
-    `route_flips`, is each level's `seq_s` in order, then each `seq_t`
-    inverted, last level first. The level that finds NOTCONNECTED
-    completes no pair."""
+    """An order-based answer's `stats.lower_sets`: tuples of the raised
+    variables, one pair per completed level, and for a PATH the answer on
+    the solver's form, `route_flips`, raises each level's `vars_s` in
+    order, then lowers each `vars_t` reversed, last level first. The
+    level that finds NOTCONNECTED completes no pair."""
     stats = res.stats
-    assert all(flip.up for level in stats.lower_sets for seq in level for flip in seq)
+    assert all(type(vs) is tuple and all(type(v) is int for v in vs)
+               for level in stats.lower_sets for vs in level)
     if res.outcome is Outcome.NOT_CONNECTED:
         assert len(stats.lower_sets) == stats.levels - 1
         return
     assert len(stats.lower_sets) == stats.levels
-    want = [flip for seq_s, _ in stats.lower_sets for flip in seq_s]
-    for _, seq_t in reversed(stats.lower_sets):
-        want += invert_sequence(seq_t)
+    want = [Flip(v, True) for vars_s, _ in stats.lower_sets for v in vars_s]
+    want += [Flip(v, False) for _, vars_t in reversed(stats.lower_sets) for v in reversed(vars_t)]
     assert route_flips == tuple(want)
 
 
@@ -422,10 +423,7 @@ class TestSolveDispatch:
     def test_stats_of_a_path5_solve(self):
         # the counts the benchmark's tracer reads: two levels, four walks
         res = solve(PATH_PHI, 0b000, 0b110)
-        assert res.stats == SolveStats(levels=2, lower_sets=(
-            ((Flip(3, True), Flip(1, True), Flip(2, True)), ()),
-            ((), (Flip(3, True),)),
-        ))
+        assert res.stats == SolveStats(levels=2, lower_sets=(((3, 1, 2), ()), ((), (3,))))
         assert res.stats.dag_builds == 4
 
     def test_hard_with_oracle(self):
@@ -567,14 +565,34 @@ class TestRoute:
             solve(phi, s, t)
 
     def test_stats_in_the_routes_terms(self):
-        # the solver ran on the complement image, from 000 to 110: its
-        # raises, not the formula's lowering flips
+        # the solver ran on the complement image, from 000 to 110: the
+        # variables it raised there, which the formula's path lowers
         res = solve(PATH5_COMPLEMENT, 0b111, 0b001)
         assert res.protocol_line() == "PATH 4 x3- x1- x2- x3+"
-        assert res.stats == SolveStats(2, (
-            ((Flip(3, True), Flip(1, True), Flip(2, True)), ()),
-            ((), (Flip(3, True),)),
-        ))
+        assert res.stats == SolveStats(2, (((3, 1, 2), ()), ((), (3,))))
+
+    def test_complement_route_builds_its_flips_in_the_formulas_signs(self):
+        # every answer flip is a Flip that replays on the formula, and
+        # `lower_sets` holds the variables the complemented form raised
+        # from the complemented endpoints; the signs themselves are
+        # checked by TestLowerSets
+        outcomes = Counter()
+        for phi, s, t in (dualize(*instance) for instance in lower_set_corpus()):
+            route = phi.route
+            if route.classification.kind is not NavigableKind.OR_AND_HORN_FREE:
+                continue
+            res = solve(phi, s, t)
+            outcomes[res.outcome] += 1
+            if res.flips is None:
+                continue
+            assert all(type(f) is Flip for f in res.flips)
+            cur_s, cur_t = s ^ route.mask, t ^ route.mask
+            for vars_s, vars_t in res.stats.lower_sets:
+                cur_s = apply_sequence(route.compiled, cur_s, raises(vars_s))
+                cur_t = apply_sequence(route.compiled, cur_t, raises(vars_t))
+            assert cur_s == cur_t
+            assert apply_sequence(phi.compiled, s, res.flips) == t
+        assert outcomes[Outcome.PATH] >= 20
 
 
 def cwb_population():
@@ -933,10 +951,10 @@ def digest_corpus(seed):
 
 def answer_text(result) -> str:
     """The protocol line, then the stats: the level count and each
-    level's raises, spelled by `Flip.token`."""
+    level's raised variables, spelled as raises by `Flip.token`."""
     lines = [result.protocol_line(), f"levels {result.stats.levels}"]
-    for seq_s, seq_t in result.stats.lower_sets:
-        lines.append(" ".join(map(Flip.token, seq_s)) + " / " + " ".join(map(Flip.token, seq_t)))
+    for level in result.stats.lower_sets:
+        lines.append(" / ".join(" ".join(f.token() for f in raises(vs)) for vs in level))
     return "\n".join(lines) + "\n"
 
 

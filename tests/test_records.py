@@ -24,7 +24,7 @@ from satflip import (
 from satflip.navigate import Outcome
 
 PATH5 = Relation.from_bitstrings(["000", "001", "101", "111", "110"])
-LEVEL = (((Flip(3, True),), ()),)  # one level's lower sets: x3+ on the source side
+LEVEL = (((3,), ()),)  # one level's lower sets: x3 raised on the source side
 
 
 def build_records():
