@@ -11,16 +11,18 @@ iff tuple t is accepted (:attr:`Relation.table`). The five
 restriction-based predicates (componentwise bijunctive and the four
 "-free" ones) first ask the four Schaefer classes (bijunctive, Horn,
 dual Horn, affine), and a class that implies the flag answers it.
-Otherwise they read one memoized closure of the relation's table under
-elementary steps: fix one position, or identify two. Each step is a few
-mask-and-shift operations, run once for a whole level of the closure
-with its tables packed side by side into one int; components and
-bijunctivity are read off the tables the same way. A table of arity 3
-or less fits in one byte, so those levels are deduplicated as bytes
-(two ``bytes.translate`` calls), not as one int per step output. The
-closure holds every covering restriction up to a permutation of its
-positions, so the predicates never walk the (k'+2)^k restriction maps
-one by one.
+Otherwise a "-free" flag is read off two 2^k x 2^k bit matrices over
+pairs of tuples, R(g | w) and R(g & w), each built from the table by k
+mask-and-shift steps (:func:`_free_flags`): a forbidden restriction onto
+two or three positions is fixed by two tuples of the relation and a set
+of positions. Componentwise bijunctivity splits the relation itself,
+then reads one memoized closure of its table under elementary steps: fix
+one position, or identify two. Each step is a few mask-and-shift
+operations, run once for a whole level of the closure with its tables
+packed side by side into one int; components and bijunctivity are read
+off the tables the same way. The closure holds every covering
+restriction of arity 3 or more up to a permutation of its positions, so
+the predicate never walks the (k'+2)^k restriction maps one by one.
 """
 
 from __future__ import annotations
@@ -37,31 +39,24 @@ from .bits import from_bitstring, index_masks, to_bitstring
 from .errors import ParseError, PreconditionError, content_lines, read_decimal
 from .records import Frozen, set_field
 
-# The restriction closure grows quickly with arity. Measured cold on
-# CPython 3.11, best of 3, five seeded random relations per arity: all
-# nine flags take 0.2-1.0 ms at arity 6, 1.1-4.6 ms at arity 7 and
-# 12-18 ms at arity 8, where one closure holds up to about 21,000
-# members with a tracemalloc peak of 2.8 MiB. A relation in a Schaefer
-# class skips the closure for every flag its class implies: all nine
-# flags of the full arity-8 relation build none. At arity 9 (measured
-# with the bound raised, 3 seeds) the nine flags take 110-140 ms, one
-# closure has 41,000-95,000 members with a tracemalloc peak of 9-18 MiB,
-# and the 4-entry closure cache could hold about 70 MiB: a tenfold step
-# per arity that no workload needs, so the bound stays 8.
+# The restriction closure grows quickly with arity, and only the
+# componentwise-bijunctive flag builds it, when the relation is in
+# neither class that implies the flag and its own components are
+# bijunctive. Measured cold on CPython 3.11, best of 3, five seeded
+# random relations per arity at densities 0.1-0.9: all nine flags take
+# 0.1-0.3 ms at arity 6, 0.15-0.4 ms at arity 7 and 0.25-1.1 ms at
+# arity 8 with no closure; the sparsest relation builds one and takes
+# 0.8-1.1 ms, 3.0-4.1 ms and 10-16 ms. One arity-8 closure holds up to
+# about 21,000 members, with a tracemalloc peak of 2.9 MiB. At arity 9
+# (measured with the bound raised, 3 seeds at density 0.05) the nine
+# flags take 87-119 ms, one closure has 9,000-20,000 members with a
+# tracemalloc peak of 3-6 MiB, while the pair matrices alone take about
+# 0.7 ms: a tenfold step per arity that no workload needs, so the bound
+# stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
 CONST1 = "c1"
-
-# Forbidden binary restrictions as truth tables: the satisfying sets of
-# (x | y), tuples {01, 10, 11}, and !(x & y), tuples {00, 01, 10}. Both are
-# symmetric, so one order of their positions matches every order.
-OR_TABLE = 0b1110
-NAND_TABLE = 0b0111
-# Forbidden ternary restrictions: satisfying sets of (x | !y | !z) and
-# (!x | y | z), each in all three placements of its odd literal.
-HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b011, 0b101, 0b110))
-DUAL_HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b100, 0b010, 0b001))
 
 
 class Relation(Frozen):
@@ -301,47 +296,32 @@ def _level_steps(arity: int, tables) -> frozenset[int]:
                                         for p in steps)[::width]))
 
 
-@lru_cache(maxsize=None)
-def _step_bytes(arity: int) -> list[bytes]:
-    """Entry t holds the steps of the arity-``arity`` table t (arity 2 or
-    3) as bytes, repeats included. All 16 or 256 tables of the arity are
-    stepped at once, packed one per byte, on first use (about 0.06 ms)."""
-    count = 1 << (1 << arity)
-    steps = _steps(_packed_masks(arity, count), int.from_bytes(_BYTES[:count], "little"))
-    data = b"".join(p.to_bytes(count, "little") for p in steps)
-    return [data[t::count] for t in range(count)]
-
-
-@lru_cache(maxsize=4)
+# One closure of a random arity-8 relation holds about 20,000 small ints,
+# 1.7 MiB. Only is_componentwise_bijunctive builds it, and that predicate
+# is memoized itself, so one entry is kept: it serves a second read of the
+# same relation (tests compare the closure the predicate built with a
+# reference) and never holds more than one closure.
+@lru_cache(maxsize=1)
 def _restriction_closure(relation: Relation) -> tuple[frozenset[int], ...]:
-    """Every covering restriction of the relation, up to a permutation of
-    positions: entry ``a - 1`` holds the distinct truth tables of arity a.
+    """Every covering restriction of arity 3 or more of a relation of
+    arity 3 or more, up to a permutation of positions: entry ``a - 3``
+    holds the distinct truth tables of arity a.
 
     A covering map names every target position. It factors into
     elementary steps (see :func:`_steps`) followed by a permutation of
     the target positions, so closing the relation under those steps
     reaches each covering restriction in some order of its positions. A
     map that is not covering leaves a target coordinate free, so its
-    restriction is a product of a smaller restriction with {0, 1}: it can
-    never equal one of the forbidden patterns, and its components are
-    bijunctive exactly when the smaller one's are.
+    restriction is a product of a smaller restriction with {0, 1}, whose
+    components are bijunctive exactly when the smaller one's are.
 
-    Levels above arity 3 are built by :func:`_level_steps`, whose last
-    step (arity 4 to 3) already deduplicates bytes. Below that, each
-    level is the distinct bytes of its tables' :func:`_step_bytes`
-    entries, joined: no packing, no steps, no int per step output.
-
-    One closure of a random arity-8 relation holds about 20,000 small
-    ints, 1.7 MiB, so only the last few are kept: enough for the five
-    predicates of one relation, which :func:`relation_flags` asks in a row.
+    Each level is built by :func:`_level_steps`, whose last step (arity 4
+    to 3) deduplicates bytes. No level below arity 3 is built: a relation
+    of arity 2 or less is bijunctive.
     """
     levels = [frozenset({relation.table})]
     for arity in range(relation.arity, 3, -1):
         levels.append(_level_steps(arity, levels[-1]))
-    data = bytes(levels[-1])  # tables of arity 3 or less
-    for arity in range(min(relation.arity, 3), 1, -1):
-        data = _distinct(b"".join(map(_step_bytes(arity).__getitem__, data)))
-        levels.append(frozenset(data))
     return tuple(reversed(levels))
 
 
@@ -446,14 +426,90 @@ def is_affine(relation: Relation) -> bool:
 
 
 # Each "-free" predicate and the componentwise-bijunctive one first asks
-# the Schaefer classes that imply it, and reads the closure only when none
-# does. AND, OR, majority and x^y^z are idempotent, so fixing constants
-# and identifying positions keeps a relation closed under each, and no
-# forbidden pattern is closed under an operation that implies its flag:
-# OR lacks 01 & 10 = 00 and, with 3 tuples, is no coset; NAND lacks
-# 01 | 10 = 11; (x | !y | !z) lacks maj(001, 010, 111) = 011 = 010 | 001;
+# the Schaefer classes that imply it, and reads the pair matrices (the
+# closure, for componentwise bijunctivity) only when none does. AND, OR,
+# majority and x^y^z are idempotent, so fixing constants and identifying
+# positions keeps a relation closed under each, and no forbidden pattern
+# is closed under an operation that implies its flag: OR lacks
+# 01 & 10 = 00 and, with 3 tuples, is no coset; NAND lacks 01 | 10 = 11;
+# (x | !y | !z) lacks maj(001, 010, 111) = 011 = 010 | 001;
 # (!x | y | z) lacks maj(110, 101, 000) = 100 = 110 & 101; and neither
 # 7-tuple pattern is a coset.
+
+
+@lru_cache(maxsize=None)
+def _pair_masks(arity: int):
+    """The masks of the pair matrices of arity-k tables: truth tables of
+    arity 2k whose entry (g, w), index g * 2^k + w, is about the tuples g
+    and w, one row of 2^k bits per g. Returned: the entries with w = 0,
+    and per position i, the index shift 2^i of w's bit i, the diagonal
+    shift that sets bit i of both g and w, the entries whose g and w both
+    have bit i clear / set, and the entries that keep their value when
+    bit i of g enters w by OR / by AND."""
+    size = 1 << arity
+    masks = index_masks(2 * arity)
+    full = (1 << (size * size)) - 1
+    first = full
+    steps = []
+    for i in range(arity):
+        w1, g1 = masks[i], masks[arity + i]
+        w0, g0 = full ^ w1, full ^ g1
+        first &= w0
+        steps.append((1 << i, (size + 1) << i, g0 & w0, g1 & w1,
+                      full ^ (g1 & w0), full ^ (g0 & w1)))
+    return first, steps
+
+
+@lru_cache(maxsize=1)
+def _free_flags(relation: Relation) -> tuple[bool, bool, bool, bool]:
+    """OR-, NAND-, Horn- and dual-Horn-free, with no Schaefer shortcut.
+
+    A restriction onto x and y reads the relation at R(b & c), R(c),
+    R(b), R(b | c) for xy = 00, 01, 10, 11, where b and c are the tuples
+    it induces at xy = 10 and 01. So (x | y) is a restriction iff two
+    tuples b, c of R have R(b | c) and not R(b & c) (an OR witness; b and
+    c are then incomparable, so the map names both variables), and
+    !(x & y) iff two have R(b & c) and not R(b | c) (a NAND witness). The
+    x = 0 half of (x | !y | !z) is a NAND restriction onto y and z: it is
+    a restriction iff some NAND witness (p, q) and nonempty set X of
+    positions outside p | q (those named x) put the whole square
+    (p & q, p, q, p | q) | X in R. (!x | y | z) is the mirror: an OR
+    witness, and X taken out of p & q.
+
+    Both matrices, up[g][w] = R(g | w) and down[g][w] = R(g & w), start
+    as the table in every row and take bit i of g into w by one masked
+    shift per position; then rows and columns are restricted to R. The
+    Horn pass ORs into every entry the square of (g | X, w | X), X outside
+    g | w, one diagonal shift per position, and the dual-Horn pass the
+    square of (g - X, w - X), X inside g & w. At a witness the term of the
+    empty X is the witness's own square, which lacks p | q (p & q), so
+    the passes need no test that X is nonempty. About 0.1-0.2 ms at arity
+    8, on 65,536-bit ints."""
+    first, steps = _pair_masks(relation.arity)
+    size = 1 << relation.arity
+    cols = relation.table * first  # the table in every row
+    up = down = cols
+    for shift, _, both0, both1, keep_up, keep_down in steps:
+        up = (up & keep_up) | ((up & both1) >> shift)
+        down = (down & keep_down) | ((down & both0) << shift)
+    rows = up & first  # up[g][0] = R(g)
+    pairs = ((rows << size) - rows) & cols  # the entries with g and w in R
+    up &= pairs
+    down &= pairs
+    square = up & down
+    or_witness, nand_witness = up ^ square, down ^ square
+    horn_free = dual_horn_free = True
+    if nand_witness:
+        above = square
+        for _, diagonal, both0, *_ in steps:
+            above |= (above >> diagonal) & both0
+        horn_free = not (nand_witness & above)
+    if or_witness:
+        below = square
+        for _, diagonal, _, both1, *_ in steps:
+            below |= (below << diagonal) & both1
+        dual_horn_free = not (or_witness & below)
+    return not or_witness, not nand_witness, horn_free, dual_horn_free
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
@@ -461,7 +517,7 @@ def is_or_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of (x | y)."""
     if relation.arity < 2 or is_horn(relation) or is_affine(relation):
         return True
-    return OR_TABLE not in _restriction_closure(relation)[1]
+    return _free_flags(relation)[0]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
@@ -469,7 +525,7 @@ def is_nand_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of !(x & y)."""
     if relation.arity < 2 or is_dual_horn(relation) or is_affine(relation):
         return True
-    return NAND_TABLE not in _restriction_closure(relation)[1]
+    return _free_flags(relation)[1]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
@@ -478,7 +534,7 @@ def is_horn_free(relation: Relation) -> bool:
     if (relation.arity < 3 or is_bijunctive(relation) or is_dual_horn(relation)
             or is_affine(relation)):
         return True
-    return _restriction_closure(relation)[2].isdisjoint(HORN_PLACEMENTS)
+    return _free_flags(relation)[2]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
@@ -487,7 +543,7 @@ def is_dual_horn_free(relation: Relation) -> bool:
     if (relation.arity < 3 or is_bijunctive(relation) or is_horn(relation)
             or is_affine(relation)):
         return True
-    return _restriction_closure(relation)[2].isdisjoint(DUAL_HORN_PLACEMENTS)
+    return _free_flags(relation)[3]
 
 
 def _components_bijunctive(arity: int, tables) -> bool:
@@ -507,15 +563,18 @@ def is_componentwise_bijunctive(relation: Relation) -> bool:
     each component of an affine relation is a subcube. Otherwise the
     levels are split widest first, and the widest is the relation itself,
     so one that fails there builds no closure. Relations of arity 2 or
-    less are bijunctive, so no level below 3 is split."""
+    less are bijunctive, so no level below 3 is split, and a relation of
+    arity 3 builds none."""
     arity = relation.arity
     if is_bijunctive(relation) or is_affine(relation):
         return True
     if not _components_bijunctive(arity, (relation.table,)):
         return False
+    if arity <= 3:
+        return True
     closure = _restriction_closure(relation)
     return all(
-        _components_bijunctive(level, closure[level - 1])
+        _components_bijunctive(level, closure[level - 3])
         for level in range(arity - 1, 2, -1)
     )
 

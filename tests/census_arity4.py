@@ -5,15 +5,16 @@
 Classifies each of the 65,536 relations of arity 4 alone with
 `classify_set` and checks the counts per verdict and kind, the
 componentwise bijunctive relations that are not bijunctive, the affine
-relations, and that complementing swaps the two order kinds. It also
-checks each of the five restriction-based flags against the closure read
-without the Schaefer shortcut (`helpers.closure_relation_flags`),
-compares every level of each relation's closure with the one
-`helpers.reference_closure` builds a table at a time over strings, and
-counts the relations whose flags build no closure at all. It takes
-about 15-20 s, so it runs as a CI step rather than in tier-1; pytest
-does not collect it, since its name does not start with ``test_``. Exits
-1 and names each count that differs.
+relations, and that complementing swaps the two order kinds. It checks
+the five restriction-based flags, and the four "-free" flags of the pair
+matrices read without the Schaefer shortcut (`relation._free_flags`),
+against the flags of `helpers.reference_closure`, a closure built a
+table at a time over strings (`helpers.closure_relation_flags`). It
+compares every level of each relation's closure with that reference,
+and counts the relations whose flags build no closure at all. It takes
+about 17 s, so it runs as a CI step rather than in tier-1; pytest does
+not collect it, since its name does not start with ``test_``. Exits 1
+and names each count that differs.
 """
 
 import sys
@@ -21,7 +22,7 @@ from collections import Counter
 
 from satflip import NavigableKind, Relation, Verdict, classify_set, is_affine, is_bijunctive
 
-from satflip.relation import _restriction_closure
+from satflip.relation import _free_flags, _restriction_closure
 
 from helpers import closure_calls, closure_relation_flags, reference_closure
 
@@ -52,14 +53,17 @@ def main():
     size = 1 << ARITY
     verdicts = {}
     census = Counter()
-    not_bijunctive = affine = no_closure = closure_mismatches = reference_mismatches = 0
+    not_bijunctive = affine = no_closure = 0
+    flag_mismatches = matrix_mismatches = reference_mismatches = 0
     for mask in range(1 << size):
         rel = Relation(ARITY, frozenset(t for t in range(size) if mask >> t & 1))
         before = closure_calls()
         cls = classify_set([rel])
         no_closure += closure_calls() == before
-        closure_mismatches += cls.per_relation[0][4:] != closure_relation_flags(rel)
-        reference_mismatches += _restriction_closure(rel) != reference_closure(rel)
+        reference = closure_relation_flags(rel)
+        flag_mismatches += cls.per_relation[0][4:] != reference
+        matrix_mismatches += _free_flags(rel) != reference[1:]
+        reference_mismatches += _restriction_closure(rel) != reference_closure(rel)[2:]
         key = verdicts[mask] = (cls.verdict, cls.kind)
         census[key] += 1
         not_bijunctive += key == CWB and not is_bijunctive(rel)
@@ -80,12 +84,13 @@ def main():
         ("every relation", sum(census.values()), 1 << size),
         ("cosets by Gaussian binomials", cosets, [16, 120, 140, 30, 1]),
         ("affine: the empty set plus every coset", affine, 1 + sum(cosets)),
-        ("closure flags that differ from the closure read in full", closure_mismatches, 0),
+        ("flags that differ from the reference closure's", flag_mismatches, 0),
+        ("pair-matrix flags that differ from the reference closure's", matrix_mismatches, 0),
         ("closures that differ from the reference build", reference_mismatches, 0),
-        # the 308 affine relations, plus 580 that are Horn and dual Horn
-        # and either bijunctive or refused by the components of the
-        # relation itself
-        ("relations whose flags build no closure", no_closure, 888),
+        # only the componentwise-bijunctive flag reads the closure: these
+        # are the relations whose flag is decided without it, bijunctive,
+        # affine, or refused by the components of the relation itself
+        ("relations whose flags build no closure", no_closure, 47856),
     ]
     failed = 0
     for label, got, want in checks:

@@ -38,10 +38,6 @@ from satflip.errors import content_lines, read_decimal
 from satflip.formula import parse_assignment
 from satflip.recon import members, solution_table
 from satflip.relation import (
-    DUAL_HORN_PLACEMENTS,
-    HORN_PLACEMENTS,
-    NAND_TABLE,
-    OR_TABLE,
     _bijunctive_table,
     _restriction_closure,
     _table_components,
@@ -125,10 +121,14 @@ def _step_getters(arity):
     return getters
 
 
+@functools.lru_cache(maxsize=1)
 def reference_closure(rel):
-    """`relation._restriction_closure` rebuilt one table at a time over
-    strings, with no packing: entry a - 1 holds the distinct truth tables
-    of arity a that elementary steps reach from the relation."""
+    """The restriction closure built one table at a time over strings,
+    with no packing: entry a - 1 holds the distinct truth tables of arity
+    a that elementary steps reach from the relation, for every a down to
+    1 (`relation._restriction_closure` keeps the levels from arity 3 up,
+    entry a - 3). The last one is kept, since a caller often reads both
+    the closure and its flags."""
     level = {"".join("1" if t in rel.tuples else "0" for t in range(1 << rel.arity))}
     levels = [level]
     for arity in range(rel.arity, 1, -1):
@@ -326,12 +326,24 @@ def naive_relation_flags(rel):
     )
 
 
+# Forbidden binary restrictions as truth tables: the satisfying sets of
+# (x | y), tuples {01, 10, 11}, and !(x & y), tuples {00, 01, 10}. Both are
+# symmetric, so one order of their positions matches every order.
+OR_TABLE = 0b1110
+NAND_TABLE = 0b0111
+# Forbidden ternary restrictions: satisfying sets of (x | !y | !z) and
+# (!x | y | z), each in all three placements of its odd literal.
+HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b011, 0b101, 0b110))
+DUAL_HORN_PLACEMENTS = frozenset(0xFF ^ (1 << t) for t in (0b100, 0b010, 0b001))
+
+
 def closure_relation_flags(rel):
     """The five restriction-based flags, in `RelationFlags` order
     (componentwise bijunctive, OR-, NAND-, Horn- and dual-Horn-free),
-    read off `_restriction_closure` at every level with no Schaefer
-    shortcut: the library's predicates before they asked the classes."""
-    closure = _restriction_closure(rel)
+    read off `reference_closure` at every level with no Schaefer
+    shortcut, for comparison with the library's pair matrices and its
+    own closure."""
+    closure = reference_closure(rel)
     k = rel.arity
     return (
         all(_bijunctive_table(a, comp)

@@ -10,7 +10,7 @@ take the relation's route, `solve` must give the outcome and length of
 `bfs_shortest`, and every path must replay with `apply_sequence`. The
 script prints the counts per route and outcome and the histogram of
 `stats.levels` on the two order-based routes (ROADMAP item 19), pinned
-for its seed. It takes about a minute, so it runs as a CI step rather
+for its seed. It takes about 45 s, so it runs as a CI step rather
 than in tier-1; pytest does not collect it, since its name does not
 start with ``test_``. Exits 1 and names each count that differs.
 """

@@ -34,6 +34,7 @@ from satflip import (
 from satflip.errors import ParseError
 from satflip.relation import (
     _bijunctive_table,
+    _free_flags,
     _level_steps,
     _restriction_closure,
     _table_components,
@@ -103,6 +104,18 @@ def product(left, right):
     return Relation(left.arity + right.arity, frozenset(
         a << right.arity | b for a in left.tuples for b in right.tuples
     ))
+
+
+def wide_sample(arity):
+    """Seeded random relations of the arity, then full, empty, staircase,
+    product and complemented ones."""
+    rng = random.Random(arity)
+    rels = [random_relation(arity, rng) for _ in range({4: 40, 5: 20, 6: 10}.get(arity, 3))]
+    left, right = random_relation(2, rng), random_relation(arity - 2, rng)
+    pair = product(left, right)
+    return rels + [Relation.full(arity), Relation(arity, frozenset()), staircase(arity), pair,
+                   staircase(arity).complemented(), rels[0].complemented(),
+                   pair.complemented()]
 
 
 class TestRestrict:
@@ -400,8 +413,8 @@ class TestComponentwiseBijunctive:
 
 
 class TestRestrictionClosure:
-    """The five restriction-based predicates read one closure of the
-    relation under fixing and identifying positions."""
+    """The componentwise-bijunctive predicate reads one closure of the
+    relation under fixing and identifying positions, from arity 3 up."""
 
     @staticmethod
     def permuted(arity, tuples):
@@ -413,12 +426,15 @@ class TestRestrictionClosure:
             ))
         return out
 
-    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("arity", [3, 4])
     def test_closure_is_covering_restrictions_up_to_permutation(self, arity):
-        for rel in all_relations(arity):
+        # every relation of arity 3, and a seeded sample of arity 4
+        rels = all_relations(3) if arity == 3 else [
+            random_relation(4, random.Random(i)) for i in range(24)]
+        for rel in rels:
             closure = _restriction_closure(rel)
-            assert len(closure) == arity
-            for target in range(1, arity + 1):
+            assert len(closure) == arity - 2
+            for target in range(3, arity + 1):
                 choices = list(range(1, target + 1)) + [CONST0, CONST1]
                 covering = {
                     naive_restrict_tuples(rel, target, entries)
@@ -426,27 +442,20 @@ class TestRestrictionClosure:
                     if set(range(1, target + 1)) <= set(entries)
                 }
                 reached = set()
-                for table in closure[target - 1]:
+                for table in closure[target - 3]:
                     tuples = [t for t in range(1 << target) if table >> t & 1]
                     reached |= self.permuted(target, tuples)
                 assert reached == covering
 
     @pytest.mark.parametrize("arity", [4, 5, 6, 7, 8])
     def test_closure_equals_the_reference_build(self, arity):
-        # every level, as the same tuple of frozensets; seeded random
-        # relations, then full, empty, staircase, product and complemented
-        rng = random.Random(arity)
-        rels = [random_relation(arity, rng) for _ in range({4: 40, 5: 20, 6: 10}.get(arity, 3))]
-        left, right = random_relation(2, rng), random_relation(arity - 2, rng)
-        product = Relation(arity, frozenset(
-            a << (arity - 2) | b for a in left.tuples for b in right.tuples))
-        rels += [Relation.full(arity), Relation(arity, frozenset()), staircase(arity), product,
-                 staircase(arity).complemented(), rels[0].complemented(),
-                 product.complemented()]
-        for rel in rels:
+        # every level the closure keeps, arity 3 up, as the same tuple of
+        # frozensets; seeded random relations, then full, empty,
+        # staircase, product and complemented
+        for rel in wide_sample(arity):
             closure = _restriction_closure(rel)
             assert all(type(level) is frozenset for level in closure)
-            assert closure == reference_closure(rel), rel
+            assert closure == reference_closure(rel)[2:], rel
 
     @given(relation_strategy(min_arity=2, max_arity=8))
     @settings(max_examples=100, deadline=None)
@@ -526,10 +535,60 @@ class TestRestrictionClosure:
         assert is_horn_free(rel)
 
 
+def horn_free_not_nand_free(arity, rng, count):
+    """`count` relations that are Horn-free but not NAND-free by the
+    reference closure: seeded 2-CNF solution sets with 1-3 tuples
+    dropped. A NAND witness sends each through the diagonal pass."""
+    out = []
+    while len(out) < count:
+        rel = two_cnf_relation(arity, rng, rng.randint(1, arity))
+        kept = sorted(rel.tuples)
+        rng.shuffle(kept)
+        rel = Relation(arity, frozenset(kept[rng.randint(1, 3):]))
+        flags = closure_relation_flags(rel)
+        if flags[3] and not flags[2]:
+            out.append(rel)
+    return out
+
+
+def spread_horn(arity):
+    """(x | !y | !z) with x copied to the first arity - 2 positions: only
+    the set X of every copy makes the Horn pattern, so the diagonal pass
+    must move several positions at once."""
+    copies = (1 << (arity - 2)) - 1
+    return Relation(arity, frozenset(
+        (copies if x else 0) << 2 | y << 1 | z
+        for x, y, z in itertools.product((0, 1), repeat=3) if (x, y, z) != (0, 1, 1)))
+
+
+class TestFreeFlagMatrices:
+    """The four "-free" flags read off the pair matrices, with no
+    Schaefer shortcut (`_free_flags`), equal the flags of the reference
+    closure, which `tests/helpers.py` builds over strings."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_small_relation_matches_the_reference(self, arity):
+        for rel in all_relations(arity):
+            assert _free_flags(rel) == closure_relation_flags(rel)[1:], rel
+
+    @pytest.mark.parametrize("arity", [4, 5, 6, 7, 8])
+    def test_seeded_relations_match_the_reference(self, arity):
+        horn_free = horn_free_not_nand_free(arity, random.Random(60 + arity), 2)
+        rels = wide_sample(arity) + horn_free + [spread_horn(arity)]
+        rels += [rel.complemented() for rel in horn_free + [spread_horn(arity)]]
+        seen = set()
+        for rel in rels:
+            flags = _free_flags(rel)
+            assert flags == closure_relation_flags(rel)[1:], rel
+            seen.add(flags)
+        # the sample decides each flag both ways
+        assert all({f[i] for f in seen} == {True, False} for i in range(4)), seen
+
+
 class TestSchaeferShortcut:
-    """The closure predicates return True when a Schaefer class implies
-    the flag, before they read the restriction closure; the closure read
-    without that shortcut must agree."""
+    """The restriction-based predicates return True when a Schaefer class
+    implies the flag, before they read the pair matrices or the closure;
+    the reference closure read without that shortcut must agree."""
 
     CLOSURE_PREDICATES = (is_componentwise_bijunctive, is_or_free, is_nand_free,
                           is_horn_free, is_dual_horn_free)
@@ -571,6 +630,24 @@ class TestSchaeferShortcut:
         before = closure_calls()
         assert relation_flags(rel)[4:] == (True,) * 5
         assert closure_calls() == before
+
+    @pytest.mark.parametrize("arity", [6, 7, 8])
+    def test_a_failed_top_level_check_builds_no_closure(self, arity):
+        # (x | y | z) beside !(x & y & z): in no Schaefer class, connected
+        # and not bijunctive, so the componentwise check fails on the
+        # relation itself and the four "-free" flags come from the pair
+        # matrices
+        rel = product(CUBE3_NO_000, Relation(3, frozenset(range(7))))
+        if arity > 6:
+            rel = product(rel, Relation.full(arity - 6))
+        for predicate in self.CLOSURE_PREDICATES:
+            predicate.cache_clear()
+        before, matrices = closure_calls(), _free_flags.cache_info().misses
+        flags = relation_flags(rel)
+        assert closure_calls() == before
+        assert _free_flags.cache_info().misses == matrices + 1
+        assert flags[:5] == (False,) * 5
+        assert flags[4:] == closure_relation_flags(rel)
 
     def test_componentwise_bijunctive_refuses_the_relation_itself_first(self):
         # connected and not bijunctive: the widest level fails, so no
