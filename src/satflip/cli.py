@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import random
+import re
 import sys
 
 from .bits import zeros
-from .errors import ParseError, PreconditionError, TheoryError, content_lines, read_decimal
+from .errors import ParseError, PreconditionError, TheoryError, read_decimal
 from .formula import (
     classify_formula,
     format_assignment,
@@ -108,9 +109,24 @@ def _cap(args) -> int:
     return cap
 
 
+# The body of one line: everything up to its \r or \n.
+_LINE_BODY = re.compile(r"[^\r\n]*")
+
+
 def _first_line(text: str) -> str:
-    """The text's first content line (`#` comments skipped), or ""."""
-    return next((line for _, line in content_lines(text, "#")), "")
+    """The text's first content line, as :func:`content_lines` reads it
+    with `#` comments skipped, or "". Lines are read one at a time, up to
+    that one, so the rest of the text is never split. A line ends at
+    ``\n``, ``\r\n`` or ``\r``; the ``\n`` of ``\r\n`` is taken as
+    the end of one more blank line, which is skipped."""
+    pos = 0
+    while pos <= len(text):
+        end = _LINE_BODY.match(text, pos).end()
+        line = text[pos:end].strip()
+        if line and not line.startswith("#"):
+            return line
+        pos = end + 1
+    return ""
 
 
 def _search_gate(text: str, cap: int, use: str) -> None:

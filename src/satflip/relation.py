@@ -7,20 +7,21 @@ relation, and the whole set of predicates feeds the solvability verdict
 computed by :func:`classify_set`.
 
 Every tuple set in this layer is also one truth-table int, bit t set
-iff tuple t is accepted (:attr:`Relation.table`). The five
-restriction-based predicates (componentwise bijunctive and the four
-"-free" ones) first ask the four Schaefer classes (bijunctive, Horn,
-dual Horn, affine), and a class that implies the flag answers it.
-Otherwise a "-free" flag is read off two 2^k x 2^k bit matrices over
+iff tuple t is accepted (:attr:`Relation.table`). Horn, dual Horn and
+the four "-free" flags are read off two 2^k x 2^k bit matrices over
 pairs of tuples, R(g | w) and R(g & w), each built from the table by k
-mask-and-shift steps (:func:`_free_flags`): a forbidden restriction onto
-two or three positions is fixed by two tuples of the relation and a set
-of positions. Componentwise bijunctivity splits the relation itself,
-then reads one memoized closure of its table under elementary steps: fix
-one position, or identify two. Each step is a few mask-and-shift
-operations, run once for a whole level of the closure with its tables
-packed side by side into one int; components and bijunctivity are read
-off the tables the same way. The closure holds every covering
+mask-and-shift steps, once per relation (:func:`_free_flags`): AND and
+OR of two tuples are entries of the matrices, and a forbidden
+restriction onto two or three positions is fixed by two tuples of the
+relation and a set of positions. Componentwise bijunctivity is implied
+by bijunctivity and by affinity; otherwise it splits the relation
+itself, then reads one memoized closure of its table under elementary
+steps: fix one position, or identify two. Each step is a few
+mask-and-shift operations, run once for a whole level of the closure
+with its tables packed side by side into one int; the components of the
+wider levels are read off the packed tables the same way. A table of
+arity 3 or of the relation itself gets one cached verdict
+(:func:`_components_bijunctive`). The closure holds every covering
 restriction of arity 3 or more up to a permutation of its positions, so
 the predicate never walks the (k'+2)^k restriction maps one by one.
 """
@@ -28,7 +29,6 @@ the predicate never walks the (k'+2)^k restriction maps one by one.
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 from array import array
 from enum import Enum
@@ -44,15 +44,15 @@ from .records import Frozen, set_field
 # neither class that implies the flag and its own components are
 # bijunctive. Measured cold on CPython 3.11, best of 3, five seeded
 # random relations per arity at densities 0.1-0.9: all nine flags take
-# 0.1-0.3 ms at arity 6, 0.15-0.4 ms at arity 7 and 0.25-1.1 ms at
+# 0.06-0.11 ms at arity 6, 0.11-0.12 ms at arity 7 and 0.24-0.32 ms at
 # arity 8 with no closure; the sparsest relation builds one and takes
-# 0.8-1.1 ms, 3.0-4.1 ms and 10-16 ms. One arity-8 closure holds up to
-# about 21,000 members, with a tracemalloc peak of 2.9 MiB. At arity 9
-# (measured with the bound raised, 3 seeds at density 0.05) the nine
-# flags take 87-119 ms, one closure has 9,000-20,000 members with a
-# tracemalloc peak of 3-6 MiB, while the pair matrices alone take about
-# 0.7 ms: a tenfold step per arity that no workload needs, so the bound
-# stays 8.
+# 0.95-0.99 ms, 2.1-2.2 ms and 8.9-9.3 ms. One arity-8 closure holds up
+# to about 21,000 members, with a tracemalloc peak of 2.9 MiB. At arity
+# 9 (measured with the bound raised, 3 seeds at density 0.05) the nine
+# flags take 49-144 ms, one closure has 14,000-18,000 members with a
+# tracemalloc peak of 5-6 MiB, while the pair matrices alone take
+# 0.8-1.2 ms: a tenfold step per arity that no workload needs, so the
+# bound stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
@@ -347,15 +347,8 @@ def _table_components(arity: int, tables) -> set[int]:
     return comps
 
 
-def _closed_under(relation: Relation, op) -> bool:
-    """True iff ``op`` maps every two distinct tuples of the relation into
-    the relation; AND and OR of a tuple with itself return it."""
-    ts = relation.tuples
-    return all(t in ts for t in itertools.starmap(op, itertools.combinations(ts, 2)))
-
-
 # Bounded: is_componentwise_bijunctive asks it for every Hamming component
-# of every closure member it reads, about 960 distinct ones in one
+# of every closure member it reads, about 930 distinct ones in one
 # classify stream.
 @lru_cache(maxsize=4096)
 def _bijunctive_table(arity: int, table: int) -> bool:
@@ -379,10 +372,33 @@ def _bijunctive_table(arity: int, table: int) -> bool:
     return join == table
 
 
+# Bounded like _bijunctive_table. is_componentwise_bijunctive asks it for
+# the relation's own table and for each table of a closure's arity-3
+# level, of which there are at most 256: one classify stream fills 530
+# entries.
+@lru_cache(maxsize=4096)
+def _components_bijunctive(arity: int, table: int) -> bool:
+    """Every Hamming component of the table is bijunctive. A flood over
+    the table's one int grows a component from its lowest tuple by all
+    single-bit flips per round; the component then leaves the table."""
+    flips = [(m, 1 << i) for i, m in enumerate(index_masks(arity))]
+    while table:
+        comp, grown = 0, table & -table
+        while grown != comp:
+            comp = grown
+            for m, shift in flips:
+                grown |= ((comp & ~m) << shift) | ((comp & m) >> shift)
+            grown &= table
+        if not _bijunctive_table(arity, comp):
+            return False
+        table ^= comp
+    return True
+
+
 # The bound of every predicate cache below. One benchmark classify stream
 # (seed 1, 40 rounds, 800 relation sets) fills 503 entries in each of
-# them, and 505-518 in the ones that relation generation also asks: the
-# two order flags it tests and the Schaefer flags their shortcuts read.
+# them, and 510-518 in the two order flags that relation generation also
+# tests (NAND-free and dual-Horn-free).
 PREDICATE_CACHE_SIZE = 4096
 
 
@@ -395,13 +411,13 @@ def is_bijunctive(relation: Relation) -> bool:
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_horn(relation: Relation) -> bool:
     """Closed under coordinatewise AND."""
-    return _closed_under(relation, operator.and_)
+    return _free_flags(relation)[0]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_dual_horn(relation: Relation) -> bool:
     """Closed under coordinatewise OR."""
-    return _closed_under(relation, operator.or_)
+    return _free_flags(relation)[1]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
@@ -423,18 +439,6 @@ def is_affine(relation: Relation) -> bool:
                 break
             x ^= basis[top]
     return len(tuples) == 1 << len(basis)
-
-
-# Each "-free" predicate and the componentwise-bijunctive one first asks
-# the Schaefer classes that imply it, and reads the pair matrices (the
-# closure, for componentwise bijunctivity) only when none does. AND, OR,
-# majority and x^y^z are idempotent, so fixing constants and identifying
-# positions keeps a relation closed under each, and no forbidden pattern
-# is closed under an operation that implies its flag: OR lacks
-# 01 & 10 = 00 and, with 3 tuples, is no coset; NAND lacks 01 | 10 = 11;
-# (x | !y | !z) lacks maj(001, 010, 111) = 011 = 010 | 001;
-# (!x | y | z) lacks maj(110, 101, 000) = 100 = 110 & 101; and neither
-# 7-tuple pattern is a coset.
 
 
 @lru_cache(maxsize=None)
@@ -461,8 +465,16 @@ def _pair_masks(arity: int):
 
 
 @lru_cache(maxsize=1)
-def _free_flags(relation: Relation) -> tuple[bool, bool, bool, bool]:
-    """OR-, NAND-, Horn- and dual-Horn-free, with no Schaefer shortcut.
+def _free_flags(relation: Relation) -> tuple[bool, bool, bool, bool, bool, bool]:
+    """AND-closed (Horn), OR-closed (dual Horn), and OR-, NAND-, Horn- and
+    dual-Horn-free.
+
+    Both matrices, up[g][w] = R(g | w) and down[g][w] = R(g & w), start
+    as the table in every row and take bit i of g into w by one masked
+    shift per position; then rows and columns are restricted to R. The
+    relation is AND-closed iff every entry of down is then set, and
+    OR-closed iff every entry of up is; the diagonal is in R, since
+    t & t = t | t = t.
 
     A restriction onto x and y reads the relation at R(b & c), R(c),
     R(b), R(b | c) for xy = 00, 01, 10, 11, where b and c are the tuples
@@ -476,15 +488,12 @@ def _free_flags(relation: Relation) -> tuple[bool, bool, bool, bool]:
     (p & q, p, q, p | q) | X in R. (!x | y | z) is the mirror: an OR
     witness, and X taken out of p & q.
 
-    Both matrices, up[g][w] = R(g | w) and down[g][w] = R(g & w), start
-    as the table in every row and take bit i of g into w by one masked
-    shift per position; then rows and columns are restricted to R. The
-    Horn pass ORs into every entry the square of (g | X, w | X), X outside
-    g | w, one diagonal shift per position, and the dual-Horn pass the
-    square of (g - X, w - X), X inside g & w. At a witness the term of the
-    empty X is the witness's own square, which lacks p | q (p & q), so
-    the passes need no test that X is nonempty. About 0.1-0.2 ms at arity
-    8, on 65,536-bit ints."""
+    The Horn pass ORs into every entry the square of (g | X, w | X), X
+    outside g | w, one diagonal shift per position, and the dual-Horn
+    pass the square of (g - X, w - X), X inside g & w. At a witness the
+    term of the empty X is the witness's own square, which lacks p | q
+    (p & q), so the passes need no test that X is nonempty. About
+    0.1-0.2 ms at arity 8, on 65,536-bit ints."""
     first, steps = _pair_masks(relation.arity)
     size = 1 << relation.arity
     cols = relation.table * first  # the table in every row
@@ -509,45 +518,32 @@ def _free_flags(relation: Relation) -> tuple[bool, bool, bool, bool]:
         for _, diagonal, _, both1, *_ in steps:
             below |= (below << diagonal) & both1
         dual_horn_free = not (or_witness & below)
-    return not or_witness, not nand_witness, horn_free, dual_horn_free
+    return (down == pairs, up == pairs, not or_witness, not nand_witness,
+            horn_free, dual_horn_free)
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_or_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of (x | y)."""
-    if relation.arity < 2 or is_horn(relation) or is_affine(relation):
-        return True
-    return _free_flags(relation)[0]
+    return _free_flags(relation)[2]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_nand_free(relation: Relation) -> bool:
     """No binary restriction equals the satisfying set of !(x & y)."""
-    if relation.arity < 2 or is_dual_horn(relation) or is_affine(relation):
-        return True
-    return _free_flags(relation)[1]
+    return _free_flags(relation)[3]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_horn_free(relation: Relation) -> bool:
     """No ternary restriction equals the satisfying set of (x | !y | !z)."""
-    if (relation.arity < 3 or is_bijunctive(relation) or is_dual_horn(relation)
-            or is_affine(relation)):
-        return True
-    return _free_flags(relation)[2]
+    return _free_flags(relation)[4]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_dual_horn_free(relation: Relation) -> bool:
     """No ternary restriction equals the satisfying set of (!x | y | z)."""
-    if (relation.arity < 3 or is_bijunctive(relation) or is_horn(relation)
-            or is_affine(relation)):
-        return True
-    return _free_flags(relation)[3]
-
-
-def _components_bijunctive(arity: int, tables) -> bool:
-    return all(_bijunctive_table(arity, comp) for comp in _table_components(arity, tables))
+    return _free_flags(relation)[5]
 
 
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
@@ -561,21 +557,26 @@ def is_componentwise_bijunctive(relation: Relation) -> bool:
     stay in the class, each component of a bijunctive relation is
     bijunctive (Gopalan, Kolaitis, Maneva & Papadimitriou, 2009), and
     each component of an affine relation is a subcube. Otherwise the
-    levels are split widest first, and the widest is the relation itself,
-    so one that fails there builds no closure. Relations of arity 2 or
-    less are bijunctive, so no level below 3 is split, and a relation of
-    arity 3 builds none."""
+    relation itself is split first, so one that fails there builds no
+    closure. The closure's arity-3 level comes next: it holds at most 256
+    tables, and each, like the relation itself, is split through one
+    cached verdict per table (:func:`_components_bijunctive`). The wider
+    levels follow, widest first, each split as one packed int
+    (:func:`_table_components`). Relations of arity 2 or less are
+    bijunctive, so no level below 3 is split, and a relation of arity 3
+    builds none."""
     arity = relation.arity
     if is_bijunctive(relation) or is_affine(relation):
         return True
-    if not _components_bijunctive(arity, (relation.table,)):
+    if not _components_bijunctive(arity, relation.table):
         return False
     if arity <= 3:
         return True
     closure = _restriction_closure(relation)
-    return all(
-        _components_bijunctive(level, closure[level - 3])
-        for level in range(arity - 1, 2, -1)
+    return all(_components_bijunctive(3, table) for table in closure[0]) and all(
+        _bijunctive_table(level, comp)
+        for level in range(arity - 1, 3, -1)
+        for comp in _table_components(level, closure[level - 3])
     )
 
 

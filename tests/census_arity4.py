@@ -7,24 +7,35 @@ Classifies each of the 65,536 relations of arity 4 alone with
 componentwise bijunctive relations that are not bijunctive, the affine
 relations, and that complementing swaps the two order kinds. It checks
 the five restriction-based flags, and the four "-free" flags of the pair
-matrices read without the Schaefer shortcut (`relation._free_flags`),
-against the flags of `helpers.reference_closure`, a closure built a
-table at a time over strings (`helpers.closure_relation_flags`). It
-compares every level of each relation's closure with that reference,
-and counts the relations whose flags build no closure at all. It takes
-about 17 s, so it runs as a CI step rather than in tier-1; pytest does
+matrices (`relation._free_flags`), against the flags of
+`helpers.reference_closure`, a closure built a table at a time over
+strings (`helpers.closure_relation_flags`); the matrices' AND- and
+OR-closure flags against the pairwise reference `helpers.closed_under`;
+and the cached verdict on the relation's own table
+(`relation._components_bijunctive`) against a flood over a Python set
+and clause synthesis (`helpers.components_bijunctive`). It compares
+every level of each relation's closure with the reference closure, and
+counts the relations whose flags build no closure at all. It takes
+about 21 s, so it runs as a CI step rather than in tier-1; pytest does
 not collect it, since its name does not start with ``test_``. Exits 1
 and names each count that differs.
 """
 
+import operator
 import sys
 from collections import Counter
 
 from satflip import NavigableKind, Relation, Verdict, classify_set, is_affine, is_bijunctive
 
-from satflip.relation import _free_flags, _restriction_closure
+from satflip.relation import _components_bijunctive, _free_flags, _restriction_closure
 
-from helpers import closure_calls, closure_relation_flags, reference_closure
+from helpers import (
+    closed_under,
+    closure_calls,
+    closure_relation_flags,
+    components_bijunctive,
+    reference_closure,
+)
 
 ARITY = 4
 CWB = (Verdict.NAVIGABLE, NavigableKind.COMPONENTWISE_BIJUNCTIVE)
@@ -55,6 +66,7 @@ def main():
     census = Counter()
     not_bijunctive = affine = no_closure = 0
     flag_mismatches = matrix_mismatches = reference_mismatches = 0
+    closed_mismatches = verdict_mismatches = 0
     for mask in range(1 << size):
         rel = Relation(ARITY, frozenset(t for t in range(size) if mask >> t & 1))
         before = closure_calls()
@@ -62,7 +74,12 @@ def main():
         no_closure += closure_calls() == before
         reference = closure_relation_flags(rel)
         flag_mismatches += cls.per_relation[0][4:] != reference
-        matrix_mismatches += _free_flags(rel) != reference[1:]
+        matrix = _free_flags(rel)
+        matrix_mismatches += matrix[2:] != reference[1:]
+        closed_mismatches += matrix[:2] != (closed_under(rel, operator.and_),
+                                            closed_under(rel, operator.or_))
+        verdict_mismatches += (_components_bijunctive(ARITY, rel.table)
+                               != components_bijunctive(ARITY, rel.tuples))
         reference_mismatches += _restriction_closure(rel) != reference_closure(rel)[2:]
         key = verdicts[mask] = (cls.verdict, cls.kind)
         census[key] += 1
@@ -86,6 +103,9 @@ def main():
         ("affine: the empty set plus every coset", affine, 1 + sum(cosets)),
         ("flags that differ from the reference closure's", flag_mismatches, 0),
         ("pair-matrix flags that differ from the reference closure's", matrix_mismatches, 0),
+        ("pair-matrix AND/OR-closure flags that differ from the pairwise reference",
+         closed_mismatches, 0),
+        ("own-table verdicts that differ from the reference", verdict_mismatches, 0),
         ("closures that differ from the reference build", reference_mismatches, 0),
         # only the componentwise-bijunctive flag reads the closure: these
         # are the relations whose flag is decided without it, bijunctive,

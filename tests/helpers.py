@@ -176,13 +176,12 @@ def components(relation):
 
 # ------------------------------------------------- clause-synthesis oracles
 
+@functools.cache
 def _clause_solutions(arity, literals):
-    """Solutions of a disjunction of (position, polarity) literals."""
-    sols = set()
-    for v in range(1 << arity):
-        if any((v >> (arity - p)) & 1 == pol for p, pol in literals):
-            sols.add(v)
-    return sols
+    """Solutions of a disjunction of (position, polarity) literals, a
+    tuple of pairs."""
+    return frozenset(v for v in range(1 << arity)
+                     if any((v >> (arity - p)) & 1 == pol for p, pol in literals))
 
 
 def _synthesizes(rel, clause_family):
@@ -259,7 +258,7 @@ def two_cnf_relation(arity, rng, clauses):
     sols = set(range(1 << arity))
     for _ in range(clauses):
         width = rng.randint(1, min(2, arity))
-        literals = [(p, rng.randint(0, 1)) for p in rng.sample(range(1, arity + 1), width)]
+        literals = tuple((p, rng.randint(0, 1)) for p in rng.sample(range(1, arity + 1), width))
         sols &= _clause_solutions(arity, literals)
     return Relation(arity, frozenset(sols))
 
@@ -383,6 +382,51 @@ def closed_relation(arity, seeds, operation):
         if not new:
             return Relation(arity, frozenset(tuples))
         tuples |= new
+
+
+def closed_under(rel, op):
+    """True iff `op` maps every two distinct tuples of `rel` into it; AND
+    and OR of a tuple with itself return it. The pairwise reference for
+    the AND- and OR-closure flags of the library's pair matrices."""
+    ts = rel.tuples
+    return all(t in ts for t in itertools.starmap(op, itertools.combinations(ts, 2)))
+
+
+def components_bijunctive(arity, tuples):
+    """Every Hamming component of the tuple set is bijunctive: the flood
+    `hamming_components` and clause synthesis on each component, the
+    reference for `relation._components_bijunctive`."""
+    return all(_synth_bijunctive_component(arity, comp)
+               for comp in hamming_components(arity, tuples))
+
+
+@functools.cache
+def _synth_bijunctive_component(arity, comp):
+    # the census of arity 4 meets each component many times
+    return synth_bijunctive(Relation(arity, comp))
+
+
+def flag_digest_relations():
+    """Every relation of arity 1-3, then seeded ones of arity 4-8: random
+    relations from sparse to dense, each beside its complement, 2-CNF
+    solution sets with 0-3 tuples dropped, and the closure of a few
+    random tuples under each Schaefer class's operation."""
+    rels = [rel for arity in (1, 2, 3) for rel in every_relation(arity)]
+    for arity in range(4, 9):
+        rng = random.Random(1404 + arity)
+        size = 1 << arity
+        for density in (0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(3):
+                rel = Relation(arity, frozenset(t for t in range(size) if rng.random() < density))
+                rels += [rel, rel.complemented()]
+        for _ in range(4):
+            kept = sorted(two_cnf_relation(arity, rng, rng.randint(1, arity)).tuples)
+            rng.shuffle(kept)
+            rels.append(Relation(arity, frozenset(kept[rng.randint(0, 3):])))
+        for operation in CLASS_OPERATIONS.values():
+            seeds = rng.sample(range(size), rng.randint(2, 5))
+            rels.append(closed_relation(arity, seeds, operation))
+    return rels
 
 
 def set_rule(flags):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from satflip import MAX_STATE_CAP, SolveResult, TheoryError
 from satflip import cli, formula
 from satflip.cli import main
+from satflip.errors import content_lines
 from satflip.navigate import Outcome
 
 from helpers import NON_DECIMAL_TOKENS, mutated
@@ -359,6 +360,48 @@ class TestSearchGate:
             code, _, err = run(capsys, *argv, str(path), "--cap", "2")
             assert (code, err) == (
                 1, "satflip: error: line 3: expected a 1-bit tuple or 'end' in relation 'r'\n")
+
+
+def content_lines_first(text):
+    return next((line for _, line in content_lines(text, "#")), "")
+
+
+class TestFirstLine:
+    """`cli._first_line` reads lines only up to the first content line,
+    and agrees with `errors.content_lines` on which line that is."""
+
+    @pytest.mark.parametrize("text, first", [
+        ("vars 3\nrelation r 1\n", "vars 3"),
+        ("vars 3", "vars 3"),  # no line end at all
+        ("# s=000\n# t=111\nvars 3", "vars 3"),  # the first content line has none
+        ("# c\r\n\r\n  arity 2 \r\n01\r\n", "arity 2"),
+        ("# c\rarity 2\r01\r", "arity 2"),
+        ("\n\r\n\r  \t\n# only\n#comments\n", ""),
+        ("", ""),
+        ("\x0bvars 3\x0c\nnext", "vars 3"),  # whitespace inside a line is stripped
+        ("# c\x0bvars 3\nnext", "next"),  # \x0b ends no line: the comment holds it
+        ("#\n # indented\nx", "x"),
+    ], ids=["lf", "no-line-end", "last-line-no-end", "crlf", "cr", "blank-and-comments",
+            "empty", "inner-whitespace", "vertical-tab-in-comment", "indented-comment"])
+    def test_same_line_as_content_lines(self, text, first):
+        assert cli._first_line(text) == first == content_lines_first(text)
+
+    @given(st.text(alphabet="ab# \t\r\n\x0b\x85", max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_content_lines_on_any_text(self, text):
+        assert cli._first_line(text) == content_lines_first(text)
+
+    def test_the_rest_of_the_text_is_not_split(self):
+        text = f"# s={'0' * 1000}\n\nvars 3\n" + "clause r x1\n" * 200_000
+        tracemalloc.start()
+        try:
+            first = cli._first_line(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == "vars 3"
+        # splitting the 2.4 MB text would hold 200,000 line strings
+        assert peak < 64 << 10
 
 
 class TestGen:

@@ -7,6 +7,7 @@ on first use. The import tests run in a fresh interpreter, because this
 one has loaded every module already."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -112,6 +113,51 @@ def test_cli_still_loads_every_traced_module():
               "satflip.navigate", "satflip.recon"}
     [loaded] = loaded_after("import satflip.cli")
     assert traced <= set(loaded)
+
+
+WORKER = SRC.parent.parent / "perfbench" / "worker.py"
+TRACER_TABLES = ("FREE", "CLOSURE", "TIMED", "COUNTED")
+
+
+def tracer_tables():
+    """`perfbench/worker.py`'s name tables, read with `ast`: each of
+    `TRACER_TABLES` as a value, and the names of the relation predicates
+    whose caches `install_tracer` reads. The tables are literals joined
+    by `+`, so they are evaluated with no builtins."""
+    tree = ast.parse(WORKER.read_text())
+    assigns = [node for node in tree.body if isinstance(node, ast.Assign)
+               and getattr(node.targets[0], "id", None) in TRACER_TABLES]
+    allowed = (ast.Assign, ast.Name, ast.Load, ast.Store, ast.Constant, ast.Tuple,
+               ast.Dict, ast.BinOp, ast.Add)
+    assert all(isinstance(node, allowed) for a in assigns for node in ast.walk(a))
+    tables = {"__builtins__": {}}
+    exec(compile(ast.Module(body=assigns, type_ignores=[]), str(WORKER), "exec"), tables)
+    [install] = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "install_tracer"]
+    [caches] = [node.value for node in ast.walk(install) if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "caches"]
+    assert ast.unparse(caches.elt) == "getattr(relation, name)"
+    names = ast.Expression(caches.generators[0].iter)
+    predicates = eval(compile(names, str(WORKER), "eval"), dict(tables))
+    return {name: tables[name] for name in TRACER_TABLES}, predicates
+
+
+def test_every_name_the_tracer_binds_exists():
+    # the benchmark's tracer wraps these functions by name and reads the
+    # predicates' lru_cache counters; a name a change renames or deletes
+    # would break only the traced benchmark run
+    tables, predicates = tracer_tables()
+    assert set(tables["FREE"]) | set(tables["CLOSURE"]) <= set(tables["TIMED"]["satflip.relation"])
+    for table in ("TIMED", "COUNTED"):
+        for module, names in tables[table].items():
+            mod = importlib.import_module(module)
+            for name in names:
+                assert callable(getattr(mod, name, None)), (table, module, name)
+    from satflip import relation
+
+    assert "is_componentwise_bijunctive" in predicates
+    for name in predicates:
+        assert callable(getattr(getattr(relation, name), "cache_info", None)), name
 
 
 def test_answer_records_load_no_solver():

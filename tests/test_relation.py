@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import operator
 import random
 from collections import Counter
 from functools import lru_cache
@@ -34,6 +36,7 @@ from satflip import (
 from satflip.errors import ParseError
 from satflip.relation import (
     _bijunctive_table,
+    _components_bijunctive,
     _free_flags,
     _level_steps,
     _restriction_closure,
@@ -43,9 +46,12 @@ from satflip.relation import (
 from helpers import (
     CLASS_OPERATIONS,
     closed_relation,
+    closed_under,
     closure_calls,
     closure_relation_flags,
+    components_bijunctive,
     every_relation,
+    flag_digest_relations,
     hamming_components,
     majority_closed,
     naive_is_free,
@@ -220,9 +226,10 @@ class TestSyntacticClasses:
         assert is_affine(rel) == synth_affine(rel)
 
     def test_bijunctive_cache_is_bounded(self):
-        # one classify stream asks the table check for ~960 components;
-        # a long-lived process must not keep every one of them
-        for cached in (is_bijunctive, _bijunctive_table):
+        # one classify stream asks the table check for ~930 components
+        # and the per-table verdict for ~530 tables; a long-lived process
+        # must not keep every one of them
+        for cached in (is_bijunctive, _bijunctive_table, _components_bijunctive):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= 4096
 
@@ -562,33 +569,101 @@ def spread_horn(arity):
 
 
 class TestFreeFlagMatrices:
-    """The four "-free" flags read off the pair matrices, with no
-    Schaefer shortcut (`_free_flags`), equal the flags of the reference
-    closure, which `tests/helpers.py` builds over strings."""
+    """The six flags read off the pair matrices, with no Schaefer
+    shortcut (`_free_flags`): AND- and OR-closure equal the pairwise
+    reference `closed_under`, and the four "-free" flags equal the flags
+    of the reference closure, which `tests/helpers.py` builds over
+    strings."""
+
+    @staticmethod
+    def reference(rel):
+        return ((closed_under(rel, operator.and_), closed_under(rel, operator.or_))
+                + closure_relation_flags(rel)[1:])
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_every_small_relation_matches_the_reference(self, arity):
         for rel in all_relations(arity):
-            assert _free_flags(rel) == closure_relation_flags(rel)[1:], rel
+            assert _free_flags(rel) == self.reference(rel), rel
 
     @pytest.mark.parametrize("arity", [4, 5, 6, 7, 8])
     def test_seeded_relations_match_the_reference(self, arity):
-        horn_free = horn_free_not_nand_free(arity, random.Random(60 + arity), 2)
+        rng = random.Random(60 + arity)
+        horn_free = horn_free_not_nand_free(arity, rng, 2)
         rels = wide_sample(arity) + horn_free + [spread_horn(arity)]
         rels += [rel.complemented() for rel in horn_free + [spread_horn(arity)]]
+        rels += [closed_relation(arity, rng.sample(range(1 << arity), rng.randint(2, 5)),
+                                 CLASS_OPERATIONS[name]) for name in ("horn", "dual_horn")]
         seen = set()
         for rel in rels:
             flags = _free_flags(rel)
-            assert flags == closure_relation_flags(rel)[1:], rel
+            assert flags == self.reference(rel), rel
             seen.add(flags)
         # the sample decides each flag both ways
-        assert all({f[i] for f in seen} == {True, False} for i in range(4)), seen
+        assert all({f[i] for f in seen} == {True, False} for i in range(6)), seen
+
+
+class TestComponentsBijunctive:
+    """The cached per-table verdict (`_components_bijunctive`) equals
+    the reference `components_bijunctive`: a flood over a Python set
+    (`hamming_components`) and clause synthesis on each component."""
+
+    def test_every_table_of_arity_3(self):
+        verdicts = Counter()
+        for table in range(256):
+            verdict = _components_bijunctive(3, table)
+            assert verdict == components_bijunctive(3, tuples_of(3, table)), table
+            verdicts[verdict] += 1
+        assert verdicts[False] > 0 and verdicts[True] > 0
+
+    @pytest.mark.parametrize("arity", [4, 5, 6, 7, 8])
+    def test_seeded_tables(self, arity):
+        rng = random.Random(90 + arity)
+        rels = wide_sample(arity) + [two_cnf_relation(arity, rng, rng.randint(1, arity))
+                                     for _ in range(4)]
+        # sparse tables split into several components
+        rels += [Relation(arity, frozenset(rng.sample(range(1 << arity), rng.randint(2, arity))))
+                 for _ in range(6)]
+        verdicts = Counter()
+        for rel in rels:
+            verdict = _components_bijunctive(arity, rel.table)
+            assert verdict == components_bijunctive(arity, rel.tuples), rel
+            verdicts[verdict] += 1
+        assert verdicts[False] > 0 and verdicts[True] > 0
+
+
+# sha256 of every `flag_text` of `flag_digest_relations()`, in order,
+# recorded before Horn and dual Horn were read off the pair matrices and
+# before the per-table verdict; a change here moves a flag of some
+# relation.
+FLAG_DIGEST = "ffa1e8282039242b035328c527bb64a38a8ce9a2639821cc2d8c353e28e295ea"
+
+
+def flag_text(rel):
+    flags = "".join("1" if f else "0" for f in relation_flags(rel))
+    return f"{rel.arity} {rel.table:x} {flags}\n"
+
+
+class TestFlagDigest:
+    def test_flags_match_the_recorded_digest(self):
+        rels = flag_digest_relations()
+        assert len(rels) == 526
+        digest = hashlib.sha256()
+        for rel in rels:
+            digest.update(flag_text(rel).encode())
+        assert digest.hexdigest() == FLAG_DIGEST
+
+    def test_the_wide_relations_decide_each_flag_both_ways(self):
+        wide = [relation_flags(rel) for rel in flag_digest_relations() if rel.arity >= 4]
+        for i, name in enumerate(RelationFlags._fields):
+            assert {flags[i] for flags in wide} == {True, False}, name
 
 
 class TestSchaeferShortcut:
-    """The restriction-based predicates return True when a Schaefer class
-    implies the flag, before they read the pair matrices or the closure;
-    the reference closure read without that shortcut must agree."""
+    """The componentwise-bijunctive predicate returns True when the
+    relation is bijunctive or affine, before it splits the relation or
+    builds the closure; every relation builds its pair matrices once, so
+    the "-free" predicates take no shortcut. The reference closure, read
+    without any shortcut, must agree."""
 
     CLOSURE_PREDICATES = (is_componentwise_bijunctive, is_or_free, is_nand_free,
                           is_horn_free, is_dual_horn_free)
@@ -619,8 +694,8 @@ class TestSchaeferShortcut:
             members = {other for other, test in classes.items() if test(rel)}
             if members == {name}:
                 alone.add(name)
-        # every class has members that no other class holds, so no other
-        # class's shortcut stands in for its own
+        # every class has members that no other class holds, so each
+        # class's flags are checked on relations of that class alone
         assert alone == set(classes)
 
     @pytest.mark.parametrize("rel", [Relation.full(8), COSET8], ids=["full", "coset"])
@@ -635,12 +710,12 @@ class TestSchaeferShortcut:
     def test_a_failed_top_level_check_builds_no_closure(self, arity):
         # (x | y | z) beside !(x & y & z): in no Schaefer class, connected
         # and not bijunctive, so the componentwise check fails on the
-        # relation itself and the four "-free" flags come from the pair
-        # matrices
+        # relation itself, and Horn, dual Horn and the four "-free" flags
+        # come from one build of the pair matrices
         rel = product(CUBE3_NO_000, Relation(3, frozenset(range(7))))
         if arity > 6:
             rel = product(rel, Relation.full(arity - 6))
-        for predicate in self.CLOSURE_PREDICATES:
+        for predicate in (is_horn, is_dual_horn) + self.CLOSURE_PREDICATES:
             predicate.cache_clear()
         before, matrices = closure_calls(), _free_flags.cache_info().misses
         flags = relation_flags(rel)
