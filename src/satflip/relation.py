@@ -18,9 +18,8 @@ by bijunctivity and by affinity; otherwise it splits the relation
 itself, then reads one memoized closure of its table under elementary
 steps: fix one position, or identify two. Each step is a few
 mask-and-shift operations, run once for a whole level of the closure
-with its tables packed side by side into one int; the components of the
-wider levels are read off the packed tables the same way. A table of
-arity 3 or of the relation itself gets one cached verdict
+with its tables packed side by side into one int. The relation's own
+table and every table of the closure get one cached verdict
 (:func:`_components_bijunctive`). The closure holds every covering
 restriction of arity 3 or more up to a permutation of its positions, so
 the predicate never walks the (k'+2)^k restriction maps one by one.
@@ -42,17 +41,16 @@ from .records import Frozen, set_field
 # The restriction closure grows quickly with arity, and only the
 # componentwise-bijunctive flag builds it, when the relation is in
 # neither class that implies the flag and its own components are
-# bijunctive. Measured cold on CPython 3.11, best of 3, five seeded
-# random relations per arity at densities 0.1-0.9: all nine flags take
-# 0.06-0.11 ms at arity 6, 0.11-0.12 ms at arity 7 and 0.24-0.32 ms at
-# arity 8 with no closure; the sparsest relation builds one and takes
-# 0.95-0.99 ms, 2.1-2.2 ms and 8.9-9.3 ms. One arity-8 closure holds up
-# to about 21,000 members, with a tracemalloc peak of 2.9 MiB. At arity
-# 9 (measured with the bound raised, 3 seeds at density 0.05) the nine
-# flags take 49-144 ms, one closure has 14,000-18,000 members with a
-# tracemalloc peak of 5-6 MiB, while the pair matrices alone take
-# 0.8-1.2 ms: a tenfold step per arity that no workload needs, so the
-# bound stays 8.
+# bijunctive. Measured cold on CPython 3.11, process CPU time, best of 5,
+# eight seeded random relations per arity at densities 0.05-0.3 that
+# build a closure: all nine flags take 0.6-1.7 ms at arity 6, 1.3-7.1 ms
+# at arity 7 and 3.9-18 ms at arity 8, the most where every closure
+# table passes and is split. Such an arity-8 closure held up to 9,400
+# members, with a tracemalloc peak of 1.9 MiB. At arity 9 (measured with
+# the bound raised, 4 seeds at densities 0.03-0.05) the nine flags take
+# 56-145 ms, one closure has 3,900-16,000 members with a tracemalloc peak
+# of 5 MiB, while the pair matrices alone take 0.8-1.3 ms: a tenfold step
+# per arity that no workload needs, so the bound stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
@@ -271,29 +269,12 @@ def _packed_masks(arity: int, count: int) -> list[int]:
     return [m * ones for m in index_masks(arity)]
 
 
-# A table of arity 3 or less fits in one byte, so a level of such tables
-# can be a bytes object.
-_BYTES = bytes(range(256))
-
-
-def _distinct(data: bytes) -> bytes:
-    """The distinct bytes of ``data``, ascending: deleting from all 256
-    the bytes that ``data`` lacks leaves the ones it holds."""
-    return _BYTES.translate(None, _BYTES.translate(None, data))
-
-
 def _level_steps(arity: int, tables) -> frozenset[int]:
     """The distinct steps of every table of one closure level, each step
-    taken once for the whole packed level. Up to arity 4 a step's table
-    fits the low byte of its slot: the distinct low bytes are found with
-    no int per slot."""
+    taken once for the whole packed level."""
     count = len(tables)
     steps = _steps(_packed_masks(arity, count), _pack(arity, tables))
-    if arity > 4:
-        return frozenset(_unpack(arity, steps, count))
-    width = _SLOTS[arity][0]
-    return frozenset(_distinct(b"".join(p.to_bytes(width * count, "little")
-                                        for p in steps)[::width]))
+    return frozenset(_unpack(arity, steps, count))
 
 
 # One closure of a random arity-8 relation holds about 20,000 small ints,
@@ -315,9 +296,9 @@ def _restriction_closure(relation: Relation) -> tuple[frozenset[int], ...]:
     restriction is a product of a smaller restriction with {0, 1}, whose
     components are bijunctive exactly when the smaller one's are.
 
-    Each level is built by :func:`_level_steps`, whose last step (arity 4
-    to 3) deduplicates bytes. No level below arity 3 is built: a relation
-    of arity 2 or less is bijunctive.
+    Each level is built from the one above by :func:`_level_steps`. No
+    level below arity 3 is built: a relation of arity 2 or less is
+    bijunctive.
     """
     levels = [frozenset({relation.table})]
     for arity in range(relation.arity, 3, -1):
@@ -325,31 +306,9 @@ def _restriction_closure(relation: Relation) -> tuple[frozenset[int], ...]:
     return tuple(reversed(levels))
 
 
-def _table_components(arity: int, tables) -> set[int]:
-    """The distinct Hamming components of the given truth tables, each as
-    a truth table. A packed flood fill grows one component of every table
-    at once, by all single-bit flips per round, from its lowest tuple."""
-    comps = set()
-    pending = [t for t in tables if t]
-    while pending:
-        count = len(pending)
-        flips = [(m, 1 << i) for i, m in enumerate(_packed_masks(arity, count))]
-        rest = _pack(arity, pending)
-        comp, grown = 0, _pack(arity, [t & -t for t in pending])
-        while grown != comp:
-            comp = grown
-            for m, shift in flips:
-                grown |= ((comp & ~m) << shift) | ((comp & m) >> shift)
-            grown &= rest
-        found = list(_unpack(arity, (comp,), count))
-        comps.update(found)
-        pending = [t ^ c for t, c in zip(pending, found) if t != c]
-    return comps
-
-
-# Bounded: is_componentwise_bijunctive asks it for every Hamming component
-# of every closure member it reads, about 930 distinct ones in one
-# classify stream.
+# Bounded: _components_bijunctive asks it for every Hamming component of
+# two or more tuples of every table it splits, 896 distinct ones in one
+# classify stream (seed 1).
 @lru_cache(maxsize=4096)
 def _bijunctive_table(arity: int, table: int) -> bool:
     """Closed under coordinatewise majority. A Boolean relation is
@@ -373,15 +332,22 @@ def _bijunctive_table(arity: int, table: int) -> bool:
 
 
 # Bounded like _bijunctive_table. is_componentwise_bijunctive asks it for
-# the relation's own table and for each table of a closure's arity-3
-# level, of which there are at most 256: one classify stream fills 530
-# entries.
+# the relation's own table and every table of its closure: one classify
+# stream (seed 1) fills 727 entries. A passing arity-8 closure can hold
+# more than 4,096 tables (6,086, density 0.12); its check then evicts
+# older entries, but still asks each of its own tables once.
 @lru_cache(maxsize=4096)
 def _components_bijunctive(arity: int, table: int) -> bool:
-    """Every Hamming component of the table is bijunctive. A flood over
-    the table's one int grows a component from its lowest tuple by all
-    single-bit flips per round; the component then leaves the table."""
+    """Every Hamming component of the table is bijunctive. A tuple with
+    no neighbour in the table is a bijunctive component alone: one round
+    of all single-bit flips drops every such tuple. A flood over the
+    table's one int then grows a component from the lowest tuple left by
+    all single-bit flips per round; the component then leaves the table."""
     flips = [(m, 1 << i) for i, m in enumerate(index_masks(arity))]
+    near = 0
+    for m, shift in flips:
+        near |= ((table & ~m) << shift) | ((table & m) >> shift)
+    table &= near
     while table:
         comp, grown = 0, table & -table
         while grown != comp:
@@ -558,13 +524,10 @@ def is_componentwise_bijunctive(relation: Relation) -> bool:
     bijunctive (Gopalan, Kolaitis, Maneva & Papadimitriou, 2009), and
     each component of an affine relation is a subcube. Otherwise the
     relation itself is split first, so one that fails there builds no
-    closure. The closure's arity-3 level comes next: it holds at most 256
-    tables, and each, like the relation itself, is split through one
-    cached verdict per table (:func:`_components_bijunctive`). The wider
-    levels follow, widest first, each split as one packed int
-    (:func:`_table_components`). Relations of arity 2 or less are
-    bijunctive, so no level below 3 is split, and a relation of arity 3
-    builds none."""
+    closure. Then every table of every closure level, from arity 3 up,
+    gets the same cached verdict (:func:`_components_bijunctive`).
+    Relations of arity 2 or less are bijunctive, so no level below 3 is
+    split, and a relation of arity 3 builds none."""
     arity = relation.arity
     if is_bijunctive(relation) or is_affine(relation):
         return True
@@ -572,12 +535,9 @@ def is_componentwise_bijunctive(relation: Relation) -> bool:
         return False
     if arity <= 3:
         return True
-    closure = _restriction_closure(relation)
-    return all(_components_bijunctive(3, table) for table in closure[0]) and all(
-        _bijunctive_table(level, comp)
-        for level in range(arity - 1, 3, -1)
-        for comp in _table_components(level, closure[level - 3])
-    )
+    return all(_components_bijunctive(level, table)
+               for level, tables in enumerate(_restriction_closure(relation), 3)
+               for table in tables)
 
 
 class RelationFlags(NamedTuple):

@@ -38,9 +38,7 @@ from satflip.errors import content_lines, read_decimal
 from satflip.formula import parse_assignment
 from satflip.recon import members, solution_table
 from satflip.relation import (
-    _bijunctive_table,
     _restriction_closure,
-    _table_components,
     is_dual_horn_free,
     is_nand_free,
     read_arity,
@@ -146,7 +144,7 @@ def naive_is_free(rel, forbidden_tuples, target_arity):
 def hamming_components(arity, tuples):
     """Connected components under single-bit flips, as frozensets of
     tuples ordered by smallest member: a flood over a Python set, the
-    reference for the packed flood of `relation._table_components`."""
+    reference for the flood of `relation._components_bijunctive`."""
     remaining = set(tuples)
     comps = []
     while remaining:
@@ -341,13 +339,15 @@ def closure_relation_flags(rel):
     (componentwise bijunctive, OR-, NAND-, Horn- and dual-Horn-free),
     read off `reference_closure` at every level with no Schaefer
     shortcut, for comparison with the library's pair matrices and its
-    own closure."""
+    own closure. Each table's components are split and tested by
+    `components_bijunctive`, so the reference shares no code with
+    `relation.is_componentwise_bijunctive`."""
     closure = reference_closure(rel)
     k = rel.arity
     return (
-        all(_bijunctive_table(a, comp)
+        all(components_bijunctive(a, frozenset(t for t in range(1 << a) if table >> t & 1))
             for a in range(3, k + 1)
-            for comp in _table_components(a, closure[a - 1])),
+            for table in closure[a - 1]),
         k < 2 or OR_TABLE not in closure[1],
         k < 2 or NAND_TABLE not in closure[1],
         k < 3 or closure[2].isdisjoint(HORN_PLACEMENTS),

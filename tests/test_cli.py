@@ -104,6 +104,16 @@ class TestClassify:
         assert code == 0
         assert out.endswith("NAVIGABLE (componentwise bijunctive)\n")
 
+    def test_rel_file_refused_at_a_wide_closure_level(self, capsys, tmp_path):
+        # the relation and each restriction onto three positions have only
+        # bijunctive components; a restriction onto four positions does not
+        rel = write(tmp_path / "w5.rel", "arity 5\n00001\n00101\n01010\n01011\n10101\n11010\n")
+        code, out, _ = run(capsys, "classify", str(rel))
+        assert (code, out) == (0, (
+            "relation r1: bijunctive=no horn=no dual-horn=no affine=no "
+            "componentwise-bijunctive=no or-free=no nand-free=no horn-free=yes "
+            "dual-horn-free=yes\nPSPACE CLASS (not tight)\n"))
+
     def test_relation_read_by_content_not_name(self, capsys, monkeypatch, tmp_path):
         want = run(capsys, "classify", str(write(tmp_path / "or.rel", OR_REL)))
         assert want[0] == 0 and want[1].startswith("relation r1: ")

@@ -40,7 +40,6 @@ from satflip.relation import (
     _free_flags,
     _level_steps,
     _restriction_closure,
-    _table_components,
 )
 
 from helpers import (
@@ -84,10 +83,6 @@ def all_relations(arity):
 
 def staircase(arity):
     return Relation(arity, frozenset((1 << i) - 1 for i in range(arity + 1)))
-
-
-def table_of(tuples):
-    return sum(1 << t for t in tuples)
 
 
 def tuples_of(arity, table):
@@ -326,30 +321,6 @@ class TestAffineCoset:
         assert seen == {True, False}
 
 
-class TestTableComponents:
-    @given(relation_strategy(min_arity=1, max_arity=8))
-    @settings(max_examples=200, deadline=None)
-    @example(rel=Relation.full(8))
-    @example(rel=staircase(8))
-    @example(rel=Relation(8, frozenset({0, 255})))
-    @example(rel=Relation(4, frozenset({0b0000, 0b0110, 0b0111, 0b1000, 0b1001})))
-    def test_matches_hamming_components(self, rel):
-        want = [table_of(c) for c in hamming_components(rel.arity, rel.tuples)]
-        got = sorted(_table_components(rel.arity, [rel.table]), key=lambda c: c & -c)
-        assert got == want
-
-    @given(st.integers(1, 8).flatmap(
-        lambda k: st.lists(relation_strategy(k, k), min_size=1, max_size=6)
-    ))
-    @settings(max_examples=100, deadline=None)
-    def test_packed_tables_split_one_by_one(self, rels):
-        arity = rels[0].arity
-        each = set()
-        for rel in rels:
-            each |= _table_components(arity, [rel.table])
-        assert _table_components(arity, [rel.table for rel in rels]) == each
-
-
 class TestFreePredicates:
     def test_nand_itself(self):
         assert not is_nand_free(Relation.from_bitstrings(["00", "01", "10"]))
@@ -399,6 +370,17 @@ class TestFreePredicates:
                 assert is_horn_free(rel)
 
 
+# Relations whose own table and whose closure's arity-3 level have only
+# bijunctive components, while some restriction onto four positions has
+# one that is not: only the wider closure levels refuse them.
+WIDE_LEVEL_FAILURES = [
+    Relation(5, frozenset({1, 5, 10, 11, 21, 26})),
+    Relation(6, frozenset({10, 11, 14, 18, 26, 35, 37, 49, 50, 53, 55})),
+    Relation(7, frozenset({17, 18, 36, 38, 41, 47, 69, 70, 75, 76, 84, 93, 95, 96,
+                           108, 111})),
+]
+
+
 class TestComponentwiseBijunctive:
     def test_xor(self):
         assert is_componentwise_bijunctive(Relation.from_bitstrings(["01", "10"]))
@@ -417,6 +399,14 @@ class TestComponentwiseBijunctive:
                 connected = len(hamming_components(arity, rel.tuples)) == 1
                 if is_bijunctive(rel) and connected:
                     assert is_componentwise_bijunctive(rel)
+
+    @pytest.mark.parametrize("rel", WIDE_LEVEL_FAILURES, ids=["arity5", "arity6", "arity7"])
+    def test_refused_only_at_a_wide_closure_level(self, rel):
+        flag = is_componentwise_bijunctive(rel)
+        assert not flag
+        assert flag == closure_relation_flags(rel)[0]
+        assert _components_bijunctive(rel.arity, rel.table)
+        assert all(_components_bijunctive(3, table) for table in _restriction_closure(rel)[0])
 
 
 class TestRestrictionClosure:
