@@ -15,14 +15,16 @@ OR of two tuples are entries of the matrices, and a forbidden
 restriction onto two or three positions is fixed by two tuples of the
 relation and a set of positions. Componentwise bijunctivity is implied
 by bijunctivity and by affinity; otherwise it splits the relation
-itself, then reads one memoized closure of its table under elementary
-steps: fix one position, or identify two. Each step is a few
-mask-and-shift operations, run once for a whole level of the closure
-with its tables packed side by side into one int. The relation's own
-table and every table of the closure get one cached verdict
-(:func:`_components_bijunctive`). The closure holds every covering
-restriction of arity 3 or more up to a permutation of its positions, so
-the predicate never walks the (k'+2)^k restriction maps one by one.
+itself, then every identification of its positions, one level per
+arity, each level built from the one above by identifying two positions.
+Fixing a constant never breaks the flag, so no step fixes one. Each step
+is a few mask-and-shift operations, run once for a whole level with its
+tables packed side by side into one int. The relation's own table and
+every table of every level get one cached verdict
+(:func:`_components_bijunctive`). The level of arity a holds one table
+per partition of the k positions into a blocks, at most 4,011 tables in
+all at arity 8, so the predicate never walks the (k'+2)^k restriction
+maps one by one.
 """
 
 from __future__ import annotations
@@ -38,19 +40,20 @@ from .bits import from_bitstring, index_masks, to_bitstring
 from .errors import ParseError, PreconditionError, content_lines, read_decimal
 from .records import Frozen, set_field
 
-# The restriction closure grows quickly with arity, and only the
-# componentwise-bijunctive flag builds it, when the relation is in
+# The identification levels grow with the Bell numbers, and only the
+# componentwise-bijunctive flag builds them, when the relation is in
 # neither class that implies the flag and its own components are
 # bijunctive. Measured cold on CPython 3.11, process CPU time, best of 5,
 # eight seeded random relations per arity at densities 0.05-0.3 that
-# build a closure: all nine flags take 0.6-1.7 ms at arity 6, 1.3-7.1 ms
-# at arity 7 and 3.9-18 ms at arity 8, the most where every closure
-# table passes and is split. Such an arity-8 closure held up to 9,400
-# members, with a tracemalloc peak of 1.9 MiB. At arity 9 (measured with
-# the bound raised, 4 seeds at densities 0.03-0.05) the nine flags take
-# 56-145 ms, one closure has 3,900-16,000 members with a tracemalloc peak
-# of 5 MiB, while the pair matrices alone take 0.8-1.3 ms: a tenfold step
-# per arity that no workload needs, so the bound stays 8.
+# build a level: all nine flags take 0.3-1.0 ms at arity 6, 0.3-3.8 ms
+# at arity 7 and 0.9-6.2 ms at arity 8, the most where every table
+# passes and is split. The levels of such an arity-8 relation held up to
+# 2,000 tables (at most 4,011), with a tracemalloc peak of 0.1 MiB. At
+# arity 9 (measured with the bound raised, 4 seeds at densities
+# 0.03-0.05) the nine flags take 11-29 ms and the levels hold 2,000-3,400
+# tables (at most 20,890) with a tracemalloc peak of 0.8 MiB, while the
+# pair matrices alone take 0.7-1.2 ms: a fivefold step per arity that no
+# workload needs, so the bound stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
@@ -176,19 +179,6 @@ class RestrictionMap(Frozen):
         set_field(self, "target_arity", target_arity)
         set_field(self, "entries", entries)
 
-    def then(self, other: "RestrictionMap") -> "RestrictionMap":
-        """Compose: restricting by self and then by other equals
-        restricting once by the returned map."""
-        if other.source_arity != self.target_arity:
-            raise PreconditionError(
-                f"cannot compose: inner target arity {self.target_arity} != "
-                f"outer source arity {other.source_arity}"
-            )
-        entries = tuple(
-            e if e in (CONST0, CONST1) else other.entries[e - 1] for e in self.entries
-        )
-        return RestrictionMap(self.source_arity, other.target_arity, entries)
-
 
 def restrict(relation: Relation, rmap: RestrictionMap) -> Relation:
     """The restriction of `relation` by `rmap`: a target tuple survives iff
@@ -210,14 +200,13 @@ def restrict(relation: Relation, rmap: RestrictionMap) -> Relation:
 
 
 def _steps(masks, table: int) -> list[int]:
-    """The truth table of every elementary step on the positions that
-    ``masks`` (see :func:`index_masks`) index: fix tuple bit b to 0 or 1,
-    or identify it with a higher bit (keep the tuples whose two bits
-    agree), and then drop bit b. Every operation moves a bit only within
-    the table's own 2^arity-bit span, so ``table`` and ``masks`` may hold
-    many tables side by side."""
+    """The truth table of every identification on the positions that
+    ``masks`` (see :func:`index_masks`) index: keep the tuples whose bit
+    b agrees with a higher bit h, then drop bit b. Every operation moves a
+    bit only within the table's own 2^arity-bit span, so ``table`` and
+    ``masks`` may hold many tables side by side."""
     out = []
-    for b, mb in enumerate(masks):
+    for b, mb in enumerate(masks[:-1]):
         # entry t (bit b clear) of zero / one is the table's entry t / t | 2^b
         zero, one = table & ~mb, (table & mb) >> (1 << b)
         for i in range(b + 1, len(masks)):
@@ -225,7 +214,6 @@ def _steps(masks, table: int) -> list[int]:
             mi, shift = masks[i], 1 << (i - 1)
             zero = (zero & ~mi) | ((zero & mi) >> shift)
             one = (one & ~mi) | ((one & mi) >> shift)
-        out += (zero, one)
         # bit b agrees with bit h > b, which now sits at bit h - 1
         out.extend((zero & ~mh) | (one & mh) for mh in masks[b:-1])
     return out
@@ -270,44 +258,30 @@ def _packed_masks(arity: int, count: int) -> list[int]:
 
 
 def _level_steps(arity: int, tables) -> frozenset[int]:
-    """The distinct steps of every table of one closure level, each step
-    taken once for the whole packed level."""
+    """The distinct identifications of every table of one level, each
+    step taken once for the whole packed level."""
     count = len(tables)
     steps = _steps(_packed_masks(arity, count), _pack(arity, tables))
     return frozenset(_unpack(arity, steps, count))
 
 
-# One closure of a random arity-8 relation holds about 20,000 small ints,
-# 1.7 MiB. Only is_componentwise_bijunctive builds it, and that predicate
-# is memoized itself, so one entry is kept: it serves a second read of the
-# same relation (tests compare the closure the predicate built with a
-# reference) and never holds more than one closure.
-@lru_cache(maxsize=1)
-def _restriction_closure(relation: Relation) -> tuple[frozenset[int], ...]:
-    """Every covering restriction of arity 3 or more of a relation of
-    arity 3 or more, up to a permutation of positions: entry ``a - 3``
-    holds the distinct truth tables of arity a.
-
-    A covering map names every target position. It factors into
-    elementary steps (see :func:`_steps`) followed by a permutation of
-    the target positions, so closing the relation under those steps
-    reaches each covering restriction in some order of its positions. A
-    map that is not covering leaves a target coordinate free, so its
-    restriction is a product of a smaller restriction with {0, 1}, whose
-    components are bijunctive exactly when the smaller one's are.
-
-    Each level is built from the one above by :func:`_level_steps`. No
+def _identification_levels(relation: Relation):
+    """Yield ``(a, tables)`` for a = k - 1 down to 3, k the relation's
+    arity: the distinct truth tables of R_pi over every partition pi of
+    the k positions into a blocks, each block read at its first position
+    (its highest tuple bit), the blocks in that order. Each step of
+    :func:`_level_steps` identifies two positions and keeps the first, so
+    the level of arity a is exactly that set, at most S(k, a) tables. No
     level below arity 3 is built: a relation of arity 2 or less is
-    bijunctive.
-    """
-    levels = [frozenset({relation.table})]
+    bijunctive."""
+    tables = (relation.table,)
     for arity in range(relation.arity, 3, -1):
-        levels.append(_level_steps(arity, levels[-1]))
-    return tuple(reversed(levels))
+        tables = _level_steps(arity, tables)
+        yield arity - 1, tables
 
 
 # Bounded: _components_bijunctive asks it for every Hamming component of
-# two or more tuples of every table it splits, 896 distinct ones in one
+# two or more tuples of every table it splits, 821 distinct ones in one
 # classify stream (seed 1).
 @lru_cache(maxsize=4096)
 def _bijunctive_table(arity: int, table: int) -> bool:
@@ -332,10 +306,10 @@ def _bijunctive_table(arity: int, table: int) -> bool:
 
 
 # Bounded like _bijunctive_table. is_componentwise_bijunctive asks it for
-# the relation's own table and every table of its closure: one classify
-# stream (seed 1) fills 727 entries. A passing arity-8 closure can hold
-# more than 4,096 tables (6,086, density 0.12); its check then evicts
-# older entries, but still asks each of its own tables once.
+# the relation's own table and every table of its identification levels:
+# one classify stream (seed 1) fills 587 entries. One check asks at most
+# 4,012 tables (an arity-8 relation and its levels), under the bound, so
+# it never evicts its own entries.
 @lru_cache(maxsize=4096)
 def _components_bijunctive(arity: int, table: int) -> bool:
     """Every Hamming component of the table is bijunctive. A tuple with
@@ -515,28 +489,36 @@ def is_dual_horn_free(relation: Relation) -> bool:
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_componentwise_bijunctive(relation: Relation) -> bool:
     """Every connected component of every restriction induces a bijunctive
-    relation (the identity restriction included). Components and
-    bijunctivity do not depend on the order of positions, so the closure
-    covers every restriction.
+    relation (the identity restriction included).
+
+    Identifying positions is the only step that can break the flag. A
+    restriction map factors into identifications followed by constants,
+    and fixing a constant keeps every component bijunctive: a component
+    of R with x_p = c lies inside one component C of R, C with x_p = c is
+    bijunctive, and so is each of its own components (Gopalan, Kolaitis,
+    Maneva & Papadimitriou, 2009). A target position that no entry names
+    is a free coordinate: each component is one of the rest times {0, 1},
+    bijunctive exactly when that one is. Neither components nor
+    bijunctivity depend on the order of positions. So the flag holds iff
+    every component of every identification of the relation is
+    bijunctive (:func:`_identification_levels`).
 
     Bijunctive and affine relations pass at once: their restrictions
     stay in the class, each component of a bijunctive relation is
-    bijunctive (Gopalan, Kolaitis, Maneva & Papadimitriou, 2009), and
-    each component of an affine relation is a subcube. Otherwise the
-    relation itself is split first, so one that fails there builds no
-    closure. Then every table of every closure level, from arity 3 up,
-    gets the same cached verdict (:func:`_components_bijunctive`).
-    Relations of arity 2 or less are bijunctive, so no level below 3 is
-    split, and a relation of arity 3 builds none."""
+    bijunctive, and each component of an affine relation is a subcube.
+    Otherwise the relation itself is split first, so one that fails there
+    builds no level. Then every table of every level, widest first, gets
+    the same cached verdict (:func:`_components_bijunctive`), each level
+    checked before the next is built. Relations of arity 2 or less are
+    bijunctive, so no level below 3 is split, and a relation of arity 3
+    builds none."""
     arity = relation.arity
     if is_bijunctive(relation) or is_affine(relation):
         return True
     if not _components_bijunctive(arity, relation.table):
         return False
-    if arity <= 3:
-        return True
     return all(_components_bijunctive(level, table)
-               for level, tables in enumerate(_restriction_closure(relation), 3)
+               for level, tables in _identification_levels(relation)
                for table in tables)
 
 

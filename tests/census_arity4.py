@@ -14,8 +14,10 @@ OR-closure flags against the pairwise reference `helpers.closed_under`;
 and the cached verdict on the relation's own table
 (`relation._components_bijunctive`) against a flood over a Python set
 and clause synthesis (`helpers.components_bijunctive`). It compares
-every level of each relation's closure with the reference closure, and
-counts the relations whose flags build no closure at all. It takes
+the identification level that the componentwise-bijunctive check builds
+for each relation (`relation._identification_levels`) with
+`helpers.reference_identifications`, built over strings, and counts the
+relations whose flags build no level at all. It takes
 about 21 s, so it runs as a CI step rather than in tier-1; pytest does
 not collect it, since its name does not start with ``test_``. Exits 1
 and names each count that differs.
@@ -27,14 +29,14 @@ from collections import Counter
 
 from satflip import NavigableKind, Relation, Verdict, classify_set, is_affine, is_bijunctive
 
-from satflip.relation import _components_bijunctive, _free_flags, _restriction_closure
+from satflip.relation import _components_bijunctive, _free_flags, _identification_levels
 
 from helpers import (
     closed_under,
     closure_calls,
     closure_relation_flags,
     components_bijunctive,
-    reference_closure,
+    reference_identifications,
 )
 
 ARITY = 4
@@ -69,9 +71,9 @@ def main():
     closed_mismatches = verdict_mismatches = 0
     for mask in range(1 << size):
         rel = Relation(ARITY, frozenset(t for t in range(size) if mask >> t & 1))
-        before = closure_calls()
-        cls = classify_set([rel])
-        no_closure += closure_calls() == before
+        with closure_calls() as built:
+            cls = classify_set([rel])
+        no_closure += not built
         reference = closure_relation_flags(rel)
         flag_mismatches += cls.per_relation[0][4:] != reference
         matrix = _free_flags(rel)
@@ -80,7 +82,8 @@ def main():
                                             closed_under(rel, operator.or_))
         verdict_mismatches += (_components_bijunctive(ARITY, rel.table)
                                != components_bijunctive(ARITY, rel.tuples))
-        reference_mismatches += _restriction_closure(rel) != reference_closure(rel)[2:]
+        reference_mismatches += (list(_identification_levels(rel))
+                                 != reference_identifications(rel))
         key = verdicts[mask] = (cls.verdict, cls.kind)
         census[key] += 1
         not_bijunctive += key == CWB and not is_bijunctive(rel)
@@ -106,9 +109,9 @@ def main():
         ("pair-matrix AND/OR-closure flags that differ from the pairwise reference",
          closed_mismatches, 0),
         ("own-table verdicts that differ from the reference", verdict_mismatches, 0),
-        ("closures that differ from the reference build", reference_mismatches, 0),
-        # only the componentwise-bijunctive flag reads the closure: these
-        # are the relations whose flag is decided without it, bijunctive,
+        ("identification levels that differ from the reference build", reference_mismatches, 0),
+        # only the componentwise-bijunctive flag builds a level: these are
+        # the relations whose flag is decided without one, bijunctive,
         # affine, or refused by the components of the relation itself
         ("relations whose flags build no closure", no_closure, 47856),
     ]

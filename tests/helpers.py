@@ -5,6 +5,7 @@ library (string manipulation, clause synthesis, plain DFS over
 assignments) so agreement is meaningful.
 """
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -36,13 +37,9 @@ from satflip import (
 from satflip.bits import from_bitstring, var_bit
 from satflip.errors import content_lines, read_decimal
 from satflip.formula import parse_assignment
+import satflip.relation as relation_layer
 from satflip.recon import members, solution_table
-from satflip.relation import (
-    _restriction_closure,
-    is_dual_horn_free,
-    is_nand_free,
-    read_arity,
-)
+from satflip.relation import is_dual_horn_free, is_nand_free, read_arity
 
 
 def flip_bit(value, index, width):
@@ -102,12 +99,14 @@ def naive_all_restriction_values(rel, target_arity):
 
 
 @functools.lru_cache(maxsize=None)
-def _step_getters(arity):
+def step_getters(arity):
     """One getter per elementary step on arity-`arity` tables as strings
-    (char t is "1" iff tuple t is accepted): fix position p to 0 or 1, or
-    give it the value of an earlier position q, then drop position p.
-    Each getter reads, for every target tuple, the source tuple's char."""
-    getters = []
+    (char t is "1" iff tuple t is accepted), keyed by `(p, value)`: fix
+    position p (counted from 0) to `value`, "0" or "1", or, for an int
+    `value` < p, give it the value of that earlier position; then drop
+    position p. Each getter reads, for every target tuple, the source
+    tuple's char."""
+    getters = {}
     for p in range(arity):
         for value in ["0", "1", *range(p)]:
             index = []
@@ -115,24 +114,50 @@ def _step_getters(arity):
                 bits = format(r, f"0{arity - 1}b")
                 bit = value if isinstance(value, str) else bits[value]
                 index.append(int(bits[:p] + bit + bits[p:], 2))
-            getters.append(operator.itemgetter(*index))
+            getters[p, value] = operator.itemgetter(*index)
     return getters
+
+
+def table_string(arity, tuples):
+    """The relation as a string, char t "1" iff tuple t is in `tuples`."""
+    return "".join("1" if t in tuples else "0" for t in range(1 << arity))
+
+
+def string_tuples(string):
+    """The tuples of a table string, the inverse of `table_string`."""
+    return frozenset(t for t, char in enumerate(string) if char == "1")
+
+
+def _string_levels(rel, constants, lowest):
+    """Yield `(a, tables)` for a = k - 1 down to `lowest`: the distinct
+    truth tables of arity a that steps of `step_getters` reach from the
+    relation, one table at a time over strings, with no packing; with
+    `constants` false, only the steps that identify two positions."""
+    level = {table_string(rel.arity, rel.tuples)}
+    for arity in range(rel.arity, lowest, -1):
+        getters = [get for (_, value), get in step_getters(arity).items()
+                   if constants or type(value) is int]
+        level = {"".join(get(s)) for s in level for get in getters}
+        yield arity - 1, frozenset(int(s[::-1], 2) for s in level)
 
 
 @functools.lru_cache(maxsize=1)
 def reference_closure(rel):
-    """The restriction closure built one table at a time over strings,
-    with no packing: entry a - 1 holds the distinct truth tables of arity
-    a that elementary steps reach from the relation, for every a down to
-    1 (`relation._restriction_closure` keeps the levels from arity 3 up,
-    entry a - 3). The last one is kept, since a caller often reads both
-    the closure and its flags."""
-    level = {"".join("1" if t in rel.tuples else "0" for t in range(1 << rel.arity))}
-    levels = [level]
-    for arity in range(rel.arity, 1, -1):
-        level = {"".join(get(s)) for s in level for get in _step_getters(arity)}
-        levels.append(level)
-    return tuple(frozenset(int(s[::-1], 2) for s in level) for level in reversed(levels))
+    """The restriction closure under fixing and identifying positions:
+    entry a - 1 holds the distinct truth tables of arity a, for every a
+    from 1 to the relation's arity. The last one is kept, since a caller
+    often reads both the closure and its flags."""
+    levels = dict(_string_levels(rel, True, 1))
+    levels[rel.arity] = frozenset({rel.table})
+    return tuple(levels[a] for a in range(1, rel.arity + 1))
+
+
+def reference_identifications(rel):
+    """`relation._identification_levels` over strings: `(a, tables)` for
+    a = k - 1 down to 3, the distinct truth tables of arity a that
+    identifying positions, each time keeping the earlier one, reaches
+    from the relation."""
+    return list(_string_levels(rel, False, 3))
 
 
 def naive_is_free(rel, forbidden_tuples, target_arity):
@@ -339,9 +364,9 @@ def closure_relation_flags(rel):
     (componentwise bijunctive, OR-, NAND-, Horn- and dual-Horn-free),
     read off `reference_closure` at every level with no Schaefer
     shortcut, for comparison with the library's pair matrices and its
-    own closure. Each table's components are split and tested by
-    `components_bijunctive`, so the reference shares no code with
-    `relation.is_componentwise_bijunctive`."""
+    componentwise-bijunctive check. Each table's components are split and
+    tested by `components_bijunctive`, so the reference shares no code
+    with `relation.is_componentwise_bijunctive`."""
     closure = reference_closure(rel)
     k = rel.arity
     return (
@@ -355,10 +380,23 @@ def closure_relation_flags(rel):
     )
 
 
+@contextlib.contextmanager
 def closure_calls():
-    """How many times `_restriction_closure` has been asked, hits included."""
-    info = _restriction_closure.cache_info()
-    return info.hits + info.misses
+    """Inside the block, count the calls of `relation._level_steps`, each
+    of which builds one level of the componentwise-bijunctive check: the
+    yielded list gets the arity of every level built."""
+    built = []
+    level_steps = relation_layer._level_steps
+
+    def counted(arity, tables):
+        built.append(arity)
+        return level_steps(arity, tables)
+
+    relation_layer._level_steps = counted
+    try:
+        yield built
+    finally:
+        relation_layer._level_steps = level_steps
 
 
 # Each Schaefer class as the operation its relations are closed under,

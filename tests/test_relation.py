@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from satflip import (
-    CONST0,
     CONST1,
     Classification,
     NavigableKind,
@@ -38,8 +37,8 @@ from satflip.relation import (
     _bijunctive_table,
     _components_bijunctive,
     _free_flags,
+    _identification_levels,
     _level_steps,
-    _restriction_closure,
 )
 
 from helpers import (
@@ -58,14 +57,17 @@ from helpers import (
     naive_restrict_tuples,
     non_decimal_cases,
     random_relation,
-    reference_closure,
+    reference_identifications,
     relation_strategy,
     restriction_entries,
     set_rule,
+    step_getters,
+    string_tuples,
     synth_affine,
     synth_bijunctive,
     synth_dual_horn,
     synth_horn,
+    table_string,
     two_cnf_relation,
     xor3_closed,
 )
@@ -142,15 +144,6 @@ class TestRestrict:
         entries = data.draw(restriction_entries(rel.arity, target))
         rmap = RestrictionMap(rel.arity, target, entries)
         assert restrict(rel, rmap).tuples == naive_restrict_tuples(rel, target, entries)
-
-    @given(relation_strategy(max_arity=4), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_composition(self, rel, data):
-        k1 = data.draw(st.integers(1, rel.arity))
-        first = RestrictionMap(rel.arity, k1, data.draw(restriction_entries(rel.arity, k1)))
-        k2 = data.draw(st.integers(1, k1))
-        second = RestrictionMap(k1, k2, data.draw(restriction_entries(k1, k2)))
-        assert restrict(restrict(rel, first), second) == restrict(rel, first.then(second))
 
     @given(relation_strategy(max_arity=4), st.data())
     @settings(max_examples=100, deadline=None)
@@ -370,9 +363,9 @@ class TestFreePredicates:
                 assert is_horn_free(rel)
 
 
-# Relations whose own table and whose closure's arity-3 level have only
-# bijunctive components, while some restriction onto four positions has
-# one that is not: only the wider closure levels refuse them.
+# Relations whose own table and whose arity-3 identification level have
+# only bijunctive components, while some identification onto four
+# positions has one that is not: only the wider levels refuse them.
 WIDE_LEVEL_FAILURES = [
     Relation(5, frozenset({1, 5, 10, 11, 21, 26})),
     Relation(6, frozenset({10, 11, 14, 18, 26, 35, 37, 49, 50, 53, 55})),
@@ -406,68 +399,127 @@ class TestComponentwiseBijunctive:
         assert not flag
         assert flag == closure_relation_flags(rel)[0]
         assert _components_bijunctive(rel.arity, rel.table)
-        assert all(_components_bijunctive(3, table) for table in _restriction_closure(rel)[0])
+        levels = dict(_identification_levels(rel))
+        assert all(_components_bijunctive(3, table) for table in levels[3])
+
+
+def subcube_union(arity, rng):
+    """The union of 2-5 random subcubes: each position of each cube is
+    fixed to 0, fixed to 1 or free, with equal odds."""
+    tuples = set()
+    for _ in range(rng.randint(2, 5)):
+        cube = [0]
+        for _ in range(arity):
+            bits = rng.choice(((0,), (1,), (0, 1)))
+            cube = [c << 1 | b for c in cube for b in bits]
+        tuples.update(cube)
+    return Relation(arity, frozenset(tuples))
+
+
+class TestFixingKeepsComponentsBijunctive:
+    """The lemma behind the identification-only check, over strings with
+    `step_getters` and `components_bijunctive` alone: if every component
+    of a table is bijunctive, so is every component of the table with
+    any one position fixed to either constant."""
+
+    @staticmethod
+    def check(arity, strings):
+        """Check the lemma on every table in `strings`; return how many
+        tables have only bijunctive components."""
+        fixes = [get for (_, value), get in step_getters(arity).items() if value in ("0", "1")]
+        fixed_verdicts = {}
+        passing = 0
+        for s in strings:
+            if components_bijunctive(arity, string_tuples(s)):
+                passing += 1
+                for get in fixes:
+                    fixed = "".join(get(s))
+                    if fixed not in fixed_verdicts:
+                        fixed_verdicts[fixed] = components_bijunctive(
+                            arity - 1, string_tuples(fixed))
+                    assert fixed_verdicts[fixed], (s, fixed)
+        return passing
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_every_table(self, arity):
+        size = 1 << arity
+        strings = (format(mask, f"0{size}b") for mask in range(1 << size))
+        assert self.check(arity, strings) > 0
+
+    @pytest.mark.parametrize("arity", [5, 6, 7, 8])
+    def test_seeded_tables(self, arity):
+        # random tables from sparse to dense, and unions of subcubes
+        rng = random.Random(120 + arity)
+        rels = [Relation(arity, frozenset(t for t in range(1 << arity) if rng.random() < d))
+                for d in (0.05, 0.1, 0.2, 0.5) for _ in range(3)]
+        rels += [subcube_union(arity, rng) for _ in range(12)]
+        assert self.check(arity, [table_string(arity, r.tuples) for r in rels]) > 0
 
 
 class TestRestrictionClosure:
-    """The componentwise-bijunctive predicate reads one closure of the
-    relation under fixing and identifying positions, from arity 3 up."""
+    """The componentwise-bijunctive predicate reads the identification
+    levels of the relation (`_identification_levels`), from arity k - 1
+    down to 3."""
 
     @staticmethod
-    def permuted(arity, tuples):
-        out = set()
-        for perm in itertools.permutations(range(arity)):
-            out.add(frozenset(
-                sum((t >> (arity - 1 - perm[p]) & 1) << (arity - 1 - p) for p in range(arity))
-                for t in tuples
-            ))
-        return out
+    def set_partitions(k, a):
+        """The partitions of k positions into a blocks as restriction
+        entries: position p goes to its block's number, the blocks
+        numbered in the order of their first positions."""
+        for entries in itertools.product(range(1, a + 1), repeat=k):
+            if max(entries) == a and all(
+                    e <= max(entries[:i], default=0) + 1 for i, e in enumerate(entries)):
+                yield entries
 
-    @pytest.mark.parametrize("arity", [3, 4])
-    def test_closure_is_covering_restrictions_up_to_permutation(self, arity):
-        # every relation of arity 3, and a seeded sample of arity 4
-        rels = all_relations(3) if arity == 3 else [
-            random_relation(4, random.Random(i)) for i in range(24)]
-        for rel in rels:
-            closure = _restriction_closure(rel)
-            assert len(closure) == arity - 2
-            for target in range(3, arity + 1):
-                choices = list(range(1, target + 1)) + [CONST0, CONST1]
-                covering = {
-                    naive_restrict_tuples(rel, target, entries)
-                    for entries in itertools.product(choices, repeat=arity)
-                    if set(range(1, target + 1)) <= set(entries)
-                }
-                reached = set()
-                for table in closure[target - 3]:
-                    tuples = [t for t in range(1 << target) if table >> t & 1]
-                    reached |= self.permuted(target, tuples)
-                assert reached == covering
+    @pytest.mark.parametrize("arity", [4, 5, 6])
+    def test_levels_are_the_set_partition_restrictions(self, arity):
+        # each level holds exactly the restrictions by set partitions, in
+        # the library's order of positions, with no permutation
+        for rel in wide_sample(arity):
+            levels = [(a, {tuples_of(a, table) for table in tables})
+                      for a, tables in _identification_levels(rel)]
+            want = [(a, {naive_restrict_tuples(rel, a, entries)
+                         for entries in self.set_partitions(arity, a)})
+                    for a in range(arity - 1, 2, -1)]
+            assert levels == want, rel
 
     @pytest.mark.parametrize("arity", [4, 5, 6, 7, 8])
     def test_closure_equals_the_reference_build(self, arity):
-        # every level the closure keeps, arity 3 up, as the same tuple of
-        # frozensets; seeded random relations, then full, empty,
+        # every level, arity k - 1 down to 3, as the same list of (arity,
+        # frozenset) pairs; seeded random relations, then full, empty,
         # staircase, product and complemented
         for rel in wide_sample(arity):
-            closure = _restriction_closure(rel)
-            assert all(type(level) is frozenset for level in closure)
-            assert closure == reference_closure(rel)[2:], rel
+            levels = list(_identification_levels(rel))
+            assert all(type(tables) is frozenset for _, tables in levels)
+            assert levels == reference_identifications(rel), rel
+
+    @pytest.mark.parametrize("arity", [5, 6, 7])
+    def test_subcube_unions_match_the_reference(self, arity):
+        # the flag against the reference closure, which fixes and
+        # identifies; some relations pass their own table and are refused
+        # only by an identification level
+        rng = random.Random(arity)
+        refused = 0
+        for rel in [subcube_union(arity, rng) for _ in range(60)]:
+            flag = is_componentwise_bijunctive(rel)
+            assert flag == closure_relation_flags(rel)[0], rel
+            refused += not flag and _components_bijunctive(arity, rel.table)
+        assert refused > 0
 
     @given(relation_strategy(min_arity=2, max_arity=8))
     @settings(max_examples=100, deadline=None)
     @example(rel=Relation.full(8))
     @example(rel=staircase(8))
     def test_steps_of_one_table_match_restrict(self, rel):
-        # tuple bit b is position k - b: fix it, or identify it with a
-        # higher bit h (an earlier position), then drop it
+        # tuple bit b is position k - b: identify it with a higher bit h
+        # (an earlier position), then drop it
         k = rel.arity
         want = set()
         for b in range(k):
             p = k - b
             rest = [q if q < p else q - 1 for q in range(1, k + 1)]
-            for c in [CONST0, CONST1] + [k - h for h in range(b + 1, k)]:
-                entries = tuple(c if q == p else rest[q - 1] for q in range(1, k + 1))
+            for h in range(b + 1, k):
+                entries = tuple(k - h if q == p else rest[q - 1] for q in range(1, k + 1))
                 want.add(naive_restrict_tuples(rel, k - 1, entries))
         got = {tuples_of(k - 1, table) for table in _level_steps(k, [rel.table])}
         assert got == want
@@ -651,7 +703,7 @@ class TestFlagDigest:
 class TestSchaeferShortcut:
     """The componentwise-bijunctive predicate returns True when the
     relation is bijunctive or affine, before it splits the relation or
-    builds the closure; every relation builds its pair matrices once, so
+    builds any identification level; every relation builds its pair matrices once, so
     the "-free" predicates take no shortcut. The reference closure, read
     without any shortcut, must agree."""
 
@@ -692,9 +744,9 @@ class TestSchaeferShortcut:
     def test_relations_in_a_class_build_no_closure(self, rel):
         for predicate in self.CLOSURE_PREDICATES:
             predicate.cache_clear()
-        before = closure_calls()
-        assert relation_flags(rel)[4:] == (True,) * 5
-        assert closure_calls() == before
+        with closure_calls() as built:
+            assert relation_flags(rel)[4:] == (True,) * 5
+        assert not built
 
     @pytest.mark.parametrize("arity", [6, 7, 8])
     def test_a_failed_top_level_check_builds_no_closure(self, arity):
@@ -707,21 +759,22 @@ class TestSchaeferShortcut:
             rel = product(rel, Relation.full(arity - 6))
         for predicate in (is_horn, is_dual_horn) + self.CLOSURE_PREDICATES:
             predicate.cache_clear()
-        before, matrices = closure_calls(), _free_flags.cache_info().misses
-        flags = relation_flags(rel)
-        assert closure_calls() == before
+        matrices = _free_flags.cache_info().misses
+        with closure_calls() as built:
+            flags = relation_flags(rel)
+        assert not built
         assert _free_flags.cache_info().misses == matrices + 1
         assert flags[:5] == (False,) * 5
         assert flags[4:] == closure_relation_flags(rel)
 
     def test_componentwise_bijunctive_refuses_the_relation_itself_first(self):
-        # connected and not bijunctive: the widest level fails, so no
-        # closure is built
+        # connected and not bijunctive: the relation itself fails, so no
+        # level is built
         rel = product(CUBE3_NO_000, Relation.full(5))
         is_componentwise_bijunctive.cache_clear()
-        before = closure_calls()
-        assert not is_componentwise_bijunctive(rel)
-        assert closure_calls() == before
+        with closure_calls() as built:
+            assert not is_componentwise_bijunctive(rel)
+        assert not built
         assert not closure_relation_flags(rel)[0]
 
 
@@ -896,14 +949,6 @@ class TestValidation:
         with pytest.raises(PreconditionError) as err:
             RestrictionMap(2, 2, (1,))
         assert str(err.value) == "expected 2 entries, got 1"
-
-    def test_then_needs_matching_arities(self):
-        inner, outer = RestrictionMap(3, 2, (1, 2, 2)), RestrictionMap(3, 1, (1, 1, 1))
-        with pytest.raises(PreconditionError) as err:
-            inner.then(outer)
-        assert str(err.value) == (
-            "cannot compose: inner target arity 2 != outer source arity 3"
-        )
 
     @pytest.mark.parametrize("entry", [True, False])
     def test_map_bool_entry(self, entry):
