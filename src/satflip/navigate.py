@@ -92,8 +92,8 @@ def shortest_path_navigable(compiled: CompiledFormula, s: int, t: int,
         want_s = set_vars(diff & cur_t, n)
         want_t = set_vars(diff & cur_s, n)
         vars_s = lower_set_sequence(side_s, want_s)
-        vars_t = lower_set_sequence(side_t, want_t)
-        if vars_s is None or vars_t is None:
+        vars_t = None if vars_s is None else lower_set_sequence(side_t, want_t)
+        if vars_t is None:
             stats = SolveStats(levels, tuple(lower_sets))
             return SolveResult(Outcome.NOT_CONNECTED, stats=stats)
         eta_old = zeros(cur_s, n) + zeros(cur_t, n)

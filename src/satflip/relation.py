@@ -3,11 +3,15 @@
 A k-ary relation is a set of k-bit tuples. Restrictions substitute
 constants into positions and identify positions with each other; the
 "-free" predicates ask whether any restriction equals a fixed forbidden
-relation, and the whole set of predicates feeds the solvability verdict
-computed by :func:`classify_set`.
+relation, and the nine predicates feed the solvability verdict computed
+by :func:`classify_set`, one cached record per relation
+(:func:`relation_flags`).
 
 Every tuple set in this layer is also one truth-table int, bit t set
-iff tuple t is accepted (:attr:`Relation.table`). Horn, dual Horn and
+iff tuple t is accepted (:attr:`Relation.table`), and each class kernel
+reads masks built once per arity: bijunctivity joins the pair cubes the
+table touches (:func:`_pair_cubes`), and affinity translates the table,
+one masked swap per bit (:func:`_translate`). Horn, dual Horn and
 the four "-free" flags are read off two 2^k x 2^k bit matrices over
 pairs of tuples, R(g | w) and R(g & w), each built from the table by k
 mask-and-shift steps, once per relation (:func:`_free_flags`): AND and
@@ -45,15 +49,12 @@ from .records import Frozen, set_field
 # neither class that implies the flag and its own components are
 # bijunctive. Measured cold on CPython 3.11, process CPU time, best of 5,
 # eight seeded random relations per arity at densities 0.05-0.3 that
-# build a level: all nine flags take 0.3-1.0 ms at arity 6, 0.3-3.8 ms
-# at arity 7 and 0.9-6.2 ms at arity 8, the most where every table
-# passes and is split. The levels of such an arity-8 relation held up to
-# 2,000 tables (at most 4,011), with a tracemalloc peak of 0.1 MiB. At
-# arity 9 (measured with the bound raised, 4 seeds at densities
-# 0.03-0.05) the nine flags take 11-29 ms and the levels hold 2,000-3,400
-# tables (at most 20,890) with a tracemalloc peak of 0.8 MiB, while the
-# pair matrices alone take 0.7-1.2 ms: a fivefold step per arity that no
-# workload needs, so the bound stays 8.
+# build a level: all nine flags take 0.2-0.4 ms at arity 6, 0.3-1.4 ms
+# at arity 7 and 0.9-5.8 ms at arity 8, whose levels held up to 956
+# tables (at most 4,011), a tracemalloc peak of 0.6 MiB. At arity 9 (the
+# bound raised, 4 seeds at densities 0.03-0.05) they take 2.4-16 ms and
+# the pair matrices alone 0.7-1.1 ms, a step per arity that no workload
+# needs, so the bound stays 8.
 MAX_ARITY = 8
 
 CONST0 = "c0"
@@ -280,28 +281,49 @@ def _identification_levels(relation: Relation):
         yield arity - 1, tables
 
 
+@lru_cache(maxsize=None)
+def _pair_cubes(arity: int):
+    """Per pair of positions i < j, the truth tables of the four cubes of
+    tuples with bits i and j fixed."""
+    full = (1 << (1 << arity)) - 1
+    halves = [(m, full ^ m) for m in index_masks(arity)]
+    return tuple(tuple(a & b for a in hi for b in hj)
+                 for hi, hj in itertools.combinations(halves, 2))
+
+
+# Per arity, per position i: the tuples whose bit i is 1, those whose bit
+# i is 0, and the table shift 2^i that moves tuple t to t ^ 2^i.
+_FLIPS = ((),) + tuple(
+    tuple((m, m ^ ((1 << (1 << arity)) - 1), 1 << i) for i, m in enumerate(index_masks(arity)))
+    for arity in range(1, MAX_ARITY + 1))
+
+
+def _translate(flips, table: int, s: int) -> int:
+    """The table of {t ^ s : t in table}: one masked swap per set bit of
+    s, whose bit i is the shift 2^i itself."""
+    for high, low, shift in flips:
+        if s & shift:
+            table = ((table & high) >> shift) | ((table & low) << shift)
+    return table
+
+
 # Bounded: _components_bijunctive asks it for every Hamming component of
 # two or more tuples of every table it splits, 821 distinct ones in one
-# classify stream (seed 1).
+# classify stream (seed 1), 890 at seed 2.
 @lru_cache(maxsize=4096)
 def _bijunctive_table(arity: int, table: int) -> bool:
     """Closed under coordinatewise majority. A Boolean relation is
     majority-closed iff it equals the join of its binary projections
     (Baker & Pixley, 1975). The projection on positions i, j, lifted back
-    to all positions, is the union of the pair cubes (fixed bits i and j)
+    to all positions, is the union of the pair cubes (:func:`_pair_cubes`)
     that the table touches; the join is their intersection over all pairs."""
     if arity <= 2:
         return True
-    masks = index_masks(arity)
-    full = (1 << (1 << arity)) - 1
-    join = full
-    for i, j in itertools.combinations(range(arity), 2):
-        union = 0
-        for mi in (masks[i], full ^ masks[i]):
-            for mj in (masks[j], full ^ masks[j]):
-                if table & mi & mj:
-                    union |= mi & mj
-        join &= union
+    join = -1
+    for c0, c1, c2, c3 in _pair_cubes(arity):
+        # the touched cubes: (table & c and c) is c if touched, else 0
+        join &= ((table & c0 and c0) | (table & c1 and c1)
+                 | (table & c2 and c2) | (table & c3 and c3))
     return join == table
 
 
@@ -317,17 +339,17 @@ def _components_bijunctive(arity: int, table: int) -> bool:
     of all single-bit flips drops every such tuple. A flood over the
     table's one int then grows a component from the lowest tuple left by
     all single-bit flips per round; the component then leaves the table."""
-    flips = [(m, 1 << i) for i, m in enumerate(index_masks(arity))]
+    flips = _FLIPS[arity]
     near = 0
-    for m, shift in flips:
-        near |= ((table & ~m) << shift) | ((table & m) >> shift)
+    for high, low, shift in flips:
+        near |= ((table & low) << shift) | ((table & high) >> shift)
     table &= near
     while table:
         comp, grown = 0, table & -table
         while grown != comp:
             comp = grown
-            for m, shift in flips:
-                grown |= ((comp & ~m) << shift) | ((comp & m) >> shift)
+            for high, low, shift in flips:
+                grown |= ((comp & low) << shift) | ((comp & high) >> shift)
             grown &= table
         if not _bijunctive_table(arity, comp):
             return False
@@ -335,10 +357,10 @@ def _components_bijunctive(arity: int, table: int) -> bool:
     return True
 
 
-# The bound of every predicate cache below. One benchmark classify stream
-# (seed 1, 40 rounds, 800 relation sets) fills 503 entries in each of
-# them, and 510-518 in the two order flags that relation generation also
-# tests (NAND-free and dual-Horn-free).
+# The bound of every predicate cache below, relation_flags' included. One
+# benchmark classify stream (seed 1, 40 rounds, 800 relation sets) fills
+# 503 entries in each of them, and 510-518 in the two order flags that
+# relation generation also tests (NAND-free and dual-Horn-free).
 PREDICATE_CACHE_SIZE = 4096
 
 
@@ -363,22 +385,25 @@ def is_dual_horn(relation: Relation) -> bool:
 @lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def is_affine(relation: Relation) -> bool:
     """Closed under coordinatewise XOR of three tuples, i.e. empty or a
-    coset of a linear subspace: xored with one of its tuples it must be
-    its whole span, whose rank r elimination finds, so it has 2^r tuples."""
-    tuples = relation.tuples
-    if not tuples:
+    coset of a subspace: of 2^r tuples, with S = R xor t0, t0 the lowest
+    tuple, a subspace. A span L grows from {0} by s, the lowest member of
+    S outside L, once S xor s = S (:func:`_translate`); when S lies in L,
+    S is closed under L and holds 0, so S = L. At most log2 |R| rounds."""
+    table = relation.table
+    size = table.bit_count()
+    if size & (size - 1):
+        return False
+    if size <= 2:
         return True
-    base = next(iter(tuples))
-    basis = {}  # leading bit -> basis vector with that leading bit
-    for t in tuples:
-        x = t ^ base
-        while x:
-            top = x.bit_length()
-            if top not in basis:
-                basis[top] = x
-                break
-            x ^= basis[top]
-    return len(tuples) == 1 << len(basis)
+    flips = _FLIPS[relation.arity]
+    table = _translate(flips, table, (table & -table).bit_length() - 1)
+    span = 1
+    while rest := table & ~span:
+        s = (rest & -rest).bit_length() - 1
+        if _translate(flips, table, s) != table:
+            return False
+        span |= _translate(flips, span, s)
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -534,17 +559,15 @@ class RelationFlags(NamedTuple):
     dual_horn_free: bool
 
 
+@lru_cache(maxsize=PREDICATE_CACHE_SIZE)
 def relation_flags(relation: Relation) -> RelationFlags:
+    """The nine flags, one cached record per relation. A miss calls the
+    predicates by their module names, so one replaced there is called."""
     return RelationFlags(
-        bijunctive=is_bijunctive(relation),
-        horn=is_horn(relation),
-        dual_horn=is_dual_horn(relation),
-        affine=is_affine(relation),
-        componentwise_bijunctive=is_componentwise_bijunctive(relation),
-        or_free=is_or_free(relation),
-        nand_free=is_nand_free(relation),
-        horn_free=is_horn_free(relation),
-        dual_horn_free=is_dual_horn_free(relation),
+        is_bijunctive(relation), is_horn(relation), is_dual_horn(relation),
+        is_affine(relation), is_componentwise_bijunctive(relation),
+        is_or_free(relation), is_nand_free(relation), is_horn_free(relation),
+        is_dual_horn_free(relation),
     )
 
 

@@ -11,16 +11,19 @@ matrices (`relation._free_flags`), against the flags of
 `helpers.reference_closure`, a closure built a table at a time over
 strings (`helpers.closure_relation_flags`); the matrices' AND- and
 OR-closure flags against the pairwise reference `helpers.closed_under`;
-and the cached verdict on the relation's own table
+the cached verdict on the relation's own table
 (`relation._components_bijunctive`) against a flood over a Python set
-and clause synthesis (`helpers.components_bijunctive`). It compares
-the identification level that the componentwise-bijunctive check builds
-for each relation (`relation._identification_levels`) with
+and clause synthesis (`helpers.components_bijunctive`); the bijunctive
+flag of the pair-cube join against clause synthesis
+(`helpers.synth_bijunctive`); and the affine flag of the translation
+kernel against Gaussian elimination (`helpers.eliminated_affine`). It
+compares the identification level that the componentwise-bijunctive
+check builds for each relation (`relation._identification_levels`) with
 `helpers.reference_identifications`, built over strings, and counts the
-relations whose flags build no level at all. It takes
-about 21 s, so it runs as a CI step rather than in tier-1; pytest does
-not collect it, since its name does not start with ``test_``. Exits 1
-and names each count that differs.
+relations whose flags build no level at all. It takes about 24 s, so it
+runs as a CI step rather than in tier-1; pytest does not collect it,
+since its name does not start with ``test_``. Exits 1 and names each
+count that differs.
 """
 
 import operator
@@ -36,7 +39,9 @@ from helpers import (
     closure_calls,
     closure_relation_flags,
     components_bijunctive,
+    eliminated_affine,
     reference_identifications,
+    synth_bijunctive,
 )
 
 ARITY = 4
@@ -68,12 +73,15 @@ def main():
     census = Counter()
     not_bijunctive = affine = no_closure = 0
     flag_mismatches = matrix_mismatches = reference_mismatches = 0
-    closed_mismatches = verdict_mismatches = 0
+    closed_mismatches = verdict_mismatches = bijunctive_mismatches = affine_mismatches = 0
     for mask in range(1 << size):
         rel = Relation(ARITY, frozenset(t for t in range(size) if mask >> t & 1))
         with closure_calls() as built:
             cls = classify_set([rel])
         no_closure += not built
+        flags = cls.per_relation[0]
+        bijunctive_mismatches += flags.bijunctive != synth_bijunctive(rel)
+        affine_mismatches += flags.affine != eliminated_affine(rel)
         reference = closure_relation_flags(rel)
         flag_mismatches += cls.per_relation[0][4:] != reference
         matrix = _free_flags(rel)
@@ -110,6 +118,8 @@ def main():
          closed_mismatches, 0),
         ("own-table verdicts that differ from the reference", verdict_mismatches, 0),
         ("identification levels that differ from the reference build", reference_mismatches, 0),
+        ("bijunctive flags that differ from clause synthesis", bijunctive_mismatches, 0),
+        ("affine flags that differ from the elimination reference", affine_mismatches, 0),
         # only the componentwise-bijunctive flag builds a level: these are
         # the relations whose flag is decided without one, bijunctive,
         # affine, or refused by the components of the relation itself

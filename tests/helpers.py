@@ -314,6 +314,27 @@ def synth_affine(rel):
     return frozenset(sols) == rel.tuples
 
 
+def eliminated_affine(rel):
+    """Affinity by rank: xored with one of its tuples, the relation must be
+    its whole span, whose rank r Gaussian elimination over the tuples
+    finds, so it has 2^r tuples. The reference that shares no code with
+    the library's translation kernel."""
+    tuples = rel.tuples
+    if not tuples:
+        return True
+    base = next(iter(tuples))
+    basis = {}  # leading bit -> basis vector with that leading bit
+    for t in tuples:
+        x = t ^ base
+        while x:
+            top = x.bit_length()
+            if top not in basis:
+                basis[top] = x
+                break
+            x ^= basis[top]
+    return len(tuples) == 1 << len(basis)
+
+
 def naive_is_componentwise_bijunctive(rel):
     """Every Hamming component of every restriction value, over all
     (target+2)^arity maps, is synthesized by 1- and 2-clauses."""

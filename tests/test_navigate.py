@@ -89,6 +89,25 @@ class TestNavigableSolver:
         res = shortest_path_navigable(EQ_PHI.compiled, 0b00, 0b11)
         assert res.outcome is Outcome.NOT_CONNECTED
 
+    @pytest.mark.parametrize("s, t, walked", [
+        (0b00, 0b11, [[1, 2]]),  # the source cannot raise x1 or x2 alone
+        (0b11, 0b00, [[], [1, 2]]),  # the source wants nothing; the target fails
+    ], ids=["source-fails", "target-fails"])
+    def test_a_failed_walk_ends_the_level(self, monkeypatch, s, t, walked):
+        # once the source side's walk finds no order, the target side is
+        # not walked; the answer and its stats do not depend on it
+        walks = []
+
+        def counted(state, wanted):
+            walks.append(wanted)
+            return lower_set_sequence(state, wanted)
+
+        monkeypatch.setattr(navigate, "lower_set_sequence", counted)
+        res = shortest_path_navigable(EQ_PHI.compiled, s, t)
+        assert res.outcome is Outcome.NOT_CONNECTED
+        assert res.stats == SolveStats(levels=1, lower_sets=())
+        assert walks == walked
+
     def test_rejects_unsatisfying_endpoint(self):
         with pytest.raises(PreconditionError, match="clause 1"):
             shortest_path_navigable(PATH_PHI.compiled, 0b010, 0b110)

@@ -48,6 +48,7 @@ from helpers import (
     closure_calls,
     closure_relation_flags,
     components_bijunctive,
+    eliminated_affine,
     every_relation,
     flag_digest_relations,
     hamming_components,
@@ -214,9 +215,9 @@ class TestSyntacticClasses:
         assert is_affine(rel) == synth_affine(rel)
 
     def test_bijunctive_cache_is_bounded(self):
-        # one classify stream asks the table check for ~930 components
-        # and the per-table verdict for ~530 tables; a long-lived process
-        # must not keep every one of them
+        # one classify stream (seed 1) asks the table check for 821
+        # components and the per-table verdict for 587 tables; a
+        # long-lived process must not keep every one of them
         for cached in (is_bijunctive, _bijunctive_table, _components_bijunctive):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= 4096
@@ -228,7 +229,7 @@ class TestSyntacticClasses:
 
         for name in ("is_horn", "is_dual_horn", "is_affine", "is_or_free",
                      "is_nand_free", "is_horn_free", "is_dual_horn_free",
-                     "is_componentwise_bijunctive"):
+                     "is_componentwise_bijunctive", "relation_flags"):
             cached = getattr(relation, name)
             assert cached.cache_info().maxsize == relation.PREDICATE_CACHE_SIZE, name
         assert relation.PREDICATE_CACHE_SIZE >= 4096
@@ -282,8 +283,8 @@ class TestBijunctiveTable:
 
 
 class TestAffineCoset:
-    """is_affine compares the relation's size with the rank of its
-    differences; the reference checks XOR closure on every three tuples."""
+    """is_affine grows the span of the translated table; the reference
+    checks XOR closure on every three tuples."""
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_every_small_relation_matches_xor_closure(self, arity):
@@ -312,6 +313,99 @@ class TestAffineCoset:
                 assert got == xor3_closed(rel), rel
                 seen.add(got)
         assert seen == {True, False}
+
+
+def kernel_sample(arity):
+    """Seeded relations of the arity for the table kernels: random ones at
+    densities 0.03-0.9, 2-CNF solution sets, cosets of random subspaces,
+    and each coset of four or more tuples with one tuple moved out of it,
+    which keeps its size a power of two and makes it no coset."""
+    rng = random.Random(60 + arity)
+    top = 1 << arity
+    rels = [Relation(arity, frozenset(t for t in range(top) if rng.random() < density))
+            for density in (0.03, 0.1, 0.3, 0.5, 0.9) for _ in range(4)]
+    rels += [two_cnf_relation(arity, rng, rng.randint(1, 2 * arity)) for _ in range(6)]
+    for _ in range(10):
+        gens = [rng.randrange(1, top) for _ in range(rng.randint(1, arity - 1))]
+        rel = coset(arity, rng.randrange(top), gens)
+        rels.append(rel)
+        if len(rel.tuples) >= 4:
+            outside = sorted(frozenset(range(top)) - rel.tuples)
+            kept = rel.tuples - {rng.choice(sorted(rel.tuples))}
+            rels.append(Relation(arity, kept | {rng.choice(outside)}))
+    return rels
+
+
+def affine_exit(rel):
+    """Where the affine kernel answers: a size that is no power of two,
+    two tuples or fewer, a translation that moves S, or a whole span."""
+    size = len(rel.tuples)
+    if size & (size - 1):
+        return "size"
+    if size <= 2:
+        return "small"
+    return "span" if eliminated_affine(rel) else "translation"
+
+
+class TestTableKernels:
+    """The bijunctive and affine kernels read masks built once per arity
+    (`_pair_cubes`, `_translate`). Clause synthesis is the reference, and
+    for affinity also the rank by elimination (`eliminated_affine`),
+    which shares no code with the kernel."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_every_relation_matches_synthesis(self, arity):
+        for rel in every_relation(arity):
+            assert _bijunctive_table(arity, rel.table) == synth_bijunctive(rel), rel
+            assert is_affine(rel) == synth_affine(rel), rel
+
+    @pytest.mark.parametrize("arity", [5, 6, 7, 8])
+    def test_seeded_relations_match_synthesis(self, arity):
+        exits, bijunctive = set(), set()
+        for rel in kernel_sample(arity):
+            assert is_affine(rel) == synth_affine(rel) == eliminated_affine(rel), rel
+            got = _bijunctive_table(arity, rel.table)
+            assert got == synth_bijunctive(rel), rel
+            exits.add(affine_exit(rel))
+            if len(rel.tuples) > 2:
+                bijunctive.add(got)
+        assert exits == {"size", "small", "translation", "span"}
+        assert bijunctive == {True, False}
+
+    @pytest.mark.parametrize("arity", range(1, 9))
+    def test_empty_single_tuple_and_full_tables(self, arity):
+        top = 1 << arity
+        for tuples in ((), {0}, {top - 1}, {(top - 1) // 3}, range(top)):
+            rel = Relation(arity, tuples)
+            assert is_affine(rel) and eliminated_affine(rel), rel
+            assert _bijunctive_table(arity, rel.table), rel
+
+
+class TestFlagRecord:
+    """`relation_flags` keeps one record per relation, built from the nine
+    predicates on a miss."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_record_matches_the_nine_predicates(self, arity):
+        from satflip import relation
+
+        for rel in every_relation(arity):
+            want = {name: getattr(relation, "is_" + name)(rel) for name in RelationFlags._fields}
+            assert relation_flags(rel)._asdict() == want, rel
+
+    def test_an_equal_relation_is_one_lookup(self):
+        from satflip import relation
+
+        first = Relation(4, {0b0001, 0b0110, 0b1011})
+        flags = relation_flags(first)
+        again = Relation(4, frozenset({0b1011, 0b0110, 0b0001}))
+        assert again is not first and again == first
+        predicates = [getattr(relation, "is_" + name) for name in RelationFlags._fields]
+        before = [p.cache_info() for p in predicates]
+        hits = relation_flags.cache_info().hits
+        assert relation_flags(again) is flags
+        assert relation_flags.cache_info().hits == hits + 1
+        assert [p.cache_info() for p in predicates] == before
 
 
 class TestFreePredicates:
@@ -742,7 +836,7 @@ class TestSchaeferShortcut:
 
     @pytest.mark.parametrize("rel", [Relation.full(8), COSET8], ids=["full", "coset"])
     def test_relations_in_a_class_build_no_closure(self, rel):
-        for predicate in self.CLOSURE_PREDICATES:
+        for predicate in self.CLOSURE_PREDICATES + (relation_flags,):
             predicate.cache_clear()
         with closure_calls() as built:
             assert relation_flags(rel)[4:] == (True,) * 5
@@ -757,7 +851,7 @@ class TestSchaeferShortcut:
         rel = product(CUBE3_NO_000, Relation(3, frozenset(range(7))))
         if arity > 6:
             rel = product(rel, Relation.full(arity - 6))
-        for predicate in (is_horn, is_dual_horn) + self.CLOSURE_PREDICATES:
+        for predicate in (is_horn, is_dual_horn, relation_flags) + self.CLOSURE_PREDICATES:
             predicate.cache_clear()
         matrices = _free_flags.cache_info().misses
         with closure_calls() as built:
